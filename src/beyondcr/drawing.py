@@ -1,20 +1,30 @@
 """Polyline drawings and exact crossing computation.
 
-Coordinates are rational (``fractions.Fraction``), so every intersection
-test is exact.  A drawing must be in *general position*: no overlapping
-segments, no curve through a vertex or bend of another curve, and no two
-crossings at the same point.  Violations raise GeneralPositionViolation
-instead of silently producing a bogus crossing count.
+Coordinates are rational (``fractions.Fraction`` or ``int``), so every
+intersection test is exact.  ``compute_crossings`` multiplies all vertex
+and bend coordinates by the LCM of their denominators, so the geometric
+predicates run on plain integers.  It sorts the segments by the left end
+of their bounding boxes and tests only the pairs whose boxes meet; points
+and segment parameters go back to ``Fraction`` in drawing coordinates for
+output.
+
+A drawing must be in *general position*: no overlapping segments, no curve
+through a vertex or bend of another curve, and no two crossings at the same
+point.  Violations raise GeneralPositionViolation instead of silently
+producing a bogus crossing count.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .geometry import Point, bbox_disjoint, pt, segment_meet
+from .geometry import Point, segment_meet
 from .graph_core import (Edge, FRAME_NODES, Graph, edge, edge_from_key,
                          edge_key, graph_to_json_obj, graph_from_json_obj,
                          make_graph)
@@ -158,82 +168,115 @@ def _curve_points(drawing: Drawing) -> dict[Point, str]:
     return seen
 
 
+def _scaled(points: Iterable[Point]) -> tuple[int, dict[Point, tuple[int, int]]]:
+    """The LCM of all coordinate denominators, and each point times it."""
+    points = list(points)
+    for p in points:
+        for c in p:
+            if type(c) is not int and not isinstance(c, Fraction):
+                raise TypeError(f"coordinate {c!r} is not an int or Fraction")
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    return scale, {p: (p[0].numerator * (scale // p[0].denominator),
+                       p[1].numerator * (scale // p[1].denominator))
+                   for p in points}
+
+
+def _candidate_pairs(ends: list[tuple[tuple[int, int], tuple[int, int]]]
+                     ) -> Iterator[tuple[int, int]]:
+    """Pairs (s, t), s < t, of indices into ``ends`` whose segments'
+    bounding boxes meet.
+
+    Sorted by xmin, a box can only meet the boxes after it up to the first
+    one that starts right of its xmax, so only that run is checked for
+    y-overlap.
+    """
+    boxes = sorted((min(a[0], b[0]), max(a[0], b[0]),
+                    min(a[1], b[1]), max(a[1], b[1]), s)
+                   for s, (a, b) in enumerate(ends))
+    xmins = [b[0] for b in boxes]
+    for k, (_, x1, y0, y1, s) in enumerate(boxes):
+        for _, _, v0, v1, t in boxes[k + 1:bisect_right(xmins, x1, k + 1)]:
+            if v0 <= y1 and y0 <= v1:
+                yield (s, t) if s < t else (t, s)
+
+
 def compute_crossings(drawing: Drawing) -> CrossingSet:
     """All proper crossings of the drawing, exactly.
 
     Raises GeneralPositionViolation for overlaps, touching curves (except
     shared endpoints of adjacent edges), curves through vertices/bends, and
-    coincident crossing points.
+    coincident crossing points.  When several degeneracies exist, the one
+    raised is the first in (edge, edge, segment, segment) order.
     """
     g = drawing.graph
     for v in g.vertices:
         if v not in drawing.positions:
             raise ValueError(f"vertex {v} has no position")
     point_desc = _curve_points(drawing)
-
-    edges = sorted(set(g.edges) | set(drawing.curves))
     if set(drawing.curves) - set(g.edges):
         bad = sorted(set(drawing.curves) - set(g.edges))[0]
         raise ValueError(f"curve for non-edge {bad}")
-    segs: dict[Edge, list[tuple[Point, Point]]] = {}
-    for e in sorted(g.edges):
-        ss = drawing.segments(e)
-        for i, (a, b) in enumerate(ss):
+    scale, scaled = _scaled(point_desc)
+    desc = {scaled[p]: text for p, text in point_desc.items()}
+
+    # Segment ids run in (edge, index along the edge) order.
+    edge_list = sorted(g.edges)
+    owner: list[int] = []
+    index: list[int] = []
+    ends: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    for ei, e in enumerate(edge_list):
+        poly = drawing.polyline(e)
+        for i, (a, b) in enumerate(zip(poly, poly[1:])):
             if a == b:
                 raise GeneralPositionViolation(
                     "degenerate-segment", f"segment {i} of {e} has zero length")
-        segs[e] = ss
+            owner.append(ei)
+            index.append(i)
+            ends.append((scaled[a], scaled[b]))
+
+    # Test in (edge, edge, segment, segment) order, so the first violation
+    # found does not depend on the sweep.  Consecutive segments of one edge
+    # share a bend; skip them.
+    pairs = sorted((owner[s], owner[t], s, t)
+                   for s, t in _candidate_pairs(ends)
+                   if t != s + 1 or owner[s] != owner[t])
+
+    def unscaled(p) -> Point:
+        return (Fraction(p[0]) / scale, Fraction(p[1]) / scale)
 
     found: list[Crossing] = []
-    seen_points: dict[Point, tuple[Edge, Edge]] = {}
-    edge_list = sorted(segs)
-    for ia, ea in enumerate(edge_list):
-        sa = segs[ea]
-        for eb in edge_list[ia:]:
-            sb = segs[eb]
-            same = ea == eb
-            shared = set(ea) & set(eb) if not same else set()
-            for i, (a1, a2) in enumerate(sa):
-                jstart = i + 1 if same else 0
-                for j in range(jstart, len(sb)):
-                    b1, b2 = sb[j]
-                    if same and j == i + 1:
-                        continue  # consecutive segments share a bend
-                    if bbox_disjoint(a1, a2, b1, b2):
-                        continue
-                    meet = segment_meet(a1, a2, b1, b2)
-                    if meet.kind == "none":
-                        continue
-                    if meet.kind == "overlap":
-                        raise GeneralPositionViolation(
-                            "overlap", f"{ea} and {eb} share a subsegment")
-                    if meet.kind == "touch":
-                        p = meet.point
-                        ok = (not same and shared
-                              and p == drawing.positions[next(iter(shared))]
-                              and p in (a1, a2) and p in (b1, b2))
-                        if ok:
-                            continue
-                        raise GeneralPositionViolation(
-                            "touch",
-                            f"{ea} touches {eb} at ({p[0]},{p[1]})")
-                    # proper crossing
-                    p = meet.point
-                    if p in point_desc:
-                        raise GeneralPositionViolation(
-                            "crossing-at-vertex",
-                            f"{ea} x {eb} crosses at {point_desc[p]}")
-                    if p in seen_points:
-                        raise GeneralPositionViolation(
-                            "concurrent-crossings",
-                            f"{ea} x {eb} and {seen_points[p]} cross at the "
-                            f"same point ({p[0]},{p[1]})")
-                    seen_points[p] = (ea, eb)
-                    pa = (i, meet.t1)
-                    pb = (j, meet.t2)
-                    if same and pb < pa:
-                        pa, pb = pb, pa
-                    found.append(Crossing(ea, eb, pa, pb, p))
+    seen_points: dict[tuple, tuple[Edge, Edge]] = {}
+    for oa, ob, s, t in pairs:
+        ea, eb = edge_list[oa], edge_list[ob]
+        (a1, a2), (b1, b2) = ends[s], ends[t]
+        meet = segment_meet(a1, a2, b1, b2)
+        if meet.kind == "none":
+            continue
+        if meet.kind == "overlap":
+            raise GeneralPositionViolation(
+                "overlap", f"{ea} and {eb} share a subsegment")
+        p = meet.point
+        if meet.kind == "touch":
+            shared = set(ea) & set(eb) if ea != eb else ()
+            if (shared and p == scaled[drawing.positions[min(shared)]]
+                    and p in (a1, a2) and p in (b1, b2)):
+                continue
+            x, y = unscaled(p)
+            raise GeneralPositionViolation(
+                "touch", f"{ea} touches {eb} at ({x},{y})")
+        # proper crossing
+        if p in desc:
+            raise GeneralPositionViolation(
+                "crossing-at-vertex", f"{ea} x {eb} crosses at {desc[p]}")
+        if p in seen_points:
+            x, y = unscaled(p)
+            raise GeneralPositionViolation(
+                "concurrent-crossings",
+                f"{ea} x {eb} and {seen_points[p]} cross at the "
+                f"same point ({x},{y})")
+        seen_points[p] = (ea, eb)
+        found.append(Crossing(ea, eb, (index[s], meet.t1), (index[t], meet.t2),
+                              unscaled(p)))
     found.sort()
     return CrossingSet(tuple(found))
 
@@ -292,8 +335,25 @@ def _point_json(p: Point) -> list[str]:
     return [_frac_str(p[0]), _frac_str(p[1])]
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _coord_from_json(c) -> Fraction:
+    """An exact coordinate: an int or a rational string such as "-7/2"."""
+    if type(c) is int:
+        return Fraction(c)
+    if isinstance(c, str) and _RATIONAL.fullmatch(c):
+        try:
+            return Fraction(c)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in coordinate {c!r}") from None
+    raise ValueError(f"coordinate {c!r} is not an int or a rational string")
+
+
 def _point_from_json(obj) -> Point:
-    return pt(Fraction(obj[0]), Fraction(obj[1]))
+    if not isinstance(obj, list) or len(obj) != 2:
+        raise ValueError(f"point {obj!r} is not a pair of coordinates")
+    return (_coord_from_json(obj[0]), _coord_from_json(obj[1]))
 
 
 def drawing_to_json_obj(drawing: Drawing, graph_meta: dict | None = None) -> dict:
@@ -316,10 +376,37 @@ def drawing_to_json(drawing: Drawing, graph_meta: dict | None = None) -> str:
 
 
 def drawing_from_json_obj(obj: dict) -> Drawing:
+    """Read a drawing, refusing anything the crossing engine cannot trust.
+
+    Raises ValueError unless ``positions`` maps exactly the graph's
+    vertices to points, every curve belongs to an edge of the graph, and
+    every coordinate is an int or a rational string (no bools, no floats,
+    no zero denominators).
+    """
     graph = graph_from_json_obj(obj["graph"])
-    positions = {v: _point_from_json(p) for v, p in obj["positions"].items()}
-    curves = {edge_from_key(k): tuple(_point_from_json(p) for p in bends)
-              for k, bends in obj.get("curves", {}).items()}
+    raw_positions = obj["positions"]
+    if not isinstance(raw_positions, dict):
+        raise ValueError("positions must be an object")
+    if set(raw_positions) != set(graph.vertices):
+        missing = sorted(set(graph.vertices) - set(raw_positions))
+        unknown = sorted(set(raw_positions) - set(graph.vertices))
+        raise ValueError(f"positions must cover exactly the graph's vertices "
+                         f"(missing {missing}, unknown {unknown})")
+    positions = {v: _point_from_json(p) for v, p in raw_positions.items()}
+    raw_curves = obj.get("curves", {})
+    if not isinstance(raw_curves, dict):
+        raise ValueError("curves must be an object")
+    edges = set(graph.edges)
+    curves: dict[Edge, tuple[Point, ...]] = {}
+    for key, bends in raw_curves.items():
+        e = edge_from_key(key)
+        if e not in edges:
+            raise ValueError(f"curve for non-edge {e}")
+        if e in curves:
+            raise ValueError(f"two curves for {e}")
+        if not isinstance(bends, list):
+            raise ValueError(f"bends of {e} must be a list of points")
+        curves[e] = tuple(_point_from_json(p) for p in bends)
     return Drawing(graph, positions, curves, meta=dict(obj.get("meta", {})))
 
 

@@ -1,13 +1,14 @@
 """Exact rational plane geometry for polyline drawings.
 
-All coordinates are ``fractions.Fraction``; every predicate is exact, so the
-rest of the package never sees an epsilon.
+Coordinates are ``fractions.Fraction`` or ``int`` (the crossing engine in
+``drawing`` calls these predicates on integer-scaled points); every
+predicate is exact, so the rest of the package never sees an epsilon.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 Point = tuple[Fraction, Fraction]
 
@@ -99,8 +100,8 @@ def segment_meet(a: Point, b: Point, c: Point, d: Point) -> SegmentMeet:
             r = sub(b, a)
             s = sub(d, c)
             denom = cross(r, s)
-            t1 = cross(sub(c, a), s) / denom
-            t2 = cross(sub(c, a), r) / denom
+            t1 = Fraction(cross(sub(c, a), s), denom)
+            t2 = Fraction(cross(sub(c, a), r), denom)
             point = (a[0] + t1 * r[0], a[1] + t1 * r[1])
             return SegmentMeet("proper", point, t1, t2)
         # An endpoint of one segment lies on the other.
@@ -159,17 +160,3 @@ def winding_number(p: Point, polygon: Sequence[Point]) -> int:
             if b[1] <= p[1] and orient(a, b, p) < 0:
                 wn -= 1
     return wn
-
-
-def bbox_disjoint(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Cheap rejection: True if the segments' bounding boxes are disjoint."""
-    return (
-        max(a[0], b[0]) < min(c[0], d[0])
-        or max(c[0], d[0]) < min(a[0], b[0])
-        or max(a[1], b[1]) < min(c[1], d[1])
-        or max(c[1], d[1]) < min(a[1], b[1])
-    )
-
-
-def polyline_length_points(points: Iterable[Point]) -> int:
-    return sum(1 for _ in points)

@@ -62,6 +62,16 @@ def solve_segments(p, q, r, s):
     return ("overlap", None)
 
 
+def bbox_disjoint(a, b, c, d):
+    """True if the bounding boxes of segments ab and cd are disjoint."""
+    return (
+        max(a[0], b[0]) < min(c[0], d[0])
+        or max(c[0], d[0]) < min(a[0], b[0])
+        or max(a[1], b[1]) < min(c[1], d[1])
+        or max(c[1], d[1]) < min(a[1], b[1])
+    )
+
+
 def brute_crossing_points(drawing):
     """All proper inter-edge crossing points via the 2x2 solver.
 

@@ -228,3 +228,49 @@ def test_corrupt_drawing_file(tmp_path, capsys):
     f.write_text("{not json")
     assert run(["check", "--concept", "ic", "--in", str(f)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _x_drawing_obj():
+    """Edges a-b (bent at (1, 2)) and c-d, crossing once."""
+    return {
+        "graph": {"vertices": ["a", "b", "c", "d"],
+                  "edges": [["a", "b"], ["c", "d"]], "meta": {}},
+        "positions": {"a": ["0", "0"], "b": ["4", "4"],
+                      "c": ["0", "4"], "d": ["4", "0"]},
+        "curves": {"a|b": [["1", "2"]]},
+        "meta": {},
+    }
+
+
+def _set_position(obj, point):
+    obj["positions"]["a"] = point
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda o: _set_position(o, ["1/0", "0"]),           # zero denominator
+    lambda o: o.__setitem__("positions", []),           # not an object
+    lambda o: _set_position(o, [True, 0]),              # bool, not an int
+    lambda o: _set_position(o, [0.5, 0]),               # float
+    lambda o: _set_position(o, ["1.5", "0"]),           # decimal string
+    lambda o: _set_position(o, ["0", "0", "0"]),        # not a pair
+    lambda o: o["positions"].pop("d"),                  # vertex without point
+    lambda o: o["positions"].__setitem__("z", [9, 9]),  # point for no vertex
+    lambda o: o["curves"].__setitem__("a|c", [["1", "1"]]),  # non-edge curve
+    lambda o: o["curves"].__setitem__("b|a", [["3", "1"]]),  # curve twice
+    lambda o: o["curves"].__setitem__("a|b", ["1", "2"]),    # bend not a pair
+], ids=["zero-denominator", "positions-list", "bool", "float", "decimal",
+        "triple", "missing-vertex", "unknown-vertex", "non-edge-curve",
+        "duplicate-curve", "malformed-bend"])
+def test_malformed_drawing_refused_with_exit_2(tmp_path, capsys, mutate):
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(_x_drawing_obj()))
+    assert run(["check", "--concept", "ic", "--in", str(f)]) == 0
+    capsys.readouterr()
+    obj = _x_drawing_obj()
+    mutate(obj)
+    f.write_text(json.dumps(obj))
+    assert run(["check", "--concept", "ic", "--in", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: malformed drawing")

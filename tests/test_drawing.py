@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from beyondcr import (
     Drawing,
@@ -176,6 +178,94 @@ def test_crossings_match_brute_force_on_random_corpus():
         inter_edge = [x for x in xs if x.a != x.b]
         assert len(inter_edge) == len(brute)
         assert sorted((x.a, x.b, x.point) for x in inter_edge) == brute
+
+
+def _rational_drawing(rng):
+    """Random polyline drawing: 1-3 bends per edge, denominators 1-6."""
+    def coord():
+        den = rng.randint(1, 6)
+        return Fraction(rng.randint(0, 12 * den), den)
+    n = rng.randint(3, 7)
+    names = [f"u{i}" for i in range(n)]
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    edges = [edge(u, v) for u, v in rng.sample(pairs, rng.randint(2, len(pairs)))]
+    return D(names, edges, {v: (coord(), coord()) for v in names},
+             curves={e: tuple((coord(), coord())
+                              for _ in range(rng.randint(1, 3)))
+                     for e in edges})
+
+
+def _point_at(d, e, pos):
+    i, t = pos
+    (x1, y1), (x2, y2) = d.segments(e)[i]
+    return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_crossings_match_brute_force_with_bends_and_rationals(seed):
+    d = _rational_drawing(random.Random(seed))
+    try:
+        xs = compute_crossings(d)
+    except GeneralPositionViolation:
+        return  # degenerate: refusal kinds are pinned by the tests above
+    inter_edge = [x for x in xs if x.a != x.b]
+    assert sorted((x.a, x.b, x.point) for x in inter_edge) == \
+        brute_crossing_points(d)
+    for x in xs:
+        assert _point_at(d, x.a, x.pos_a) == x.point
+        assert _point_at(d, x.b, x.pos_b) == x.point
+        assert all(0 < t < 1 for _, t in (x.pos_a, x.pos_b))
+        if x.a == x.b:
+            assert x.pos_a < x.pos_b
+
+
+def test_self_crossing_positions_in_curve_order():
+    d = D(["a", "b"], [edge("a", "b")], {"a": pt(0, 0), "b": pt(4, 0)},
+          curves={edge("a", "b"): (pt(4, 2), pt(0, 2), pt(2, -1))})
+    (x,) = compute_crossings(d)
+    assert x.pos_a == (0, Fraction(1, 4))
+    assert x.pos_b == (2, Fraction(1, 2))
+    assert x.point == (Fraction(1), Fraction(1, 2))
+
+
+def _many_violations(drop=()):
+    """Concurrent crossings at (2/3, 2/3), an overlap and touches."""
+    def third(x, y):
+        return (Fraction(x, 3), Fraction(y, 3))
+    edges = [edge(*uv) for uv in ("ab", "cd", "ef", "gh", "ij", "kl")
+             if uv not in drop]
+    curves = {edge("c", "d"): (third(1, 3),),
+              edge("k", "l"): (pt(-11, -2), pt(-7, 0), pt(-5, -3))}
+    return D(list("abcdefghijkl"), edges,
+             {"a": third(0, 0), "b": third(4, 4), "c": third(0, 4),
+              "d": third(4, 0), "e": third(2, Fraction(1, 2)),
+              "f": third(2, Fraction(7, 2)), "g": pt(-10, 0), "h": pt(-6, 0),
+              "i": pt(-8, 0), "j": pt(-4, 0), "k": pt(-12, 1),
+              "l": pt(-9, -1)},
+             curves={e: bends for e, bends in curves.items() if e in edges})
+
+
+@pytest.mark.parametrize("drop, kind, detail", [
+    ((), "concurrent-crossings",
+     "('a', 'b') x ('e', 'f') and (('a', 'b'), ('c', 'd')) cross at the "
+     "same point (2/3,2/3)"),
+    (("ef",), "overlap", "('g', 'h') and ('i', 'j') share a subsegment"),
+    (("ef", "gh"), "touch", "('i', 'j') touches ('k', 'l') at (-7,0)"),
+], ids=["all-edges", "without-ef", "without-ef-gh"])
+def test_first_violation_in_edge_pair_order(drop, kind, detail):
+    # The overlap and touches lie left of the concurrent crossings, so a
+    # sweep in x meets them first; the edge-pair order still decides.
+    with pytest.raises(GeneralPositionViolation) as ei:
+        compute_crossings(_many_violations(drop))
+    assert (ei.value.kind, ei.value.detail) == (kind, detail)
+
+
+def test_inexact_coordinates_refused():
+    d = x_drawing()
+    d.positions["a"] = (0.0, 0.0)
+    with pytest.raises(TypeError):
+        compute_crossings(d)
 
 
 def test_random_drawing_respects_caps():

@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from beyondcr.geometry import (
-    bbox_disjoint,
     on_segment,
     orient,
     point_in_polygon_evenodd,
@@ -14,7 +13,7 @@ from beyondcr.geometry import (
     segment_meet,
     winding_number,
 )
-from oracles import ray_cast_inside, solve_segments
+from oracles import bbox_disjoint, ray_cast_inside, solve_segments
 
 coords = st.integers(min_value=-8, max_value=8)
 points = st.tuples(coords, coords).map(lambda t: pt(*t))
@@ -32,6 +31,25 @@ def test_segment_meet_matches_independent_solver(a, b, c, d):
         assert got.t1 == t
         assert got.t2 == u
         assert 0 < t < 1 and 0 < u < 1
+    elif kind == "touch":
+        assert got.point == payload
+
+
+int_points = st.tuples(coords, coords)
+
+
+@given(int_points, int_points, int_points, int_points)
+def test_segment_meet_exact_on_int_points(a, b, c, d):
+    # The crossing engine calls segment_meet on integer-scaled points.
+    assume(a != b and c != d)
+    got = segment_meet(a, b, c, d)
+    kind, payload = solve_segments(a, b, c, d)
+    assert got.kind == kind
+    if kind == "proper":
+        point, t, u = payload
+        assert (got.point, got.t1, got.t2) == (point, t, u)
+        assert all(isinstance(v, Fraction)
+                   for v in (*got.point, got.t1, got.t2))
     elif kind == "touch":
         assert got.point == payload
 
