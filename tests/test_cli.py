@@ -1,6 +1,7 @@
 """End-to-end command line tests (everything in-process through run())."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +206,17 @@ def test_fixtures_regenerate_byte_identically(tmp_path, capsys):
     assert "appendix_fcf.json" in files_a
     assert "k5_fcf.svg" in files_a
     assert "table1_k2.json" in files_a
+
+
+def test_fixtures_match_committed_corpus(tmp_path, capsys):
+    committed = Path(__file__).resolve().parent.parent / "fixtures"
+    assert run(["fixtures", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    fresh = sorted(p.name for p in tmp_path.iterdir())
+    assert fresh == sorted(p.name for p in committed.iterdir())
+    for name in fresh:
+        assert (tmp_path / name).read_bytes() == \
+            (committed / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
