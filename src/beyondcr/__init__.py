@@ -14,8 +14,6 @@ from .bounds_report import (
     growth_exponent,
     ratio_report,
     ratio_upper,
-    rectilinear_ok,
-    sharpness_flag,
     table1_report,
 )
 from .checkers import check_concept

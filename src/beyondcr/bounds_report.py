@@ -16,68 +16,14 @@ from typing import Iterable, Sequence
 
 from .graph_core import (
     CONCEPTS,
+    K7,
     ConceptId,
-    FAN_KINDS,
     as_concept,
     framework_size,
     structural_k,
 )
 from .kuratowski import counting_lower_bound
 from .standard_layouts import crossing_count_formula
-
-# Growth class of the crossing ratio in n (fixed k), as reported per
-# concept, together with the log-log slope the class predicts.
-THETA_CLASS: dict[str, str] = {
-    "k-planar": "Theta(n)",
-    "k-vertex-planar": "Theta(n)",
-    "ic": "Theta(n)",
-    "nic": "Theta(n)",
-    "nnic": "Theta(n^2)",
-    "k-fan-crossing-free": "Theta(n^2/k)",
-    "adjacency-crossing": "Theta(n^2)",
-    "fan-crossing": "Theta(n^2)",
-    "weak-fan-planar": "Theta(n^2)",
-    "strong-fan-planar": "Theta(n^2)",
-    "k-edge-crossing": "Theta(k)",
-    "k-gap-planar": "Theta(n/k)",
-    "k-apex": "Theta(n^2/k)",
-    "skewness": "Theta(n)",
-}
-
-SLOPE_TARGET: dict[str, int] = {
-    "k-planar": 1,
-    "k-vertex-planar": 1,
-    "ic": 1,
-    "nic": 1,
-    "nnic": 2,
-    "k-fan-crossing-free": 2,
-    "adjacency-crossing": 2,
-    "fan-crossing": 2,
-    "weak-fan-planar": 2,
-    "strong-fan-planar": 2,
-    "k-edge-crossing": 0,
-    "k-gap-planar": 1,
-    "k-apex": 2,
-    "skewness": 1,
-}
-
-
-def rectilinear_ok(concept: "str | ConceptId") -> bool:
-    """Whether the standard drawings of the concept are straight-line.
-
-    Everything but the fan-planar variants; their constructions carry K7
-    gadgets whose fixed drawing needs bent edges.
-    """
-    return as_concept(concept).kind not in FAN_KINDS
-
-
-def sharpness_flag(concept: "str | ConceptId") -> bool:
-    """Whether the worst-case ratio survives relaxing the concept by +1.
-
-    True for every concept here except k-gap-planar, whose construction
-    does not yield it.
-    """
-    return as_concept(concept).kind != "k-gap-planar"
 
 
 def crossing_lemma_bound(n: int, m: int) -> tuple[Fraction, bool]:
@@ -127,66 +73,18 @@ def ratio_upper(concept: "str | ConceptId", n: int,
     """
     cid = as_concept(concept, k)
     kk = structural_k(cid)
-    kind = cid.kind
+    info = cid.info
     if n <= 0:
         raise ValueError("need n > 0")
-
-    caveat = None
-    trace = []
-    if kind == "k-planar":
-        expr = "4*n*k/(k+1) + k"
-        value = Fraction(4 * n * kk, kk + 1) + kk
-        trace.append("sparse term 4*n*k/(k+1) uses m <= 4n")
-    elif kind == "k-vertex-planar":
-        expr = "n*k/(k+1) + k"
-        value = Fraction(n * kk, kk + 1) + kk
-    elif kind == "ic":
-        expr = "n/8"
-        value = Fraction(n, 8)
-        trace.append("n/4 crossings cap against a floor of 2 crossings")
-    elif kind == "nic":
-        expr = "9*n/10"
-        value = Fraction(9 * n, 10)
-    elif kind == "nnic":
-        expr = "4*n^2 + n"
-        value = Fraction(4 * n * n + n)
-        trace.append("quadratic concept cap with m <= 4n")
-    elif kind == "k-fan-crossing-free":
-        expr = "8*n^2/k + n"
-        value = Fraction(8 * n * n, kk) + n
-        trace.append("quadratic concept cap with m <= 4n")
-    elif kind in FAN_KINDS:
-        expr = "4*n^2 + n"
-        value = Fraction(4 * n * n + n)
-        trace.append("quadratic concept cap with m <= 4n")
-        if kind in ("adjacency-crossing", "fan-crossing"):
-            caveat = "simple-drawings-only"
-    elif kind == "k-edge-crossing":
-        expr = "2*k"
-        value = Fraction(2 * kk)
-    elif kind == "k-gap-planar":
-        expr = "4*n/k + k"
-        value = Fraction(4 * n, kk) + kk
-        trace.append("sparse term 4*n/k uses m <= 4n")
-    elif kind == "k-apex":
-        expr = "8*n^2/(k+1) + n"
-        value = Fraction(8 * n * n, kk + 1) + n
-        trace.append("quadratic concept cap with m <= 4n")
-    elif kind == "skewness":
-        expr = "4*n*k/(k+1) + k"
-        value = Fraction(4 * n * kk, kk + 1) + kk
-        trace.append("sparse term 4*n*k/(k+1) uses m <= 4n")
-    else:
-        raise ValueError(f"no ratio cap for concept kind {kind!r}")
-
-    theta = THETA_CLASS[kind]
-    trace.insert(0, f"expression: {expr} (constants implementation-derived "
-                    f"for the class {theta})")
+    value = info.cap_value(n, kk)
+    trace = [f"expression: {info.cap} (constants implementation-derived "
+             f"for the class {info.theta_class})", *info.cap_notes]
     if m is not None:
         trace.append(f"instance edges m = {m}"
                      + ("" if m <= 4 * n else " (above the 4n sparse cap)"))
     trace.append(f"value at n={n}, k={kk}: {value}")
-    return UpperBound(value, expr, theta, caveat, tuple(trace))
+    return UpperBound(value, info.cap, info.theta_class, info.caveat,
+                      tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +153,11 @@ def ratio_report(concept: "str | ConceptId", ell: int,
         upper_drawing_crossings=upper,
         counting_bound=bound,
         empirical_ratio=Fraction(bound, upper),
-        theta_class=THETA_CLASS[cid.kind],
-        sharpness=sharpness_flag(cid),
-        rectilinear=rectilinear_ok(cid),
+        theta_class=cid.info.theta_class,
+        sharpness=cid.info.sharp,
+        # only K7 gadgets need bent edges in the standard drawings
+        rectilinear=not any(isinstance(spec, K7) for spec
+                            in cid.info.recipe(ell, kk).values()),
     )
 
 
@@ -287,7 +187,7 @@ def slope_grid(concept: "str | ConceptId", k: int | None = None,
     """(ell, n, ratio) along a doubling ell grid, closed-form only."""
     cid = as_concept(concept, k)
     kk = structural_k(cid)
-    base = max(CONCEPTS[cid.kind].threshold(kk), _BASE_MIN)
+    base = max(cid.info.threshold(kk), _BASE_MIN)
     grid = []
     for i in range(points):
         ell = base << i
@@ -298,17 +198,34 @@ def slope_grid(concept: "str | ConceptId", k: int | None = None,
     return tuple(grid)
 
 
-def table1_report(k: int = 2, points: int = 5) -> list[RatioReport]:
-    """One RatioReport per concept, with measured growth exponents.
+@dataclass(frozen=True)
+class NotApplicable:
+    """Table row of a concept that does not exist at the requested k."""
+
+    concept: str
+    reason: str
+
+    def to_json_obj(self) -> dict:
+        return {"concept": self.concept, "applicable": False,
+                "reason": self.reason}
+
+
+def table1_report(k: int = 2,
+                  points: int = 5) -> list[RatioReport | NotApplicable]:
+    """One row per concept, in table order, with measured growth exponents.
 
     Point data is evaluated at the grid base; the slope regression runs
     over ``points`` doublings of ell.  All values are closed-form — no
     drawings are emitted, so the grid can sit far above the thresholds.
+    A concept needing a larger k than ``k`` gets a NotApplicable row.
     """
     reports = []
-    for kind in CONCEPTS:
-        info = CONCEPTS[kind]
-        cid = ConceptId(kind, k) if info.requires_k else ConceptId(kind)
+    for kind, info in CONCEPTS.items():
+        if info.requires_k and k < info.k_min:
+            reports.append(NotApplicable(info.shorthand,
+                                         f"requires k >= {info.k_min}"))
+            continue
+        cid = ConceptId(kind, k if info.requires_k else None)
         grid = slope_grid(cid, points=points)
         slope = growth_exponent([(n, r) for _ell, n, r in grid])
         base_point = ratio_report(cid, grid[0][0])
@@ -316,17 +233,21 @@ def table1_report(k: int = 2, points: int = 5) -> list[RatioReport]:
     return reports
 
 
-def format_table1(reports: Iterable[RatioReport]) -> str:
+def format_table1(reports: Iterable[RatioReport | NotApplicable]) -> str:
     """Human-readable growth table: one row per concept."""
     header = f"{'concept':<22} {'class':<14} {'slope':>6} " \
              f"{'sharp':>6} {'rectl':>6}"
     lines = [header, "-" * len(header)]
     for r in reports:
+        if isinstance(r, NotApplicable):
+            lines.append(f"{r.concept:<22} n/a ({r.reason})")
+            continue
         slope = "" if r.slope is None else f"{r.slope:.2f}"
         lines.append(f"{r.concept:<22} {r.theta_class:<14} {slope:>6} "
                      f"{str(r.sharpness):>6} {str(r.rectilinear):>6}")
     return "\n".join(lines)
 
 
-def reports_to_json_obj(reports: Iterable[RatioReport]) -> list:
+def reports_to_json_obj(reports: Iterable[RatioReport | NotApplicable]
+                        ) -> list:
     return [r.to_json_obj() for r in reports]

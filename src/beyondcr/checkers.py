@@ -441,24 +441,21 @@ def check_skewness(drawing: Drawing, k: int, *,
 # Dispatch
 # ---------------------------------------------------------------------------
 
-_PARAMETRIC = {
+_CHECKERS = {
     "k-planar": check_k_planar,
     "k-vertex-planar": check_k_vertex_planar,
-    "k-fan-crossing-free": check_k_fan_crossing_free,
-    "k-edge-crossing": check_k_edge_crossing,
-    "k-gap-planar": check_k_gap_planar,
-    "k-apex": check_k_apex,
-    "skewness": check_skewness,
-}
-
-_PLAIN = {
     "ic": check_ic,
     "nic": check_nic,
     "nnic": check_nnic,
+    "k-fan-crossing-free": check_k_fan_crossing_free,
     "adjacency-crossing": check_adjacency_crossing,
     "fan-crossing": check_fan_crossing,
     "weak-fan-planar": check_weak_fan_planar,
     "strong-fan-planar": check_strong_fan_planar,
+    "k-edge-crossing": check_k_edge_crossing,
+    "k-gap-planar": check_k_gap_planar,
+    "k-apex": check_k_apex,
+    "skewness": check_skewness,
 }
 
 
@@ -466,6 +463,7 @@ def check_concept(drawing: Drawing, concept: "str | ConceptId",
                   k: int | None = None, *,
                   xs: CrossingSet | None = None) -> Verdict:
     cid = as_concept(concept, k)
-    if cid.kind in _PARAMETRIC:
-        return _PARAMETRIC[cid.kind](drawing, cid.k, xs=xs)
-    return _PLAIN[cid.kind](drawing, xs=xs)
+    checker = _CHECKERS[cid.kind]
+    if cid.info.requires_k:
+        return checker(drawing, cid.k, xs=xs)
+    return checker(drawing, xs=xs)

@@ -133,14 +133,6 @@ class CrossingSet:
                 total += 1
         return total
 
-    def ordered_along(self, e: Edge) -> list[tuple[tuple[int, Fraction], Crossing]]:
-        out = []
-        for x in self.crossings:
-            for p in x.positions_on(e) if x.involves(e) else ():
-                out.append((p, x))
-        out.sort(key=lambda px: px[0])
-        return out
-
     def crossed_edges(self) -> set[Edge]:
         out: set[Edge] = set()
         for x in self.crossings:

@@ -145,18 +145,3 @@ def point_in_polygon_evenodd(p: Point, polygon: Sequence[Point]) -> bool:
             if xcross > px:
                 inside = not inside
     return inside
-
-
-def winding_number(p: Point, polygon: Sequence[Point]) -> int:
-    """Exact winding number of the closed chain around p (p off-boundary)."""
-    wn = 0
-    n = len(polygon)
-    for i in range(n):
-        a, b = polygon[i], polygon[(i + 1) % n]
-        if a[1] <= p[1]:
-            if b[1] > p[1] and orient(a, b, p) > 0:
-                wn += 1
-        else:
-            if b[1] <= p[1] and orient(a, b, p) < 0:
-                wn -= 1
-    return wn

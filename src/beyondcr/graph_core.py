@@ -9,8 +9,9 @@ pole-to-pole paths used by the Kuratowski-subdivision accounting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass, replace
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping
 
 Edge = tuple[str, str]
 
@@ -435,148 +436,247 @@ class ConceptId:
     kind: str
     k: int | None = None
 
-    # Constructors mirroring the concept names.
-    @staticmethod
-    def KPlanar(k: int) -> "ConceptId":
-        return ConceptId("k-planar", k)
-
-    @staticmethod
-    def KVertexPlanar(k: int) -> "ConceptId":
-        return ConceptId("k-vertex-planar", k)
-
-    IC_KIND = "ic"
-
-    @staticmethod
-    def IC() -> "ConceptId":
-        return ConceptId("ic")
-
-    @staticmethod
-    def NIC() -> "ConceptId":
-        return ConceptId("nic")
-
-    @staticmethod
-    def NNIC() -> "ConceptId":
-        return ConceptId("nnic")
-
-    @staticmethod
-    def KFanCrossingFree(k: int) -> "ConceptId":
-        return ConceptId("k-fan-crossing-free", k)
-
-    @staticmethod
-    def AdjacencyCrossing() -> "ConceptId":
-        return ConceptId("adjacency-crossing")
-
-    @staticmethod
-    def FanCrossing() -> "ConceptId":
-        return ConceptId("fan-crossing")
-
-    @staticmethod
-    def WeakFanPlanar() -> "ConceptId":
-        return ConceptId("weak-fan-planar")
-
-    @staticmethod
-    def StrongFanPlanar() -> "ConceptId":
-        return ConceptId("strong-fan-planar")
-
-    @staticmethod
-    def KEdgeCrossing(k: int) -> "ConceptId":
-        return ConceptId("k-edge-crossing", k)
-
-    @staticmethod
-    def KGapPlanar(k: int) -> "ConceptId":
-        return ConceptId("k-gap-planar", k)
-
-    @staticmethod
-    def KApex(k: int) -> "ConceptId":
-        return ConceptId("k-apex", k)
-
-    @staticmethod
-    def Skewness(k: int) -> "ConceptId":
-        return ConceptId("skewness", k)
+    @property
+    def info(self) -> "ConceptInfo":
+        return CONCEPTS[self.kind]
 
     @property
     def shorthand(self) -> str:
-        return CONCEPTS[self.kind].shorthand
+        return self.info.shorthand
 
     def __str__(self) -> str:
-        if CONCEPTS[self.kind].requires_k:
+        if self.info.requires_k:
             return f"{self.shorthand}(k={self.k})"
         return self.shorthand
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ConceptInfo:
+    """Everything that is data or a formula about one concept.
+
+    Formulas take the construction parameter ell and the structural k (see
+    ``structural_k``); ``threshold`` takes k alone and ``cap_value`` takes
+    the vertex count n and k.  The concept's checker lives in
+    ``checkers``; its layout families name emitters in
+    ``standard_layouts``.
+    """
+
     kind: str
     shorthand: str
-    coloring: str              # frame coloring used by the construction
-    requires_k: bool
+    aliases: tuple[str, ...] = ()  # parser names besides kind and shorthand
+    coloring: str = "standard"     # frame coloring used by the construction
+    requires_k: bool = False
     k_min: int = 1
-    implied_k: int = 1         # structural k when requires_k is False
+    implied_k: int = 1             # structural k when requires_k is False
+    threshold: Callable[[int], int]  # least ell with the quality guarantee
+    # frame color -> con-graph spec
+    recipe: Callable[[int, int], dict[str, ConGraphSpec]]
+    # exact crossing counts of the two standard drawings
+    witness_crossings: Callable[[int, int], int]
+    upper_crossings: Callable[[int, int], int]
+    # counting lower bound share * rect: the share of the subdivision
+    # family that counted crossings must cover, and the number of
+    # rectangles one crossing covers at most, each with its trace text
+    share: Callable[[int, int], tuple[Fraction, str]]
+    rect: Callable[[int, int], tuple[int, str]]
+    # closed-form cap on the crossing ratio and its growth class in n
+    cap: str
+    cap_value: Callable[[int, int], Fraction]
+    cap_notes: tuple[str, ...] = ()
+    caveat: str | None = None
+    theta_class: str
+    sharp: bool = True             # worst-case ratio survives k -> k+1
+    # standard-drawing layout families; grid_plan feeds the "grid" family
+    witness_layout: str
+    upper_layout: str = "ry"
+    grid_plan: Callable[[int, int], list[int]] | None = None
 
-    def threshold(self, k: int) -> int:
-        return _THRESHOLDS[self.kind](k)
+
+def _k_planar_specs(ell: int, k: int) -> dict[str, ConGraphSpec]:
+    if ell < 2:
+        raise ValueError("k-planar construction needs ell >= 2 "
+                         "(blue bundles have length ell)")
+    return {"red": Bundle(k + 1, 2), "blue": Bundle(ell * k, ell),
+            "gray": Bundle(ell * k, 2), "yellow": SingleEdge()}
 
 
-_THRESHOLDS = {
-    "k-planar": lambda k: 41,
-    "k-vertex-planar": lambda k: 11,
-    "ic": lambda k: 2,
-    "nic": lambda k: 4,
-    "nnic": lambda k: 109,
-    "k-fan-crossing-free": lambda k: 109,
-    "adjacency-crossing": lambda k: 1,
-    "fan-crossing": lambda k: 1,
-    "weak-fan-planar": lambda k: 1,
-    "strong-fan-planar": lambda k: 1,
-    "k-edge-crossing": lambda k: 1,
-    "k-gap-planar": lambda k: 5,
-    "k-apex": lambda k: 1,
-    "skewness": lambda k: k + 1,
-}
+def _lk_squared(ell: int, k: int) -> int:
+    return (ell * k) ** 2
+
+
+def _rect_lk(ell: int, k: int) -> tuple[int, str]:
+    return (ell * k) ** 2, f"({ell}*{k})^2"
+
+
+def _rect_l(ell: int, k: int) -> tuple[int, str]:
+    return ell ** 2, f"{ell}^2"
+
+
+def _whole_family(ell: int, k: int) -> tuple[Fraction, str]:
+    return Fraction(1), "1"
+
+
+def _alternating_plan(ell: int, k: int) -> list[int]:
+    return [0] + [k, 0] * ell
+
+
+def _sparse_k_cap(n: int, k: int) -> Fraction:
+    return Fraction(4 * n * k, k + 1) + k
+
+
+def _quadratic_cap(n: int, k: int) -> Fraction:
+    return Fraction(4 * n * n + n)
+
+
+_SPARSE_K_NOTE = "sparse term 4*n*k/(k+1) uses m <= 4n"
+_QUADRATIC_NOTE = "quadratic concept cap with m <= 4n"
+
+_NNIC = ConceptInfo(
+    kind="nnic", shorthand="NNIC", implied_k=2, threshold=lambda k: 109,
+    recipe=lambda ell, k: {"red": Bundle(2 * k, 2), "blue": Bundle(ell * k, 3),
+                           "gray": Bundle(ell * k, 2), "yellow": SingleEdge()},
+    witness_crossings=_lk_squared, upper_crossings=lambda ell, k: 2 * k,
+    share=lambda ell, k: (1 - Fraction(108 * (k - 1), ell * k),
+                          f"1 - 108*({k}-1)/({ell}*{k})"),
+    rect=_rect_lk, cap="4*n^2 + n", cap_value=_quadratic_cap,
+    cap_notes=(_QUADRATIC_NOTE,), theta_class="Theta(n^2)",
+    witness_layout="grid", grid_plan=lambda ell, k: [0, ell * k, 0])
+
+# The four fan-family concepts share one construction: K7 gadgets on the
+# red and gray connections, whose fixed drawing needs bent edges.
+_ADJACENCY_CROSSING = ConceptInfo(
+    kind="adjacency-crossing", shorthand="ac", threshold=lambda k: 1,
+    recipe=lambda ell, k: {"red": K7(), "blue": Bundle(ell, 2),
+                           "gray": K7(), "yellow": SingleEdge()},
+    witness_crossings=lambda ell, k: ell * ell + 54,
+    upper_crossings=lambda ell, k: 60,
+    share=_whole_family, rect=_rect_l, cap="4*n^2 + n",
+    cap_value=_quadratic_cap, cap_notes=(_QUADRATIC_NOTE,),
+    caveat="simple-drawings-only", theta_class="Theta(n^2)",
+    witness_layout="pole-fan", upper_layout="k7")
 
 CONCEPTS: dict[str, ConceptInfo] = {
     c.kind: c
     for c in [
-        ConceptInfo("k-planar", "k-pl", "standard", True),
-        ConceptInfo("k-vertex-planar", "k-vp", "standard", True),
-        ConceptInfo("ic", "IC", "standard", False, implied_k=1),
-        ConceptInfo("nic", "NIC", "standard", False, implied_k=1),
-        ConceptInfo("nnic", "NNIC", "standard", False, implied_k=2),
-        ConceptInfo("k-fan-crossing-free", "k-fcf", "standard", True, k_min=2),
-        ConceptInfo("adjacency-crossing", "ac", "standard", False),
-        ConceptInfo("fan-crossing", "fc", "standard", False),
-        ConceptInfo("weak-fan-planar", "wfp", "standard", False),
-        ConceptInfo("strong-fan-planar", "sfp", "standard", False),
-        ConceptInfo("k-edge-crossing", "k-ecr", "standard", True, k_min=2),
-        ConceptInfo("k-gap-planar", "k-gap-pl", "alternate", True),
-        ConceptInfo("k-apex", "k-apex", "alternate", True),
-        ConceptInfo("skewness", "skew-k", "alternate", True),
+        ConceptInfo(
+            kind="k-planar", shorthand="k-pl", aliases=("kpl",),
+            requires_k=True, threshold=lambda k: 41, recipe=_k_planar_specs,
+            witness_crossings=_lk_squared, upper_crossings=lambda ell, k: k + 1,
+            share=lambda ell, k: (1 - Fraction(40, ell), f"1 - 40/{ell}"),
+            rect=_rect_lk, cap="4*n*k/(k+1) + k", cap_value=_sparse_k_cap,
+            cap_notes=(_SPARSE_K_NOTE,), theta_class="Theta(n)",
+            witness_layout="grid", grid_plan=lambda ell, k: [k] * ell),
+        ConceptInfo(
+            kind="k-vertex-planar", shorthand="k-vp", aliases=("kvp",),
+            requires_k=True, threshold=lambda k: 11,
+            recipe=lambda ell, k: {
+                "red": Bundle(k + 1, 2), "blue": Bundle(ell * k, 2 * ell + 1),
+                "gray": Bundle(ell * k, 2), "yellow": SingleEdge()},
+            witness_crossings=_lk_squared, upper_crossings=lambda ell, k: k + 1,
+            share=lambda ell, k: (1 - Fraction(10, ell), f"1 - 10/{ell}"),
+            rect=_rect_lk, cap="n*k/(k+1) + k",
+            cap_value=lambda n, k: Fraction(n * k, k + 1) + k,
+            theta_class="Theta(n)", witness_layout="grid",
+            grid_plan=_alternating_plan),
+        ConceptInfo(
+            kind="ic", shorthand="IC", threshold=lambda k: 2,
+            recipe=lambda ell, k: {
+                "red": Triangle(), "blue": Bundle(ell, 2 * ell + 1),
+                "gray": Triangle(), "yellow": SingleEdge()},
+            witness_crossings=lambda ell, k: ell * ell,
+            upper_crossings=lambda ell, k: 2,
+            share=_whole_family, rect=_rect_l, cap="n/8",
+            cap_value=lambda n, k: Fraction(n, 8),
+            cap_notes=("n/4 crossings cap against a floor of 2 crossings",),
+            theta_class="Theta(n)", witness_layout="grid",
+            grid_plan=_alternating_plan),
+        ConceptInfo(
+            kind="nic", shorthand="NIC", threshold=lambda k: 4,
+            recipe=lambda ell, k: {
+                "red": Triangle(), "blue": Bundle(ell, ell + 2),
+                "gray": Bundle(ell, 2), "yellow": SingleEdge()},
+            witness_crossings=lambda ell, k: ell * ell,
+            upper_crossings=lambda ell, k: 2,
+            share=lambda ell, k: (1 - Fraction(1, 2) - Fraction(3, 2 * ell),
+                                  f"1 - 1/2 - 3/(2*{ell})"),
+            rect=_rect_l, cap="9*n/10",
+            cap_value=lambda n, k: Fraction(9 * n, 10),
+            theta_class="Theta(n)", witness_layout="grid",
+            grid_plan=lambda ell, k: [0] + [1] * ell + [0]),
+        _NNIC,
+        replace(_NNIC, kind="k-fan-crossing-free", shorthand="k-fcf",
+                aliases=("kfcf",), requires_k=True, k_min=2, implied_k=1,
+                cap="8*n^2/k + n",
+                cap_value=lambda n, k: Fraction(8 * n * n, k) + n,
+                theta_class="Theta(n^2/k)"),
+        _ADJACENCY_CROSSING,
+        replace(_ADJACENCY_CROSSING, kind="fan-crossing", shorthand="fc"),
+        replace(_ADJACENCY_CROSSING, kind="weak-fan-planar", shorthand="wfp",
+                caveat=None),
+        replace(_ADJACENCY_CROSSING, kind="strong-fan-planar",
+                shorthand="sfp", caveat=None),
+        ConceptInfo(
+            kind="k-edge-crossing", shorthand="k-ecr", aliases=("kecr",),
+            requires_k=True, k_min=2, threshold=lambda k: 1,
+            recipe=lambda ell, k: {
+                "red": Bundle(k, 2), "blue": Bundle(k // 2, 2),
+                "gray": Bundle(ell * k, 2), "yellow": SingleEdge()},
+            witness_crossings=lambda ell, k: (k // 2) ** 2,
+            upper_crossings=lambda ell, k: k,
+            share=lambda ell, k: (Fraction(1, 2), "1/2"),
+            rect=lambda ell, k: ((k // 2) ** 2, f"floor({k}/2)^2"),
+            cap="2*k", cap_value=lambda n, k: Fraction(2 * k),
+            theta_class="Theta(k)", witness_layout="pole-fan"),
+        ConceptInfo(
+            kind="k-gap-planar", shorthand="k-gap-pl",
+            aliases=("kgap", "k-gap", "gap"), coloring="alternate",
+            requires_k=True, threshold=lambda k: 5,
+            recipe=lambda ell, k: {"red": Bundle(5 * k, 2),
+                                   "blue": Bundle(5 * k, 2),
+                                   "gray": Bundle(ell * k, 5)},
+            witness_crossings=lambda ell, k: 5 * ell * k * k,
+            upper_crossings=lambda ell, k: 25 * k * k,
+            share=lambda ell, k: (Fraction(1, 5), "1/5"),
+            rect=lambda ell, k: (5 * ell * k ** 2, f"5*{ell}*{k}^2"),
+            cap="4*n/k + k", cap_value=lambda n, k: Fraction(4 * n, k) + k,
+            cap_notes=("sparse term 4*n/k uses m <= 4n",),
+            theta_class="Theta(n/k)", sharp=False,
+            witness_layout="gap", upper_layout="pole-fan"),
+        ConceptInfo(
+            kind="k-apex", shorthand="k-apex", aliases=("apex",),
+            coloring="alternate", requires_k=True, threshold=lambda k: 1,
+            recipe=lambda ell, k: {"red": SingleEdge(),
+                                   "blue": ApexBlue(ell, k),
+                                   "gray": Bundle(ell * k, 2)},
+            witness_crossings=lambda ell, k: (ell * k) ** 2 + k,
+            upper_crossings=lambda ell, k: k + 1,
+            share=_whole_family, rect=_rect_lk, cap="8*n^2/(k+1) + n",
+            cap_value=lambda n, k: Fraction(8 * n * n, k + 1) + n,
+            cap_notes=(_QUADRATIC_NOTE,), theta_class="Theta(n^2/k)",
+            witness_layout="apex", upper_layout="stripe"),
+        ConceptInfo(
+            kind="skewness", shorthand="skew-k", aliases=("skew",),
+            coloring="alternate", requires_k=True, threshold=lambda k: k + 1,
+            recipe=lambda ell, k: {"red": SingleEdge(),
+                                   "blue": SkewBlue(ell, k),
+                                   "gray": Bundle(ell * k, 2)},
+            witness_crossings=lambda ell, k: ell * k * k + k,
+            upper_crossings=lambda ell, k: k + 1,
+            share=_whole_family,
+            rect=lambda ell, k: (ell * k ** 2, f"{ell}*{k}^2"),
+            cap="4*n*k/(k+1) + k", cap_value=_sparse_k_cap,
+            cap_notes=(_SPARSE_K_NOTE,), theta_class="Theta(n)",
+            witness_layout="skew", upper_layout="stripe"),
     ]
 }
 
-_SHORTHANDS = {info.shorthand.lower(): kind for kind, info in CONCEPTS.items()}
-# Friendly aliases.
-_SHORTHANDS.update({
-    "kpl": "k-planar", "k-planar": "k-planar",
-    "kvp": "k-vertex-planar", "k-vertex-planar": "k-vertex-planar",
-    "kfcf": "k-fan-crossing-free", "k-fan-crossing-free": "k-fan-crossing-free",
-    "kecr": "k-edge-crossing", "k-edge-crossing": "k-edge-crossing",
-    "kgap": "k-gap-planar", "k-gap": "k-gap-planar", "gap": "k-gap-planar",
-    "k-gap-planar": "k-gap-planar",
-    "apex": "k-apex", "k-apex": "k-apex",
-    "skew": "skewness", "skewness": "skewness",
-    "adjacency-crossing": "adjacency-crossing",
-    "fan-crossing": "fan-crossing",
-    "weak-fan-planar": "weak-fan-planar",
-    "strong-fan-planar": "strong-fan-planar",
-})
-
-FAN_KINDS = ("adjacency-crossing", "fan-crossing", "weak-fan-planar",
-             "strong-fan-planar")
+# Every name parse_concept accepts, lower-cased.
+_KIND_OF_NAME = {name.lower(): info.kind for info in CONCEPTS.values()
+                 for name in (info.kind, info.shorthand, *info.aliases)}
 
 
 def parse_concept(text: str, k: int | None = None) -> ConceptId:
-    kind = _SHORTHANDS.get(text.strip().lower())
+    kind = _KIND_OF_NAME.get(text.strip().lower())
     if kind is None:
         raise ValueError(f"unknown concept {text!r}")
     info = CONCEPTS[kind]
@@ -591,7 +691,7 @@ def parse_concept(text: str, k: int | None = None) -> ConceptId:
 
 def as_concept(concept: "str | ConceptId", k: int | None = None) -> ConceptId:
     if isinstance(concept, ConceptId):
-        info = CONCEPTS[concept.kind]
+        info = concept.info
         if info.requires_k and (concept.k is None or concept.k < info.k_min):
             raise ValueError(f"concept {info.shorthand} requires k >= {info.k_min}")
         return concept
@@ -599,7 +699,7 @@ def as_concept(concept: "str | ConceptId", k: int | None = None) -> ConceptId:
 
 
 def structural_k(concept: ConceptId) -> int:
-    info = CONCEPTS[concept.kind]
+    info = concept.info
     return concept.k if info.requires_k else info.implied_k
 
 
@@ -637,46 +737,6 @@ class FrameworkGraph:
         return {cid: cg.width for cid, cg in self.congraphs.items()}
 
 
-def _recipe(concept: ConceptId, ell: int) -> dict[str, ConGraphSpec]:
-    """Map each frame color to its con-graph spec for this concept."""
-    kind = concept.kind
-    k = structural_k(concept)
-    if kind == "k-planar":
-        if ell < 2:
-            raise ValueError("k-planar construction needs ell >= 2 "
-                             "(blue bundles have length ell)")
-        return {"red": Bundle(k + 1, 2), "blue": Bundle(ell * k, ell),
-                "gray": Bundle(ell * k, 2), "yellow": SingleEdge()}
-    if kind == "k-vertex-planar":
-        return {"red": Bundle(k + 1, 2), "blue": Bundle(ell * k, 2 * ell + 1),
-                "gray": Bundle(ell * k, 2), "yellow": SingleEdge()}
-    if kind == "ic":
-        return {"red": Triangle(), "blue": Bundle(ell, 2 * ell + 1),
-                "gray": Triangle(), "yellow": SingleEdge()}
-    if kind == "nic":
-        return {"red": Triangle(), "blue": Bundle(ell, ell + 2),
-                "gray": Bundle(ell, 2), "yellow": SingleEdge()}
-    if kind in ("nnic", "k-fan-crossing-free"):
-        return {"red": Bundle(2 * k, 2), "blue": Bundle(ell * k, 3),
-                "gray": Bundle(ell * k, 2), "yellow": SingleEdge()}
-    if kind in FAN_KINDS:
-        return {"red": K7(), "blue": Bundle(ell, 2),
-                "gray": K7(), "yellow": SingleEdge()}
-    if kind == "k-edge-crossing":
-        return {"red": Bundle(k, 2), "blue": Bundle(k // 2, 2),
-                "gray": Bundle(ell * k, 2), "yellow": SingleEdge()}
-    if kind == "k-gap-planar":
-        return {"red": Bundle(5 * k, 2), "blue": Bundle(5 * k, 2),
-                "gray": Bundle(ell * k, 5)}
-    if kind == "k-apex":
-        return {"red": SingleEdge(), "blue": ApexBlue(ell, k),
-                "gray": Bundle(ell * k, 2)}
-    if kind == "skewness":
-        return {"red": SingleEdge(), "blue": SkewBlue(ell, k),
-                "gray": Bundle(ell * k, 2)}
-    raise ValueError(f"unknown concept kind {kind!r}")
-
-
 def build_framework_graph(frame: Frame,
                           recipe: Mapping[str, ConGraphSpec],
                           concept: ConceptId,
@@ -710,12 +770,20 @@ def construction_for(concept: "str | ConceptId", ell: int,
     concept's quality threshold the graph is still built and flagged.
     """
     cid = as_concept(concept, k)
-    info = CONCEPTS[cid.kind]
+    info = cid.info
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    frame = build_frame(info.coloring)
-    below = ell < info.threshold(structural_k(cid))
-    return build_framework_graph(frame, _recipe(cid, ell), cid, ell, below)
+    kk = structural_k(cid)
+    return build_framework_graph(build_frame(info.coloring),
+                                 info.recipe(ell, kk), cid, ell,
+                                 ell < info.threshold(kk))
+
+
+def _connection_specs(cid: ConceptId, ell: int) -> list[ConGraphSpec]:
+    """The con-graph spec of every connection, in ALL_CONNECTIONS order."""
+    frame = build_frame(cid.info.coloring)
+    recipe = cid.info.recipe(ell, structural_k(cid))
+    return [recipe[frame.color(c)] for c in ALL_CONNECTIONS]
 
 
 def connection_widths(concept: "str | ConceptId", ell: int,
@@ -725,19 +793,14 @@ def connection_widths(concept: "str | ConceptId", ell: int,
     Matches ``construction_for(...).widths()`` but stays cheap at large ell,
     which the counting bounds and ratio tables need.
     """
-    cid = as_concept(concept, k)
-    frame = build_frame(CONCEPTS[cid.kind].coloring)
-    recipe = _recipe(cid, ell)
-    return {c: recipe[frame.color(c)].width for c in ALL_CONNECTIONS}
+    specs = _connection_specs(as_concept(concept, k), ell)
+    return {c: spec.width for c, spec in zip(ALL_CONNECTIONS, specs)}
 
 
 def framework_size(concept: "str | ConceptId", ell: int,
                    k: int | None = None) -> tuple[int, int]:
     """(n, m) of the framework graph, without building it."""
-    cid = as_concept(concept, k)
-    frame = build_frame(CONCEPTS[cid.kind].coloring)
-    recipe = _recipe(cid, ell)
-    specs = [recipe[frame.color(c)] for c in ALL_CONNECTIONS]
+    specs = _connection_specs(as_concept(concept, k), ell)
     n = len(FRAME_NODES) + sum(s.internal_count for s in specs)
     m = sum(s.edge_count for s in specs)
     return n, m
@@ -787,4 +850,29 @@ def graph_to_json(fg: FrameworkGraph | Graph) -> str:
 
 
 def graph_from_json_obj(obj: dict) -> Graph:
-    return make_graph(obj["vertices"], [edge(u, v) for u, v in obj["edges"]])
+    """Read a simple graph, refusing anything else with ValueError.
+
+    ``vertices`` must be a list of distinct strings and ``edges`` a list of
+    vertex-id pairs with no loop, no unknown endpoint and no repeat.
+    """
+    vertices, pairs = obj["vertices"], obj["edges"]
+    if not isinstance(vertices, list) \
+            or not all(isinstance(v, str) for v in vertices):
+        raise ValueError("vertices must be a list of strings")
+    if len(set(vertices)) != len(vertices):
+        raise ValueError("duplicate vertex ids")
+    if not isinstance(pairs, list):
+        raise ValueError("edges must be a list")
+    known = set(vertices)
+    edges: set[Edge] = set()
+    for pair in pairs:
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(v, str) for v in pair)):
+            raise ValueError(f"edge {pair!r} is not a pair of vertex ids")
+        e = edge(*pair)
+        if not set(e) <= known:
+            raise ValueError(f"edge {pair!r} uses an unknown vertex")
+        if e in edges:
+            raise ValueError(f"edge {pair!r} given twice")
+        edges.add(e)
+    return make_graph(vertices, edges)

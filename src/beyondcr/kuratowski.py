@@ -24,11 +24,9 @@ from .drawing import CrossingSet, Drawing, Verdict, compute_crossings
 from .graph_core import (
     ALL_CONNECTIONS,
     Bundle,
-    CONCEPTS,
     ConGraph,
     ConceptId,
     Edge,
-    FAN_KINDS,
     FrameworkGraph,
     Graph,
     as_concept,
@@ -113,37 +111,6 @@ def subdivision_subgraph(fg: FrameworkGraph, sub: SubdivisionIndex) -> Graph:
         vertices.update(path)
         edges.update(edge(a, b) for a, b in zip(path, path[1:]))
     return make_graph(vertices, edges)
-
-
-def is_frame_subdivision(fg: FrameworkGraph, sub: SubdivisionIndex) -> bool:
-    """Structural re-check that the chosen paths form a K_{3,3} subdivision.
-
-    True construction-side by design (pole paths are internally disjoint);
-    this verifies it on the actual subgraph: every frame node has degree 3,
-    every other vertex degree 2, and each path joins its connection's poles
-    without touching any other path internally.
-    """
-    paths = subdivision_paths(fg, sub)
-    seen_internal: set[str] = set()
-    for cid, path in paths.items():
-        s, t = connection_poles(cid)
-        if path[0] != s or path[-1] != t:
-            return False
-        inner = set(path[1:-1])
-        if inner & seen_internal or len(inner) != len(path) - 2:
-            return False
-        seen_internal |= inner
-    g = subdivision_subgraph(fg, sub)
-    degree: dict[str, int] = {v: 0 for v in g.vertices}
-    for u, v in g.edges:
-        degree[u] += 1
-        degree[v] += 1
-    frame_nodes = {"v1", "v2", "v3", "w1", "w2", "w3"}
-    for v, d in degree.items():
-        want = 3 if v in frame_nodes else 2
-        if d != want:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -374,43 +341,8 @@ def counting_lower_bound(concept: "str | ConceptId", ell: int,
     """
     cid = as_concept(concept, k)
     kk = structural_k(cid)
-    info = CONCEPTS[cid.kind]
-    kind = cid.kind
-
-    if kind == "k-planar":
-        share, share_s = 1 - Fraction(40, ell), f"1 - 40/{ell}"
-        rect, rect_s = (ell * kk) ** 2, f"({ell}*{kk})^2"
-    elif kind == "k-vertex-planar":
-        share, share_s = 1 - Fraction(10, ell), f"1 - 10/{ell}"
-        rect, rect_s = (ell * kk) ** 2, f"({ell}*{kk})^2"
-    elif kind == "ic":
-        share, share_s = Fraction(1), "1"
-        rect, rect_s = ell ** 2, f"{ell}^2"
-    elif kind == "nic":
-        share = 1 - Fraction(1, 2) - Fraction(3, 2 * ell)
-        share_s = f"1 - 1/2 - 3/(2*{ell})"
-        rect, rect_s = ell ** 2, f"{ell}^2"
-    elif kind in ("nnic", "k-fan-crossing-free"):
-        share = 1 - Fraction(108 * (kk - 1), ell * kk)
-        share_s = f"1 - 108*({kk}-1)/({ell}*{kk})"
-        rect, rect_s = (ell * kk) ** 2, f"({ell}*{kk})^2"
-    elif kind in FAN_KINDS:
-        share, share_s = Fraction(1), "1"
-        rect, rect_s = ell ** 2, f"{ell}^2"
-    elif kind == "k-edge-crossing":
-        share, share_s = Fraction(1, 2), "1/2"
-        rect, rect_s = (kk // 2) ** 2, f"floor({kk}/2)^2"
-    elif kind == "k-gap-planar":
-        share, share_s = Fraction(1, 5), "1/5"
-        rect, rect_s = 5 * ell * kk ** 2, f"5*{ell}*{kk}^2"
-    elif kind == "k-apex":
-        share, share_s = Fraction(1), "1"
-        rect, rect_s = (ell * kk) ** 2, f"({ell}*{kk})^2"
-    elif kind == "skewness":
-        share, share_s = Fraction(1), "1"
-        rect, rect_s = ell * kk ** 2, f"{ell}*{kk}^2"
-    else:
-        raise ValueError(f"no counting bound for concept kind {kind!r}")
+    share, share_s = cid.info.share(ell, kk)
+    rect, rect_s = cid.info.rect(ell, kk)
 
     widths = connection_widths(cid, ell)
     total = prod(widths[c] for c in ALL_CONNECTIONS)
@@ -423,7 +355,7 @@ def counting_lower_bound(concept: "str | ConceptId", ell: int,
         f"each counted crossing covers at most 1/({rect_s}) = 1/{rect}",
         f"bound: ({share}) * {rect} = {bound}",
     ]
-    threshold = info.threshold(kk)
+    threshold = cid.info.threshold(kk)
     if ell < threshold:
         trace.append(f"below threshold: ell={ell} < {threshold}; "
                      "formula evaluated anyway")

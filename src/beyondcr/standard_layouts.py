@@ -26,9 +26,8 @@ from typing import Callable, Literal
 
 from .drawing import Drawing
 from .geometry import Point, pt
-from .graph_core import (ALL_CONNECTIONS, Bundle, BundlePlus, ConceptId,
-                         ConGraph, CONCEPTS, FAN_KINDS, FrameworkGraph, K7,
-                         ApexBlue, SkewBlue, connection_poles,
+from .graph_core import (ALL_CONNECTIONS, ApexBlue, BundlePlus, ConceptId,
+                         ConGraph, FrameworkGraph, K7, connection_poles,
                          as_concept, construction_for, edge, make_graph,
                          structural_k)
 
@@ -63,40 +62,13 @@ def crossing_count_formula(concept: "str | ConceptId", ell: int,
                            variant: LayoutVariant = "witness") -> int:
     """Exact number of crossings of the standard drawing."""
     cid = as_concept(concept, k)
-    kk = structural_k(cid)
-    kind = cid.kind
     if variant == "witness":
-        if kind in ("k-planar", "k-vertex-planar", "k-fan-crossing-free",
-                    "nnic"):
-            return (ell * kk) ** 2
-        if kind in ("ic", "nic"):
-            return ell * ell
-        if kind in FAN_KINDS:
-            return ell * ell + 54
-        if kind == "k-edge-crossing":
-            return (kk // 2) ** 2
-        if kind == "k-gap-planar":
-            return 5 * ell * kk * kk
-        if kind == "k-apex":
-            return (ell * kk) ** 2 + kk
-        if kind == "skewness":
-            return ell * kk * kk + kk
+        formula = cid.info.witness_crossings
     elif variant == "upper":
-        if kind in ("k-planar", "k-vertex-planar", "k-apex", "skewness"):
-            return kk + 1
-        if kind in ("ic", "nic"):
-            return 2
-        if kind in ("nnic", "k-fan-crossing-free"):
-            return 2 * kk
-        if kind in FAN_KINDS:
-            return 60
-        if kind == "k-edge-crossing":
-            return kk
-        if kind == "k-gap-planar":
-            return 25 * kk * kk
+        formula = cid.info.upper_crossings
     else:
         raise ValueError(f"unknown drawing variant {variant!r}")
-    raise ValueError(f"unknown concept kind {kind!r}")
+    return formula(ell, structural_k(cid))
 
 
 # ---------------------------------------------------------------------------
@@ -182,21 +154,6 @@ def _corridor_k7(cg: ConGraph, A: Point, B: Point,
 # ---------------------------------------------------------------------------
 # Designated-pair emitters: witness drawings
 # ---------------------------------------------------------------------------
-
-def _grid_plan(kind: str, ell: int, kk: int) -> list[int]:
-    if kind == "k-planar":
-        return [kk] * ell
-    if kind == "k-vertex-planar" or kind == "ic":
-        plan = [0]
-        for _ in range(ell):
-            plan += [kk, 0]
-        return plan
-    if kind == "nic":
-        return [0] + [1] * ell + [0]
-    if kind in ("nnic", "k-fan-crossing-free"):
-        return [0, ell * kk, 0]
-    raise ValueError(f"no grid plan for {kind}")
-
 
 def _cluster(center: Fraction, m: int, idx: int, sigma: Fraction) -> Fraction:
     return center + Fraction(2 * idx - (m - 1)) * sigma / 2
@@ -344,7 +301,7 @@ def _fan_upper(vcg: ConGraph, positions: dict, curves: dict, D: int) -> None:
 
 
 def _stripe_upper(vcg: ConGraph, positions: dict, D: int, ell: int,
-                  kk: int, kind: str) -> None:
+                  kk: int) -> None:
     """Blue con-graph between the upper poles, one parallel stripe per unit,
     with exactly one internal crossing per unit (K5 blob or w-triangle)."""
     O = (Fraction(0), Fraction(D))          # corridor start: pole at P1
@@ -362,7 +319,7 @@ def _stripe_upper(vcg: ConGraph, positions: dict, D: int, ell: int,
     for i, a in enumerate(anchors):
         mu_i = (i + 1) * delta_cap
         positions[a] = pos(_frac(1, 2), mu_i)
-        if kind == "k-apex":
+        if isinstance(vcg.spec, ApexBlue):
             delta = delta_cap / (4 * (ell + 2))
             for jj, path in enumerate(by_anchor[a]):
                 positions[path[1]] = pos(_frac(7, 16), mu_i + (jj + 1) * delta)
@@ -371,7 +328,7 @@ def _stripe_upper(vcg: ConGraph, positions: dict, D: int, ell: int,
             for name, (bx, by) in zip(blob, _K5_BLOB.values()):
                 positions[name] = pos(_frac(1, 2) + Fraction(bx) / 1000,
                                       mu_i - Fraction(by) * delta_cap / 20)
-        else:  # skewness: w-triangle with one crossing a-w1 x w2-w3
+        else:  # SkewBlue: w-triangle with one crossing a-w1 x w2-w3
             delta = delta_cap / 100
             positions[f"{a}/w1"] = pos(_frac(28, 64), mu_i + delta)
             positions[f"{a}/w2"] = pos(_frac(28, 64), mu_i + 2 * delta)
@@ -384,6 +341,30 @@ def _stripe_upper(vcg: ConGraph, positions: dict, D: int, ell: int,
 
 def _pole_distance(fg: FrameworkGraph) -> int:
     return 5000 * (fg.ell + fg.k + 2)
+
+
+# The blue connection of the alternate coloring.  The stripe family draws
+# it although the upper drawing does not designate it: plain corridors
+# cannot place its K5 blobs / w-triangles.
+_STRIPE_CID = "v1-w1"
+
+
+# Layout families named by the concept records: each places the internal
+# vertices (and bends) of the designated pair, called as
+# (fg, vertical con-graph, horizontal con-graph, positions, curves, D).
+_LAYOUTS = {
+    "grid": lambda fg, v, h, pos, cur, D: _grid_witness(
+        v, h, fg.concept.info.grid_plan(fg.ell, fg.k), pos),
+    "pole-fan": lambda fg, v, h, pos, cur, D: _pole_fan(v, h, pos),
+    "gap": lambda fg, v, h, pos, cur, D: _gap_witness(v, h, pos, D, fg.k),
+    "apex": lambda fg, v, h, pos, cur, D: _apex_witness(
+        v, h, pos, D, fg.ell, fg.k),
+    "skew": lambda fg, v, h, pos, cur, D: _skew_witness(v, h, pos, D, fg.k),
+    "ry": lambda fg, v, h, pos, cur, D: _ry_upper(v, pos),
+    "k7": lambda fg, v, h, pos, cur, D: _fan_upper(v, pos, cur, D),
+    "stripe": lambda fg, v, h, pos, cur, D: _stripe_upper(
+        fg.congraphs[_STRIPE_CID], pos, D, fg.ell, fg.k),
+}
 
 
 def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
@@ -404,16 +385,11 @@ def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
     }
     curves: dict = {}
 
-    kind = fg.concept.kind
-    kk = fg.k
-    # In the apex/skew upper drawings the blue con-graph is not designated
-    # but still needs its special stripe layout (plain corridors cannot
-    # place its K5 blobs / w-triangles).
-    stripe_cid = "v1-w1" if (variant == "upper"
-                             and kind in ("k-apex", "skewness")) else None
-
+    info = fg.concept.info
+    layout = info.witness_layout if variant == "witness" else info.upper_layout
+    own = {vcid, hcid, _STRIPE_CID} if layout == "stripe" else {vcid, hcid}
     for cid in ALL_CONNECTIONS:
-        if cid in (vcid, hcid) or cid == stripe_cid:
+        if cid in own:
             continue
         cg = fg.congraphs[cid]
         A, B = positions[cg.s], positions[cg.t]
@@ -422,33 +398,9 @@ def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
         else:
             _corridor_bundle(cg, A, B, positions)
 
-    vcg, hcg = fg.congraphs[vcid], fg.congraphs[hcid]
-    if variant == "witness":
-        if kind in ("k-planar", "k-vertex-planar", "ic", "nic", "nnic",
-                    "k-fan-crossing-free"):
-            _grid_witness(vcg, hcg, _grid_plan(kind, fg.ell, kk), positions)
-        elif kind in FAN_KINDS or kind == "k-edge-crossing":
-            _pole_fan(vcg, hcg, positions)
-        elif kind == "k-gap-planar":
-            _gap_witness(vcg, hcg, positions, D, kk)
-        elif kind == "k-apex":
-            _apex_witness(vcg, hcg, positions, D, fg.ell, kk)
-        elif kind == "skewness":
-            _skew_witness(vcg, hcg, positions, D, kk)
-        else:
-            raise ValueError(f"no witness emitter for {kind}")
-    else:
-        if kind in FAN_KINDS:
-            _fan_upper(vcg, positions, curves, D)
-        elif kind == "k-gap-planar":
-            _pole_fan(vcg, hcg, positions)
-        elif kind in ("k-apex", "skewness"):
-            _stripe_upper(fg.congraphs[stripe_cid], positions, D,
-                          fg.ell, kk, kind)
-        else:
-            _ry_upper(vcg, positions)
-
-    meta = {"concept": kind, "ell": fg.ell, "k": fg.concept.k,
+    _LAYOUTS[layout](fg, fg.congraphs[vcid], fg.congraphs[hcid], positions,
+                     curves, D)
+    meta = {"concept": fg.concept.kind, "ell": fg.ell, "k": fg.concept.k,
             "variant": variant}
     return Drawing(fg.graph, positions, curves, meta=meta)
 

@@ -44,6 +44,25 @@ GRID = [
 FAN_KINDS = ("adjacency-crossing", "fan-crossing",
              "weak-fan-planar", "strong-fan-planar")
 
+# The paper's expected log-log slope of the crossing ratio in n (fixed k),
+# per concept: the exponent its growth class predicts.
+SLOPE_TARGET: dict[str, int] = {
+    "k-planar": 1,
+    "k-vertex-planar": 1,
+    "ic": 1,
+    "nic": 1,
+    "nnic": 2,
+    "k-fan-crossing-free": 2,
+    "adjacency-crossing": 2,
+    "fan-crossing": 2,
+    "weak-fan-planar": 2,
+    "strong-fan-planar": 2,
+    "k-edge-crossing": 0,
+    "k-gap-planar": 1,
+    "k-apex": 2,
+    "skewness": 1,
+}
+
 
 def pt(x, y):
     return (Fraction(x), Fraction(y))

@@ -110,6 +110,38 @@ def ray_cast_inside(point, ring):
     return inside
 
 
+def winding_number(p, polygon):
+    """Exact winding number of the closed chain around p (p off-boundary)."""
+    def left_of(a, b):
+        return (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+
+    wn = 0
+    n = len(polygon)
+    for i in range(n):
+        a, b = polygon[i], polygon[(i + 1) % n]
+        if a[1] <= p[1]:
+            if b[1] > p[1] and left_of(a, b) > 0:
+                wn += 1
+        else:
+            if b[1] <= p[1] and left_of(a, b) < 0:
+                wn -= 1
+    return wn
+
+
+# ---------------------------------------------------------------------------
+# Crossings along one edge, in curve order.
+# ---------------------------------------------------------------------------
+
+def ordered_along(xs, e):
+    """((segment, t), crossing) for every crossing on e, sorted along e."""
+    out = []
+    for x in xs:
+        for p in x.positions_on(e) if x.involves(e) else ():
+            out.append((p, x))
+    out.sort(key=lambda px: px[0])
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Checker reference implementations (straight recounts / exhaustive search).
 # ---------------------------------------------------------------------------
@@ -233,3 +265,33 @@ def full_coverage_brute(ledger, fg):
         if not any(entry.covers(sub) for entry in ledger.entries):
             uncovered += 1
     return uncovered
+
+
+def is_frame_subdivision(fg, sub):
+    """Structural re-check that the chosen paths form a K_{3,3} subdivision.
+
+    True construction-side by design (pole paths are internally disjoint);
+    this verifies it on the actual subgraph: every frame node has degree 3,
+    every other vertex degree 2, and each path joins its connection's poles
+    without touching any other path internally.
+    """
+    from beyondcr.graph_core import connection_poles
+    from beyondcr.kuratowski import subdivision_paths, subdivision_subgraph
+
+    paths = subdivision_paths(fg, sub)
+    seen_internal = set()
+    for cid, path in paths.items():
+        s, t = connection_poles(cid)
+        if path[0] != s or path[-1] != t:
+            return False
+        inner = set(path[1:-1])
+        if inner & seen_internal or len(inner) != len(path) - 2:
+            return False
+        seen_internal |= inner
+    g = subdivision_subgraph(fg, sub)
+    degree = {v: 0 for v in g.vertices}
+    for u, v in g.edges:
+        degree[u] += 1
+        degree[v] += 1
+    frame_nodes = {"v1", "v2", "v3", "w1", "w2", "w3"}
+    return all(d == (3 if v in frame_nodes else 2) for v, d in degree.items())

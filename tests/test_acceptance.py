@@ -24,14 +24,13 @@ from beyondcr import (
     table1_report,
     verify_full_coverage,
 )
-from beyondcr.bounds_report import SLOPE_TARGET
 from beyondcr.cli import run
 from beyondcr.corpus import random_corpus
 from beyondcr.drawing import is_straight_line
 from beyondcr.graph_core import CONCEPTS
 from beyondcr.kuratowski import DEFAULT_BUDGET
 from beyondcr.standard_layouts import appendix_fcf_fixture, fixture_walls
-from conftest import ACCEPTANCE_REPORT, FAN_KINDS, GRID
+from conftest import ACCEPTANCE_REPORT, FAN_KINDS, GRID, SLOPE_TARGET
 from oracles import apex_ok_brute, gap_ok_brute, skew_ok_brute
 
 

@@ -16,16 +16,9 @@ from beyondcr import (
     ratio_upper,
     table1_report,
 )
-from beyondcr.bounds_report import (
-    SLOPE_TARGET,
-    THETA_CLASS,
-    rectilinear_ok,
-    reports_to_json_obj,
-    sharpness_flag,
-    slope_grid,
-)
+from beyondcr.bounds_report import reports_to_json_obj, slope_grid
 from beyondcr.graph_core import CONCEPTS, as_concept
-from conftest import FAN_KINDS, GRID
+from conftest import FAN_KINDS, GRID, SLOPE_TARGET
 
 
 def test_crossing_lemma_values():
@@ -65,7 +58,7 @@ def test_ratio_upper_at_n_100(kind, k):
     u = ratio_upper(kind, 100, k=k)
     assert u.value == want_value
     assert u.expression == want_expr
-    assert u.theta_class == THETA_CLASS[kind]
+    assert u.theta_class == CONCEPTS[kind].theta_class
     assert len(u.trace) >= 2
     assert u.trace[0].startswith("expression:")
     assert u.trace[-1].startswith("value at n=100")
@@ -79,6 +72,7 @@ def test_ratio_upper_caveat_only_for_unrestricted_fans():
 
 
 def test_theta_classes_and_slope_targets():
+    THETA_CLASS = {kind: info.theta_class for kind, info in CONCEPTS.items()}
     assert set(THETA_CLASS) == set(CONCEPTS) == set(SLOPE_TARGET)
     assert THETA_CLASS["k-planar"] == "Theta(n)"
     assert THETA_CLASS["nnic"] == "Theta(n^2)"
@@ -99,9 +93,9 @@ def test_theta_classes_and_slope_targets():
 
 def test_sharpness_and_rectilinear_flags():
     not_sharp = {kind for kind in CONCEPTS
-                 if not sharpness_flag(as_concept(kind, 2))}
+                 if not as_concept(kind, 2).info.sharp}
     assert not_sharp == {"k-gap-planar"}
-    bent = {kind for kind in CONCEPTS if not rectilinear_ok(as_concept(kind, 2))}
+    bent = {kind for kind in CONCEPTS if not ratio_report(kind, 2, 2).rectilinear}
     assert bent == set(FAN_KINDS)
 
 
@@ -148,9 +142,9 @@ def test_ratio_report_is_consistent(kind, ell, k):
                                          r.upper_drawing_crossings)
     assert r.counting_bound == counting_lower_bound(kind, ell, k)[0]
     assert r.counting_bound <= r.witness_crossings
-    assert r.theta_class == THETA_CLASS[kind]
-    assert r.sharpness == sharpness_flag(as_concept(kind, k))
-    assert r.rectilinear == rectilinear_ok(as_concept(kind, k))
+    assert r.theta_class == CONCEPTS[kind].theta_class
+    assert r.sharpness == as_concept(kind, k).info.sharp
+    assert r.rectilinear == (kind not in FAN_KINDS)
 
 
 def test_table1_covers_every_concept():

@@ -170,6 +170,26 @@ def test_report_text(capsys):
     assert any(ln.startswith("IC") for ln in lines)
 
 
+def test_report_k1_marks_concepts_needing_larger_k(capsys):
+    assert run(["report", "--k", "1", "--points", "3"]) == 0
+    lines = out_of(capsys).splitlines()
+    assert len(lines) == 16  # header + rule + 14 concepts, in table order
+    rows = [ln.split()[0] for ln in lines[2:]]
+    assert rows[5] == "k-fcf" and rows[10] == "k-ecr"
+    assert lines[2 + 5].split(None, 1)[1] == "n/a (requires k >= 2)"
+    assert lines[2 + 10].split(None, 1)[1] == "n/a (requires k >= 2)"
+    assert sum("n/a" in ln for ln in lines) == 2
+    assert run(["report", "--k", "1", "--points", "3",
+                "--format", "json"]) == 0
+    objs = json.loads(out_of(capsys))
+    assert len(objs) == 14
+    assert objs[5] == {"concept": "k-fcf", "applicable": False,
+                       "reason": "requires k >= 2"}
+    assert objs[10] == {"concept": "k-ecr", "applicable": False,
+                        "reason": "requires k >= 2"}
+    assert objs[0]["concept"] == "k-pl(k=1)" and len(objs[0]["grid"]) == 3
+
+
 def test_report_json(capsys):
     assert run(["report", "--k", "2", "--points", "3",
                 "--format", "json"]) == 0
@@ -258,6 +278,10 @@ def _set_position(obj, point):
     obj["positions"]["a"] = point
 
 
+def _set_graph(obj, key, value):
+    obj["graph"][key] = value
+
+
 @pytest.mark.parametrize("mutate", [
     lambda o: _set_position(o, ["1/0", "0"]),           # zero denominator
     lambda o: o.__setitem__("positions", []),           # not an object
@@ -270,9 +294,19 @@ def _set_position(obj, point):
     lambda o: o["curves"].__setitem__("a|c", [["1", "1"]]),  # non-edge curve
     lambda o: o["curves"].__setitem__("b|a", [["3", "1"]]),  # curve twice
     lambda o: o["curves"].__setitem__("a|b", ["1", "2"]),    # bend not a pair
+    lambda o: _set_graph(o, "vertices", "abcd"),        # a string
+    lambda o: _set_graph(o, "vertices", ["a", "b", "c", "d", 5]),
+    lambda o: _set_graph(o, "vertices", ["a", "b", "c", "d", "a"]),
+    lambda o: _set_graph(o, "edges", ["ab", "cd"]),     # strings, not pairs
+    lambda o: _set_graph(o, "edges", [["a", "b", "c"], ["c", "d"]]),
+    lambda o: o["graph"]["edges"].append(["a", "a"]),   # loop
+    lambda o: o["graph"]["edges"].append(["a", "z"]),   # unknown endpoint
+    lambda o: o["graph"]["edges"].append(["b", "a"]),   # repeated edge
 ], ids=["zero-denominator", "positions-list", "bool", "float", "decimal",
         "triple", "missing-vertex", "unknown-vertex", "non-edge-curve",
-        "duplicate-curve", "malformed-bend"])
+        "duplicate-curve", "malformed-bend", "vertices-string",
+        "vertex-not-string", "duplicate-vertex", "edge-string", "edge-triple",
+        "loop", "unknown-endpoint", "repeated-edge"])
 def test_malformed_drawing_refused_with_exit_2(tmp_path, capsys, mutate):
     f = tmp_path / "d.json"
     f.write_text(json.dumps(_x_drawing_obj()))

@@ -23,7 +23,7 @@ from beyondcr import (
     to_svg,
 )
 from conftest import pt
-from oracles import brute_crossing_points
+from oracles import brute_crossing_points, ordered_along
 
 
 def D(vertices, edges, pos, curves=None, meta=None):
@@ -103,7 +103,7 @@ def test_crossings_ordered_along_edge():
           {"a": pt(0, 0), "b": pt(9, 0),
            "c": pt(2, 1), "d": pt(3, -1), "e": pt(6, 1), "f": pt(7, -1)})
     xs = compute_crossings(d)
-    along = xs.ordered_along(("a", "b"))
+    along = ordered_along(xs, ("a", "b"))
     assert len(along) == 2
     assert along[0][1].involves(("c", "d"))
     assert along[1][1].involves(("e", "f"))

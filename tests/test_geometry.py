@@ -11,9 +11,9 @@ from beyondcr.geometry import (
     point_in_polygon_evenodd,
     pt,
     segment_meet,
-    winding_number,
 )
-from oracles import bbox_disjoint, ray_cast_inside, solve_segments
+from oracles import (bbox_disjoint, ray_cast_inside, solve_segments,
+                     winding_number)
 
 coords = st.integers(min_value=-8, max_value=8)
 points = st.tuples(coords, coords).map(lambda t: pt(*t))

@@ -23,12 +23,11 @@ from beyondcr.kuratowski import (
     DEFAULT_BUDGET,
     CoverageLedger,
     enumeration_budget,
-    is_frame_subdivision,
     subdivision_paths,
     subdivision_subgraph,
 )
 from conftest import GRID
-from oracles import full_coverage_brute
+from oracles import full_coverage_brute, is_frame_subdivision
 
 
 # ---------------------------------------------------------------------------
