@@ -773,10 +773,10 @@ def construction_for(concept: "str | ConceptId", ell: int,
     info = cid.info
     if ell < 1:
         raise ValueError("ell must be >= 1")
+    frame = build_frame(info.coloring)
     kk = structural_k(cid)
-    return build_framework_graph(build_frame(info.coloring),
-                                 info.recipe(ell, kk), cid, ell,
-                                 ell < info.threshold(kk))
+    below = ell < info.threshold(kk)
+    return build_framework_graph(frame, info.recipe(ell, kk), cid, ell, below)
 
 
 def _connection_specs(cid: ConceptId, ell: int) -> list[ConGraphSpec]:
