@@ -16,11 +16,9 @@ Counting conventions, applied consistently:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import defaultdict, deque
 from fractions import Fraction
 from itertools import combinations
-
-import networkx as nx
 
 from .drawing import (Crossing, CrossingSet, Drawing, Verdict,
                       compute_crossings, is_simple_drawing)
@@ -343,50 +341,59 @@ def check_k_edge_crossing(drawing: Drawing, k: int, *,
     return Verdict(True, "k-edge-crossing")
 
 
+def _alternating_bfs(xs: list[Crossing], charged: dict[Edge, list[int]],
+                     sources: list[int], k: int) -> tuple[Edge | None, dict]:
+    """Breadth-first search from the edges of the crossings in sources, from
+    each edge over the crossings charged to it to their other edges: the
+    first edge with fewer than k charges (or None) and the parent map."""
+    parent = dict.fromkeys(e for i in sources for e in (xs[i].a, xs[i].b))
+    queue = deque(parent)
+    while queue:
+        e = queue.popleft()
+        if len(charged[e]) < k:
+            return e, parent
+        for j in charged[e]:
+            f = xs[j].other(e)
+            if f not in parent:
+                parent[f] = (e, j)
+                queue.append(f)
+    return None, parent
+
+
 def check_k_gap_planar(drawing: Drawing, k: int, *,
                        xs: CrossingSet | None = None) -> Verdict:
     """Each crossing can be charged to one of its two edges so that every
-    edge is charged at most k times.  Decided by max-flow; on failure the
-    witness is a set of edges E_R whose internal crossings exceed k|E_R|."""
-    xs = _xs(drawing, xs)
-    if len(xs) == 0:
+    edge is charged at most k times.  Decided by augmenting paths; on failure
+    the witness is the set E_R of edges reached by alternating paths from the
+    uncharged crossings (one set for every maximum charging), whose internal
+    crossings exceed k|E_R|."""
+    xs = list(_xs(drawing, xs))
+    if not xs:
         return Verdict(True, "k-gap-planar")
-    G = nx.DiGraph()
-    for i, x in enumerate(xs):
-        G.add_edge("S", ("x", i), capacity=1)
-        for e in {x.a, x.b}:
-            G.add_edge(("x", i), ("e", e), capacity=1)
-            G.add_edge(("e", e), "T", capacity=k)
-    value, flow = nx.maximum_flow(G, "S", "T")
-    if value == len(xs):
-        assignment = {}
-        for i, x in enumerate(xs):
-            for e in {x.a, x.b}:
-                if flow[("x", i)].get(("e", e), 0) == 1:
-                    assignment[str(i)] = edge_key(e)
-                    break
-        return Verdict(True, "k-gap-planar", witness={"assignment": assignment})
-    # Residual reachability from S gives a Hall-type deficiency certificate.
-    reach = {"S"}
-    stack = ["S"]
-    while stack:
-        u = stack.pop()
-        for v in G.successors(u):
-            if v not in reach and flow[u][v] < G[u][v]["capacity"]:
-                reach.add(v)
-                stack.append(v)
-        for v in G.predecessors(u):
-            if v not in reach and flow[v][u] > 0:
-                reach.add(v)
-                stack.append(v)
-    e_r = sorted(n[1] for n in reach if isinstance(n, tuple) and n[0] == "e")
-    internal = [i for i, x in enumerate(xs)
-                if x.a in e_r and x.b in e_r]
+    charged: dict[Edge, list[int]] = defaultdict(list)
+    uncharged: list[int] = []
+    for i in range(len(xs)):
+        e, parent = _alternating_bfs(xs, charged, [i], k)
+        if e is None:
+            uncharged.append(i)
+            continue
+        while parent[e] is not None:
+            prev, j = parent[e]
+            charged[prev].remove(j)
+            charged[e].append(j)
+            e = prev
+        charged[e].append(i)
+    if not uncharged:
+        owner = {j: e for e, held in charged.items() for j in held}
+        return Verdict(True, "k-gap-planar", witness={"assignment": {
+            str(i): edge_key(owner[i]) for i in range(len(xs))}})
+    reach = _alternating_bfs(xs, charged, uncharged, k)[1]
+    internal = sum(x.a in reach and x.b in reach for x in xs)
     return Verdict(False, "k-gap-planar",
-                   f"{len(internal)} crossings among {len(e_r)} edges exceed "
-                   f"capacity {k}*{len(e_r)}",
-                   {"edges": [edge_key(e) for e in e_r],
-                    "internal_crossings": len(internal)})
+                   f"{internal} crossings among {len(reach)} edges exceed "
+                   f"capacity {k}*{len(reach)}",
+                   {"edges": [edge_key(e) for e in sorted(reach)],
+                    "internal_crossings": internal})
 
 
 def _hitting_set(universe: list[frozenset], k: int) -> set | None:

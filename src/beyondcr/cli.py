@@ -80,7 +80,7 @@ def _load_drawing(path: str):
         raise ValueError(f"cannot read {path}: {exc}") from None
     try:
         return drawing_from_json(text)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed drawing file {path}: {exc}") from None
 
 

@@ -46,6 +46,9 @@ class Graph:
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
             raise ValueError("duplicate vertices")
+        if any("|" in v for v in vs):
+            raise ValueError("'|' separates edge keys, so no vertex id may "
+                             f"contain it: {sorted(v for v in vs if '|' in v)}")
         es = set(self.edges)
         if len(es) != len(self.edges):
             raise ValueError("parallel edges")
@@ -863,15 +866,12 @@ def graph_from_json_obj(obj: dict) -> Graph:
         raise ValueError("duplicate vertex ids")
     if not isinstance(pairs, list):
         raise ValueError("edges must be a list")
-    known = set(vertices)
     edges: set[Edge] = set()
     for pair in pairs:
         if not (isinstance(pair, list) and len(pair) == 2
                 and all(isinstance(v, str) for v in pair)):
             raise ValueError(f"edge {pair!r} is not a pair of vertex ids")
         e = edge(*pair)
-        if not set(e) <= known:
-            raise ValueError(f"edge {pair!r} uses an unknown vertex")
         if e in edges:
             raise ValueError(f"edge {pair!r} given twice")
         edges.add(e)

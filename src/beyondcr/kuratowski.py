@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import prod
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .drawing import CrossingSet, Drawing, Verdict, compute_crossings
 from .graph_core import (
@@ -219,6 +219,23 @@ def _check_same_widths(ledger: CoverageLedger, fg: FrameworkGraph) -> None:
         raise ValueError("ledger was built for a different framework graph")
 
 
+def _uncovered(ledger: CoverageLedger, budget: int | None
+               ) -> tuple[int, Iterator[dict[str, int]]]:
+    """Path tuples over the constrained connections: their number, and a lazy
+    walk over those no entry covers.  Over budget raises BudgetExceeded; no
+    entries leave the one empty tuple, which no budget refuses."""
+    if budget is None:
+        budget = enumeration_budget()
+    cids = ledger.constrained()
+    required = prod(ledger.widths[c] for c in cids)
+    if cids and required > budget:
+        raise BudgetExceeded(required, budget)
+    subs = (dict(zip(cids, combo))
+            for combo in product(*(range(ledger.widths[c]) for c in cids)))
+    return required, (sub for sub in subs
+                      if not any(e.covers(sub) for e in ledger.entries))
+
+
 def verify_full_coverage(ledger: CoverageLedger,
                          fg: FrameworkGraph,
                          budget: int | None = None) -> Verdict:
@@ -231,44 +248,20 @@ def verify_full_coverage(ledger: CoverageLedger,
     BudgetExceeded rather than ever sampling.
     """
     _check_same_widths(ledger, fg)
-    if budget is None:
-        budget = enumeration_budget()
-    concept = str(fg.concept)
-    if not ledger.entries:
-        witness = {c: 0 for c in ALL_CONNECTIONS}
-        return Verdict(False, concept, "no covering crossings",
-                       {"subdivision": witness})
-    cids = ledger.constrained()
-    required = prod(ledger.widths[c] for c in cids)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-    entries = ledger.entries
-    for combo in product(*(range(ledger.widths[c]) for c in cids)):
-        sub = dict(zip(cids, combo))
-        if not any(e.covers(sub) for e in entries):
-            full = {c: sub.get(c, 0) for c in ALL_CONNECTIONS}
-            return Verdict(False, concept, "uncovered subdivision",
-                           {"subdivision": full})
-    return Verdict(True, concept)
+    sub = next(_uncovered(ledger, budget)[1], None)
+    if sub is None:
+        return Verdict(True, str(fg.concept))
+    reason = ("uncovered subdivision" if ledger.entries
+              else "no covering crossings")
+    return Verdict(False, str(fg.concept), reason,
+                   {"subdivision": {c: sub.get(c, 0) for c in ALL_CONNECTIONS}})
 
 
 def covered_fraction(ledger: CoverageLedger,
                      budget: int | None = None) -> Fraction:
     """Exact share of the subdivision family covered by >= 1 entry."""
-    if budget is None:
-        budget = enumeration_budget()
-    if not ledger.entries:
-        return Fraction(0)
-    cids = ledger.constrained()
-    required = prod(ledger.widths[c] for c in cids)
-    if required > budget:
-        raise BudgetExceeded(required, budget)
-    covered = 0
-    for combo in product(*(range(ledger.widths[c]) for c in cids)):
-        sub = dict(zip(cids, combo))
-        if any(e.covers(sub) for e in ledger.entries):
-            covered += 1
-    return Fraction(covered, required)
+    required, uncovered = _uncovered(ledger, budget)
+    return Fraction(required - sum(1 for _ in uncovered), required)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Concept checkers against brute-force oracles and hand-made drawings."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -21,7 +22,7 @@ from beyondcr.checkers import (
     check_strong_fan_planar,
     check_weak_fan_planar,
 )
-from beyondcr.graph_core import as_concept
+from beyondcr.graph_core import as_concept, edge_from_key, edge_key
 from conftest import (
     GRID,
     fan_fixture_adjacent_not_fan,
@@ -116,7 +117,19 @@ def test_checkers_agree_with_oracles_on_random_drawings():
             assert check_k_vertex_planar(d, k, xs=xs).ok == o.kvp_ok(xs, k)
             assert check_k_edge_crossing(d, k, xs=xs).ok == o.ecr_ok(xs, k)
             assert check_k_fan_crossing_free(d, k, xs=xs).ok == o.kfcf_ok(xs, k)
-            assert check_k_gap_planar(d, k, xs=xs).ok == o.gap_ok_brute(xs, k)
+            gap = check_k_gap_planar(d, k, xs=xs)
+            assert gap.ok == o.gap_ok_brute(xs, k)
+            if gap.ok and len(xs):
+                charges = gap.witness["assignment"]
+                assert len(charges) == len(xs)
+                for i, x in enumerate(xs):
+                    assert charges[str(i)] in (edge_key(x.a), edge_key(x.b))
+                assert max(Counter(charges.values()).values()) <= k
+            elif not gap.ok:
+                named = {edge_from_key(key) for key in gap.witness["edges"]}
+                internal = sum(x.a in named and x.b in named for x in xs)
+                assert gap.witness["internal_crossings"] == internal
+                assert internal > k * len(named)
             assert check_k_apex(d, k, xs=xs).ok == o.apex_ok_brute(xs, k)
             assert check_skewness(d, k, xs=xs).ok == o.skew_ok_brute(xs, k)
         assert check_ic(d, xs=xs).ok == o.shared_endpoints_ok(xs, 0)
@@ -136,6 +149,18 @@ def test_gap_planar_success_carries_an_assignment():
     for e_key in assignment.values():
         loads[e_key] = loads.get(e_key, 0) + 1
     assert max(loads.values()) <= 1
+
+
+def test_gap_planar_failure_witness_is_pinned():
+    # Recorded from the max-flow checker this one replaced.
+    d = standard_drawing("strong-fan-planar", 6, variant="witness")
+    v = check_k_gap_planar(d, 1)
+    assert not v.ok
+    assert v.reason == "36 crossings among 12 edges exceed capacity 1*12"
+    assert v.witness == {
+        "edges": [f"v1|v1-w1/p{i}/1" for i in range(6)]
+        + [f"v2-w2/p{i}/1|w2" for i in range(6)],
+        "internal_crossings": 36}
 
 
 def test_apex_and_skew_witnesses_name_their_removals():

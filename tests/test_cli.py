@@ -1,10 +1,16 @@
 """End-to-end command line tests (everything in-process through run())."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import beyondcr
 from beyondcr import drawing_from_json
 from beyondcr.cli import run
 
@@ -75,6 +81,29 @@ def test_rectilinear_flag_rejects_bent_fan_layout(capsys):
     # non-fan constructions are straight-line, so the flag is harmless there
     assert run(["layout", "--concept", "nnic", "--ell", "3",
                 "--rectilinear"]) == 0
+
+
+def _python(*args, hash_seed="0"):
+    """Run a fresh interpreter on this checkout's package."""
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+               PYTHONPATH=str(Path(beyondcr.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, *args], env=env, check=True,
+                          capture_output=True, text=True,
+                          cwd=Path(__file__).resolve().parent.parent)
+    return done.stdout
+
+
+def test_gap_check_stdout_is_the_same_under_every_hash_seed():
+    outs = {_python("-m", "beyondcr.cli", "check", "--concept", "gap",
+                    "--k", "1", "--in",
+                    "fixtures/k-gap-planar_l1_k1_witness.json",
+                    hash_seed=seed) for seed in ("1", "2", "3")}
+    assert len(outs) == 1 and '"assignment"' in outs.pop()
+
+
+def test_import_pulls_in_no_graph_library():
+    _python("-c", "import beyondcr, sys; "
+                  "assert 'networkx' not in sys.modules")
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +289,9 @@ def test_corrupt_drawing_file(tmp_path, capsys):
     f.write_text("{not json")
     assert run(["check", "--concept", "ic", "--in", str(f)]) == 2
     assert "error:" in capsys.readouterr().err
+    f.write_text("[" * 100_000 + "]" * 100_000)  # deeper than the decoder
+    assert run(["check", "--concept", "ic", "--in", str(f)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed drawing")
 
 
 def _x_drawing_obj():
@@ -282,6 +314,11 @@ def _set_graph(obj, key, value):
     obj["graph"][key] = value
 
 
+def _add_vertex(obj, name):
+    obj["graph"]["vertices"].append(name)
+    obj["positions"][name] = ["9", "9"]
+
+
 @pytest.mark.parametrize("mutate", [
     lambda o: _set_position(o, ["1/0", "0"]),           # zero denominator
     lambda o: o.__setitem__("positions", []),           # not an object
@@ -302,11 +339,12 @@ def _set_graph(obj, key, value):
     lambda o: o["graph"]["edges"].append(["a", "a"]),   # loop
     lambda o: o["graph"]["edges"].append(["a", "z"]),   # unknown endpoint
     lambda o: o["graph"]["edges"].append(["b", "a"]),   # repeated edge
+    lambda o: _add_vertex(o, "a|b"),                    # edge-key separator
 ], ids=["zero-denominator", "positions-list", "bool", "float", "decimal",
         "triple", "missing-vertex", "unknown-vertex", "non-edge-curve",
         "duplicate-curve", "malformed-bend", "vertices-string",
         "vertex-not-string", "duplicate-vertex", "edge-string", "edge-triple",
-        "loop", "unknown-endpoint", "repeated-edge"])
+        "loop", "unknown-endpoint", "repeated-edge", "vertex-with-pipe"])
 def test_malformed_drawing_refused_with_exit_2(tmp_path, capsys, mutate):
     f = tmp_path / "d.json"
     f.write_text(json.dumps(_x_drawing_obj()))
@@ -320,3 +358,89 @@ def test_malformed_drawing_refused_with_exit_2(tmp_path, capsys, mutate):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: malformed drawing")
+
+
+# ---------------------------------------------------------------------------
+# fuzzed input boundary
+# ---------------------------------------------------------------------------
+
+_FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+_DRAWING_FIXTURES = sorted(p.name for p in _FIXTURES.glob("*.json")
+                           if "positions" in json.loads(p.read_text()))
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 300)
+                | st.floats() | st.text(max_size=4)
+                | st.sampled_from(["0", "7", "-3/2", "1/0", "1.5", "v1",
+                                   "w1", "v1|w1", "a|b", ""]))
+_COORD = st.fractions(-8, 300, max_denominator=4).map(str)
+_JSON = st.recursive(_JSON_LEAVES,
+                     lambda kids: st.lists(kids, max_size=3)
+                     | st.dictionaries(st.text(max_size=3), kids, max_size=3),
+                     max_leaves=6)
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+def _mutate(obj, data):
+    """Replace, delete or copy one node of obj, or add one to a container."""
+    path = data.draw(st.sampled_from(list(_json_paths(obj))[1:]))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    op = data.draw(st.sampled_from(["replace", "delete", "copy", "add"]))
+    if op == "replace":
+        parent[key] = data.draw(_COORD | _JSON)
+    elif op == "delete":
+        del parent[key]
+    elif op == "copy" and isinstance(parent, list):
+        parent.insert(key, parent[key])
+    elif op == "copy":
+        parent[data.draw(st.text(max_size=3))] = parent[key]
+    elif isinstance(parent[key], dict):
+        parent[key][data.draw(st.text(max_size=3))] = data.draw(_JSON)
+    elif isinstance(parent[key], list):
+        parent[key].append(data.draw(_JSON))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_fixture_keeps_the_exit_contract(tmp_path, capsys, data):
+    obj = json.loads((_FIXTURES / data.draw(
+        st.sampled_from(_DRAWING_FIXTURES))).read_text())
+    for _ in range(data.draw(st.integers(0, 3))):
+        v = data.draw(st.sampled_from(sorted(obj["positions"])))
+        obj["positions"][v] = [data.draw(_COORD), data.draw(_COORD)]
+    for _ in range(data.draw(st.integers(0, 2))):
+        _mutate(obj, data)
+    f = tmp_path / "d.json"
+    f.write_text(json.dumps(obj))
+    concept, k = data.draw(st.sampled_from([
+        ("kpl", "1"), ("kvp", "2"), ("ic", None), ("nic", None),
+        ("nnic", None), ("kfcf", "2"), ("ac", None), ("fc", None),
+        ("wfp", None), ("sfp", None), ("kecr", "2"), ("gap", "1"),
+        ("apex", "1"), ("skew", "1")]))
+    fmt = data.draw(st.sampled_from(["json", "text"]))
+    rc = run(["check", "--concept", concept, "--in", str(f), "--format", fmt,
+              *(["--k", k] if k else [])])
+    out, err = capsys.readouterr()
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert err == ""
+        if fmt == "json":
+            assert json.loads(out)["ok"] is (rc == 0)
+        else:
+            assert out.startswith(f"ok: {'true' if rc == 0 else 'false'}\n")
