@@ -75,11 +75,11 @@ def _concept_of(args) -> ConceptId:
 
 def _load_drawing(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     try:
-        return drawing_from_json(text)
+        return drawing_from_json(data.decode("utf-8"))
     except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"malformed drawing file {path}: {exc}") from None
 

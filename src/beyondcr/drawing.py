@@ -2,11 +2,14 @@
 
 Coordinates are rational (``fractions.Fraction`` or ``int``), so every
 intersection test is exact.  ``compute_crossings`` multiplies all vertex
-and bend coordinates by the LCM of their denominators, so the geometric
-predicates run on plain integers.  It sorts the segments by the left end
-of their bounding boxes and tests only the pairs whose boxes meet; points
-and segment parameters go back to ``Fraction`` in drawing coordinates for
-output.
+and bend coordinates by the LCM of their denominators, so the orientation
+tests run on plain integers.  A sweep over the segments sorted by the left
+end of their bounding boxes yields the pairs whose boxes meet, and each
+pair is classified as it is yielded; one lying on a side of the other's
+line is rejected after two orientations.  Only the crossings are kept and
+sorted, plus the first touch or overlap, so memory is O(segments +
+crossings).  Points and segment parameters go back to ``Fraction`` in
+drawing coordinates for output.
 
 A drawing must be in *general position*: no overlapping segments, no curve
 through a vertex or bend of another curve, and no two crossings at the same
@@ -160,31 +163,27 @@ def _curve_points(drawing: Drawing) -> dict[Point, str]:
     return seen
 
 
-def _scaled(points: Iterable[Point]) -> tuple[int, dict[Point, tuple[int, int]]]:
-    """The LCM of all coordinate denominators, and each point times it."""
+def _scale(points: Iterable[Point]) -> int:
+    """The LCM of all coordinate denominators."""
     points = list(points)
     for p in points:
         for c in p:
             if type(c) is not int and not isinstance(c, Fraction):
                 raise TypeError(f"coordinate {c!r} is not an int or Fraction")
-    scale = math.lcm(*(c.denominator for p in points for c in p))
-    return scale, {p: (p[0].numerator * (scale // p[0].denominator),
-                       p[1].numerator * (scale // p[1].denominator))
-                   for p in points}
+    return math.lcm(*(c.denominator for p in points for c in p))
 
 
-def _candidate_pairs(ends: list[tuple[tuple[int, int], tuple[int, int]]]
+def _candidate_pairs(segs: list[tuple[int, int, int, int]]
                      ) -> Iterator[tuple[int, int]]:
-    """Pairs (s, t), s < t, of indices into ``ends`` whose segments'
-    bounding boxes meet.
+    """Pairs (s, t), s < t, of indices into ``segs`` (each ``(ax, ay, bx,
+    by)``) whose segments' bounding boxes meet.
 
     Sorted by xmin, a box can only meet the boxes after it up to the first
     one that starts right of its xmax, so only that run is checked for
     y-overlap.
     """
-    boxes = sorted((min(a[0], b[0]), max(a[0], b[0]),
-                    min(a[1], b[1]), max(a[1], b[1]), s)
-                   for s, (a, b) in enumerate(ends))
+    boxes = sorted((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by), s)
+                   for s, (ax, ay, bx, by) in enumerate(segs))
     xmins = [b[0] for b in boxes]
     for k, (_, x1, y0, y1, s) in enumerate(boxes):
         for _, _, v0, v1, t in boxes[k + 1:bisect_right(xmins, x1, k + 1)]:
@@ -208,68 +207,123 @@ def compute_crossings(drawing: Drawing) -> CrossingSet:
     if set(drawing.curves) - set(g.edges):
         bad = sorted(set(drawing.curves) - set(g.edges))[0]
         raise ValueError(f"curve for non-edge {bad}")
-    scale, scaled = _scaled(point_desc)
-    desc = {scaled[p]: text for p, text in point_desc.items()}
+    scale = _scale(point_desc)
+
+    def scaled(p: Point) -> tuple[int, int]:
+        return (p[0].numerator * (scale // p[0].denominator),
+                p[1].numerator * (scale // p[1].denominator))
 
     # Segment ids run in (edge, index along the edge) order.
+    where = {v: scaled(drawing.positions[v]) for v in g.vertices}
     edge_list = sorted(g.edges)
+    tips: list[tuple[tuple[int, int], tuple[int, int]]] = []
     owner: list[int] = []
     index: list[int] = []
-    ends: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    segs: list[tuple[int, int, int, int]] = []
     for ei, e in enumerate(edge_list):
-        poly = drawing.polyline(e)
+        poly = [where[e[0]], *map(scaled, drawing.curves.get(e, ())),
+                where[e[1]]]
+        tips.append((poly[0], poly[-1]))
         for i, (a, b) in enumerate(zip(poly, poly[1:])):
             if a == b:
                 raise GeneralPositionViolation(
                     "degenerate-segment", f"segment {i} of {e} has zero length")
             owner.append(ei)
             index.append(i)
-            ends.append((scaled[a], scaled[b]))
+            segs.append((*a, *b))
 
-    # Test in (edge, edge, segment, segment) order, so the first violation
-    # found does not depend on the sweep.  Consecutive segments of one edge
-    # share a bend; skip them.
-    pairs = sorted((owner[s], owner[t], s, t)
-                   for s, t in _candidate_pairs(ends)
-                   if t != s + 1 or owner[s] != owner[t])
-
-    def unscaled(p) -> Point:
-        return (Fraction(p[0]) / scale, Fraction(p[1]) / scale)
-
-    found: list[Crossing] = []
-    seen_points: dict[tuple, tuple[Edge, Edge]] = {}
-    for oa, ob, s, t in pairs:
-        ea, eb = edge_list[oa], edge_list[ob]
-        (a1, a2), (b1, b2) = ends[s], ends[t]
-        meet = segment_meet(a1, a2, b1, b2)
-        if meet.kind == "none":
+    # Classify each candidate as the sweep yields it.  Proper crossings are
+    # kept; of the touches and overlaps only the one first in (edge, edge,
+    # segment, segment) order, so the first violation does not depend on
+    # the sweep.
+    proper: list[tuple[int, int, int, int, int, int, int, int]] = []
+    first_bad: tuple | None = None      # (key, kind, point)
+    for s, t in _candidate_pairs(segs):
+        oa, ob = owner[s], owner[t]
+        if t == s + 1 and oa == ob:
+            continue        # consecutive segments of one edge share a bend
+        ax, ay, bx, by = segs[s]
+        cx, cy, dx, dy = segs[t]
+        # d1, d2 = orient(c, d, a), orient(c, d, b); d3, d4 = orient(a, b,
+        # c), orient(a, b, d).  A strict common sign separates the segments.
+        ux, uy = dx - cx, dy - cy
+        d1 = ux * (ay - cy) - uy * (ax - cx)
+        d2 = ux * (by - cy) - uy * (bx - cx)
+        if d1 > 0 and d2 > 0 or d1 < 0 and d2 < 0:
             continue
-        if meet.kind == "overlap":
-            raise GeneralPositionViolation(
-                "overlap", f"{ea} and {eb} share a subsegment")
-        p = meet.point
-        if meet.kind == "touch":
-            shared = set(ea) & set(eb) if ea != eb else ()
-            if (shared and p == scaled[drawing.positions[min(shared)]]
-                    and p in (a1, a2) and p in (b1, b2)):
+        rx, ry = bx - ax, by - ay
+        d3 = rx * (cy - ay) - ry * (cx - ax)
+        d4 = rx * (dy - ay) - ry * (dx - ax)
+        if d3 > 0 and d4 > 0 or d3 < 0 and d4 < 0:
+            continue
+        if d1 and d2 and d3 and d4:
+            proper.append((oa, ob, s, t, d1, d2, d3, d4))
+            continue
+        if d1 == 0 and d2 == 0:
+            meet = segment_meet((ax, ay), (bx, by), (cx, cy), (dx, dy))
+            if meet.kind == "none":
                 continue
-            x, y = unscaled(p)
+            kind, p = meet.kind, meet.point
+        else:
+            # The lines meet in one point, and the signs put it on both
+            # segments, so an endpoint with a zero orientation is that
+            # point.  Take the first of a, b, c, d, as segment_meet does.
+            kind = "touch"
+            p = ((ax, ay) if d1 == 0 else (bx, by) if d2 == 0
+                 else (cx, cy) if d3 == 0 else (dx, dy))
+        # Adjacent edges may meet at their shared endpoint; vertex positions
+        # are distinct, so being an end of both edges makes p that vertex.
+        if (kind == "touch" and oa != ob and p in tips[oa] and p in tips[ob]
+                and p in ((ax, ay), (bx, by)) and p in ((cx, cy), (dx, dy))):
+            continue
+        key = (oa, ob, s, t)
+        if first_bad is None or key < first_bad[0]:
+            first_bad = (key, kind, p)
+
+    # Check the proper crossings in (edge, edge, segment, segment) order up
+    # to the first touch or overlap.  A point is keyed by its scaled
+    # coordinates over their least common denominator, (x, y, den), so no
+    # Fraction is hashed.
+    proper.sort()
+    desc = {(*scaled(p), 1): text for p, text in point_desc.items()}
+    seen: dict[tuple[int, int, int], tuple[Edge, Edge]] = {}
+    found: list[Crossing] = []
+    for oa, ob, s, t, d1, d2, d3, d4 in proper:
+        if first_bad is not None and (oa, ob, s, t) > first_bad[0]:
+            break
+        ea, eb = edge_list[oa], edge_list[ob]
+        ax, ay, bx, by = segs[s]
+        # a + t1 (b - a) with t1 = d1 / (d1 - d2)
+        den = d1 - d2
+        if den < 0:
+            d1, den = -d1, -den
+        x, y = ax * den + d1 * (bx - ax), ay * den + d1 * (by - ay)
+        common = math.gcd(x, y, den)
+        at = (x // common, y // common, den // common)
+        p = (Fraction(at[0], at[2] * scale), Fraction(at[1], at[2] * scale))
+        if at in desc:
             raise GeneralPositionViolation(
-                "touch", f"{ea} touches {eb} at ({x},{y})")
-        # proper crossing
-        if p in desc:
-            raise GeneralPositionViolation(
-                "crossing-at-vertex", f"{ea} x {eb} crosses at {desc[p]}")
-        if p in seen_points:
-            x, y = unscaled(p)
+                "crossing-at-vertex", f"{ea} x {eb} crosses at {desc[at]}")
+        if at in seen:
             raise GeneralPositionViolation(
                 "concurrent-crossings",
-                f"{ea} x {eb} and {seen_points[p]} cross at the "
-                f"same point ({x},{y})")
-        seen_points[p] = (ea, eb)
-        found.append(Crossing(ea, eb, (index[s], meet.t1), (index[t], meet.t2),
-                              unscaled(p)))
-    found.sort()
+                f"{ea} x {eb} and {seen[at]} cross at the "
+                f"same point ({p[0]},{p[1]})")
+        seen[at] = (ea, eb)
+        found.append(Crossing(ea, eb, (index[s], Fraction(d1, den)),
+                              (index[t], Fraction(d3, d3 - d4)), p))
+    if first_bad is not None:
+        (oa, ob, _, _), kind, p = first_bad
+        ea, eb = edge_list[oa], edge_list[ob]
+        if kind == "overlap":
+            raise GeneralPositionViolation(
+                "overlap", f"{ea} and {eb} share a subsegment")
+        raise GeneralPositionViolation(
+            "touch", f"{ea} touches {eb} at "
+                     f"({Fraction(p[0], scale)},{Fraction(p[1], scale)})")
+    # Crossing order: a position along edge a is unique once crossings are
+    # known not to coincide.
+    found.sort(key=lambda x: (x.a, x.b, x.pos_a))
     return CrossingSet(tuple(found))
 
 
@@ -375,6 +429,9 @@ def drawing_from_json_obj(obj: dict) -> Drawing:
     every coordinate is an int or a rational string (no bools, no floats,
     no zero denominators).
     """
+    if not (isinstance(obj, dict) and "graph" in obj and "positions" in obj):
+        raise ValueError("drawing must be a JSON object with graph and "
+                         "positions")
     graph = graph_from_json_obj(obj["graph"])
     raw_positions = obj["positions"]
     if not isinstance(raw_positions, dict):

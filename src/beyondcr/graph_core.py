@@ -858,6 +858,8 @@ def graph_from_json_obj(obj: dict) -> Graph:
     ``vertices`` must be a list of distinct strings and ``edges`` a list of
     vertex-id pairs with no loop, no unknown endpoint and no repeat.
     """
+    if not (isinstance(obj, dict) and "vertices" in obj and "edges" in obj):
+        raise ValueError("graph must be an object with vertices and edges")
     vertices, pairs = obj["vertices"], obj["edges"]
     if not isinstance(vertices, list) \
             or not all(isinstance(v, str) for v in vertices):

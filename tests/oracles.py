@@ -92,6 +92,45 @@ def brute_crossing_points(drawing):
     return sorted(out)
 
 
+def first_violation_kind(drawing):
+    """Kind of the first general-position violation, or None.
+
+    Walks every pair of segments in (edge, edge, segment, segment) order,
+    skipping consecutive segments of one edge, and stops at the first
+    overlap, touch (other than adjacent edges meeting at their shared
+    endpoint), crossing through a vertex or bend, or crossing at a point
+    an earlier pair already crossed at.
+    """
+    corners = set(drawing.positions.values())
+    for bends in drawing.curves.values():
+        corners.update(bends)
+    seen = set()
+    edges = sorted(drawing.graph.edges)
+    for i, e in enumerate(edges):
+        for f in edges[i:]:
+            for si, (a1, a2) in enumerate(drawing.segments(e)):
+                for sj, (b1, b2) in enumerate(drawing.segments(f)):
+                    if e == f and sj <= si + 1:
+                        continue
+                    kind, payload = solve_segments(a1, a2, b1, b2)
+                    if kind == "overlap":
+                        return kind
+                    if kind == "touch":
+                        shared = set(e) & set(f) if e != f else set()
+                        if not any(payload == drawing.positions[v]
+                                   and payload in (a1, a2)
+                                   and payload in (b1, b2) for v in shared):
+                            return kind
+                    if kind == "proper":
+                        point = payload[0]
+                        if point in corners:
+                            return "crossing-at-vertex"
+                        if point in seen:
+                            return "concurrent-crossings"
+                        seen.add(point)
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Point in polygon by explicit ray casting (horizontal ray to +infinity).
 # ---------------------------------------------------------------------------

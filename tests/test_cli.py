@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -292,6 +293,10 @@ def test_corrupt_drawing_file(tmp_path, capsys):
     f.write_text("[" * 100_000 + "]" * 100_000)  # deeper than the decoder
     assert run(["check", "--concept", "ic", "--in", str(f)]) == 2
     assert capsys.readouterr().err.startswith("error: malformed drawing")
+    f.write_bytes(b"\xff\xfe{}")                 # not UTF-8
+    assert run(["check", "--concept", "ic", "--in", str(f)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: malformed drawing file {f}: ")
 
 
 def _x_drawing_obj():
@@ -326,7 +331,7 @@ def _add_vertex(obj, name):
     lambda o: _set_position(o, [0.5, 0]),               # float
     lambda o: _set_position(o, ["1.5", "0"]),           # decimal string
     lambda o: _set_position(o, ["0", "0", "0"]),        # not a pair
-    lambda o: o["positions"].pop("d"),                  # vertex without point
+    lambda o: o["positions"].__delitem__("d"),          # vertex without point
     lambda o: o["positions"].__setitem__("z", [9, 9]),  # point for no vertex
     lambda o: o["curves"].__setitem__("a|c", [["1", "1"]]),  # non-edge curve
     lambda o: o["curves"].__setitem__("b|a", [["3", "1"]]),  # curve twice
@@ -340,24 +345,30 @@ def _add_vertex(obj, name):
     lambda o: o["graph"]["edges"].append(["a", "z"]),   # unknown endpoint
     lambda o: o["graph"]["edges"].append(["b", "a"]),   # repeated edge
     lambda o: _add_vertex(o, "a|b"),                    # edge-key separator
+    lambda o: [o],                                      # a list, not an object
+    lambda o: o.__setitem__("graph", "abcd"),           # graph a string
+    lambda o: o.__delitem__("positions"),               # no positions
 ], ids=["zero-denominator", "positions-list", "bool", "float", "decimal",
         "triple", "missing-vertex", "unknown-vertex", "non-edge-curve",
         "duplicate-curve", "malformed-bend", "vertices-string",
         "vertex-not-string", "duplicate-vertex", "edge-string", "edge-triple",
-        "loop", "unknown-endpoint", "repeated-edge", "vertex-with-pipe"])
+        "loop", "unknown-endpoint", "repeated-edge", "vertex-with-pipe",
+        "top-level-list", "graph-string", "positions-missing"])
 def test_malformed_drawing_refused_with_exit_2(tmp_path, capsys, mutate):
     f = tmp_path / "d.json"
     f.write_text(json.dumps(_x_drawing_obj()))
     assert run(["check", "--concept", "ic", "--in", str(f)]) == 0
     capsys.readouterr()
     obj = _x_drawing_obj()
-    mutate(obj)
+    obj = mutate(obj) or obj
     f.write_text(json.dumps(obj))
     assert run(["check", "--concept", "ic", "--in", str(f)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: malformed drawing")
+    # The reason is the loader's own, not a TypeError or bare KeyError text.
+    assert not re.search(r"indices must be|: '[^']*'$", lines[0])
 
 
 # ---------------------------------------------------------------------------

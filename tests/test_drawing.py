@@ -23,7 +23,7 @@ from beyondcr import (
     to_svg,
 )
 from conftest import pt
-from oracles import brute_crossing_points, ordered_along
+from oracles import brute_crossing_points, first_violation_kind, ordered_along
 
 
 def D(vertices, edges, pos, curves=None, meta=None):
@@ -259,6 +259,66 @@ def test_first_violation_in_edge_pair_order(drop, kind, detail):
     with pytest.raises(GeneralPositionViolation) as ei:
         compute_crossings(_many_violations(drop))
     assert (ei.value.kind, ei.value.detail) == (kind, detail)
+
+
+# Degenerate gadgets in local coordinates: (points, edges, bends).
+_GADGETS = {
+    "touch": ({"0": (0, 0), "1": (4, 0), "2": (2, 0), "3": (2, 3)},
+              ["01", "23"], {}),
+    "overlap": ({"0": (0, 0), "1": (4, 0), "2": (2, 0), "3": (6, 0)},
+                ["01", "23"], {}),
+    "crossing-at-vertex": ({"0": (0, 0), "1": (4, 4), "2": (0, 4),
+                            "3": (4, 0), "4": (2, 2)}, ["01", "23"], {}),
+    "concurrent-crossings": ({"0": (0, 0), "1": (4, 4), "2": (0, 4),
+                              "3": (4, 0), "4": (2, 0), "5": (2, 4)},
+                             ["01", "23", "45"], {}),
+    # 01 bends at (4, 0): 23 crosses its second segment at vertex 8, while
+    # 45 and 67 cross its first segment at one point.  Edge order raises
+    # crossing-at-vertex; segment order would raise concurrent-crossings.
+    "both": ({"0": (0, 0), "1": (8, 4), "2": (5, 3), "3": (7, 1),
+              "4": (2, -2), "5": (2, 2), "6": (1, -1), "7": (3, 1),
+              "8": (6, 2)}, ["01", "23", "45", "67"], {"01": [(4, 0)]}),
+}
+
+
+def _with_gadgets(rng, d, count):
+    """d plus ``count`` gadgets of random kinds, each mirrored, scaled and
+    moved far from d and from the others.  A random name prefix puts the
+    gadget's edges anywhere in the edge order, before, among or after the
+    edges of d (vertices u0, u1, ...)."""
+    vertices, edges = list(d.graph.vertices), list(d.graph.edges)
+    positions, curves = dict(d.positions), dict(d.curves)
+    for slot in range(count):
+        points, pairs, bends = _GADGETS[rng.choice(sorted(_GADGETS))]
+        prefix = f"{rng.choice('aguz')}{slot}_"
+        swap, fx, fy = rng.random() < 0.5, rng.choice((1, -1)), rng.choice((1, -1))
+        scale = Fraction(rng.randrange(1, 40), rng.randrange(1, 9))
+        ox = 1000 * (slot + 1) + Fraction(rng.randrange(700), 7)
+        oy = Fraction(rng.randrange(700), 3)
+
+        def place(x, y):
+            if swap:
+                x, y = y, x
+            return (ox + fx * scale * x, oy + fy * scale * y)
+        for v, p in points.items():
+            vertices.append(prefix + v)
+            positions[prefix + v] = place(*p)
+        for u, v in pairs:
+            edges.append(edge(prefix + u, prefix + v))
+            if u + v in bends:
+                curves[edges[-1]] = tuple(place(*p) for p in bends[u + v])
+    return D(vertices, edges, positions, curves=curves)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_first_violation_matches_oracle_with_gadgets(seed):
+    rng = random.Random(seed)
+    d = _with_gadgets(rng, random_drawing(rng, bend_prob=0.3),
+                      rng.randint(1, 3))
+    with pytest.raises(GeneralPositionViolation) as ei:
+        compute_crossings(d)
+    assert ei.value.kind == first_violation_kind(d)
 
 
 def test_inexact_coordinates_refused():
