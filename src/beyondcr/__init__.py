@@ -50,7 +50,6 @@ from .graph_core import (
 from .kuratowski import (
     BudgetExceeded,
     CoverageLedger,
-    SubdivisionIndex,
     counting_lower_bound,
     coverage_ledger,
     covered_fraction,

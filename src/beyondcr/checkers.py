@@ -90,15 +90,29 @@ def _check_shared_endpoints(drawing: Drawing, limit: int, concept: str,
     xs = _xs(drawing, xs)
     if require_simple and not is_simple_drawing(drawing, xs):
         return Verdict(False, concept, "drawing is not simple")
-    for x1, x2 in combinations(xs, 2):
-        shared = _crossing_vertices(x1) & _crossing_vertices(x2)
-        if len(shared) > limit:
-            return Verdict(False, concept,
-                           f"two crossings share {len(shared)} > {limit} "
-                           f"endpoints ({', '.join(sorted(shared))})",
-                           {"crossings": [_xjson(x1), _xjson(x2)],
-                            "shared": sorted(shared)})
-    return Verdict(True, concept)
+    # Two crossings share more than `limit` endpoints exactly when they hold
+    # a common (limit+1)-set of endpoints, so each such set is keyed to the
+    # first crossing holding it.  The least i met at j is j's least partner;
+    # the witness is the least (i, j), the first pair in combinations order.
+    lst = list(xs)
+    first: dict[tuple[str, ...], int] = {}
+    pair: tuple[int, int] | None = None
+    for j, x in enumerate(lst):
+        for key in combinations(sorted(_crossing_vertices(x)), limit + 1):
+            i = first.setdefault(key, j)
+            if i < j and (pair is None or i < pair[0]):
+                pair = (i, j)
+        if pair is not None and pair[0] == 0:
+            break
+    if pair is None:
+        return Verdict(True, concept)
+    x1, x2 = lst[pair[0]], lst[pair[1]]
+    shared = _crossing_vertices(x1) & _crossing_vertices(x2)
+    return Verdict(False, concept,
+                   f"two crossings share {len(shared)} > {limit} "
+                   f"endpoints ({', '.join(sorted(shared))})",
+                   {"crossings": [_xjson(x1), _xjson(x2)],
+                    "shared": sorted(shared)})
 
 
 def check_ic(drawing: Drawing, *, xs: CrossingSet | None = None) -> Verdict:

@@ -89,9 +89,6 @@ class Crossing:
     pos_b: tuple[int, Fraction]
     point: Point
 
-    def edges(self) -> tuple[Edge, Edge]:
-        return (self.a, self.b)
-
     def involves(self, e: Edge) -> bool:
         return self.a == e or self.b == e
 
@@ -427,7 +424,7 @@ def drawing_from_json_obj(obj: dict) -> Drawing:
     Raises ValueError unless ``positions`` maps exactly the graph's
     vertices to points, every curve belongs to an edge of the graph, and
     every coordinate is an int or a rational string (no bools, no floats,
-    no zero denominators).
+    no zero denominators), and ``meta``, if present, is an object.
     """
     if not (isinstance(obj, dict) and "graph" in obj and "positions" in obj):
         raise ValueError("drawing must be a JSON object with graph and "
@@ -456,7 +453,10 @@ def drawing_from_json_obj(obj: dict) -> Drawing:
         if not isinstance(bends, list):
             raise ValueError(f"bends of {e} must be a list of points")
         curves[e] = tuple(_point_from_json(p) for p in bends)
-    return Drawing(graph, positions, curves, meta=dict(obj.get("meta", {})))
+    meta = obj.get("meta", {})
+    if not isinstance(meta, dict):
+        raise ValueError("meta must be an object")
+    return Drawing(graph, positions, curves, meta=dict(meta))
 
 
 def drawing_from_json(text: str) -> Drawing:

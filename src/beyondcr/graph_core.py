@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -160,9 +161,6 @@ def build_frame(coloring: str = "standard") -> Frame:
 class ConGraphSpec:
     """Base class; concrete subclasses define the two-pole graph shape."""
 
-    def describe(self) -> str:
-        raise NotImplementedError
-
     @property
     def width(self) -> int:
         """Size of the pole-path family, without instantiating the graph."""
@@ -186,9 +184,6 @@ class Bundle(ConGraphSpec):
     i: int
     j: int
 
-    def describe(self) -> str:
-        return f"bundle({self.i},{self.j})"
-
     @property
     def width(self) -> int:
         return self.i
@@ -208,9 +203,6 @@ class BundlePlus(ConGraphSpec):
 
     i: int
     j: int
-
-    def describe(self) -> str:
-        return f"bundle+({self.i},{self.j})"
 
     @property
     def width(self) -> int:
@@ -239,9 +231,6 @@ def Triangle() -> BundlePlus:
 class K7(ConGraphSpec):
     """Complete graph on the two poles and five internal vertices."""
 
-    def describe(self) -> str:
-        return "K7"
-
     @property
     def width(self) -> int:
         # the direct pole edge plus the five length-2 pole paths
@@ -263,9 +252,6 @@ class ApexBlue(ConGraphSpec):
 
     ell: int
     k: int
-
-    def describe(self) -> str:
-        return f"apex-blue({self.ell},{self.k})"
 
     @property
     def width(self) -> int:
@@ -289,9 +275,6 @@ class SkewBlue(ConGraphSpec):
 
     ell: int
     k: int
-
-    def describe(self) -> str:
-        return f"skew-blue({self.ell},{self.k})"
 
     @property
     def width(self) -> int:
@@ -331,16 +314,6 @@ class ConGraph:
     def width(self) -> int:
         return len(self.paths)
 
-    def paths_through(self, e: Edge) -> tuple[int, ...]:
-        """Indices of family paths containing edge e (P_c[e])."""
-        out = []
-        for idx, p in enumerate(self.paths):
-            for a, b in zip(p, p[1:]):
-                if edge(a, b) == e:
-                    out.append(idx)
-                    break
-        return tuple(out)
-
 
 def instantiate_congraph(spec: ConGraphSpec, cid: str, s: str, t: str) -> ConGraph:
     """Create the concrete con-graph for one frame connection."""
@@ -356,7 +329,7 @@ def instantiate_congraph(spec: ConGraphSpec, cid: str, s: str, t: str) -> ConGra
         if i < 1 or j < 1:
             raise ValueError(f"bundle parameters must be positive: {spec}")
         if j == 1 and i > 1:
-            raise ValueError(f"{spec.describe()} would need parallel pole edges")
+            raise ValueError(f"{spec} would need parallel pole edges")
         for p in range(i):
             prev = s
             pv: list[str] = [s]
@@ -723,18 +696,18 @@ class FrameworkGraph:
     def k(self) -> int:
         return structural_k(self.concept)
 
-    def congraph_of_edge(self, e: Edge) -> str:
-        return self._edge_map()[e]
-
-    def _edge_map(self) -> dict[Edge, str]:
-        cache = getattr(self, "__edge_map", None)
-        if cache is None:
-            cache = {}
-            for cid, cg in self.congraphs.items():
-                for e in cg.edges:
-                    cache[e] = cid
-            object.__setattr__(self, "__edge_map", cache)
-        return cache
+    @cached_property
+    def edge_paths(self) -> dict[Edge, tuple[str, frozenset[int]]]:
+        """Every edge's connection and the indices of the pole paths of that
+        connection running through it (P_c[e], empty off the path family)."""
+        out: dict[Edge, tuple[str, frozenset[int]]] = {}
+        for cid, cg in self.congraphs.items():
+            through: dict[Edge, set[int]] = {e: set() for e in cg.edges}
+            for idx, p in enumerate(cg.paths):
+                for a, b in zip(p, p[1:]):
+                    through[edge(a, b)].add(idx)
+            out.update((e, (cid, frozenset(ps))) for e, ps in through.items())
+        return out
 
     def widths(self) -> dict[str, int]:
         return {cid: cg.width for cid, cg in self.congraphs.items()}

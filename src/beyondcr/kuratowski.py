@@ -9,6 +9,9 @@ crossing therefore *covers* the axis-aligned rectangle of subdivisions that
 route through both of its crossed edges, and full coverage of the family is
 a necessary condition checked here exactly.  Turning coverage fractions
 into crossing counts gives the per-concept counting lower bounds.
+
+A subdivision is named by its path choices, a ``{connection: path index}``
+dict; ``verify_full_coverage`` returns the first uncovered one in that form.
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import prod
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 from .drawing import CrossingSet, Drawing, Verdict, compute_crossings
 from .graph_core import (
@@ -26,9 +28,7 @@ from .graph_core import (
     Bundle,
     ConGraph,
     ConceptId,
-    Edge,
     FrameworkGraph,
-    Graph,
     as_concept,
     connection_poles,
     connection_widths,
@@ -43,7 +43,13 @@ DEFAULT_BUDGET = 10_000_000
 def enumeration_budget() -> int:
     """Active tuple-enumeration budget (BEYONDCR_BUDGET overrides)."""
     raw = os.environ.get("BEYONDCR_BUDGET", "").strip()
-    return int(raw) if raw else DEFAULT_BUDGET
+    if not raw:
+        return DEFAULT_BUDGET
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError("BEYONDCR_BUDGET must be an integer number of "
+                         f"tuples, not {raw!r}") from None
 
 
 class BudgetExceeded(Exception):
@@ -69,50 +75,6 @@ def kuratowski_count(fg: FrameworkGraph) -> int:
     return prod(cg.width for cg in fg.congraphs.values())
 
 
-@dataclass(frozen=True)
-class SubdivisionIndex:
-    """One subdivision: a path index per connection, in ALL_CONNECTIONS order."""
-
-    choices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.choices) != len(ALL_CONNECTIONS):
-            raise ValueError("need one path choice per connection")
-
-    def __getitem__(self, cid: str) -> int:
-        return self.choices[ALL_CONNECTIONS.index(cid)]
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(zip(ALL_CONNECTIONS, self.choices))
-
-    @staticmethod
-    def from_dict(choices: Mapping[str, int]) -> "SubdivisionIndex":
-        return SubdivisionIndex(tuple(choices[c] for c in ALL_CONNECTIONS))
-
-
-def subdivision_paths(fg: FrameworkGraph,
-                      sub: SubdivisionIndex) -> dict[str, tuple[str, ...]]:
-    """The chosen pole path of every connection."""
-    out = {}
-    for cid in ALL_CONNECTIONS:
-        cg = fg.congraphs[cid]
-        idx = sub[cid]
-        if not 0 <= idx < cg.width:
-            raise ValueError(f"path index {idx} out of range for {cid}")
-        out[cid] = cg.paths[idx]
-    return out
-
-
-def subdivision_subgraph(fg: FrameworkGraph, sub: SubdivisionIndex) -> Graph:
-    """The subdivision as a concrete subgraph of fg.graph."""
-    vertices: set[str] = set()
-    edges: set[Edge] = set()
-    for path in subdivision_paths(fg, sub).values():
-        vertices.update(path)
-        edges.update(edge(a, b) for a, b in zip(path, path[1:]))
-    return make_graph(vertices, edges)
-
-
 # ---------------------------------------------------------------------------
 # Coverage ledgers
 # ---------------------------------------------------------------------------
@@ -133,8 +95,9 @@ class CoverageEntry:
     paths2: frozenset[int]
     fraction: Fraction
 
-    def covers(self, sub) -> bool:
-        return sub[self.c1] in self.paths1 and sub[self.c2] in self.paths2
+    def __post_init__(self):
+        if self.c1 == self.c2:
+            raise ValueError(f"entry {self.index} pairs {self.c1} with itself")
 
     def to_json_obj(self) -> dict:
         return {
@@ -186,12 +149,13 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
     if crossings is None:
         crossings = compute_crossings(drawing)
     widths = fg.widths()
+    edge_paths = fg.edge_paths
     entries: list[CoverageEntry] = []
     skipped = 0
     for i, x in enumerate(crossings):
         try:
-            c1 = fg.congraph_of_edge(x.a)
-            c2 = fg.congraph_of_edge(x.b)
+            c1, t1 = edge_paths[x.a]
+            c2, t2 = edge_paths[x.b]
         except KeyError as exc:
             raise ValueError(f"crossed edge {exc.args[0]} belongs to no "
                              "con-graph of the framework graph") from None
@@ -201,13 +165,10 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
         if set(connection_poles(c1)) & set(connection_poles(c2)):
             skipped += 1
             continue
-        cg1, cg2 = fg.congraphs[c1], fg.congraphs[c2]
-        t1 = frozenset(cg1.paths_through(x.a))
-        t2 = frozenset(cg2.paths_through(x.b))
         if not t1 or not t2:
             skipped += 1
             continue
-        frac = Fraction(len(t1) * len(t2), cg1.width * cg2.width)
+        frac = Fraction(len(t1) * len(t2), widths[c1] * widths[c2])
         if c2 < c1:
             c1, c2, t1, t2 = c2, c1, t2, t1
         entries.append(CoverageEntry(i, c1, c2, t1, t2, frac))
@@ -222,18 +183,45 @@ def _check_same_widths(ledger: CoverageLedger, fg: FrameworkGraph) -> None:
 def _uncovered(ledger: CoverageLedger, budget: int | None
                ) -> tuple[int, Iterator[dict[str, int]]]:
     """Path tuples over the constrained connections: their number, and a lazy
-    walk over those no entry covers.  Over budget raises BudgetExceeded; no
-    entries leave the one empty tuple, which no budget refuses."""
+    walk, in product order, over those no entry covers.  Over budget raises
+    BudgetExceeded; no entries leave the one empty tuple, which no budget
+    refuses.
+
+    Every entry forbids a rectangle of path pairs on two connections, so
+    the walk assigns the constrained connections depth first, in order,
+    and skips each path that an earlier choice already pairs with a
+    covering entry: a covered prefix never reaches its extensions.
+    """
     if budget is None:
         budget = enumeration_budget()
     cids = ledger.constrained()
     required = prod(ledger.widths[c] for c in cids)
     if cids and required > budget:
         raise BudgetExceeded(required, budget)
-    subs = (dict(zip(cids, combo))
-            for combo in product(*(range(ledger.widths[c]) for c in cids)))
-    return required, (sub for sub in subs
-                      if not any(e.covers(sub) for e in ledger.entries))
+    # covered[c, d][p]: the paths of d that an entry covers with path p of c
+    covered: dict[tuple[str, str], dict[int, set[int]]] = {}
+    for e in ledger.entries:
+        (c, ps), (d, qs) = (e.c1, e.paths1), (e.c2, e.paths2)
+        if d < c:
+            (c, ps), (d, qs) = (d, qs), (c, ps)
+        rows = covered.setdefault((c, d), {})
+        for p in ps:
+            rows.setdefault(p, set()).update(qs)
+
+    def walk(depth: int, sub: dict[str, int]) -> Iterator[dict[str, int]]:
+        if depth == len(cids):
+            yield dict(sub)
+            return
+        d = cids[depth]
+        blocked: set[int] = set()
+        for c in cids[:depth]:
+            blocked.update(covered.get((c, d), {}).get(sub[c], ()))
+        for q in range(ledger.widths[d]):
+            if q not in blocked:
+                sub[d] = q
+                yield from walk(depth + 1, sub)
+
+    return required, walk(0, {})
 
 
 def verify_full_coverage(ledger: CoverageLedger,

@@ -205,11 +205,16 @@ def kvp_ok(xs, k):
     return all(c <= k for c in counts.values())
 
 
-def shared_endpoints_ok(xs, limit):
-    for x1, x2 in combinations(xs, 2):
+def first_shared_pair(xs, limit):
+    """Least (i, j), i < j, whose crossings share more than limit endpoints."""
+    for (i, x1), (j, x2) in combinations(enumerate(xs), 2):
         if len(_vertices_of(x1) & _vertices_of(x2)) > limit:
-            return False
-    return True
+            return (i, j)
+    return None
+
+
+def shared_endpoints_ok(xs, limit):
+    return first_shared_pair(xs, limit) is None
 
 
 def simple_ok(xs):
@@ -285,8 +290,24 @@ def skew_ok_brute(xs, k):
 
 
 # ---------------------------------------------------------------------------
-# Coverage: walk the full Kuratowski product space.
+# Coverage.  A subdivision is a {connection: path index} dict.
 # ---------------------------------------------------------------------------
+
+def entry_covers(entry, sub):
+    return sub[entry.c1] in entry.paths1 and sub[entry.c2] in entry.paths2
+
+
+def product_walk_uncovered(ledger):
+    """Every tuple over the ledger's constrained connections that no entry
+    covers, in product order: the walk tests each tuple against each entry."""
+    cids = ledger.constrained()
+    out = []
+    for combo in product(*(range(ledger.widths[c]) for c in cids)):
+        sub = dict(zip(cids, combo))
+        if not any(entry_covers(e, sub) for e in ledger.entries):
+            out.append(sub)
+    return out
+
 
 def full_coverage_brute(ledger, fg):
     """Check every subdivision in the full product space is covered.
@@ -295,15 +316,43 @@ def full_coverage_brute(ledger, fg):
     ledger entries directly; returns the number of uncovered tuples.
     """
     from beyondcr.graph_core import ALL_CONNECTIONS
-    from beyondcr.kuratowski import SubdivisionIndex
 
     widths = [fg.congraphs[c].width for c in ALL_CONNECTIONS]
     uncovered = 0
     for tup in product(*(range(w) for w in widths)):
-        sub = SubdivisionIndex(tup)
-        if not any(entry.covers(sub) for entry in ledger.entries):
+        sub = dict(zip(ALL_CONNECTIONS, tup))
+        if not any(entry_covers(entry, sub) for entry in ledger.entries):
             uncovered += 1
     return uncovered
+
+
+def subdivision_edges(fg, sub):
+    """The subdivision's edges, each mapped to the connection it routes."""
+    out = {}
+    for cid, idx in sub.items():
+        path = fg.congraphs[cid].paths[idx]
+        for a, b in zip(path, path[1:]):
+            out[(a, b) if a < b else (b, a)] = cid
+    return out
+
+
+def geometric_uncovered(fg, crossings):
+    """Every subdivision of the whole family, in product order, in which no
+    crossing joins edges on the chosen paths of two connections whose poles
+    are disjoint.  Reads only the drawing's crossings and the paths."""
+    from beyondcr.graph_core import ALL_CONNECTIONS, connection_poles
+
+    widths = [fg.congraphs[c].width for c in ALL_CONNECTIONS]
+    out = []
+    for tup in product(*(range(w) for w in widths)):
+        sub = dict(zip(ALL_CONNECTIONS, tup))
+        route = subdivision_edges(fg, sub)
+        if not any(x.a in route and x.b in route
+                   and not set(connection_poles(route[x.a]))
+                   & set(connection_poles(route[x.b]))
+                   for x in crossings):
+            out.append(sub)
+    return out
 
 
 def is_frame_subdivision(fg, sub):
@@ -315,11 +364,12 @@ def is_frame_subdivision(fg, sub):
     without touching any other path internally.
     """
     from beyondcr.graph_core import connection_poles
-    from beyondcr.kuratowski import subdivision_paths, subdivision_subgraph
 
-    paths = subdivision_paths(fg, sub)
+    if set(sub) != set(fg.congraphs):
+        return False
     seen_internal = set()
-    for cid, path in paths.items():
+    for cid, idx in sub.items():
+        path = fg.congraphs[cid].paths[idx]
         s, t = connection_poles(cid)
         if path[0] != s or path[-1] != t:
             return False
@@ -327,10 +377,9 @@ def is_frame_subdivision(fg, sub):
         if inner & seen_internal or len(inner) != len(path) - 2:
             return False
         seen_internal |= inner
-    g = subdivision_subgraph(fg, sub)
-    degree = {v: 0 for v in g.vertices}
-    for u, v in g.edges:
-        degree[u] += 1
-        degree[v] += 1
+    degree = {}
+    for u, v in subdivision_edges(fg, sub):
+        degree[u] = degree.get(u, 0) + 1
+        degree[v] = degree.get(v, 0) + 1
     frame_nodes = {"v1", "v2", "v3", "w1", "w2", "w3"}
     return all(d == (3 if v in frame_nodes else 2) for v, d in degree.items())

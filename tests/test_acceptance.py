@@ -27,7 +27,7 @@ from beyondcr import (
 from beyondcr.cli import run
 from beyondcr.corpus import random_corpus
 from beyondcr.drawing import is_straight_line
-from beyondcr.graph_core import CONCEPTS
+from beyondcr.graph_core import CONCEPTS, as_concept, structural_k
 from beyondcr.kuratowski import DEFAULT_BUDGET
 from beyondcr.standard_layouts import appendix_fcf_fixture, fixture_walls
 from conftest import ACCEPTANCE_REPORT, FAN_KINDS, GRID, SLOPE_TARGET
@@ -148,8 +148,10 @@ def test_criterion_5_counting_bound():
         assert bound > 0, (kind, ell, k)
         assert Fraction(witness) / bound <= 50, (kind, ell, k)
 
-    # the four concepts whose threshold families are too large to enumerate
-    # really are over budget (their formulas carry the criterion instead)
+    # the four concepts whose full threshold families are too large to
+    # enumerate really are over budget; coverage enumerates only the
+    # connections the crossings constrain, so exact geometry still checks
+    # them (test_threshold_points_verified_by_exact_geometry)
     for kind, ell, k in [("k-planar", 41, 1), ("k-vertex-planar", 11, 1),
                          ("nnic", 109, None),
                          ("k-fan-crossing-free", 109, 2)]:
@@ -166,6 +168,36 @@ def test_criterion_5_counting_bound():
         bound2, _ = counting_lower_bound(kind, 2)
         assert Fraction(crossing_count_formula(kind, 2, None, "witness")) \
             / bound2 <= 50
+
+
+def test_threshold_points_verified_by_exact_geometry():
+    # Every threshold point, both drawings, through the whole pipeline:
+    # crossings, checker, coverage, and the counting bound's premise that
+    # each witness crossing covers exactly 1/rect of the family.
+    counted = []            # (graph, positions, curves), crossings
+    for (kind, ell, k), variant in itertools.product(THRESHOLD_POINTS,
+                                                     ("witness", "upper")):
+        fg = construction_for(kind, ell, k)
+        d = draw_framework(fg, variant)
+        geometry = (d.graph, d.positions, d.curves)
+        xs = next((xs for g, xs in counted if g == geometry), None)
+        if xs is None:
+            xs = compute_crossings(d)
+            counted.append((geometry, xs))
+        assert len(xs) == crossing_count_formula(kind, ell, k, variant)
+        ok = check_concept(d, kind, k, xs=xs).ok
+        assert ok == (variant == "witness"), (kind, ell, k, variant)
+        ledger = coverage_ledger(d, fg, xs)
+        assert verify_full_coverage(ledger, fg).ok, (kind, ell, k, variant)
+        if variant == "witness":
+            cid = as_concept(kind, k)
+            share, _ = cid.info.share(ell, structural_k(cid))
+            rect, _ = cid.info.rect(ell, structural_k(cid))
+            assert {e.fraction for e in ledger.entries} == {Fraction(1, rect)}
+            assert ledger.fraction_sum == 1 >= share
+    # NNIC and k-fan-crossing-free (k=2) at ell=109 draw the same geometry,
+    # so their 47 524 witness crossings are counted once per variant
+    assert len(counted) == 2 * len(THRESHOLD_POINTS) - 2
 
 
 @criterion(6, "log-log ratio slopes match each growth class within 0.2")

@@ -2,10 +2,13 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
-from beyondcr import check_concept, compute_crossings, random_drawing, standard_drawing
+from beyondcr import (Crossing, CrossingSet, appendix_fcf_fixture,
+                      check_concept, compute_crossings, edge, random_corpus,
+                      random_drawing, standard_drawing)
 from beyondcr.checkers import (
     check_adjacency_crossing,
     check_fan_crossing,
@@ -136,6 +139,58 @@ def test_checkers_agree_with_oracles_on_random_drawings():
         assert check_nic(d, xs=xs).ok == o.shared_endpoints_ok(xs, 1)
         assert check_nnic(d, xs=xs).ok == (
             o.simple_ok(xs) and o.shared_endpoints_ok(xs, 2))
+
+
+def _ic_family_drawings():
+    yield from random_corpus(2718, 120, bend_prob=0.35, max_crossings=12)
+    for kind, ell, k in GRID:
+        yield standard_drawing(kind, ell, k, variant="upper")
+    yield appendix_fcf_fixture()[1]
+
+
+def _ic_family_orders(rng):
+    """Each drawing with its crossings in engine order, then shuffled; then
+    made-up crossing lists on sparser vertex sets, where the first pair that
+    shares endpoints often starts after the first crossing."""
+    for d in _ic_family_drawings():
+        lst = list(compute_crossings(d))
+        yield d, lst
+        yield d, rng.sample(lst, len(lst))
+    for _ in range(200):
+        names = [f"u{i}" for i in range(rng.randrange(4, 32))]
+        lst = []
+        for i in range(rng.randrange(2, 9)):
+            a, b, c, e = rng.sample(names, 4)
+            lst.append(Crossing(*sorted([edge(a, b), edge(c, e)]),
+                                (0, Fraction(1, 2)), (0, Fraction(1, 2)),
+                                (Fraction(i), Fraction(0))))
+        yield d, lst
+
+
+def test_ic_family_witness_is_the_first_pair_in_combinations_order():
+    rng = random.Random(31)
+    pinned = set()
+    for d, lst in _ic_family_orders(rng):
+        xs = CrossingSet(tuple(lst))
+        for check, limit in ((check_ic, 0), (check_nic, 1), (check_nnic, 2)):
+            v = check(d, xs=xs)
+            if check is check_nnic and not o.simple_ok(xs):
+                assert (v.ok, v.reason) == (False, "drawing is not simple")
+                continue
+            pair = o.first_shared_pair(lst, limit)
+            assert v.ok == (pair is None)
+            if pair is None:
+                continue
+            if pair[0] > 0:
+                pinned.add(limit)
+            assert v.witness["crossings"] == [
+                {"edges": [edge_key(lst[i].a), edge_key(lst[i].b)],
+                 "point": [str(c) for c in lst[i].point]} for i in pair]
+            shared = sorted(o._vertices_of(lst[pair[0]])
+                            & o._vertices_of(lst[pair[1]]))
+            assert v.witness["shared"] == shared
+    # every limit also meets pairs whose first crossing is not the first
+    assert pinned == {0, 1, 2}
 
 
 def test_gap_planar_success_carries_an_assignment():

@@ -162,10 +162,14 @@ def test_coverage_of_drawing_file(tmp_path, capsys):
     assert "fully covered: true" in out_of(capsys)
 
 
-def test_coverage_budget_exhaustion(capsys):
+def test_coverage_budget_exhaustion(capsys, monkeypatch):
     rc = run(["coverage", "--concept", "ic", "--ell", "2", "--budget", "2"])
     assert rc == 2
     assert "budget" in capsys.readouterr().err.lower()
+    monkeypatch.setenv("BEYONDCR_BUDGET", "abc")
+    assert run(["coverage", "--concept", "ic", "--ell", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: BEYONDCR_BUDGET ") and "'abc'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -348,12 +352,15 @@ def _add_vertex(obj, name):
     lambda o: [o],                                      # a list, not an object
     lambda o: o.__setitem__("graph", "abcd"),           # graph a string
     lambda o: o.__delitem__("positions"),               # no positions
+    lambda o: o.__setitem__("meta", "ab"),              # meta a string
+    lambda o: o.__setitem__("meta", [["a", 1]]),        # meta a pair list
 ], ids=["zero-denominator", "positions-list", "bool", "float", "decimal",
         "triple", "missing-vertex", "unknown-vertex", "non-edge-curve",
         "duplicate-curve", "malformed-bend", "vertices-string",
         "vertex-not-string", "duplicate-vertex", "edge-string", "edge-triple",
         "loop", "unknown-endpoint", "repeated-edge", "vertex-with-pipe",
-        "top-level-list", "graph-string", "positions-missing"])
+        "top-level-list", "graph-string", "positions-missing", "meta-string",
+        "meta-pairs"])
 def test_malformed_drawing_refused_with_exit_2(tmp_path, capsys, mutate):
     f = tmp_path / "d.json"
     f.write_text(json.dumps(_x_drawing_obj()))
@@ -368,7 +375,8 @@ def test_malformed_drawing_refused_with_exit_2(tmp_path, capsys, mutate):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: malformed drawing")
     # The reason is the loader's own, not a TypeError or bare KeyError text.
-    assert not re.search(r"indices must be|: '[^']*'$", lines[0])
+    assert not re.search(r"indices must be|sequence element|: '[^']*'$",
+                         lines[0])
 
 
 # ---------------------------------------------------------------------------

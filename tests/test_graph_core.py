@@ -237,22 +237,27 @@ def test_framework_graph_structure():
     assert not fg.below_threshold
     assert set(fg.congraphs) == set(ALL_CONNECTIONS)
     # every edge belongs to exactly one con-graph
-    for e in fg.graph.edges:
-        cid = fg.congraph_of_edge(e)
+    assert set(fg.edge_paths) == set(fg.graph.edges)
+    for e, (cid, _) in fg.edge_paths.items():
         assert e in fg.congraphs[cid].edges
-    with pytest.raises(KeyError):
-        fg.congraph_of_edge(edge("v1", "v2"))
+    assert edge("v1", "v2") not in fg.edge_paths
 
 
 def test_paths_through():
     fg = construction_for("k-planar", 2, 1)
     cg = fg.congraphs["v1-w1"]
     for i, path in enumerate(cg.paths):
-        e = edge(path[0], path[1])
-        assert i in cg.paths_through(e)
+        for a, b in zip(path, path[1:]):
+            assert fg.edge_paths[edge(a, b)] == ("v1-w1", frozenset({i}))
     # the direct pole edge of a bundle+ belongs to no pole path
-    cg_ic = construction_for("ic", 2).congraphs["v1-w2"]
-    assert cg_ic.paths_through(edge("v1", "w2")) == ()
+    fg_ic = construction_for("ic", 2)
+    assert fg_ic.edge_paths[edge("v1", "w2")] == ("v1-w2", frozenset())
+    # a K7 edge from a pole lies on exactly one of its six pole paths
+    fg_k7 = construction_for("fan-crossing", 2)
+    k7 = next(c for c in fg_k7.congraphs.values() if len(c.edges) == 21)
+    assert all(len(fg_k7.edge_paths[e][1]) == (1 if k7.s in e or k7.t in e
+                                                else 0)
+               for e in k7.edges)
 
 
 def test_below_threshold_flag():

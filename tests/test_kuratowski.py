@@ -1,13 +1,16 @@
 """Kuratowski families: coverage accounting, restriction, counting bounds."""
 
+import random
 from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from beyondcr import (
     BudgetExceeded,
-    SubdivisionIndex,
+    Crossing,
+    CrossingSet,
     compute_crossings,
     construction_for,
     counting_lower_bound,
@@ -19,15 +22,22 @@ from beyondcr import (
     restrict,
     verify_full_coverage,
 )
+from beyondcr.graph_core import ALL_CONNECTIONS
 from beyondcr.kuratowski import (
     DEFAULT_BUDGET,
+    CoverageEntry,
     CoverageLedger,
+    _uncovered,
     enumeration_budget,
-    subdivision_paths,
-    subdivision_subgraph,
 )
 from conftest import GRID
-from oracles import full_coverage_brute, is_frame_subdivision
+from oracles import (
+    entry_covers,
+    full_coverage_brute,
+    geometric_uncovered,
+    is_frame_subdivision,
+    product_walk_uncovered,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -40,37 +50,13 @@ def test_family_size_is_width_product(kind, ell, k):
     assert kuratowski_count(fg) == prod(fg.widths().values())
 
 
-def test_subdivision_index_round_trip():
-    fg = construction_for("k-planar", 2, 1)
-    sub = SubdivisionIndex((1, 0, 1, 0, 1, 0, 1, 0, 1))
-    assert sub["v1-w1"] == sub.as_dict()["v1-w1"]
-    assert SubdivisionIndex.from_dict(sub.as_dict()) == sub
-    with pytest.raises(ValueError):
-        SubdivisionIndex((0, 0))
-
-
 def test_subdivision_is_a_k33_subdivision():
     fg = construction_for("ic", 2)
     for tup in [(0, 0, 0, 0, 0, 0, 0, 0, 0), (1, 0, 0, 0, 1, 0, 0, 0, 0)]:
-        sub = SubdivisionIndex(tup)
-        paths = subdivision_paths(fg, sub)
-        assert set(paths) == set(fg.congraphs)
-        g = subdivision_subgraph(fg, sub)
-        assert is_frame_subdivision(fg, sub)
-        # frame nodes have degree 3 in the subdivision
-        deg = {}
-        for a, b in g.edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        for node in ("v1", "v2", "v3", "w1", "w2", "w3"):
-            assert deg[node] == 3
-
-
-def test_out_of_range_choice_rejected():
-    fg = construction_for("ic", 2)
-    sub = SubdivisionIndex((9, 0, 0, 0, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        subdivision_paths(fg, sub)
+        assert is_frame_subdivision(fg, dict(zip(ALL_CONNECTIONS, tup)))
+    # eight paths leave two frame nodes at degree 2
+    assert not is_frame_subdivision(
+        fg, dict(zip(ALL_CONNECTIONS[1:], (0,) * 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +94,90 @@ def test_partial_ledger_detected():
     clipped = CoverageLedger(full.widths, full.entries[:1], full.skipped)
     v = verify_full_coverage(clipped, fg)
     assert not v.ok
-    missing = SubdivisionIndex.from_dict(v.witness["subdivision"])
-    assert not any(e.covers(missing) for e in clipped.entries)
+    missing = v.witness["subdivision"]
+    assert not any(entry_covers(e, missing) for e in clipped.entries)
     assert full_coverage_brute(clipped, fg) > 0
     assert covered_fraction(clipped) < 1
+
+
+# Families of at most a few thousand subdivisions, small enough to check
+# one by one against the drawing's crossings.
+_SMALL_FAMILIES = [("ic", 2, None), ("ic", 3, None), ("k-planar", 2, 1),
+                   ("k-vertex-planar", 2, 1), ("k-edge-crossing", 1, 2),
+                   ("k-edge-crossing", 2, 2), ("k-apex", 3, 1),
+                   ("skewness", 2, 1)]
+
+
+@pytest.mark.parametrize("kind,ell,k", _SMALL_FAMILIES)
+@pytest.mark.parametrize("variant", ["witness", "upper"])
+def test_ledger_agrees_with_crossings_subdivision_by_subdivision(
+        kind, ell, k, variant):
+    fg = construction_for(kind, ell, k)
+    d = draw_framework(fg, variant)
+    xs = list(compute_crossings(d))
+    rng = random.Random(f"{kind}-{ell}-{k}-{variant}")
+    subsets = [xs] + [
+        [xs[i] for i in sorted(rng.sample(range(len(xs)),
+                                          rng.randrange(len(xs) + 1)))]
+        for _ in range(6)]
+    # the standard drawings never cross edges of one connection or of two
+    # adjacent ones, so made-up crossings between any two edges add them
+    half = (0, Fraction(1, 2))
+    subsets += [[Crossing(*sorted(rng.sample(fg.graph.edges, 2)), half, half,
+                          (Fraction(i), Fraction(0)))
+                 for i in range(rng.randrange(1, 12))] for _ in range(6)]
+    for subset in subsets:
+        ledger = coverage_ledger(d, fg, crossings=CrossingSet(tuple(subset)))
+        cids = ledger.constrained()
+        walked = [tuple(sub[c] for c in cids)
+                  for sub in _uncovered(ledger, None)[1]]
+        geo = geometric_uncovered(fg, subset)
+        # the family's uncovered subdivisions are exactly the extensions of
+        # the walked tuples, which come once each and in product order
+        assert walked == sorted({tuple(sub[c] for c in cids) for sub in geo})
+        others = prod(w for c, w in ledger.widths.items() if c not in cids)
+        assert len(geo) == len(walked) * others
+        v = verify_full_coverage(ledger, fg)
+        assert v.ok == (not geo)
+        if geo:
+            assert v.witness["subdivision"] == geo[0]
+        assert covered_fraction(ledger) == 1 - Fraction(
+            len(geo), kuratowski_count(fg))
+
+
+@st.composite
+def _clipped_ledgers(draw):
+    """Ledgers over two to four connections, entries in either orientation."""
+    cids = draw(st.lists(st.sampled_from(ALL_CONNECTIONS), min_size=2,
+                         max_size=4, unique=True))
+    widths = {c: draw(st.integers(1, 4)) for c in cids}
+    entries = []
+    for i in range(draw(st.integers(0, 8))):
+        c1, c2 = draw(st.permutations(cids))[:2]
+        ps, qs = (frozenset(draw(st.lists(st.integers(0, widths[c] - 1),
+                                          min_size=1, unique=True)))
+                  for c in (c1, c2))
+        entries.append(CoverageEntry(
+            i, c1, c2, ps, qs,
+            Fraction(len(ps) * len(qs), widths[c1] * widths[c2])))
+    return CoverageLedger(widths, tuple(entries))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_clipped_ledgers())
+def test_pruned_walk_matches_product_walk(ledger):
+    expected = product_walk_uncovered(ledger)
+    assert list(_uncovered(ledger, None)[1]) == expected
+    required = prod(ledger.widths[c] for c in ledger.constrained())
+    assert covered_fraction(ledger) == 1 - Fraction(len(expected), required)
+
+
+def test_entry_needs_two_connections():
+    # a rectangle spans two connections; coverage_ledger skips crossings
+    # inside one connection, and a hand-made entry may not pair one either
+    with pytest.raises(ValueError):
+        CoverageEntry(0, "v1-w1", "v1-w1", frozenset({0}), frozenset({0}),
+                      Fraction(1, 4))
 
 
 def test_empty_ledger_fails_fast():

@@ -119,12 +119,12 @@ def test_designated_pair_actually_crosses():
     fg = construction_for("k-planar", 2, 1)
     d = draw_framework(fg, "witness")
     xs = compute_crossings(d)
-    cids = {tuple(sorted((fg.congraph_of_edge(x.a), fg.congraph_of_edge(x.b))))
+    cids = {tuple(sorted((fg.edge_paths[x.a][0], fg.edge_paths[x.b][0])))
             for x in xs}
     assert cids == {("v1-w1", "v2-w2")}
     # the upper drawing crosses the other designated pair
     du = draw_framework(fg, "upper")
     xs_u = compute_crossings(du)
-    cids_u = {tuple(sorted((fg.congraph_of_edge(x.a), fg.congraph_of_edge(x.b))))
+    cids_u = {tuple(sorted((fg.edge_paths[x.a][0], fg.edge_paths[x.b][0])))
               for x in xs_u}
     assert cids_u == {("v1-w2", "v2-w1")}
