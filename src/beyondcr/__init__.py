@@ -9,7 +9,6 @@ lower bounds.
 from .bounds_report import (
     RatioReport,
     UpperBound,
-    crossing_lemma_bound,
     format_table1,
     growth_exponent,
     ratio_report,

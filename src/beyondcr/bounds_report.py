@@ -26,19 +26,6 @@ from .kuratowski import counting_lower_bound
 from .standard_layouts import crossing_count_formula
 
 
-def crossing_lemma_bound(n: int, m: int) -> tuple[Fraction, bool]:
-    """(m^3 / (64 n^2), sparse) — the bound is 0 in the sparse regime.
-
-    The classical constant 1/64 is used.  ``sparse`` is True when m <= 4n,
-    where the lemma gives nothing.
-    """
-    if n <= 0 or m < 0:
-        raise ValueError("need n > 0 and m >= 0")
-    if m <= 4 * n:
-        return Fraction(0), True
-    return Fraction(m ** 3, 64 * n ** 2), False
-
-
 @dataclass(frozen=True)
 class UpperBound:
     """Closed-form cap on the crossing ratio at one (n, k)."""

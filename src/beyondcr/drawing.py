@@ -3,13 +3,17 @@
 Coordinates are rational (``fractions.Fraction`` or ``int``), so every
 intersection test is exact.  ``compute_crossings`` multiplies all vertex
 and bend coordinates by the LCM of their denominators, so the orientation
-tests run on plain integers.  A sweep over the segments sorted by the left
-end of their bounding boxes yields the pairs whose boxes meet, and each
-pair is classified as it is yielded; one lying on a side of the other's
-line is rejected after two orientations.  Only the crossings are kept and
-sorted, plus the first touch or overlap, so memory is O(segments +
-crossings).  Points and segment parameters go back to ``Fraction`` in
-drawing coordinates for output.
+tests run on plain integers, and gives every point an integer id; a
+segment is its pair of endpoint ids.  Two segments with a common endpoint
+(a star) meet only there unless they leave it along one ray, so each
+point's segments are grouped by reduced integer direction, and a shared
+ray is an overlap.  A sweep over the segments sorted by the left end of
+their bounding boxes yields the other pairs whose boxes meet, and each is
+classified as it is yielded; one lying on a side of the other's line is
+rejected after two orientations.  Only the crossings are kept and sorted,
+plus the first touch or overlap, so memory is O(segments + crossings).
+Points and segment parameters go back to ``Fraction`` in drawing
+coordinates for output.
 
 A drawing must be in *general position*: no overlapping segments, no curve
 through a vertex or bend of another curve, and no two crossings at the same
@@ -25,7 +29,8 @@ import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from itertools import combinations
+from typing import Iterator, Mapping
 
 from .geometry import Point, segment_meet
 from .graph_core import (Edge, FRAME_NODES, Graph, edge, edge_from_key,
@@ -123,16 +128,6 @@ class CrossingSet:
     def of_edge(self, e: Edge) -> list[Crossing]:
         return [x for x in self.crossings if x.involves(e)]
 
-    def count_on_edge(self, e: Edge) -> int:
-        """Number of times the curve of e is crossed (self-crossings twice)."""
-        total = 0
-        for x in self.crossings:
-            if x.a == e:
-                total += 1
-            if x.b == e:
-                total += 1
-        return total
-
     def crossed_edges(self) -> set[Edge]:
         out: set[Edge] = set()
         for x in self.crossings:
@@ -141,50 +136,51 @@ class CrossingSet:
         return out
 
 
-def _curve_points(drawing: Drawing) -> dict[Point, str]:
-    """All vertex and bend coordinates, with a short description each."""
-    seen: dict[Point, str] = {}
-    for v in drawing.graph.vertices:
-        p = drawing.positions[v]
-        if p in seen:
-            raise GeneralPositionViolation(
-                "duplicate-point", f"vertex {v} coincides with {seen[p]}")
-        seen[p] = f"vertex {v}"
-    for e in sorted(drawing.curves):
-        for i, p in enumerate(drawing.curves[e]):
-            if p in seen:
-                raise GeneralPositionViolation(
-                    "duplicate-point",
-                    f"bend {i} of {e} coincides with {seen[p]}")
-            seen[p] = f"bend {i} of {e}"
-    return seen
+def _point_table(drawing: Drawing, bent: list[Edge]
+                 ) -> tuple[list, int | None]:
+    """Every vertex (in graph order) and bend (in ``bent`` order) with the
+    scale: points times the LCM of all coordinate denominators are integer
+    pairs.  Points with an inexact coordinate come back as given, with no
+    scale, so duplicates are still found before they are refused."""
+    g = drawing.graph
+    points = [drawing.positions[v] for v in g.vertices]
+    points += [p for e in bent for p in drawing.curves[e]]
+    if not all(type(c) is int or isinstance(c, Fraction)
+               for p in points for c in p):
+        return points, None
+    scale = math.lcm(*(c.denominator for p in points for c in p))
+    return [(x.numerator * (scale // x.denominator),
+             y.numerator * (scale // y.denominator))
+            for x, y in points], scale
 
 
-def _scale(points: Iterable[Point]) -> int:
-    """The LCM of all coordinate denominators."""
-    points = list(points)
-    for p in points:
-        for c in p:
-            if type(c) is not int and not isinstance(c, Fraction):
-                raise TypeError(f"coordinate {c!r} is not an int or Fraction")
-    return math.lcm(*(c.denominator for p in points for c in p))
+def _point_label(drawing: Drawing, bent: list[Edge], i: int) -> str:
+    """The description of point ``i`` of ``_point_table``."""
+    labels = [f"vertex {v}" for v in drawing.graph.vertices]
+    labels += [f"bend {j} of {e}"
+               for e in bent for j in range(len(drawing.curves[e]))]
+    return labels[i]
 
 
-def _candidate_pairs(segs: list[tuple[int, int, int, int]]
+def _candidate_pairs(segs: list[tuple[int, int, int, int]],
+                     ends: list[tuple[int, int]]
                      ) -> Iterator[tuple[int, int]]:
     """Pairs (s, t), s < t, of indices into ``segs`` (each ``(ax, ay, bx,
-    by)``) whose segments' bounding boxes meet.
+    by)``) whose bounding boxes meet and whose endpoint ids ``ends`` do
+    not.
 
     Sorted by xmin, a box can only meet the boxes after it up to the first
     one that starts right of its xmax, so only that run is checked for
     y-overlap.
     """
-    boxes = sorted((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by), s)
-                   for s, (ax, ay, bx, by) in enumerate(segs))
+    boxes = sorted((min(ax, bx), max(ax, bx), min(ay, by), max(ay, by), s,
+                    *ends[s]) for s, (ax, ay, bx, by) in enumerate(segs))
     xmins = [b[0] for b in boxes]
-    for k, (_, x1, y0, y1, s) in enumerate(boxes):
-        for _, _, v0, v1, t in boxes[k + 1:bisect_right(xmins, x1, k + 1)]:
-            if v0 <= y1 and y0 <= v1:
+    for k, (_, x1, y0, y1, s, p, q) in enumerate(boxes):
+        for _, _, v0, v1, t, e, f in boxes[k + 1:bisect_right(xmins, x1,
+                                                              k + 1)]:
+            if (v0 <= y1 and y0 <= v1
+                    and p != e and p != f and q != e and q != f):
                 yield (s, t) if s < t else (t, s)
 
 
@@ -200,45 +196,73 @@ def compute_crossings(drawing: Drawing) -> CrossingSet:
     for v in g.vertices:
         if v not in drawing.positions:
             raise ValueError(f"vertex {v} has no position")
-    point_desc = _curve_points(drawing)
+    bent = sorted(drawing.curves)
+    points, scale = _point_table(drawing, bent)
+    pid: dict = {}
+    for i, p in enumerate(points):
+        j = pid.setdefault(p, i)
+        if j != i:
+            raise GeneralPositionViolation(
+                "duplicate-point", f"{_point_label(drawing, bent, i)} "
+                                   f"coincides with "
+                                   f"{_point_label(drawing, bent, j)}")
     if set(drawing.curves) - set(g.edges):
         bad = sorted(set(drawing.curves) - set(g.edges))[0]
         raise ValueError(f"curve for non-edge {bad}")
-    scale = _scale(point_desc)
+    if scale is None:
+        bad = next(c for p in points for c in p
+                   if type(c) is not int and not isinstance(c, Fraction))
+        raise TypeError(f"coordinate {bad!r} is not an int or Fraction")
 
-    def scaled(p: Point) -> tuple[int, int]:
-        return (p[0].numerator * (scale // p[0].denominator),
-                p[1].numerator * (scale // p[1].denominator))
-
-    # Segment ids run in (edge, index along the edge) order.
-    where = {v: scaled(drawing.positions[v]) for v in g.vertices}
+    # Segment ids run in (edge, index along the edge) order, and ends[s]
+    # holds the point ids of segment s.  Points are distinct and no edge is
+    # a loop, so no segment has zero length.
+    vid = {v: i for i, v in enumerate(g.vertices)}
+    bend_id, n = {}, len(vid)
+    for e in bent:
+        bend_id[e] = range(n, n + len(drawing.curves[e]))
+        n += len(drawing.curves[e])
     edge_list = sorted(g.edges)
-    tips: list[tuple[tuple[int, int], tuple[int, int]]] = []
     owner: list[int] = []
     index: list[int] = []
+    ends: list[tuple[int, int]] = []
     segs: list[tuple[int, int, int, int]] = []
     for ei, e in enumerate(edge_list):
-        poly = [where[e[0]], *map(scaled, drawing.curves.get(e, ())),
-                where[e[1]]]
-        tips.append((poly[0], poly[-1]))
+        poly = [vid[e[0]], *bend_id.get(e, ()), vid[e[1]]]
         for i, (a, b) in enumerate(zip(poly, poly[1:])):
-            if a == b:
-                raise GeneralPositionViolation(
-                    "degenerate-segment", f"segment {i} of {e} has zero length")
             owner.append(ei)
             index.append(i)
-            segs.append((*a, *b))
+            ends.append((a, b))
+            segs.append((*points[a], *points[b]))
 
-    # Classify each candidate as the sweep yields it.  Proper crossings are
-    # kept; of the touches and overlaps only the one first in (edge, edge,
-    # segment, segment) order, so the first violation does not depend on
-    # the sweep.
-    proper: list[tuple[int, int, int, int, int, int, int, int]] = []
+    # Of the touches and overlaps only the one first in (edge, edge,
+    # segment, segment) order is kept, so the first violation depends on
+    # neither the sweep nor the stars.
     first_bad: tuple | None = None      # (key, kind, point)
-    for s, t in _candidate_pairs(segs):
-        oa, ob = owner[s], owner[t]
-        if t == s + 1 and oa == ob:
-            continue        # consecutive segments of one edge share a bend
+
+    # Stars: segments with a common endpoint meet only there, unless they
+    # leave it along one ray, and then they overlap.  Group each point's
+    # segments by reduced direction.
+    rays: dict[tuple[int, int, int], list[int]] = {}
+    for s, (ax, ay, bx, by) in enumerate(segs):
+        dx, dy = bx - ax, by - ay
+        common = math.gcd(dx, dy)
+        dx, dy = dx // common, dy // common
+        a, b = ends[s]
+        rays.setdefault((a, dx, dy), []).append(s)
+        rays.setdefault((b, -dx, -dy), []).append(s)
+    for ray in rays.values():
+        for s, t in combinations(ray, 2):
+            key = (owner[s], owner[t], s, t)
+            if key[0] == key[1] and t == s + 1:
+                continue    # consecutive segments of one edge share a bend
+            if first_bad is None or key < first_bad[0]:
+                first_bad = (key, "overlap", None)
+
+    # Classify each other candidate as the sweep yields it.  Proper
+    # crossings are kept.
+    proper: list[tuple[int, int, int, int, int, int, int, int]] = []
+    for s, t in _candidate_pairs(segs, ends):
         ax, ay, bx, by = segs[s]
         cx, cy, dx, dy = segs[t]
         # d1, d2 = orient(c, d, a), orient(c, d, b); d3, d4 = orient(a, b,
@@ -254,7 +278,7 @@ def compute_crossings(drawing: Drawing) -> CrossingSet:
         if d3 > 0 and d4 > 0 or d3 < 0 and d4 < 0:
             continue
         if d1 and d2 and d3 and d4:
-            proper.append((oa, ob, s, t, d1, d2, d3, d4))
+            proper.append((owner[s], owner[t], s, t, d1, d2, d3, d4))
             continue
         if d1 == 0 and d2 == 0:
             meet = segment_meet((ax, ay), (bx, by), (cx, cy), (dx, dy))
@@ -268,21 +292,15 @@ def compute_crossings(drawing: Drawing) -> CrossingSet:
             kind = "touch"
             p = ((ax, ay) if d1 == 0 else (bx, by) if d2 == 0
                  else (cx, cy) if d3 == 0 else (dx, dy))
-        # Adjacent edges may meet at their shared endpoint; vertex positions
-        # are distinct, so being an end of both edges makes p that vertex.
-        if (kind == "touch" and oa != ob and p in tips[oa] and p in tips[ob]
-                and p in ((ax, ay), (bx, by)) and p in ((cx, cy), (dx, dy))):
-            continue
-        key = (oa, ob, s, t)
+        key = (owner[s], owner[t], s, t)
         if first_bad is None or key < first_bad[0]:
             first_bad = (key, kind, p)
 
     # Check the proper crossings in (edge, edge, segment, segment) order up
     # to the first touch or overlap.  A point is keyed by its scaled
     # coordinates over their least common denominator, (x, y, den), so no
-    # Fraction is hashed.
+    # Fraction is hashed; with den 1 it may be a vertex or bend.
     proper.sort()
-    desc = {(*scaled(p), 1): text for p, text in point_desc.items()}
     seen: dict[tuple[int, int, int], tuple[Edge, Edge]] = {}
     found: list[Crossing] = []
     for oa, ob, s, t, d1, d2, d3, d4 in proper:
@@ -298,9 +316,11 @@ def compute_crossings(drawing: Drawing) -> CrossingSet:
         common = math.gcd(x, y, den)
         at = (x // common, y // common, den // common)
         p = (Fraction(at[0], at[2] * scale), Fraction(at[1], at[2] * scale))
-        if at in desc:
+        if at[2] == 1 and at[:2] in pid:
             raise GeneralPositionViolation(
-                "crossing-at-vertex", f"{ea} x {eb} crosses at {desc[at]}")
+                "crossing-at-vertex",
+                f"{ea} x {eb} crosses at "
+                f"{_point_label(drawing, bent, pid[at[:2]])}")
         if at in seen:
             raise GeneralPositionViolation(
                 "concurrent-crossings",

@@ -551,8 +551,3 @@ def k5_fcf_fixture() -> Drawing:
     edges = [edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1:]]
     graph = make_graph(vs, edges)
     return Drawing(graph, positions, {}, meta={"fixture": "k5-fcf"})
-
-
-def fixture_walls() -> list:
-    """The wall edges of the appendix fixture (they must stay uncrossed)."""
-    return [edge(u, v) for u, v in _FIX_WALLS]

@@ -181,6 +181,37 @@ def ordered_along(xs, e):
     return out
 
 
+def count_on_edge(xs, e):
+    """How often the curve of e is crossed (a self-crossing counts twice)."""
+    return sum((x.a == e) + (x.b == e) for x in xs)
+
+
+# The wall edges of the appendix fixture: the drawing never crosses them.
+APPENDIX_WALLS = [
+    ("A", "m"), ("m", "z"), ("y", "z"), ("n", "y"), ("B", "n"), ("B", "t"),
+    ("t", "tp"), ("A", "tp"),
+    ("A", "v"), ("B", "v"), ("B", "d"), ("d", "y"), ("c", "z"), ("A", "c"),
+    ("c", "m"), ("d", "n"), ("t", "v"), ("tp", "v"),
+]
+
+
+# ---------------------------------------------------------------------------
+# Crossing lemma: cr(G) >= m^3 / (64 n^2) once m > 4n.
+# ---------------------------------------------------------------------------
+
+def crossing_lemma_bound(n, m):
+    """(m^3 / (64 n^2), sparse) — the bound is 0 in the sparse regime.
+
+    The classical constant 1/64 is used.  ``sparse`` is True when m <= 4n,
+    where the lemma gives nothing.
+    """
+    if n <= 0 or m < 0:
+        raise ValueError("need n > 0 and m >= 0")
+    if m <= 4 * n:
+        return Fraction(0), True
+    return Fraction(m ** 3, 64 * n ** 2), False
+
+
 # ---------------------------------------------------------------------------
 # Checker reference implementations (straight recounts / exhaustive search).
 # ---------------------------------------------------------------------------

@@ -29,9 +29,10 @@ from beyondcr.corpus import random_corpus
 from beyondcr.drawing import is_straight_line
 from beyondcr.graph_core import CONCEPTS, as_concept, structural_k
 from beyondcr.kuratowski import DEFAULT_BUDGET
-from beyondcr.standard_layouts import appendix_fcf_fixture, fixture_walls
+from beyondcr.standard_layouts import appendix_fcf_fixture
 from conftest import ACCEPTANCE_REPORT, FAN_KINDS, GRID, SLOPE_TARGET
-from oracles import apex_ok_brute, gap_ok_brute, skew_ok_brute
+from oracles import (APPENDIX_WALLS, apex_ok_brute, count_on_edge,
+                     gap_ok_brute, skew_ok_brute)
 
 
 def criterion(num: int, desc: str):
@@ -229,8 +230,8 @@ def test_criterion_7_appendix_fixture():
                (set(lst[j].a) | set(lst[j].b))) == 3
     )
     assert heavy >= 2
-    for wall in fixture_walls():
-        assert xs.count_on_edge(wall) == 0
+    for wall in APPENDIX_WALLS:
+        assert count_on_edge(xs, wall) == 0
 
 
 @criterion(8, "gap/apex/skew checkers match exhaustive search, 0 disagreements")

@@ -8,7 +8,6 @@ from beyondcr import (
     construction_for,
     counting_lower_bound,
     crossing_count_formula,
-    crossing_lemma_bound,
     format_table1,
     framework_size,
     growth_exponent,
@@ -19,6 +18,7 @@ from beyondcr import (
 from beyondcr.bounds_report import reports_to_json_obj, slope_grid
 from beyondcr.graph_core import CONCEPTS, as_concept
 from conftest import FAN_KINDS, GRID, SLOPE_TARGET
+from oracles import crossing_lemma_bound
 
 
 def test_crossing_lemma_values():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,8 @@ from beyondcr import (
     Drawing,
     GeneralPositionViolation,
     compute_crossings,
+    construction_for,
+    draw_framework,
     drawing_from_json,
     drawing_from_json_obj,
     drawing_to_json,
@@ -22,8 +25,10 @@ from beyondcr import (
     random_drawing,
     to_svg,
 )
+from beyondcr.drawing import _candidate_pairs
 from conftest import pt
-from oracles import brute_crossing_points, first_violation_kind, ordered_along
+from oracles import (bbox_disjoint, brute_crossing_points, count_on_edge,
+                     first_violation_kind, ordered_along)
 
 
 def D(vertices, edges, pos, curves=None, meta=None):
@@ -84,7 +89,7 @@ def test_self_crossing_polyline():
     x = next(iter(xs))
     assert x.a == x.b == ("a", "b")
     assert not is_simple_drawing(d, xs)
-    assert xs.count_on_edge(("a", "b")) == 2     # a self-crossing counts twice
+    assert count_on_edge(xs, ("a", "b")) == 2    # a self-crossing counts twice
 
 
 def test_double_crossing_pair_not_simple():
@@ -246,18 +251,39 @@ def _many_violations(drop=()):
              curves={e: bends for e, bends in curves.items() if e in edges})
 
 
-@pytest.mark.parametrize("drop, kind, detail", [
-    ((), "concurrent-crossings",
+def _star_and_touch(star, touch):
+    """Edges m-hub and n-hub, star = (m, n, hub), leave the hub along one
+    ray and overlap, the bent one on its segment 1.  Left of them, edges
+    touch[0]-touch[1] and touch[2]-touch[3] touch at (2, 0)."""
+    m, n, hub = star
+    p, q, r, s = touch
+    return D([*star, *touch],
+             [edge(m, hub), edge(n, hub), edge(p, q), edge(r, s)],
+             {p: pt(0, 0), q: pt(4, 0), r: pt(2, 0), s: pt(2, 3),
+              hub: pt(10, 0), m: pt(12, 0), n: pt(15, 3)},
+             curves={edge(n, hub): (pt(14, 0),)})
+
+
+@pytest.mark.parametrize("d, kind, detail", [
+    (_many_violations(()), "concurrent-crossings",
      "('a', 'b') x ('e', 'f') and (('a', 'b'), ('c', 'd')) cross at the "
      "same point (2/3,2/3)"),
-    (("ef",), "overlap", "('g', 'h') and ('i', 'j') share a subsegment"),
-    (("ef", "gh"), "touch", "('i', 'j') touches ('k', 'l') at (-7,0)"),
-], ids=["all-edges", "without-ef", "without-ef-gh"])
-def test_first_violation_in_edge_pair_order(drop, kind, detail):
-    # The overlap and touches lie left of the concurrent crossings, so a
-    # sweep in x meets them first; the edge-pair order still decides.
+    (_many_violations(("ef",)), "overlap",
+     "('g', 'h') and ('i', 'j') share a subsegment"),
+    (_many_violations(("ef", "gh")), "touch",
+     "('i', 'j') touches ('k', 'l') at (-7,0)"),
+    (_star_and_touch("bch", "pqrs"), "overlap",
+     "('b', 'h') and ('c', 'h') share a subsegment"),
+    (_star_and_touch("vwx", "defg"), "touch",
+     "('d', 'e') touches ('f', 'g') at (2,0)"),
+], ids=["all-edges", "without-ef", "without-ef-gh", "star-first",
+        "star-last"])
+def test_first_violation_in_edge_pair_order(d, kind, detail):
+    # The overlap and touches lie left of the concurrent crossings, and the
+    # touch left of the star, so a sweep in x meets them first; the
+    # edge-pair order still decides.
     with pytest.raises(GeneralPositionViolation) as ei:
-        compute_crossings(_many_violations(drop))
+        compute_crossings(d)
     assert (ei.value.kind, ei.value.detail) == (kind, detail)
 
 
@@ -278,6 +304,10 @@ _GADGETS = {
     "both": ({"0": (0, 0), "1": (8, 4), "2": (5, 3), "3": (7, 1),
               "4": (2, -2), "5": (2, 2), "6": (1, -1), "7": (3, 1),
               "8": (6, 2)}, ["01", "23", "45", "67"], {"01": [(4, 0)]}),
+    # 02 and 12 leave their shared vertex 2 along one ray; 02 bends at
+    # (4, 0), so the overlap lies on its segment 1.
+    "star-overlap": ({"0": (5, 3), "1": (2, 0), "2": (0, 0)}, ["02", "12"],
+                     {"02": [(4, 0)]}),
 }
 
 
@@ -319,6 +349,47 @@ def test_first_violation_matches_oracle_with_gadgets(seed):
     with pytest.raises(GeneralPositionViolation) as ei:
         compute_crossings(d)
     assert ei.value.kind == first_violation_kind(d)
+
+
+def _hub_drawing(swap, fx, fy):
+    """Nine edges at hub h (two opposite pairs, two edges nearly parallel
+    to a third, a pair opposite along y = x, and two bent edges that turn
+    back toward h), plus a vertical edge crossing the star, mapped by a
+    symmetry of the square."""
+    def place(x, y):
+        x, y = (y, x) if swap else (x, y)
+        return pt(fx * x, fy * y)
+    at = {"h": (0, 0), "a": (10, 0), "i": (-10, 0), "j": (0, 10),
+          "k": (0, -10), "l": (100, 1), "o": (100, 2), "b": (1, 3),
+          "x": (-1, 2), "c": (-7, -7), "p": (5, -3), "q": (5, 20)}
+    spokes = [edge("h", v) for v in "aijklobxc"]
+    return D(list(at), spokes + [edge("p", "q")],
+             {v: place(*p) for v, p in at.items()},
+             curves={edge("b", "h"): (place(10, 10),),
+                     edge("h", "x"): (place(-5, 5),)})
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("fx, fy", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_legal_star_matches_brute_force(swap, fx, fy):
+    d = _hub_drawing(swap, fx, fy)
+    xs = compute_crossings(d)
+    assert len(xs) == 5
+    assert sorted((x.a, x.b, x.point) for x in xs) == brute_crossing_points(d)
+
+
+def test_sweep_skips_pairs_with_a_common_endpoint():
+    d = draw_framework(construction_for("nnic", 2), "witness")
+    segs = [ab for e in sorted(d.graph.edges) for ab in d.segments(e)]
+    ids: dict = {}
+    ends = [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
+            for a, b in segs]
+    meet = {(s, t) for s, t in combinations(range(len(segs)), 2)
+            if not bbox_disjoint(*segs[s], *segs[t])}
+    star = {(s, t) for s, t in meet if set(ends[s]) & set(ends[t])}
+    assert star
+    assert sorted(_candidate_pairs([(*a, *b) for a, b in segs], ends)) == \
+        sorted(meet - star)
 
 
 def test_inexact_coordinates_refused():

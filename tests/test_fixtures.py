@@ -9,7 +9,7 @@ from beyondcr import (
     k5_fcf_fixture,
 )
 from beyondcr.drawing import is_simple_drawing
-from beyondcr.standard_layouts import fixture_walls
+from oracles import APPENDIX_WALLS, count_on_edge
 
 
 def _shared_vertices(x, y):
@@ -54,10 +54,10 @@ class TestAppendixFixture:
         assert all(len(_shared_vertices(x, y)) <= 3 for x, y in heavy)
 
     def test_walls_are_never_crossed(self):
-        walls = fixture_walls()
-        assert len(walls) == 18
-        for e in walls:
-            assert self.xs.count_on_edge(e) == 0
+        assert len(set(APPENDIX_WALLS)) == 18
+        assert set(APPENDIX_WALLS) <= set(self.graph.edges)
+        for e in APPENDIX_WALLS:
+            assert count_on_edge(self.xs, e) == 0
 
     def test_survives_json_round_trip(self):
         back = drawing_from_json(drawing_to_json(self.drawing))

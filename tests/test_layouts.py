@@ -29,15 +29,6 @@ def test_straight_line_except_fan_concepts(kind, ell, k):
         assert is_straight_line(d) == (kind not in FAN_KINDS)
 
 
-def test_k_planar_witness_at_threshold_counted_by_geometry():
-    # ell=41 is the k-planar threshold point for k=1: the witness drawing's
-    # (ell*k)^2 crossings are counted by the crossing engine, not a formula.
-    d = standard_drawing("k-planar", 41, 1)
-    xs = compute_crossings(d)
-    assert len(xs) == 41 ** 2 == 1681
-    assert check_concept(d, "k-planar", 1, xs=xs).ok
-
-
 def test_witness_formulas_frozen():
     # closed forms at one point each, evaluated by hand
     assert crossing_count_formula("k-planar", 3, 2) == 36            # (ell*k)^2
