@@ -27,6 +27,7 @@ from .checkers import check_concept
 from .corpus import random_corpus
 from .drawing import (
     GeneralPositionViolation,
+    Verdict,
     compute_crossings,
     drawing_from_json,
     drawing_to_json_obj,
@@ -42,6 +43,7 @@ from .graph_core import (
     structural_k,
 )
 from .kuratowski import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     counting_lower_bound,
     coverage_ledger,
@@ -54,7 +56,6 @@ from .standard_layouts import (
     draw_framework,
     frame_edge_colors,
     k5_fcf_fixture,
-    standard_drawing,
 )
 
 
@@ -132,13 +133,9 @@ def _cmd_check(args) -> int:
     drawing = _load_drawing(args.infile)
     cid = _concept_of(args)
     if args.rectilinear and not is_straight_line(drawing):
-        verdict_obj = {"ok": False, "concept": str(cid),
-                       "reason": "drawing is not straight-line"}
-        _emit(_dumps(verdict_obj) if args.format == "json"
-              else "ok: false\nreason: drawing is not straight-line\n",
-              args.out)
-        return 1
-    verdict = check_concept(drawing, cid)
+        verdict = Verdict(False, str(cid), "drawing is not straight-line")
+    else:
+        verdict = check_concept(drawing, cid)
     if args.format == "json":
         _emit(_dumps(verdict.to_json_obj()), args.out)
     else:
@@ -337,7 +334,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="witness")
     p.add_argument("--in", dest="infile", help="drawing JSON file "
                    "(default: emit the standard drawing)")
-    p.add_argument("--budget", type=int, help="tuple enumeration budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="tuple enumeration budget (default %(default)s)")
     _add_io_flags(p)
     p.set_defaults(func=_cmd_coverage)
 
@@ -372,10 +370,8 @@ def run(argv=None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         return args.func(args)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError, KeyError, GeneralPositionViolation) as exc:
+    except (BudgetExceeded, OSError, ValueError, KeyError,
+            GeneralPositionViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

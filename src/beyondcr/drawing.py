@@ -5,13 +5,15 @@ intersection test is exact.  ``compute_crossings`` multiplies all vertex
 and bend coordinates by the LCM of their denominators, so the orientation
 tests run on plain integers, and gives every point an integer id; a
 segment is its pair of endpoint ids.  Two segments with a common endpoint
-(a star) meet only there unless they leave it along one ray, so each
-point's segments are grouped by reduced integer direction, and a shared
-ray is an overlap.  A sweep over the segments sorted by the left end of
-their bounding boxes yields the other pairs whose boxes meet, and each is
-classified as it is yielded; one lying on a side of the other's line is
-rejected after two orientations.  Only the crossings are kept and sorted,
-plus the first touch or overlap, so memory is O(segments + crossings).
+(a star, consecutive segments of one edge included) meet only there unless
+they leave it along one ray, so each point's segments are grouped by
+reduced integer direction, and a shared ray is an overlap.  A sweep over
+the segments sorted by the left end of their bounding boxes yields the
+other pairs whose boxes meet, and each is classified as it is yielded on
+four integer orientations: one lying on a side of the other's line is
+rejected after two, a collinear pair is an overlap, and otherwise the
+pair crosses or touches.  Only the crossings are kept and sorted, plus the
+first touch or overlap, so memory is O(segments + crossings).
 Points and segment parameters go back to ``Fraction`` in drawing
 coordinates for output.
 
@@ -32,10 +34,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping
 
-from .geometry import Point, segment_meet
-from .graph_core import (Edge, FRAME_NODES, Graph, edge, edge_from_key,
-                         edge_key, graph_to_json_obj, graph_from_json_obj,
-                         make_graph)
+from .geometry import Point
+from .graph_core import (Edge, FRAME_NODES, Graph, edge_from_key, edge_key,
+                         graph_to_json_obj, graph_from_json_obj)
 
 
 class GeneralPositionViolation(Exception):
@@ -187,8 +188,9 @@ def _candidate_pairs(segs: list[tuple[int, int, int, int]],
 def compute_crossings(drawing: Drawing) -> CrossingSet:
     """All proper crossings of the drawing, exactly.
 
-    Raises GeneralPositionViolation for overlaps, touching curves (except
-    shared endpoints of adjacent edges), curves through vertices/bends, and
+    Raises GeneralPositionViolation for overlaps (an edge doubling back
+    over itself at a bend included), touching curves (except shared
+    endpoints of adjacent edges), curves through vertices/bends, and
     coincident crossing points.  When several degeneracies exist, the one
     raised is the first in (edge, edge, segment, segment) order.
     """
@@ -254,8 +256,6 @@ def compute_crossings(drawing: Drawing) -> CrossingSet:
     for ray in rays.values():
         for s, t in combinations(ray, 2):
             key = (owner[s], owner[t], s, t)
-            if key[0] == key[1] and t == s + 1:
-                continue    # consecutive segments of one edge share a bend
             if first_bad is None or key < first_bad[0]:
                 first_bad = (key, "overlap", None)
 
@@ -281,14 +281,14 @@ def compute_crossings(drawing: Drawing) -> CrossingSet:
             proper.append((owner[s], owner[t], s, t, d1, d2, d3, d4))
             continue
         if d1 == 0 and d2 == 0:
-            meet = segment_meet((ax, ay), (bx, by), (cx, cy), (dx, dy))
-            if meet.kind == "none":
-                continue
-            kind, p = meet.kind, meet.point
+            # Collinear with meeting boxes, so the segments share a point;
+            # it is no common endpoint (points are distinct and stars never
+            # reach the sweep), so they share a piece of positive length.
+            kind, p = "overlap", None
         else:
             # The lines meet in one point, and the signs put it on both
             # segments, so an endpoint with a zero orientation is that
-            # point.  Take the first of a, b, c, d, as segment_meet does.
+            # point.  Take the first of a, b, c, d.
             kind = "touch"
             p = ((ax, ay) if d1 == 0 else (bx, by) if d2 == 0
                  else (cx, cy) if d3 == 0 else (dx, dy))
@@ -390,12 +390,8 @@ class Verdict:
 # Serialization
 # ---------------------------------------------------------------------------
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def _point_json(p: Point) -> list[str]:
-    return [_frac_str(p[0]), _frac_str(p[1])]
+    return [str(p[0]), str(p[1])]
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")

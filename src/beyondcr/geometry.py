@@ -1,8 +1,8 @@
-"""Exact rational plane geometry for polyline drawings.
+"""Exact rational plane predicates for the fan checkers in ``checkers``.
 
-Coordinates are ``fractions.Fraction`` or ``int`` (the crossing engine in
-``drawing`` calls these predicates on integer-scaled points); every
-predicate is exact, so the rest of the package never sees an epsilon.
+Coordinates are ``fractions.Fraction`` or ``int`` and every predicate is
+exact, so no caller sees an epsilon.  The crossing engine in ``drawing``
+classifies segment pairs with its own inline integer orientations.
 """
 
 from __future__ import annotations
@@ -11,11 +11,6 @@ from fractions import Fraction
 from typing import Sequence
 
 Point = tuple[Fraction, Fraction]
-
-
-def pt(x, y) -> Point:
-    """Build an exact point from ints/strings/Fractions."""
-    return (Fraction(x), Fraction(y))
 
 
 def sub(a: Point, b: Point) -> Point:
@@ -39,81 +34,6 @@ def on_segment(a: Point, b: Point, p: Point) -> bool:
         min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
         and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
     )
-
-
-class SegmentMeet:
-    """Classification of how two closed segments meet.
-
-    kind is one of:
-      "none"      — disjoint
-      "proper"    — transversal crossing in both segments' interiors
-      "touch"     — a single shared point that is an endpoint of >= 1 segment
-      "overlap"   — collinear with a shared sub-segment of positive length
-    For "proper" and "touch", ``point`` holds the meet point and for "proper"
-    ``t1``/``t2`` the parameters along each segment in (0, 1).
-    """
-
-    __slots__ = ("kind", "point", "t1", "t2")
-
-    def __init__(self, kind: str, point: Point | None = None,
-                 t1: Fraction | None = None, t2: Fraction | None = None):
-        self.kind = kind
-        self.point = point
-        self.t1 = t1
-        self.t2 = t2
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SegmentMeet({self.kind}, {self.point})"
-
-
-def segment_meet(a: Point, b: Point, c: Point, d: Point) -> SegmentMeet:
-    """Exactly classify the intersection of closed segments ab and cd."""
-    d1 = orient(c, d, a)
-    d2 = orient(c, d, b)
-    d3 = orient(a, b, c)
-    d4 = orient(a, b, d)
-
-    if d1 == 0 and d2 == 0:
-        # Collinear (or a degenerate segment): check 1-D overlap.
-        if a == b:
-            return SegmentMeet("touch", a) if on_segment(c, d, a) else SegmentMeet("none")
-        if c == d:
-            return SegmentMeet("touch", c) if on_segment(a, b, c) else SegmentMeet("none")
-        # Project on the dominant axis.
-        axis = 0 if a[0] != b[0] else 1
-        lo1, hi1 = sorted((a[axis], b[axis]))
-        lo2, hi2 = sorted((c[axis], d[axis]))
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if lo > hi:
-            return SegmentMeet("none")
-        if lo == hi:
-            # They share exactly one point, necessarily a common endpoint.
-            shared = a if a in (c, d) else b
-            return SegmentMeet("touch", shared)
-        return SegmentMeet("overlap")
-
-    if ((d1 > 0) != (d2 > 0) or d1 == 0 or d2 == 0) and \
-       ((d3 > 0) != (d4 > 0) or d3 == 0 or d4 == 0):
-        # Some meet exists; distinguish proper crossing from touching.
-        if d1 != 0 and d2 != 0 and d3 != 0 and d4 != 0:
-            # Proper: solve a + t1*(b-a) = c + t2*(d-c).
-            r = sub(b, a)
-            s = sub(d, c)
-            denom = cross(r, s)
-            t1 = Fraction(cross(sub(c, a), s), denom)
-            t2 = Fraction(cross(sub(c, a), r), denom)
-            point = (a[0] + t1 * r[0], a[1] + t1 * r[1])
-            return SegmentMeet("proper", point, t1, t2)
-        # An endpoint of one segment lies on the other.
-        for p in (a, b):
-            if on_segment(c, d, p):
-                return SegmentMeet("touch", p)
-        for p in (c, d):
-            if on_segment(a, b, p):
-                return SegmentMeet("touch", p)
-        return SegmentMeet("none")
-
-    return SegmentMeet("none")
 
 
 def point_in_polygon_evenodd(p: Point, polygon: Sequence[Point]) -> bool:

@@ -67,9 +67,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def adjacent(self, e: Edge, f: Edge) -> bool:
-        return bool(set(e) & set(f))
-
 
 def make_graph(vertices: Iterable[str], edges: Iterable[Edge]) -> Graph:
     return Graph(tuple(sorted(set(vertices))), tuple(sorted(set(edges))))
@@ -113,9 +110,6 @@ class Frame:
 
     def color(self, cid: str) -> str:
         return self.coloring[cid]
-
-    def connections_by_color(self, color: str) -> tuple[str, ...]:
-        return tuple(c for c in ALL_CONNECTIONS if self.coloring[c] == color)
 
 
 def build_frame(coloring: str = "standard") -> Frame:

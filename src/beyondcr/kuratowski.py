@@ -16,7 +16,6 @@ dict; ``verify_full_coverage`` returns the first uncovered one in that form.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -40,18 +39,6 @@ from .graph_core import (
 DEFAULT_BUDGET = 10_000_000
 
 
-def enumeration_budget() -> int:
-    """Active tuple-enumeration budget (BEYONDCR_BUDGET overrides)."""
-    raw = os.environ.get("BEYONDCR_BUDGET", "").strip()
-    if not raw:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError("BEYONDCR_BUDGET must be an integer number of "
-                         f"tuples, not {raw!r}") from None
-
-
 class BudgetExceeded(Exception):
     """Deciding coverage would enumerate more path tuples than allowed.
 
@@ -61,7 +48,7 @@ class BudgetExceeded(Exception):
     def __init__(self, required: int, budget: int):
         super().__init__(
             f"coverage decision needs {required} tuple evaluations, "
-            f"budget is {budget} (set BEYONDCR_BUDGET to raise it)")
+            f"budget is {budget} (raise it with --budget or budget=)")
         self.required = required
         self.budget = budget
 
@@ -99,14 +86,6 @@ class CoverageEntry:
         if self.c1 == self.c2:
             raise ValueError(f"entry {self.index} pairs {self.c1} with itself")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "crossing": self.index,
-            "connections": [self.c1, self.c2],
-            "paths": [sorted(self.paths1), sorted(self.paths2)],
-            "fraction": str(self.fraction),
-        }
-
 
 @dataclass(frozen=True)
 class CoverageLedger:
@@ -130,13 +109,6 @@ class CoverageLedger:
         """Connections whose path choice any entry depends on."""
         cids = {e.c1 for e in self.entries} | {e.c2 for e in self.entries}
         return tuple(sorted(cids))
-
-    def to_json_obj(self) -> dict:
-        return {
-            "widths": dict(sorted(self.widths.items())),
-            "skipped": self.skipped,
-            "entries": [e.to_json_obj() for e in self.entries],
-        }
 
 
 def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
@@ -180,7 +152,7 @@ def _check_same_widths(ledger: CoverageLedger, fg: FrameworkGraph) -> None:
         raise ValueError("ledger was built for a different framework graph")
 
 
-def _uncovered(ledger: CoverageLedger, budget: int | None
+def _uncovered(ledger: CoverageLedger, budget: int
                ) -> tuple[int, Iterator[dict[str, int]]]:
     """Path tuples over the constrained connections: their number, and a lazy
     walk, in product order, over those no entry covers.  Over budget raises
@@ -192,8 +164,6 @@ def _uncovered(ledger: CoverageLedger, budget: int | None
     and skips each path that an earlier choice already pairs with a
     covering entry: a covered prefix never reaches its extensions.
     """
-    if budget is None:
-        budget = enumeration_budget()
     cids = ledger.constrained()
     required = prod(ledger.widths[c] for c in cids)
     if cids and required > budget:
@@ -226,7 +196,7 @@ def _uncovered(ledger: CoverageLedger, budget: int | None
 
 def verify_full_coverage(ledger: CoverageLedger,
                          fg: FrameworkGraph,
-                         budget: int | None = None) -> Verdict:
+                         budget: int = DEFAULT_BUDGET) -> Verdict:
     """Decide exactly whether every subdivision is covered by some entry.
 
     Only connections mentioned by an entry influence whether it applies, so
@@ -246,7 +216,7 @@ def verify_full_coverage(ledger: CoverageLedger,
 
 
 def covered_fraction(ledger: CoverageLedger,
-                     budget: int | None = None) -> Fraction:
+                     budget: int = DEFAULT_BUDGET) -> Fraction:
     """Exact share of the subdivision family covered by >= 1 entry."""
     required, uncovered = _uncovered(ledger, budget)
     return Fraction(required - sum(1 for _ in uncovered), required)

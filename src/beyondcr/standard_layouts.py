@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Literal
 
 from .drawing import Drawing
-from .geometry import Point, pt
+from .geometry import Point
 from .graph_core import (ALL_CONNECTIONS, ApexBlue, BundlePlus, ConceptId,
                          ConGraph, FrameworkGraph, K7, connection_poles,
                          as_concept, construction_for, edge, make_graph,

@@ -95,11 +95,12 @@ def brute_crossing_points(drawing):
 def first_violation_kind(drawing):
     """Kind of the first general-position violation, or None.
 
-    Walks every pair of segments in (edge, edge, segment, segment) order,
-    skipping consecutive segments of one edge, and stops at the first
-    overlap, touch (other than adjacent edges meeting at their shared
-    endpoint), crossing through a vertex or bend, or crossing at a point
-    an earlier pair already crossed at.
+    Walks every pair of segments in (edge, edge, segment, segment) order
+    and stops at the first overlap, touch (other than adjacent edges
+    meeting at their shared endpoint), crossing through a vertex or bend,
+    or crossing at a point an earlier pair already crossed at.
+    Consecutive segments of one edge meet at their bend, so of them only
+    an overlap (the edge doubling back) counts.
     """
     corners = set(drawing.positions.values())
     for bends in drawing.curves.values():
@@ -110,9 +111,11 @@ def first_violation_kind(drawing):
         for f in edges[i:]:
             for si, (a1, a2) in enumerate(drawing.segments(e)):
                 for sj, (b1, b2) in enumerate(drawing.segments(f)):
-                    if e == f and sj <= si + 1:
+                    if e == f and sj <= si:
                         continue
                     kind, payload = solve_segments(a1, a2, b1, b2)
+                    if e == f and sj == si + 1 and kind != "overlap":
+                        continue
                     if kind == "overlap":
                         return kind
                     if kind == "touch":

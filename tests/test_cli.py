@@ -84,6 +84,20 @@ def test_rectilinear_flag_rejects_bent_fan_layout(capsys):
                 "--rectilinear"]) == 0
 
 
+def test_check_rectilinear_refuses_bent_fan_drawing(tmp_path, capsys):
+    f = tmp_path / "fan.json"
+    assert run(["layout", "--concept", "fan-crossing", "--ell", "1",
+                "--out", str(f)]) == 0
+    argv = ["check", "--concept", "fan-crossing", "--in", str(f),
+            "--rectilinear"]
+    assert run(argv) == 1
+    assert out_of(capsys) == (
+        '{\n  "concept": "fc",\n  "ok": false,\n'
+        '  "reason": "drawing is not straight-line"\n}\n')
+    assert run(argv + ["--format", "text"]) == 1
+    assert out_of(capsys) == "ok: false\nreason: drawing is not straight-line\n"
+
+
 def _python(*args, hash_seed="0"):
     """Run a fresh interpreter on this checkout's package."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
@@ -162,14 +176,10 @@ def test_coverage_of_drawing_file(tmp_path, capsys):
     assert "fully covered: true" in out_of(capsys)
 
 
-def test_coverage_budget_exhaustion(capsys, monkeypatch):
+def test_coverage_budget_exhaustion(capsys):
     rc = run(["coverage", "--concept", "ic", "--ell", "2", "--budget", "2"])
     assert rc == 2
     assert "budget" in capsys.readouterr().err.lower()
-    monkeypatch.setenv("BEYONDCR_BUDGET", "abc")
-    assert run(["coverage", "--concept", "ic", "--ell", "2"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: BEYONDCR_BUDGET ") and "'abc'" in err
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from beyondcr import (
 from beyondcr.drawing import _candidate_pairs
 from conftest import pt
 from oracles import (bbox_disjoint, brute_crossing_points, count_on_edge,
-                     first_violation_kind, ordered_along)
+                     first_violation_kind, ordered_along, solve_segments)
 
 
 def D(vertices, edges, pos, curves=None, meta=None):
@@ -168,6 +168,17 @@ def test_segment_through_shared_vertex_rejected():
     with pytest.raises(GeneralPositionViolation) as ei:
         compute_crossings(d)
     assert ei.value.kind == "touch"
+
+
+def test_edge_doubling_back_over_itself_rejected():
+    # a-b bends at (4, 0) and runs back over its own first segment through b
+    d = D(["a", "b"], [edge("a", "b")], {"a": pt(0, 0), "b": pt(2, 0)},
+          curves={edge("a", "b"): (pt(4, 0),)})
+    with pytest.raises(GeneralPositionViolation) as ei:
+        compute_crossings(d)
+    assert (ei.value.kind, ei.value.detail) == \
+        ("overlap", "('a', 'b') and ('a', 'b') share a subsegment")
+    assert first_violation_kind(d) == "overlap"
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +360,53 @@ def test_first_violation_matches_oracle_with_gadgets(seed):
     with pytest.raises(GeneralPositionViolation) as ei:
         compute_crossings(d)
     assert ei.value.kind == first_violation_kind(d)
+
+
+def _small_grid_drawing(rng):
+    """3-6 vertices on distinct cells of a small grid, random edges, and
+    1-2 bends on free cells for about 40 % of them: collinear pairs, and
+    so overlaps, touches and doubling back, are common."""
+    cells = [(x, y) for x in range(rng.randint(4, 6))
+             for y in range(rng.randint(4, 6))]
+    rng.shuffle(cells)
+    names = "abcdef"[:rng.randint(3, 6)]
+    positions = {v: pt(*cells.pop()) for v in names}
+    pairs = list(combinations(names, 2))
+    edges = [edge(u, v)
+             for u, v in rng.sample(pairs, rng.randint(1, len(pairs)))]
+    curves = {}
+    for e in edges:
+        if cells and rng.random() < 0.4:
+            curves[e] = tuple(pt(*cells.pop())
+                              for _ in range(min(len(cells), rng.randint(1, 2))))
+    return D(names, edges, positions, curves=curves)
+
+
+def _self_crossing_points(d):
+    """(e, e, point) for every proper crossing of two segments of one edge."""
+    out = []
+    for e in d.graph.edges:
+        segs = d.segments(e)
+        for si, sj in combinations(range(len(segs)), 2):
+            kind, payload = solve_segments(*segs[si], *segs[sj])
+            if kind == "proper":
+                out.append((e, e, payload[0]))
+    return sorted(out)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32))
+def test_small_grid_drawings_match_oracles(seed):
+    d = _small_grid_drawing(random.Random(seed))
+    kind = first_violation_kind(d)
+    if kind is not None:
+        with pytest.raises(GeneralPositionViolation) as ei:
+            compute_crossings(d)
+        assert ei.value.kind == kind
+        return
+    got = sorted((x.a, x.b, x.point) for x in compute_crossings(d))
+    assert [x for x in got if x[0] != x[1]] == brute_crossing_points(d)
+    assert [x for x in got if x[0] == x[1]] == _self_crossing_points(d)
 
 
 def _hub_drawing(swap, fx, fy):

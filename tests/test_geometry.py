@@ -1,17 +1,13 @@
-"""Exact geometric predicates, cross-checked against a from-scratch solver."""
+"""Exact geometric predicates, cross-checked against from-scratch oracles."""
 
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from beyondcr.geometry import (
-    on_segment,
-    orient,
-    point_in_polygon_evenodd,
-    pt,
-    segment_meet,
-)
+from beyondcr import Drawing, compute_crossings, edge, make_graph
+from beyondcr.geometry import on_segment, orient, point_in_polygon_evenodd
+from conftest import pt
 from oracles import (bbox_disjoint, ray_cast_inside, solve_segments,
                      winding_number)
 
@@ -20,85 +16,19 @@ points = st.tuples(coords, coords).map(lambda t: pt(*t))
 
 
 @given(points, points, points, points)
-def test_segment_meet_matches_independent_solver(a, b, c, d):
-    assume(a != b and c != d)
-    got = segment_meet(a, b, c, d)
-    kind, payload = solve_segments(a, b, c, d)
-    assert got.kind == kind
-    if kind == "proper":
-        point, t, u = payload
-        assert got.point == point
-        assert got.t1 == t
-        assert got.t2 == u
-        assert 0 < t < 1 and 0 < u < 1
-    elif kind == "touch":
-        assert got.point == payload
-
-
-int_points = st.tuples(coords, coords)
-
-
-@given(int_points, int_points, int_points, int_points)
-def test_segment_meet_exact_on_int_points(a, b, c, d):
-    # The crossing engine calls segment_meet on integer-scaled points.
-    assume(a != b and c != d)
-    got = segment_meet(a, b, c, d)
-    kind, payload = solve_segments(a, b, c, d)
-    assert got.kind == kind
-    if kind == "proper":
-        point, t, u = payload
-        assert (got.point, got.t1, got.t2) == (point, t, u)
-        assert all(isinstance(v, Fraction)
-                   for v in (*got.point, got.t1, got.t2))
-    elif kind == "touch":
-        assert got.point == payload
-
-
-@given(points, points, points, points)
-def test_segment_meet_symmetric(a, b, c, d):
-    assume(a != b and c != d)
-    m1 = segment_meet(a, b, c, d)
-    m2 = segment_meet(c, d, a, b)
-    assert m1.kind == m2.kind
-    assert m1.point == m2.point
-    if m1.kind == "proper":
-        assert (m1.t1, m1.t2) == (m2.t2, m2.t1)
-
-
-@given(points, points, points, points)
 def test_bbox_disjoint_implies_no_meet(a, b, c, d):
     assume(a != b and c != d)
     if bbox_disjoint(a, b, c, d):
-        assert segment_meet(a, b, c, d).kind == "none"
-
-
-def test_segment_meet_corner_cases():
-    # collinear, sharing exactly one endpoint: a touch, not an overlap
-    m = segment_meet(pt(0, 0), pt(2, 0), pt(2, 0), pt(5, 0))
-    assert m.kind == "touch" and m.point == pt(2, 0)
-    # collinear with a shared positive-length piece
-    assert segment_meet(pt(0, 0), pt(3, 0), pt(2, 0), pt(5, 0)).kind == "overlap"
-    # identical segments
-    assert segment_meet(pt(0, 0), pt(3, 0), pt(0, 0), pt(3, 0)).kind == "overlap"
-    # endpoint of one in the interior of the other (T shape)
-    m = segment_meet(pt(0, 0), pt(4, 0), pt(2, -1), pt(2, 0))
-    assert m.kind == "touch" and m.point == pt(2, 0)
-    # shared corner of two non-collinear segments
-    m = segment_meet(pt(0, 0), pt(2, 2), pt(2, 2), pt(4, 0))
-    assert m.kind == "touch" and m.point == pt(2, 2)
-    # plain X crossing with a non-integer meet point
-    m = segment_meet(pt(0, 0), pt(3, 3), pt(0, 2), pt(2, 0))
-    assert m.kind == "proper"
-    assert m.point == (Fraction(1), Fraction(1))
-    # far apart
-    assert segment_meet(pt(0, 0), pt(1, 0), pt(5, 5), pt(6, 5)).kind == "none"
+        assert solve_segments(a, b, c, d)[0] == "none"
 
 
 def test_proper_meet_point_exactness():
-    m = segment_meet(pt(0, 0), pt(7, 1), pt(0, 1), pt(7, 0))
-    assert m.kind == "proper"
-    assert m.point == (Fraction(7, 2), Fraction(1, 2))
-    assert m.t1 == Fraction(1, 2) and m.t2 == Fraction(1, 2)
+    # The crossing engine works on integers and hands back exact Fractions.
+    d = Drawing(make_graph("abcd", [edge("a", "b"), edge("c", "d")]),
+                {"a": pt(0, 0), "b": pt(7, 1), "c": pt(0, 1), "d": pt(7, 0)})
+    (x,) = compute_crossings(d)
+    assert x.point == (Fraction(7, 2), Fraction(1, 2))
+    assert x.pos_a == (0, Fraction(1, 2)) and x.pos_b == (0, Fraction(1, 2))
 
 
 def test_orient_and_on_segment():

@@ -75,10 +75,10 @@ def test_connection_ids():
 
 def test_standard_coloring():
     frame = build_frame("standard")
-    assert sorted(frame.connections_by_color("blue")) == ["v1-w1", "v2-w2"]
-    assert frame.connections_by_color("red") == ("v1-w2",)
-    assert frame.connections_by_color("yellow") == ("v2-w1",)
-    assert len(frame.connections_by_color("gray")) == 5
+    assert frame.coloring == {
+        "v1-w1": "blue", "v2-w2": "blue", "v1-w2": "red", "v2-w1": "yellow",
+        "v1-w3": "gray", "v2-w3": "gray", "v3-w1": "gray", "v3-w2": "gray",
+        "v3-w3": "gray"}
     assert frame.color("v1-w1") == "blue"
     assert frame.designated["upper"] == ("v1-w2", "v2-w1")
     assert frame.designated["witness"] == ("v1-w1", "v2-w2")
@@ -86,10 +86,10 @@ def test_standard_coloring():
 
 def test_alternate_coloring():
     frame = build_frame("alternate")
-    assert frame.connections_by_color("blue") == ("v1-w1",)
-    assert sorted(frame.connections_by_color("red")) == ["v1-w2", "v2-w1"]
-    assert len(frame.connections_by_color("gray")) == 6
-    assert frame.connections_by_color("yellow") == ()
+    assert frame.coloring == {
+        "v1-w1": "blue", "v1-w2": "red", "v2-w1": "red", "v1-w3": "gray",
+        "v2-w2": "gray", "v2-w3": "gray", "v3-w1": "gray", "v3-w2": "gray",
+        "v3-w3": "gray"}
     assert frame.designated == build_frame("standard").designated
 
 

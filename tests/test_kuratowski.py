@@ -28,7 +28,6 @@ from beyondcr.kuratowski import (
     CoverageEntry,
     CoverageLedger,
     _uncovered,
-    enumeration_budget,
 )
 from conftest import GRID
 from oracles import (
@@ -130,7 +129,7 @@ def test_ledger_agrees_with_crossings_subdivision_by_subdivision(
         ledger = coverage_ledger(d, fg, crossings=CrossingSet(tuple(subset)))
         cids = ledger.constrained()
         walked = [tuple(sub[c] for c in cids)
-                  for sub in _uncovered(ledger, None)[1]]
+                  for sub in _uncovered(ledger, DEFAULT_BUDGET)[1]]
         geo = geometric_uncovered(fg, subset)
         # the family's uncovered subdivisions are exactly the extensions of
         # the walked tuples, which come once each and in product order
@@ -167,7 +166,7 @@ def _clipped_ledgers(draw):
 @given(_clipped_ledgers())
 def test_pruned_walk_matches_product_walk(ledger):
     expected = product_walk_uncovered(ledger)
-    assert list(_uncovered(ledger, None)[1]) == expected
+    assert list(_uncovered(ledger, DEFAULT_BUDGET)[1]) == expected
     required = prod(ledger.widths[c] for c in ledger.constrained())
     assert covered_fraction(ledger) == 1 - Fraction(len(expected), required)
 
@@ -187,15 +186,6 @@ def test_empty_ledger_fails_fast():
     assert covered_fraction(empty) == 0
 
 
-def test_ledger_json_shape():
-    fg = construction_for("ic", 2)
-    ledger = coverage_ledger(draw_framework(fg, "witness"), fg)
-    obj = ledger.to_json_obj()
-    assert set(obj) == {"widths", "skipped", "entries"}
-    assert all(set(e) == {"crossing", "connections", "paths", "fraction"}
-               for e in obj["entries"])
-
-
 # ---------------------------------------------------------------------------
 # Budgeting
 # ---------------------------------------------------------------------------
@@ -209,12 +199,6 @@ def test_budget_exceeded_raises():
     assert ei.value.budget == 10
     # the default budget is plenty here
     assert verify_full_coverage(ledger, fg).ok
-
-
-def test_budget_env_override(monkeypatch):
-    assert enumeration_budget() == DEFAULT_BUDGET
-    monkeypatch.setenv("BEYONDCR_BUDGET", "123")
-    assert enumeration_budget() == 123
 
 
 def test_threshold_families_exceed_default_budget():
