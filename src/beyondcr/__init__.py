@@ -19,7 +19,6 @@ from .checkers import check_concept
 from .corpus import random_corpus, random_drawing
 from .drawing import (
     Crossing,
-    CrossingSet,
     Drawing,
     GeneralPositionViolation,
     Verdict,
@@ -28,7 +27,7 @@ from .drawing import (
     drawing_from_json_obj,
     drawing_to_json,
     drawing_to_json_obj,
-    is_simple_drawing,
+    is_simple,
     is_straight_line,
     to_svg,
 )

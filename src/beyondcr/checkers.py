@@ -1,10 +1,13 @@
 """Checkers for beyond-planarity concepts on polyline drawings.
 
-Every checker takes a Drawing (and parameter k where applicable) and returns
-a Verdict.  Failure verdicts carry a machine-checkable witness: the edge /
-vertex / crossing pair that breaks the condition, or for the search-based
-concepts (gap, apex, skewness) a certificate that no valid assignment or
-deletion set exists.
+``check_concept`` is the one entry point.  It computes the crossings once
+(unless they are passed in) and calls the concept's ``_CHECKERS`` entry as
+``(drawing, crossings, k)``, where k is the concept's structural k; the
+concepts without a parameter ignore it.  Every checker returns a Verdict.
+Failure verdicts carry a machine-checkable witness: the edge / vertex /
+crossing pair that breaks the condition, or for the search-based concepts
+(gap, apex, skewness) a certificate that no valid assignment or deletion
+set exists.
 
 Counting conventions, applied consistently:
   * a self-crossing counts twice toward its edge's crossing count;
@@ -18,16 +21,12 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
-from .drawing import (Crossing, CrossingSet, Drawing, Verdict,
-                      compute_crossings, is_simple_drawing)
+from .drawing import Crossing, Drawing, Verdict, compute_crossings, is_simple
 from .geometry import Point, cross, point_in_polygon_evenodd, sub
-from .graph_core import ConceptId, Edge, as_concept, edge_key
-
-
-def _xs(drawing: Drawing, xs: CrossingSet | None) -> CrossingSet:
-    return xs if xs is not None else compute_crossings(drawing)
+from .graph_core import ConceptId, Edge, as_concept, edge_key, structural_k
 
 
 def _crossing_vertices(x: Crossing) -> set[str]:
@@ -43,10 +42,8 @@ def _xjson(x: Crossing) -> dict:
 # Local crossing number / vertex crossing number
 # ---------------------------------------------------------------------------
 
-def check_k_planar(drawing: Drawing, k: int, *,
-                   xs: CrossingSet | None = None) -> Verdict:
+def _k_planar(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:
     """Every edge is crossed at most k times (self-crossings count twice)."""
-    xs = _xs(drawing, xs)
     counts: dict[Edge, int] = {}
     for x in xs:
         counts[x.a] = counts.get(x.a, 0) + 1
@@ -56,15 +53,15 @@ def check_k_planar(drawing: Drawing, k: int, *,
             return Verdict(False, "k-planar",
                            f"edge {edge_key(e)} crossed {counts[e]} > {k} times",
                            {"edge": edge_key(e), "count": counts[e],
-                            "crossings": [_xjson(x) for x in xs.of_edge(e)]})
+                            "crossings": [_xjson(x) for x in xs
+                                          if x.involves(e)]})
     return Verdict(True, "k-planar")
 
 
-def check_k_vertex_planar(drawing: Drawing, k: int, *,
-                          xs: CrossingSet | None = None) -> Verdict:
+def _k_vertex_planar(drawing: Drawing, xs: tuple[Crossing, ...],
+                     k: int) -> Verdict:
     """Every vertex has at most k crossings on its incident edges; a crossing
     between two edges sharing that vertex still counts once."""
-    xs = _xs(drawing, xs)
     counts: dict[str, int] = {}
     per_vertex: dict[str, list[Crossing]] = {}
     for x in xs:
@@ -84,20 +81,20 @@ def check_k_vertex_planar(drawing: Drawing, k: int, *,
 # Independent-crossing family
 # ---------------------------------------------------------------------------
 
-def _check_shared_endpoints(drawing: Drawing, limit: int, concept: str,
-                            xs: CrossingSet | None,
-                            require_simple: bool) -> Verdict:
-    xs = _xs(drawing, xs)
-    if require_simple and not is_simple_drawing(drawing, xs):
+def _shared_endpoints(concept: str, limit: int, require_simple: bool,
+                      drawing: Drawing, xs: tuple[Crossing, ...],
+                      k: int) -> Verdict:
+    """No two crossings share more than ``limit`` endpoint vertices (and,
+    with ``require_simple``, the drawing is simple)."""
+    if require_simple and not is_simple(xs):
         return Verdict(False, concept, "drawing is not simple")
     # Two crossings share more than `limit` endpoints exactly when they hold
     # a common (limit+1)-set of endpoints, so each such set is keyed to the
     # first crossing holding it.  The least i met at j is j's least partner;
     # the witness is the least (i, j), the first pair in combinations order.
-    lst = list(xs)
     first: dict[tuple[str, ...], int] = {}
     pair: tuple[int, int] | None = None
-    for j, x in enumerate(lst):
+    for j, x in enumerate(xs):
         for key in combinations(sorted(_crossing_vertices(x)), limit + 1):
             i = first.setdefault(key, j)
             if i < j and (pair is None or i < pair[0]):
@@ -106,7 +103,7 @@ def _check_shared_endpoints(drawing: Drawing, limit: int, concept: str,
             break
     if pair is None:
         return Verdict(True, concept)
-    x1, x2 = lst[pair[0]], lst[pair[1]]
+    x1, x2 = xs[pair[0]], xs[pair[1]]
     shared = _crossing_vertices(x1) & _crossing_vertices(x2)
     return Verdict(False, concept,
                    f"two crossings share {len(shared)} > {limit} "
@@ -115,28 +112,12 @@ def _check_shared_endpoints(drawing: Drawing, limit: int, concept: str,
                     "shared": sorted(shared)})
 
 
-def check_ic(drawing: Drawing, *, xs: CrossingSet | None = None) -> Verdict:
-    """Independent crossings: no two crossings share an endpoint vertex."""
-    return _check_shared_endpoints(drawing, 0, "ic", xs, False)
-
-
-def check_nic(drawing: Drawing, *, xs: CrossingSet | None = None) -> Verdict:
-    """Near-independent crossings: two crossings share at most one endpoint."""
-    return _check_shared_endpoints(drawing, 1, "nic", xs, False)
-
-
-def check_nnic(drawing: Drawing, *, xs: CrossingSet | None = None) -> Verdict:
-    """Nearly-near-independent: simple drawing, at most two shared endpoints."""
-    return _check_shared_endpoints(drawing, 2, "nnic", xs, True)
-
-
-def check_k_fan_crossing_free(drawing: Drawing, k: int, *,
-                              xs: CrossingSet | None = None) -> Verdict:
+def _k_fan_crossing_free(drawing: Drawing, xs: tuple[Crossing, ...],
+                         k: int) -> Verdict:
     """Simple drawing in which no edge is crossed by k edges with a common
     endpoint: for every edge e and vertex z outside e, at most k-1 of the
     edges crossing e are incident to z."""
-    xs = _xs(drawing, xs)
-    if not is_simple_drawing(drawing, xs):
+    if not is_simple(xs):
         return Verdict(False, "k-fan-crossing-free", "drawing is not simple")
     crossers: dict[Edge, set[Edge]] = {}
     for x in xs:
@@ -164,7 +145,8 @@ def check_k_fan_crossing_free(drawing: Drawing, k: int, *,
 # Fan family
 # ---------------------------------------------------------------------------
 
-def _crossers_by_edge(xs: CrossingSet) -> dict[Edge, list[Crossing]]:
+def _crossers_by_edge(xs: tuple[Crossing, ...]
+                      ) -> dict[Edge, list[Crossing]]:
     out: dict[Edge, list[Crossing]] = {}
     for x in xs:
         out.setdefault(x.a, []).append(x)
@@ -230,17 +212,19 @@ def _fan_anchor_candidates(e: Edge, crossers: list[Crossing]) -> list[str]:
     return sorted(common - set(e))
 
 
-def _check_fan(drawing: Drawing, concept: str, need_anchor: bool,
-               need_side: bool, need_enclosure: bool,
-               xs: CrossingSet | None) -> Verdict:
-    xs = _xs(drawing, xs)
-    if not is_simple_drawing(drawing, xs):
+def _fan(concept: str, level: int, drawing: Drawing,
+         xs: tuple[Crossing, ...], k: int) -> Verdict:
+    """A simple drawing in which the edges crossing any one edge e are
+    pairwise adjacent (level 0, adjacency-crossing), share a common anchor
+    vertex (level 1, fan-crossing), for some anchor all cross e from the
+    same side (level 2, weak fan-planar), and for that anchor no fan region
+    traps an endpoint of e (level 3, strong fan-planar)."""
+    if not is_simple(xs):
         return Verdict(False, concept, "drawing is not simple")
     for e, crossings in sorted(_crossers_by_edge(xs).items()):
         if len(crossings) <= 1:
             continue
-        if not need_anchor:
-            # adjacency-crossing: crossers only need to be pairwise adjacent.
+        if level == 0:
             for x1, x2 in combinations(crossings, 2):
                 f1, f2 = x1.other(e), x2.other(e)
                 if f1 != f2 and not set(f1) & set(f2):
@@ -257,7 +241,7 @@ def _check_fan(drawing: Drawing, concept: str, need_anchor: bool,
             return Verdict(False, concept,
                            f"edges crossing {edge_key(e)} have no common vertex",
                            {"edge": edge_key(e), "crossers": fans})
-        if not need_side:
+        if level == 1:
             continue
         ok_anchor = None
         last_reason: tuple[str, dict] | None = None
@@ -268,7 +252,7 @@ def _check_fan(drawing: Drawing, concept: str, need_anchor: bool,
                     f"crossings of {edge_key(e)} approach anchor {v} from "
                     f"both sides", {"edge": edge_key(e), "anchor": v})
                 continue
-            if need_enclosure:
+            if level == 3:
                 trapped = _enclosure_failure(drawing, e, crossings, v)
                 if trapped is not None:
                     last_reason = trapped
@@ -313,41 +297,14 @@ def _enclosure_failure(drawing: Drawing, e: Edge,
     return None
 
 
-def check_adjacency_crossing(drawing: Drawing, *,
-                             xs: CrossingSet | None = None) -> Verdict:
-    """Simple drawing; edges crossing a common edge are pairwise adjacent."""
-    return _check_fan(drawing, "adjacency-crossing", False, False, False, xs)
-
-
-def check_fan_crossing(drawing: Drawing, *,
-                       xs: CrossingSet | None = None) -> Verdict:
-    """Simple drawing; edges crossing a common edge all share one vertex."""
-    return _check_fan(drawing, "fan-crossing", True, False, False, xs)
-
-
-def check_weak_fan_planar(drawing: Drawing, *,
-                          xs: CrossingSet | None = None) -> Verdict:
-    """Fan-crossing with a consistent side: for some common vertex of the
-    crossers, all of them cross the edge from the same side."""
-    return _check_fan(drawing, "weak-fan-planar", True, True, False, xs)
-
-
-def check_strong_fan_planar(drawing: Drawing, *,
-                            xs: CrossingSet | None = None) -> Verdict:
-    """Weak fan-planar and no fan region traps an endpoint of the crossed
-    edge."""
-    return _check_fan(drawing, "strong-fan-planar", True, True, True, xs)
-
-
 # ---------------------------------------------------------------------------
 # Global counting concepts
 # ---------------------------------------------------------------------------
 
-def check_k_edge_crossing(drawing: Drawing, k: int, *,
-                          xs: CrossingSet | None = None) -> Verdict:
+def _k_edge_crossing(drawing: Drawing, xs: tuple[Crossing, ...],
+                     k: int) -> Verdict:
     """At most k edges are involved in crossings."""
-    xs = _xs(drawing, xs)
-    crossed = xs.crossed_edges()
+    crossed = {x.a for x in xs} | {x.b for x in xs}
     if len(crossed) > k:
         return Verdict(False, "k-edge-crossing",
                        f"{len(crossed)} > {k} edges are crossed",
@@ -355,7 +312,7 @@ def check_k_edge_crossing(drawing: Drawing, k: int, *,
     return Verdict(True, "k-edge-crossing")
 
 
-def _alternating_bfs(xs: list[Crossing], charged: dict[Edge, list[int]],
+def _alternating_bfs(xs: tuple[Crossing, ...], charged: dict[Edge, list[int]],
                      sources: list[int], k: int) -> tuple[Edge | None, dict]:
     """Breadth-first search from the edges of the crossings in sources, from
     each edge over the crossings charged to it to their other edges: the
@@ -374,14 +331,13 @@ def _alternating_bfs(xs: list[Crossing], charged: dict[Edge, list[int]],
     return None, parent
 
 
-def check_k_gap_planar(drawing: Drawing, k: int, *,
-                       xs: CrossingSet | None = None) -> Verdict:
+def _k_gap_planar(drawing: Drawing, xs: tuple[Crossing, ...],
+                  k: int) -> Verdict:
     """Each crossing can be charged to one of its two edges so that every
     edge is charged at most k times.  Decided by augmenting paths; on failure
     the witness is the set E_R of edges reached by alternating paths from the
     uncharged crossings (one set for every maximum charging), whose internal
     crossings exceed k|E_R|."""
-    xs = list(_xs(drawing, xs))
     if not xs:
         return Verdict(True, "k-gap-planar")
     charged: dict[Edge, list[int]] = defaultdict(list)
@@ -429,11 +385,9 @@ def _hitting_set(universe: list[frozenset], k: int) -> set | None:
     return solve(universe, k)
 
 
-def check_k_apex(drawing: Drawing, k: int, *,
-                 xs: CrossingSet | None = None) -> Verdict:
+def _k_apex(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:
     """Some set of at most k vertices meets every crossing (deleting them
     leaves a crossing-free drawing)."""
-    xs = _xs(drawing, xs)
     sets = [frozenset(_crossing_vertices(x)) for x in xs]
     hit = _hitting_set(sets, k)
     if hit is None:
@@ -443,11 +397,9 @@ def check_k_apex(drawing: Drawing, k: int, *,
     return Verdict(True, "k-apex", witness={"apices": sorted(hit)})
 
 
-def check_skewness(drawing: Drawing, k: int, *,
-                   xs: CrossingSet | None = None) -> Verdict:
+def _skewness(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:
     """Some set of at most k edges meets every crossing (deleting them
     leaves a crossing-free drawing)."""
-    xs = _xs(drawing, xs)
     sets = [frozenset({x.a, x.b}) for x in xs]
     hit = _hitting_set(sets, k)
     if hit is None:
@@ -463,28 +415,30 @@ def check_skewness(drawing: Drawing, k: int, *,
 # ---------------------------------------------------------------------------
 
 _CHECKERS = {
-    "k-planar": check_k_planar,
-    "k-vertex-planar": check_k_vertex_planar,
-    "ic": check_ic,
-    "nic": check_nic,
-    "nnic": check_nnic,
-    "k-fan-crossing-free": check_k_fan_crossing_free,
-    "adjacency-crossing": check_adjacency_crossing,
-    "fan-crossing": check_fan_crossing,
-    "weak-fan-planar": check_weak_fan_planar,
-    "strong-fan-planar": check_strong_fan_planar,
-    "k-edge-crossing": check_k_edge_crossing,
-    "k-gap-planar": check_k_gap_planar,
-    "k-apex": check_k_apex,
-    "skewness": check_skewness,
+    "k-planar": _k_planar,
+    "k-vertex-planar": _k_vertex_planar,
+    "ic": partial(_shared_endpoints, "ic", 0, False),
+    "nic": partial(_shared_endpoints, "nic", 1, False),
+    "nnic": partial(_shared_endpoints, "nnic", 2, True),
+    "k-fan-crossing-free": _k_fan_crossing_free,
+    "adjacency-crossing": partial(_fan, "adjacency-crossing", 0),
+    "fan-crossing": partial(_fan, "fan-crossing", 1),
+    "weak-fan-planar": partial(_fan, "weak-fan-planar", 2),
+    "strong-fan-planar": partial(_fan, "strong-fan-planar", 3),
+    "k-edge-crossing": _k_edge_crossing,
+    "k-gap-planar": _k_gap_planar,
+    "k-apex": _k_apex,
+    "skewness": _skewness,
 }
 
 
 def check_concept(drawing: Drawing, concept: "str | ConceptId",
                   k: int | None = None, *,
-                  xs: CrossingSet | None = None) -> Verdict:
+                  xs: tuple[Crossing, ...] | None = None) -> Verdict:
+    """Check a drawing against a concept.  ``xs``, when given, are the
+    drawing's crossings as ``compute_crossings`` returns them; otherwise
+    they are computed here."""
     cid = as_concept(concept, k)
-    checker = _CHECKERS[cid.kind]
-    if cid.info.requires_k:
-        return checker(drawing, cid.k, xs=xs)
-    return checker(drawing, xs=xs)
+    if xs is None:
+        xs = compute_crossings(drawing)
+    return _CHECKERS[cid.kind](drawing, xs, structural_k(cid))

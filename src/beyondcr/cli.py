@@ -74,6 +74,21 @@ def _concept_of(args) -> ConceptId:
     return parse_concept(args.concept, getattr(args, "k", None))
 
 
+def _emit_verdict(verdict: Verdict, fmt: str, out: str | None) -> int:
+    """Print a verdict as JSON (also for svg) or text; its exit code."""
+    if fmt == "text":
+        lines = [f"ok: {str(verdict.ok).lower()}"]
+        if verdict.reason:
+            lines.append(f"reason: {verdict.reason}")
+        if verdict.witness is not None:
+            lines.append("witness: " + json.dumps(verdict.witness,
+                                                  sort_keys=True))
+        _emit("\n".join(lines) + "\n", out)
+    else:
+        _emit(_dumps(verdict.to_json_obj()), out)
+    return 0 if verdict.ok else 1
+
+
 def _load_drawing(path: str):
     try:
         data = Path(path).read_bytes()
@@ -93,6 +108,8 @@ def _cmd_gen(args) -> int:
     if args.random is not None:
         if args.seed is None:
             raise ValueError("--random needs --seed")
+        if args.random < 0:
+            raise ValueError("--random needs N >= 0")
         drawings = random_corpus(args.seed, args.random,
                                  bend_prob=args.bend_prob,
                                  max_crossings=args.max_crossings)
@@ -114,9 +131,9 @@ def _cmd_layout(args) -> int:
     fg = construction_for(_concept_of(args), args.ell)
     drawing = draw_framework(fg, args.variant)
     if args.rectilinear and not is_straight_line(drawing):
-        print(f"not a straight-line drawing: {fg.concept} uses bent edges",
-              file=sys.stdout)
-        return 1
+        return _emit_verdict(Verdict(False, str(fg.concept),
+                                     "drawing is not straight-line"),
+                             args.format, args.out)
     if args.format == "svg":
         _emit(to_svg(drawing, frame_edge_colors(fg)), args.out)
     elif args.format == "text":
@@ -136,17 +153,7 @@ def _cmd_check(args) -> int:
         verdict = Verdict(False, str(cid), "drawing is not straight-line")
     else:
         verdict = check_concept(drawing, cid)
-    if args.format == "json":
-        _emit(_dumps(verdict.to_json_obj()), args.out)
-    else:
-        lines = [f"ok: {str(verdict.ok).lower()}"]
-        if verdict.reason:
-            lines.append(f"reason: {verdict.reason}")
-        if verdict.witness is not None:
-            lines.append("witness: " + json.dumps(verdict.witness,
-                                                  sort_keys=True))
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if verdict.ok else 1
+    return _emit_verdict(verdict, args.format, args.out)
 
 
 def _cmd_coverage(args) -> int:

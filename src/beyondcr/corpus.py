@@ -15,28 +15,30 @@ from itertools import combinations
 from .drawing import Drawing, GeneralPositionViolation, compute_crossings
 from .graph_core import edge, make_graph
 
+_GRID = 256
+_MAX_ATTEMPTS = 500
+
 
 def random_drawing(rng: random.Random,
                    n_range: tuple[int, int] = (4, 8),
                    extra_edges: tuple[int, int] = (2, 5),
                    bend_prob: float = 0.0,
-                   coord_range: int = 256,
-                   max_crossings: int = 12,
-                   max_attempts: int = 500) -> Drawing:
+                   max_crossings: int = 12) -> Drawing:
     """One random polyline drawing in general position.
 
-    The graph has n vertices (uniform in ``n_range``) and n-1+extra edges
-    sampled from all pairs; with ``bend_prob`` an edge gets a single bend.
-    Degenerate geometry (collinear overlaps, concurrent crossings, ...)
-    and drawings with more than ``max_crossings`` crossings are rejected
-    and resampled.
+    The graph has n vertices (uniform in ``n_range``) on distinct points of
+    the [0, _GRID)^2 grid and n-1+extra edges sampled from all pairs; with
+    ``bend_prob`` an edge gets a single bend.  Degenerate geometry
+    (collinear overlaps, concurrent crossings, ...) and drawings with more
+    than ``max_crossings`` crossings are rejected and resampled, up to
+    ``_MAX_ATTEMPTS`` times.
     """
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         n = rng.randint(*n_range)
         names = [f"u{i}" for i in range(n)]
         pts = set()
         while len(pts) < n:
-            pts.add((rng.randrange(coord_range), rng.randrange(coord_range)))
+            pts.add((rng.randrange(_GRID), rng.randrange(_GRID)))
         positions = {
             v: (Fraction(x), Fraction(y))
             for v, (x, y) in zip(names, sorted(pts))
@@ -49,7 +51,7 @@ def random_drawing(rng: random.Random,
         for e in edges:
             if rng.random() < bend_prob:
                 (x1, y1), (x2, y2) = positions[e[0]], positions[e[1]]
-                off = rng.randrange(-coord_range // 8, coord_range // 8 + 1)
+                off = rng.randrange(-_GRID // 8, _GRID // 8 + 1)
                 mid = ((x1 + x2) / 2 + off, (y1 + y2) / 2 + off // 2 + 1)
                 curves[e] = (mid,)
         drawing = Drawing(make_graph(names, edges), positions, curves)
@@ -59,7 +61,7 @@ def random_drawing(rng: random.Random,
             continue
         if len(crossings) <= max_crossings:
             return drawing
-    raise RuntimeError(f"no acceptable drawing after {max_attempts} attempts")
+    raise RuntimeError(f"no acceptable drawing after {_MAX_ATTEMPTS} attempts")
 
 
 def random_corpus(seed: int, count: int, **kwargs) -> list[Drawing]:

@@ -116,27 +116,6 @@ class Crossing:
         return out
 
 
-@dataclass(frozen=True)
-class CrossingSet:
-    crossings: tuple[Crossing, ...]
-
-    def __len__(self) -> int:
-        return len(self.crossings)
-
-    def __iter__(self) -> Iterator[Crossing]:
-        return iter(self.crossings)
-
-    def of_edge(self, e: Edge) -> list[Crossing]:
-        return [x for x in self.crossings if x.involves(e)]
-
-    def crossed_edges(self) -> set[Edge]:
-        out: set[Edge] = set()
-        for x in self.crossings:
-            out.add(x.a)
-            out.add(x.b)
-        return out
-
-
 def _point_table(drawing: Drawing, bent: list[Edge]
                  ) -> tuple[list, int | None]:
     """Every vertex (in graph order) and bend (in ``bent`` order) with the
@@ -185,7 +164,7 @@ def _candidate_pairs(segs: list[tuple[int, int, int, int]],
                 yield (s, t) if s < t else (t, s)
 
 
-def compute_crossings(drawing: Drawing) -> CrossingSet:
+def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
     """All proper crossings of the drawing, exactly.
 
     Raises GeneralPositionViolation for overlaps (an edge doubling back
@@ -341,14 +320,12 @@ def compute_crossings(drawing: Drawing) -> CrossingSet:
     # Crossing order: a position along edge a is unique once crossings are
     # known not to coincide.
     found.sort(key=lambda x: (x.a, x.b, x.pos_a))
-    return CrossingSet(tuple(found))
+    return tuple(found)
 
 
-def is_simple_drawing(drawing: Drawing,
-                      crossings: CrossingSet | None = None) -> bool:
-    """Simple = no self-crossings, no crossing adjacent edges, and no edge
-    pair crossing more than once."""
-    xs = crossings if crossings is not None else compute_crossings(drawing)
+def is_simple(xs: tuple[Crossing, ...]) -> bool:
+    """Whether a drawing with crossings ``xs`` is simple: no self-crossings,
+    no crossing adjacent edges, and no edge pair crossing more than once."""
     pair_counts: dict[tuple[Edge, Edge], int] = {}
     for x in xs:
         if x.a == x.b:
@@ -415,12 +392,9 @@ def _point_from_json(obj) -> Point:
     return (_coord_from_json(obj[0]), _coord_from_json(obj[1]))
 
 
-def drawing_to_json_obj(drawing: Drawing, graph_meta: dict | None = None) -> dict:
-    gobj = graph_to_json_obj(drawing.graph)
-    if graph_meta:
-        gobj["meta"].update(graph_meta)
+def drawing_to_json_obj(drawing: Drawing) -> dict:
     return {
-        "graph": gobj,
+        "graph": graph_to_json_obj(drawing.graph),
         "positions": {v: _point_json(drawing.positions[v])
                       for v in drawing.graph.vertices},
         "curves": {edge_key(e): [_point_json(p) for p in bends]
@@ -429,9 +403,8 @@ def drawing_to_json_obj(drawing: Drawing, graph_meta: dict | None = None) -> dic
     }
 
 
-def drawing_to_json(drawing: Drawing, graph_meta: dict | None = None) -> str:
-    return json.dumps(drawing_to_json_obj(drawing, graph_meta),
-                      indent=2, sort_keys=True)
+def drawing_to_json(drawing: Drawing) -> str:
+    return json.dumps(drawing_to_json_obj(drawing), indent=2, sort_keys=True)
 
 
 def drawing_from_json_obj(obj: dict) -> Drawing:
@@ -491,13 +464,14 @@ _SVG_COLORS = {
 }
 
 
-def to_svg(drawing: Drawing, edge_colors: Mapping[Edge, str] | None = None,
-           width: int = 900) -> str:
-    """Deterministic standalone SVG for a drawing.
+def to_svg(drawing: Drawing,
+           edge_colors: Mapping[Edge, str] | None = None) -> str:
+    """Deterministic standalone SVG for a drawing, 900 units wide.
 
     ``edge_colors`` maps edges to frame colors (blue/red/yellow/gray); other
     edges are black.
     """
+    width = 900
     pts: list[Point] = [drawing.positions[v] for v in drawing.graph.vertices]
     for e in sorted(drawing.curves):
         pts.extend(drawing.curves[e])

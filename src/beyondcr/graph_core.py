@@ -741,18 +741,24 @@ def construction_for(concept: "str | ConceptId", ell: int,
     """
     cid = as_concept(concept, k)
     info = cid.info
+    below = ell < info.threshold(structural_k(cid))
+    return build_framework_graph(build_frame(info.coloring),
+                                 _recipe(cid, ell), cid, ell, below)
+
+
+def _recipe(cid: ConceptId, ell: int) -> Mapping[str, ConGraphSpec]:
+    """The concept's color -> con-graph spec map at ell.  Both the graph
+    construction and the closed-form sizes start here, so this is the one
+    place that refuses ell < 1."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    frame = build_frame(info.coloring)
-    kk = structural_k(cid)
-    below = ell < info.threshold(kk)
-    return build_framework_graph(frame, info.recipe(ell, kk), cid, ell, below)
+    return cid.info.recipe(ell, structural_k(cid))
 
 
 def _connection_specs(cid: ConceptId, ell: int) -> list[ConGraphSpec]:
     """The con-graph spec of every connection, in ALL_CONNECTIONS order."""
     frame = build_frame(cid.info.coloring)
-    recipe = cid.info.recipe(ell, structural_k(cid))
+    recipe = _recipe(cid, ell)
     return [recipe[frame.color(c)] for c in ALL_CONNECTIONS]
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import prod
 from typing import Iterator, Sequence
 
-from .drawing import CrossingSet, Drawing, Verdict, compute_crossings
+from .drawing import Crossing, Drawing, Verdict, compute_crossings
 from .graph_core import (
     ALL_CONNECTIONS,
     Bundle,
@@ -112,7 +112,8 @@ class CoverageLedger:
 
 
 def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
-                    crossings: CrossingSet | None = None) -> CoverageLedger:
+                    crossings: tuple[Crossing, ...] | None = None
+                    ) -> CoverageLedger:
     """Attribute every crossing of the drawing to the subdivisions it covers.
 
     Crossings between edges of non-adjacent connections (pole sets disjoint)
@@ -291,11 +292,10 @@ def counting_lower_bound(concept: "str | ConceptId", ell: int,
     anyway (it may be non-positive) and the trace says so.
     """
     cid = as_concept(concept, k)
+    widths = connection_widths(cid, ell)    # refuses ell < 1 first
     kk = structural_k(cid)
     share, share_s = cid.info.share(ell, kk)
     rect, rect_s = cid.info.rect(ell, kk)
-
-    widths = connection_widths(cid, ell)
     total = prod(widths[c] for c in ALL_CONNECTIONS)
     bound = share * rect
     trace = [

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Literal
 
 from .drawing import Drawing
-from .geometry import Point
+from .geometry import Point, orient
 from .graph_core import (ALL_CONNECTIONS, ApexBlue, BundlePlus, ConceptId,
                          ConGraph, FrameworkGraph, K7, connection_poles,
                          as_concept, construction_for, edge, make_graph,
@@ -505,12 +505,14 @@ def appendix_fcf_fixture():
     for u, v in _FIX_WALLS:
         U, V = positions[u], positions[v]
         anchor = _FIX_BLOB_SIDE[(u, v)]
+        # "out": the opposite side from the origin
         if anchor == "out":
-            # outward: opposite side from the origin
-            o = _orient_sign(U, V, (Fraction(0), Fraction(0)))
-            side = -o
+            o = -orient(U, V, (Fraction(0), Fraction(0)))
         else:
-            side = _orient_sign(U, V, positions[anchor])
+            o = orient(U, V, positions[anchor])
+        if o == 0:
+            raise ValueError("degenerate blob side")
+        side = 1 if o > 0 else -1
         pts = _blob_points(U, V, side)
         names = {}
         for local in ("x", "y", "z"):
@@ -529,13 +531,6 @@ def appendix_fcf_fixture():
     drawing = Drawing(graph, positions, curves,
                       meta={"fixture": "appendix-fcf"})
     return graph, drawing
-
-
-def _orient_sign(a: Point, b: Point, c: Point) -> int:
-    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if v == 0:
-        raise ValueError("degenerate blob side")
-    return 1 if v > 0 else -1
 
 
 def k5_fcf_fixture() -> Drawing:

@@ -6,26 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from beyondcr import (Crossing, CrossingSet, appendix_fcf_fixture,
-                      check_concept, compute_crossings, edge, random_corpus,
-                      random_drawing, standard_drawing)
-from beyondcr.checkers import (
-    check_adjacency_crossing,
-    check_fan_crossing,
-    check_ic,
-    check_k_apex,
-    check_k_edge_crossing,
-    check_k_fan_crossing_free,
-    check_k_gap_planar,
-    check_k_planar,
-    check_k_vertex_planar,
-    check_nic,
-    check_nnic,
-    check_skewness,
-    check_strong_fan_planar,
-    check_weak_fan_planar,
-)
-from beyondcr.graph_core import as_concept, edge_from_key, edge_key
+from beyondcr import (Crossing, appendix_fcf_fixture, check_concept,
+                      compute_crossings, edge, random_corpus, random_drawing,
+                      standard_drawing)
+from beyondcr.checkers import _CHECKERS
+from beyondcr.graph_core import CONCEPTS, as_concept, edge_from_key, edge_key
 from conftest import (
     GRID,
     fan_fixture_adjacent_not_fan,
@@ -64,30 +49,29 @@ def test_failure_reasons_are_informative():
 
 def _fan_verdicts(d):
     xs = compute_crossings(d)
-    return (check_adjacency_crossing(d, xs=xs).ok,
-            check_fan_crossing(d, xs=xs).ok,
-            check_weak_fan_planar(d, xs=xs).ok,
-            check_strong_fan_planar(d, xs=xs).ok)
+    return tuple(check_concept(d, kind, xs=xs).ok
+                 for kind in ("adjacency-crossing", "fan-crossing",
+                              "weak-fan-planar", "strong-fan-planar"))
 
 
 def test_adjacent_but_not_fan():
     d = fan_fixture_adjacent_not_fan()
     assert _fan_verdicts(d) == (True, False, False, False)
-    v = check_fan_crossing(d)
+    v = check_concept(d, "fan-crossing")
     assert "no common vertex" in v.reason
 
 
 def test_fan_but_not_weak():
     d = fan_fixture_fan_not_weak()
     assert _fan_verdicts(d) == (True, True, False, False)
-    v = check_weak_fan_planar(d)
+    v = check_concept(d, "weak-fan-planar")
     assert "both sides" in v.reason
 
 
 def test_weak_but_not_strong():
     d = fan_fixture_weak_not_strong()
     assert _fan_verdicts(d) == (True, True, True, False)
-    v = check_strong_fan_planar(d)
+    v = check_concept(d, "strong-fan-planar")
     assert "enclosed" in v.reason
 
 
@@ -99,16 +83,24 @@ def test_non_simple_fails_every_fan_variant():
     d = Drawing(g, {"a": pt(0, 0), "b": pt(6, 0), "c": pt(6, 3)},
                 curves={edge("a", "c"): (pt(2, -2), pt(4, 1))})
     assert _fan_verdicts(d) == (False, False, False, False)
-    assert not check_nnic(d).ok
-    assert not check_k_fan_crossing_free(d, 5).ok
+    assert not check_concept(d, "nnic").ok
+    assert not check_concept(d, "k-fan-crossing-free", 5).ok
     # but the pairwise-endpoint and counting concepts do not mind
-    assert check_ic(d).ok
-    assert check_k_planar(d, 1).ok
+    assert check_concept(d, "ic").ok
+    assert check_concept(d, "k-planar", 1).ok
 
 
 # ---------------------------------------------------------------------------
 # Brute-force oracle agreement on a random corpus
 # ---------------------------------------------------------------------------
+
+def _verdict(d, xs, kind, k=None):
+    """check_concept's verdict; below the concept's k_min, where
+    check_concept refuses k, the concept's checker called directly."""
+    if k is not None and k < CONCEPTS[kind].k_min:
+        return _CHECKERS[kind](d, xs, k)
+    return check_concept(d, kind, k, xs=xs)
+
 
 def test_checkers_agree_with_oracles_on_random_drawings():
     rng = random.Random(1312)
@@ -116,11 +108,12 @@ def test_checkers_agree_with_oracles_on_random_drawings():
         d = random_drawing(rng, bend_prob=0.35)
         xs = compute_crossings(d)
         for k in (1, 2, 3):
-            assert check_k_planar(d, k, xs=xs).ok == o.kpl_ok(xs, k)
-            assert check_k_vertex_planar(d, k, xs=xs).ok == o.kvp_ok(xs, k)
-            assert check_k_edge_crossing(d, k, xs=xs).ok == o.ecr_ok(xs, k)
-            assert check_k_fan_crossing_free(d, k, xs=xs).ok == o.kfcf_ok(xs, k)
-            gap = check_k_gap_planar(d, k, xs=xs)
+            assert _verdict(d, xs, "k-planar", k).ok == o.kpl_ok(xs, k)
+            assert _verdict(d, xs, "k-vertex-planar", k).ok == o.kvp_ok(xs, k)
+            assert _verdict(d, xs, "k-edge-crossing", k).ok == o.ecr_ok(xs, k)
+            assert (_verdict(d, xs, "k-fan-crossing-free", k).ok
+                    == o.kfcf_ok(xs, k))
+            gap = _verdict(d, xs, "k-gap-planar", k)
             assert gap.ok == o.gap_ok_brute(xs, k)
             if gap.ok and len(xs):
                 charges = gap.witness["assignment"]
@@ -133,11 +126,11 @@ def test_checkers_agree_with_oracles_on_random_drawings():
                 internal = sum(x.a in named and x.b in named for x in xs)
                 assert gap.witness["internal_crossings"] == internal
                 assert internal > k * len(named)
-            assert check_k_apex(d, k, xs=xs).ok == o.apex_ok_brute(xs, k)
-            assert check_skewness(d, k, xs=xs).ok == o.skew_ok_brute(xs, k)
-        assert check_ic(d, xs=xs).ok == o.shared_endpoints_ok(xs, 0)
-        assert check_nic(d, xs=xs).ok == o.shared_endpoints_ok(xs, 1)
-        assert check_nnic(d, xs=xs).ok == (
+            assert _verdict(d, xs, "k-apex", k).ok == o.apex_ok_brute(xs, k)
+            assert _verdict(d, xs, "skewness", k).ok == o.skew_ok_brute(xs, k)
+        assert _verdict(d, xs, "ic").ok == o.shared_endpoints_ok(xs, 0)
+        assert _verdict(d, xs, "nic").ok == o.shared_endpoints_ok(xs, 1)
+        assert _verdict(d, xs, "nnic").ok == (
             o.simple_ok(xs) and o.shared_endpoints_ok(xs, 2))
 
 
@@ -171,10 +164,10 @@ def test_ic_family_witness_is_the_first_pair_in_combinations_order():
     rng = random.Random(31)
     pinned = set()
     for d, lst in _ic_family_orders(rng):
-        xs = CrossingSet(tuple(lst))
-        for check, limit in ((check_ic, 0), (check_nic, 1), (check_nnic, 2)):
-            v = check(d, xs=xs)
-            if check is check_nnic and not o.simple_ok(xs):
+        xs = tuple(lst)
+        for kind, limit in (("ic", 0), ("nic", 1), ("nnic", 2)):
+            v = check_concept(d, kind, xs=xs)
+            if kind == "nnic" and not o.simple_ok(xs):
                 assert (v.ok, v.reason) == (False, "drawing is not simple")
                 continue
             pair = o.first_shared_pair(lst, limit)
@@ -196,7 +189,7 @@ def test_ic_family_witness_is_the_first_pair_in_combinations_order():
 def test_gap_planar_success_carries_an_assignment():
     d = standard_drawing("k-gap-planar", 5, 1, variant="witness")
     xs = compute_crossings(d)
-    v = check_k_gap_planar(d, 1, xs=xs)
+    v = check_concept(d, "k-gap-planar", 1, xs=xs)
     assert v.ok
     assignment = v.witness["assignment"]
     assert len(assignment) == len(xs)
@@ -209,7 +202,7 @@ def test_gap_planar_success_carries_an_assignment():
 def test_gap_planar_failure_witness_is_pinned():
     # Recorded from the max-flow checker this one replaced.
     d = standard_drawing("strong-fan-planar", 6, variant="witness")
-    v = check_k_gap_planar(d, 1)
+    v = check_concept(d, "k-gap-planar", 1)
     assert not v.ok
     assert v.reason == "36 crossings among 12 edges exceed capacity 1*12"
     assert v.witness == {
@@ -220,10 +213,10 @@ def test_gap_planar_failure_witness_is_pinned():
 
 def test_apex_and_skew_witnesses_name_their_removals():
     d = standard_drawing("k-apex", 2, 2, variant="witness")
-    v = check_k_apex(d, 2)
+    v = check_concept(d, "k-apex", 2)
     assert v.ok and len(v.witness["apices"]) <= 2
     d = standard_drawing("skewness", 2, 1, variant="witness")
-    v = check_skewness(d, 1)
+    v = check_concept(d, "skewness", 1)
     assert v.ok and len(v.witness["removed"]) <= 1
 
 
@@ -245,6 +238,16 @@ def test_check_concept_dispatch():
 
 
 def test_precomputed_crossings_short_circuit():
-    d = standard_drawing("nic", 4, variant="witness")
-    xs = compute_crossings(d)
-    assert check_concept(d, "nic", xs=xs).ok == check_concept(d, "nic").ok
+    # every concept on every GRID drawing: the same verdict, witness and all
+    for kind, ell, k in GRID:
+        for variant in ("witness", "upper"):
+            d = standard_drawing(kind, ell, k, variant=variant)
+            xs = compute_crossings(d)
+            for concept, info in CONCEPTS.items():
+                ck = 2 if info.requires_k else None
+                assert (check_concept(d, concept, ck, xs=xs).to_json_obj()
+                        == check_concept(d, concept, ck).to_json_obj())
+
+
+def test_every_concept_has_one_checker():
+    assert set(_CHECKERS) == set(CONCEPTS)

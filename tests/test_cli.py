@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import beyondcr
 from beyondcr import drawing_from_json
 from beyondcr.cli import run
+from beyondcr.graph_core import CONCEPTS
 
 
 def out_of(capsys):
@@ -75,10 +76,16 @@ def test_layout_text_and_svg_formats(capsys):
 
 
 def test_rectilinear_flag_rejects_bent_fan_layout(capsys):
-    rc = run(["layout", "--concept", "fan-crossing", "--ell", "2",
-              "--rectilinear"])
-    assert rc == 1
-    assert "straight" in capsys.readouterr().out
+    argv = ["layout", "--concept", "fan-crossing", "--ell", "2",
+            "--rectilinear"]
+    refusal = ('{\n  "concept": "fc",\n  "ok": false,\n'
+               '  "reason": "drawing is not straight-line"\n}\n')
+    # a verdict, as check prints it; svg has no verdict form, so json
+    for fmt, want in (("json", refusal), ("svg", refusal),
+                      ("text", "ok: false\nreason: drawing is not "
+                               "straight-line\n")):
+        assert run(argv + ["--format", fmt]) == 1
+        assert out_of(capsys) == want
     # non-fan constructions are straight-line, so the flag is harmless there
     assert run(["layout", "--concept", "nnic", "--ell", "3",
                 "--rectilinear"]) == 0
@@ -199,6 +206,15 @@ def test_bound_json_fields(capsys):
     assert obj["n"] > 0 and obj["m"] > obj["n"] - 1
 
 
+@pytest.mark.parametrize("ell", [0, -3])
+@pytest.mark.parametrize("kind", sorted(CONCEPTS))
+def test_bound_refuses_ell_below_1(kind, ell, capsys):
+    assert run(["bound", "--concept", kind, "--ell", str(ell),
+                "--k", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: ell must be >= 1\n"
+
+
 def test_bound_text_has_trace(capsys):
     run(["bound", "--concept", "ic", "--ell", "2", "--format", "text"])
     text = out_of(capsys)
@@ -297,6 +313,8 @@ def test_error_exit_codes(tmp_path, capsys):
                 "--k", "1"]) == 2  # ell below the constructible range
     assert run(["coverage", "--concept", "ic"]) == 2  # argparse: missing --ell
     capsys.readouterr()
+    assert run(["gen", "--random", "-2", "--seed", "11"]) == 2
+    assert capsys.readouterr() == ("", "error: --random needs N >= 0\n")
 
 
 def test_corrupt_drawing_file(tmp_path, capsys):

@@ -19,7 +19,7 @@ from beyondcr import (
     drawing_to_json,
     drawing_to_json_obj,
     edge,
-    is_simple_drawing,
+    is_simple,
     is_straight_line,
     make_graph,
     random_drawing,
@@ -78,7 +78,7 @@ def test_adjacent_edges_can_properly_cross_when_bent():
           curves={edge("a", "c"): (pt(2, -2), pt(4, 1))})
     xs = compute_crossings(d)
     assert len(xs) == 1
-    assert not is_simple_drawing(d, xs)
+    assert not is_simple(xs)
 
 
 def test_self_crossing_polyline():
@@ -88,7 +88,7 @@ def test_self_crossing_polyline():
     assert len(xs) == 1
     x = next(iter(xs))
     assert x.a == x.b == ("a", "b")
-    assert not is_simple_drawing(d, xs)
+    assert not is_simple(xs)
     assert count_on_edge(xs, ("a", "b")) == 2    # a self-crossing counts twice
 
 
@@ -98,7 +98,7 @@ def test_double_crossing_pair_not_simple():
           curves={edge("c", "d"): (pt(2, -1), pt(4, -1))})
     xs = compute_crossings(d)
     assert len(xs) == 2
-    assert not is_simple_drawing(d, xs)
+    assert not is_simple(xs)
     assert is_straight_line(d) is False
 
 

@@ -8,7 +8,7 @@ from beyondcr import (
     drawing_to_json,
     k5_fcf_fixture,
 )
-from beyondcr.drawing import is_simple_drawing
+from beyondcr.drawing import is_simple
 from oracles import APPENDIX_WALLS, count_on_edge
 
 
@@ -77,7 +77,7 @@ class TestK5Fixture:
         assert len(self.xs) == 1
 
     def test_predicates(self):
-        assert is_simple_drawing(self.drawing, self.xs)
+        assert is_simple(self.xs)
         assert check_concept(self.drawing, "k-fan-crossing-free", 2,
                              xs=self.xs).ok
         assert check_concept(self.drawing, "k-planar", 1, xs=self.xs).ok

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from beyondcr import (
     BudgetExceeded,
     Crossing,
-    CrossingSet,
     compute_crossings,
     construction_for,
     counting_lower_bound,
@@ -126,7 +125,7 @@ def test_ledger_agrees_with_crossings_subdivision_by_subdivision(
                           (Fraction(i), Fraction(0)))
                  for i in range(rng.randrange(1, 12))] for _ in range(6)]
     for subset in subsets:
-        ledger = coverage_ledger(d, fg, crossings=CrossingSet(tuple(subset)))
+        ledger = coverage_ledger(d, fg, crossings=tuple(subset))
         cids = ledger.constrained()
         walked = [tuple(sub[c] for c in cids)
                   for sub in _uncovered(ledger, DEFAULT_BUDGET)[1]]
