@@ -192,16 +192,6 @@ def _curve_to_vertex(drawing: Drawing, f: Edge, pos: tuple[int, Fraction],
     raise ValueError(f"{vertex} is not an endpoint of {f}")
 
 
-def _dedupe_ring(points: list[Point]) -> list[Point]:
-    out: list[Point] = []
-    for p in points:
-        if not out or out[-1] != p:
-            out.append(p)
-    if len(out) > 1 and out[0] == out[-1]:
-        out.pop()
-    return out
-
-
 def _fan_anchor_candidates(e: Edge, crossers: list[Crossing]) -> list[str]:
     common: set[str] | None = None
     for x in crossers:
@@ -286,8 +276,8 @@ def _enclosure_failure(drawing: Drawing, e: Edge,
         back = _curve_to_vertex(drawing, first.other(e),
                                 first.positions_on(first.other(e))[0],
                                 first.point, anchor)
+        # a repeated point is a zero-length edge, harmless to the even-odd test
         ring += list(reversed(back))[1:]
-        ring = _dedupe_ring(ring)
         for u, p in endpoints:
             if point_in_polygon_evenodd(p, ring):
                 return (f"endpoint {u} of {edge_key(e)} is enclosed by the "

@@ -27,12 +27,14 @@ def orient(a: Point, b: Point, c: Point) -> Fraction:
 
 
 def on_segment(a: Point, b: Point, p: Point) -> bool:
-    """True iff p lies on the closed segment ab (a, b endpoints included)."""
-    if orient(a, b, p) != 0:
-        return False
+    """True iff p lies on the closed segment ab (a, b endpoints included).
+
+    The bounding box goes first: it rejects most points with comparisons
+    alone, before the orientation's Fraction products."""
     return (
         min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
         and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])
+        and orient(a, b, p) == 0
     )
 
 
@@ -44,14 +46,9 @@ def point_in_polygon_evenodd(p: Point, polygon: Sequence[Point]) -> bool:
     """
     n = len(polygon)
     # Boundary check first: "strictly inside" must reject boundary points.
-    for i in range(n):
-        a, b = polygon[i], polygon[(i + 1) % n]
-        if a == b:
-            if p == a:
-                return False
-            continue
-        if on_segment(a, b, p):
-            return False
+    # A repeated point is a zero-length edge, on which only p == a lies.
+    if any(on_segment(polygon[i - 1], polygon[i], p) for i in range(n)):
+        return False
     inside = False
     px, py = p
     for i in range(n):

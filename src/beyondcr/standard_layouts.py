@@ -28,29 +28,22 @@ from .drawing import Drawing
 from .geometry import Point, orient
 from .graph_core import (ALL_CONNECTIONS, ApexBlue, BundlePlus, ConceptId,
                          ConGraph, FrameworkGraph, K7, connection_poles,
-                         as_concept, construction_for, edge, make_graph,
-                         structural_k)
+                         _recipe, as_concept, construction_for, edge,
+                         make_graph, structural_k)
 
 LayoutVariant = Literal["witness", "upper"]
 
 R = 300  # half-side of the central interaction box
 
-
-def _add(a: Point, b: Point) -> Point:
-    return (a[0] + b[0], a[1] + b[1])
+IntPoint = tuple[int, int]  # poles and corridor directions
 
 
-def _mul(a: Point, s) -> Point:
-    s = Fraction(s)
-    return (a[0] * s, a[1] * s)
-
-
-def _rot90(a: Point) -> Point:
-    return (-a[1], a[0])
-
-
-def _frac(a, b=1) -> Fraction:
-    return Fraction(a, b)
+def _affine(A: IntPoint, d: IntPoint, a: int, m: int, den: int) -> Point:
+    """A + (a·d + m·rot90(d)) / den, all integers: one Fraction per
+    coordinate instead of a chain of normalising Fraction operations."""
+    (ax, ay), (dx, dy) = A, d
+    return (Fraction(ax * den + dx * a - dy * m, den),
+            Fraction(ay * den + dy * a + dx * m, den))
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +55,7 @@ def crossing_count_formula(concept: "str | ConceptId", ell: int,
                            variant: LayoutVariant = "witness") -> int:
     """Exact number of crossings of the standard drawing."""
     cid = as_concept(concept, k)
+    _recipe(cid, ell)  # refuses an ell the construction refuses
     if variant == "witness":
         formula = cid.info.witness_crossings
     elif variant == "upper":
@@ -96,17 +90,17 @@ _K7_BENDS = {
 
 
 def _place_k7(cg: ConGraph, s_name: str, t_name: str,
-              mapfn: Callable[[Fraction, Fraction], Point],
+              mapfn: Callable[[int, int], Point],
               positions: dict, curves: dict) -> None:
     names = {"s": s_name, "t": t_name}
     for idx, q in enumerate(cg.internals):
         names[f"q{idx + 1}"] = q
-    for local, xy in _K7_LOCAL.items():
-        positions[names[local]] = mapfn(Fraction(xy[0]), Fraction(xy[1]))
+    for local, (x, y) in _K7_LOCAL.items():
+        positions[names[local]] = mapfn(x, y)
     for (la, lb), bends in _K7_BENDS.items():
         u, v = names[la], names[lb]
         e = edge(u, v)
-        path = [mapfn(Fraction(x), Fraction(y)) for x, y in bends]
+        path = [mapfn(x, y) for x, y in bends]
         if (u, v) != e:  # canonical orientation runs v -> u here
             path.reverse()
         curves[e] = tuple(path)
@@ -116,37 +110,32 @@ def _place_k7(cg: ConGraph, s_name: str, t_name: str,
 # Corridors for undesignated connections
 # ---------------------------------------------------------------------------
 
-def _corridor_bundle(cg: ConGraph, A: Point, B: Point,
+def _corridor_bundle(cg: ConGraph, A: IntPoint, B: IntPoint,
                      positions: dict) -> None:
-    """Planar nested drawing of a bundle between poles at A and B.
+    """Planar nested drawing of a bundle between integer poles A and B.
 
-    Path p is offset to one side of segment A-B proportionally to p+1, so
-    middle segments are parallel and the end segments fan out of the poles.
-    A direct pole edge, if any, stays on the segment itself (offset 0).
+    Vertex q of path p sits at A + d·q/j + rot90(d)·(p+1)/(300n), with
+    d = B - A, so middle segments are parallel and the end segments fan out
+    of the poles.  A direct pole edge, if any, stays on the segment itself.
     """
-    d = _add(B, _mul(A, -1))
-    pv = _rot90(d)
-    n_paths = len(cg.paths)
+    d = (B[0] - A[0], B[1] - A[1])
+    n300 = 300 * len(cg.paths)
     for p_idx, path in enumerate(cg.paths):
         j = len(path) - 1
         if j < 2:
             continue  # single edge: straight, nothing to place
-        mu = _frac(p_idx + 1, 300 * n_paths)
         for q in range(1, j):
-            alpha = _frac(q, j)
-            positions[path[q]] = _add(A, _add(_mul(d, alpha), _mul(pv, mu)))
+            positions[path[q]] = _affine(A, d, q * n300, (p_idx + 1) * j,
+                                         n300 * j)
 
 
-def _corridor_k7(cg: ConGraph, A: Point, B: Point,
+def _corridor_k7(cg: ConGraph, A: IntPoint, B: IntPoint,
                  positions: dict, curves: dict) -> None:
-    d = _add(B, _mul(A, -1))
-    pv = _rot90(d)
-    rho = _frac(1, 6000)
+    d = (B[0] - A[0], B[1] - A[1])
 
-    def mapfn(x: Fraction, y: Fraction) -> Point:
-        along = _mul(d, (y + 40) / 80)
-        perp = _mul(pv, x * rho)
-        return _add(A, _add(along, perp))
+    def mapfn(x: int, y: int) -> Point:
+        # A + d·(y+40)/80 + rot90(d)·x/6000
+        return _affine(A, d, (y + 40) * 75, x, 6000)
 
     _place_k7(cg, cg.s, cg.t, mapfn, positions, curves)
 
@@ -169,18 +158,18 @@ def _grid_witness(vcg: ConGraph, hcg: ConGraph, plan: list[int],
     width = len(vcg.paths)
     assert sum(plan) == width, "plan must distribute all opposing strands"
     m_max = max(plan)
-    sigma = _frac(R, 2 * j * m_max)
+    sigma = Fraction(R, 2 * j * m_max)
 
     rows: list[Fraction] = []       # descending, grouped by V edge index
     cols: list[Fraction] = []       # ascending, grouped by H edge index
     for q, m in enumerate(plan):
-        row_c = _frac(R) - _frac(R * (2 * q + 1), j)
-        col_c = -_frac(R) + _frac(R * (2 * q + 1), j)
+        row_c = Fraction(R) - Fraction(R * (2 * q + 1), j)
+        col_c = -Fraction(R) + Fraction(R * (2 * q + 1), j)
         for u in range(m):
             rows.append(row_c - _cluster(Fraction(0), m, u, sigma))
             cols.append(col_c + _cluster(Fraction(0), m, u, sigma))
 
-    bands = [_frac(R) - _frac(2 * R * q, j) for q in range(j + 1)]
+    bands = [Fraction(R) - Fraction(2 * R * q, j) for q in range(j + 1)]
     for p, path in enumerate(vcg.paths):
         x = cols[p]
         for q in range(1, j):
@@ -196,43 +185,43 @@ def _pole_fan(vcg: ConGraph, hcg: ConGraph, positions: dict) -> None:
     pairwise.  The crossings of every long edge share the opposite pole."""
     iv, ih = len(vcg.paths), len(hcg.paths)
     for p, path in enumerate(vcg.paths):
-        positions[path[1]] = (-200 + _frac(100 * (2 * p + 1), 2 * iv),
-                              _frac(-150))
+        positions[path[1]] = (-200 + Fraction(100 * (2 * p + 1), 2 * iv),
+                              Fraction(-150))
     for r, path in enumerate(hcg.paths):
-        positions[path[1]] = (_frac(-250),
-                              100 + _frac(100 * (2 * r + 1), 2 * ih))
+        positions[path[1]] = (Fraction(-250),
+                              100 + Fraction(100 * (2 * r + 1), 2 * ih))
 
 
 def _gap_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
                  D: int, kk: int) -> None:
     """Blue (5k,2) strands cross the horizontal (lk,5) strands so that each
     of the five edges of every horizontal path is crossed exactly k times."""
-    lam0 = _frac(D, D + 350)
+    lam0 = Fraction(D, D + 350)
     bounds = [Fraction(c) * lam0 for c in (-180, -60, 60, 180)]
     centers = [Fraction(c) for c in (-240, -120, 0, 120, 240)]
-    sigma = _frac(40, kk)
+    sigma = Fraction(40, kk)
     for p, path in enumerate(vcg.paths):
         group, idx = divmod(p, kk)
         x = _cluster(centers[group], kk, idx, sigma)
         positions[path[1]] = (x, Fraction(-350))
     ih = len(hcg.paths)
     for r, path in enumerate(hcg.paths):
-        y = -10 + _frac(20 * (2 * r + 1), 2 * ih)
+        y = -10 + Fraction(20 * (2 * r + 1), 2 * ih)
         for q in range(1, 5):
             positions[path[q]] = (bounds[q - 1], y)
 
 
 def _apex_stripe_x(i: int, kk: int) -> Fraction:
-    return _frac(600 * (i + 1), kk + 1) - 300
+    return Fraction(600 * (i + 1), kk + 1) - 300
 
 
-_K5_BLOB = {"b": (4, 0), "c": (2, 4), "d": (Fraction(9, 5), 1),
-            "e": (Fraction(11, 5), 2)}
+# K5 blob offsets in fifths: (4, 0), (2, 4), (9/5, 1) and (11/5, 2)
+_K5_BLOB = {"b": (20, 0), "c": (10, 20), "d": (9, 5), "e": (11, 10)}
 
 
 def _apex_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
                   D: int, ell: int, kk: int) -> None:
-    gamma = _frac(600, (kk + 1) * 4 * (ell + 2))
+    gamma = Fraction(600, (kk + 1) * 4 * (ell + 2))
     by_anchor: dict[str, list] = {}
     for idx, path in enumerate(vcg.paths):
         by_anchor.setdefault(path[2], []).append(path)
@@ -246,10 +235,10 @@ def _apex_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
             positions[path[3]] = (x, Fraction(-150))  # lower internal
         blob = [v for v in vcg.internals if v.startswith(a + "/q")]
         for name, (bx, by) in zip(blob, _K5_BLOB.values()):
-            positions[name] = (lam - 5 * Fraction(bx), -5 * Fraction(by))
+            positions[name] = (lam - bx, Fraction(-by))
     ih = len(hcg.paths)
     for r, path in enumerate(hcg.paths):
-        h = 30 + _frac(90 * (2 * r + 1), 2 * ih)
+        h = 30 + Fraction(90 * (2 * r + 1), 2 * ih)
         positions[path[1]] = (Fraction(420), h)
 
 
@@ -257,19 +246,18 @@ def _skew_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
                   D: int, kk: int) -> None:
     w_local = {"w1": (16, 9), "w2": (16, -7), "w3": (-9, 1)}
     anchors = sorted({p[2] for p in vcg.paths})
-    rho = _frac(2, D)
     for i, a in enumerate(anchors):
         lam = _apex_stripe_x(i, kk)
         positions[a] = (lam, Fraction(0))
-        d = (-lam, Fraction(-D))  # direction a -> t
+        # w = a + (d·2ux + rot90(d)·2uy)/D with d = t - a = (-lam, -D);
+        # measured from t = (0, -D) and with d scaled by kk+1 to integers
+        d = (int(-lam * (kk + 1)), -D * (kk + 1))
         for suffix, (ux, uy) in w_local.items():
-            name = f"{a}/{suffix}"
-            off = _add(_mul(d, Fraction(ux) * rho),
-                       _mul(_rot90(d), Fraction(uy) * rho))
-            positions[name] = _add((lam, Fraction(0)), off)
+            positions[f"{a}/{suffix}"] = _affine(
+                (0, -D), d, 2 * ux - D, 2 * uy, D * (kk + 1))
     ih = len(hcg.paths)
     for r, path in enumerate(hcg.paths):
-        h = 80 + _frac(220 * (2 * r + 1), 2 * ih)
+        h = 80 + Fraction(220 * (2 * r + 1), 2 * ih)
         positions[path[1]] = (Fraction(420), -h)
 
 
@@ -285,7 +273,7 @@ def _ry_upper(vcg: ConGraph, positions: dict) -> None:
         return
     i = len(vcg.paths)
     for p, path in enumerate(vcg.paths):
-        positions[path[1]] = (-150 + _frac(300 * (2 * p + 1), 2 * i),
+        positions[path[1]] = (-150 + Fraction(300 * (2 * p + 1), 2 * i),
                               Fraction(150))
 
 
@@ -293,8 +281,8 @@ def _fan_upper(vcg: ConGraph, positions: dict, curves: dict, D: int) -> None:
     """The complete-graph gadget spanning the vertical axis; the horizontal
     single edge runs along y=0 and crosses exactly the six pole paths."""
 
-    def mapfn(x: Fraction, y: Fraction) -> Point:
-        return (8 * x, y * _frac(D, 40))
+    def mapfn(x: int, y: int) -> Point:
+        return (Fraction(8 * x), Fraction(y * D, 40))
 
     # the gadget's bottom pole is the w-node (drawn at (0,-D))
     _place_k7(vcg, vcg.t, vcg.s, mapfn, positions, curves)
@@ -304,35 +292,37 @@ def _stripe_upper(vcg: ConGraph, positions: dict, D: int, ell: int,
                   kk: int) -> None:
     """Blue con-graph between the upper poles, one parallel stripe per unit,
     with exactly one internal crossing per unit (K5 blob or w-triangle)."""
-    O = (Fraction(0), Fraction(D))          # corridor start: pole at P1
-    d = (Fraction(D), Fraction(-D))
-    pv = (Fraction(D), Fraction(D))
+    # Corridor from the pole at P1 along d = (D, -D); every position is
+    # (0, D) + d·alpha + rot90(d)·mu with alpha, mu multiples of 1/den.
+    cap = 10000 * (ell + 2)           # stripe spacing 1/(40(kk+1)), over den
+    den = 40 * (kk + 1) * cap
 
-    def pos(alpha, mu) -> Point:
-        return _add(O, _add(_mul(d, alpha), _mul(pv, mu)))
+    def pos(alpha: int, mu: int) -> Point:
+        return _affine((0, D), (D, -D), alpha, mu, den)
 
-    delta_cap = _frac(1, 40 * (kk + 1))
     by_anchor: dict[str, list] = {}
     for path in vcg.paths:
         by_anchor.setdefault(path[2], []).append(path)
     anchors = sorted(by_anchor)
     for i, a in enumerate(anchors):
-        mu_i = (i + 1) * delta_cap
-        positions[a] = pos(_frac(1, 2), mu_i)
+        mu_i = (i + 1) * cap
+        positions[a] = pos(den // 2, mu_i)
         if isinstance(vcg.spec, ApexBlue):
-            delta = delta_cap / (4 * (ell + 2))
+            delta = cap // (4 * (ell + 2))
             for jj, path in enumerate(by_anchor[a]):
-                positions[path[1]] = pos(_frac(7, 16), mu_i + (jj + 1) * delta)
-                positions[path[3]] = pos(_frac(9, 16), mu_i + (jj + 1) * delta)
+                mu = mu_i + (jj + 1) * delta
+                positions[path[1]] = pos(7 * den // 16, mu)
+                positions[path[3]] = pos(9 * den // 16, mu)
             blob = [v for v in vcg.internals if v.startswith(a + "/q")]
             for name, (bx, by) in zip(blob, _K5_BLOB.values()):
-                positions[name] = pos(_frac(1, 2) + Fraction(bx) / 1000,
-                                      mu_i - Fraction(by) * delta_cap / 20)
+                # alpha 1/2 + bx/5000, mu mu_i - by/(100·40(kk+1))
+                positions[name] = pos(den // 2 + bx * den // 5000,
+                                      mu_i - by * cap // 100)
         else:  # SkewBlue: w-triangle with one crossing a-w1 x w2-w3
-            delta = delta_cap / 100
-            positions[f"{a}/w1"] = pos(_frac(28, 64), mu_i + delta)
-            positions[f"{a}/w2"] = pos(_frac(28, 64), mu_i + 2 * delta)
-            positions[f"{a}/w3"] = pos(_frac(29, 64), mu_i + delta / 2)
+            delta = cap // 100
+            positions[f"{a}/w1"] = pos(28 * den // 64, mu_i + delta)
+            positions[f"{a}/w2"] = pos(28 * den // 64, mu_i + 2 * delta)
+            positions[f"{a}/w3"] = pos(29 * den // 64, mu_i + delta // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +365,10 @@ def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
     vcid, hcid = fg.frame.designated[variant]
     vv, vw = connection_poles(vcid)
     hv, hw = connection_poles(hcid)
+    poles = {vv: (0, D), vw: (0, -D), hv: (-D, 0), hw: (D, 0),
+             "v3": (4 * D, -2 * D), "w3": (-2 * D, 4 * D)}
     positions: dict[str, Point] = {
-        vv: (Fraction(0), Fraction(D)),
-        vw: (Fraction(0), Fraction(-D)),
-        hv: (Fraction(-D), Fraction(0)),
-        hw: (Fraction(D), Fraction(0)),
-        "v3": (Fraction(4 * D), Fraction(-2 * D)),
-        "w3": (Fraction(-2 * D), Fraction(4 * D)),
-    }
+        v: (Fraction(x), Fraction(y)) for v, (x, y) in poles.items()}
     curves: dict = {}
 
     info = fg.concept.info
@@ -392,7 +378,7 @@ def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
         if cid in own:
             continue
         cg = fg.congraphs[cid]
-        A, B = positions[cg.s], positions[cg.t]
+        A, B = poles[cg.s], poles[cg.t]
         if isinstance(cg.spec, K7):
             _corridor_k7(cg, A, B, positions, curves)
         else:
@@ -471,12 +457,11 @@ _BLOB_SCALE = Fraction(1, 20)
 
 
 def _blob_points(U: Point, V: Point, side: int) -> dict[str, Point]:
-    along = _add(V, _mul(U, -1))
-    normal = _mul(_rot90(along), _BLOB_SCALE * side)
-    out = {}
-    for name, (px, py) in _BLOB_LOCAL.items():
-        out[name] = _add(U, _add(_mul(along, px), _mul(normal, py)))
-    return out
+    """U + (V-U)·px + rot90(V-U)·py·side/20 for each local blob point."""
+    (ux, uy), (dx, dy) = U, (V[0] - U[0], V[1] - U[1])
+    s = _BLOB_SCALE * side
+    return {name: (ux + dx * px - dy * py * s, uy + dy * px + dx * py * s)
+            for name, (px, py) in _BLOB_LOCAL.items()}
 
 
 def appendix_fcf_fixture():

@@ -41,6 +41,20 @@ GRID = [
     ("skewness", 3, 2),
 ]
 
+THRESHOLD_POINTS = [
+    # (kind, threshold ell, k): the scale each worst-case statement needs
+    ("k-planar", 41, 1),
+    ("k-vertex-planar", 11, 1),
+    ("ic", 2, None),
+    ("nic", 4, None),
+    ("nnic", 109, None),
+    ("k-fan-crossing-free", 109, 2),
+    ("k-edge-crossing", 1, 2),
+    ("k-gap-planar", 5, 1),
+    ("k-apex", 1, 1),
+    ("skewness", 2, 1),
+]
+
 FAN_KINDS = ("adjacency-crossing", "fan-crossing",
              "weak-fan-planar", "strong-fan-planar")
 

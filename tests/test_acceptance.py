@@ -19,7 +19,6 @@ from beyondcr import (
     coverage_ledger,
     crossing_count_formula,
     draw_framework,
-    framework_size,
     kuratowski_count,
     table1_report,
     verify_full_coverage,
@@ -30,7 +29,8 @@ from beyondcr.drawing import is_straight_line
 from beyondcr.graph_core import CONCEPTS, as_concept, structural_k
 from beyondcr.kuratowski import DEFAULT_BUDGET
 from beyondcr.standard_layouts import appendix_fcf_fixture
-from conftest import ACCEPTANCE_REPORT, FAN_KINDS, GRID, SLOPE_TARGET
+from conftest import (ACCEPTANCE_REPORT, FAN_KINDS, GRID, SLOPE_TARGET,
+                      THRESHOLD_POINTS)
 from oracles import (APPENDIX_WALLS, apex_ok_brute, count_on_edge,
                      gap_ok_brute, skew_ok_brute)
 
@@ -117,21 +117,6 @@ def test_criterion_4_full_coverage():
         ledger = coverage_ledger(d, fg, xs)
         v = verify_full_coverage(ledger, fg)
         assert v.ok, (kind, ell, k, variant, v.reason)
-
-
-THRESHOLD_POINTS = [
-    # (kind, threshold ell, k): the scale each worst-case statement needs
-    ("k-planar", 41, 1),
-    ("k-vertex-planar", 11, 1),
-    ("ic", 2, None),
-    ("nic", 4, None),
-    ("nnic", 109, None),
-    ("k-fan-crossing-free", 109, 2),
-    ("k-edge-crossing", 1, 2),
-    ("k-gap-planar", 5, 1),
-    ("k-apex", 1, 1),
-    ("skewness", 2, 1),
-]
 
 
 @criterion(5, "counting bound sound everywhere; threshold ratios <= 50")

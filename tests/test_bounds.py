@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from beyondcr import (
-    construction_for,
     counting_lower_bound,
     crossing_count_formula,
     format_table1,

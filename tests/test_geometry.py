@@ -72,6 +72,61 @@ def test_even_odd_matches_winding_parity(p, ring):
     assert point_in_polygon_evenodd(p, ring) == (winding_number(p, ring) % 2 == 1)
 
 
+# Small rationals (denominators 1-3) and rings drawn from a pool of at most
+# four points, so repeated points, zero-length and collinear edges are common.
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+rational_points = st.tuples(rationals, rationals)
+
+
+def _on_segment_brute(a, b, p):
+    """p == a + t·(b - a) for some t in [0, 1], solved exactly for t."""
+    if a == b:
+        return p == a
+    axis = 0 if a[0] != b[0] else 1
+    t = (p[axis] - a[axis]) / (b[axis] - a[axis])
+    return 0 <= t <= 1 and p == (a[0] + t * (b[0] - a[0]),
+                                 a[1] + t * (b[1] - a[1]))
+
+
+@st.composite
+def rings_with_probe(draw):
+    pool = draw(st.lists(st.one_of(points, rational_points), min_size=1,
+                         max_size=4))
+    ring = draw(st.lists(st.sampled_from(pool), min_size=3, max_size=7))
+    i = draw(st.integers(0, len(ring) - 1))
+    a, b = ring[i], ring[(i + 1) % len(ring)]
+    t = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                              Fraction(1)]))
+    on_edge = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    p = draw(st.one_of(points, rational_points, st.just(a), st.just(on_edge)))
+    return ring, p
+
+
+@given(rings_with_probe())
+def test_boundary_and_containment_match_brute_force(ring_p):
+    ring, p = ring_p
+    n = len(ring)
+    edges = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
+    for a, b in edges:
+        assert on_segment(a, b, p) == _on_segment_brute(a, b, p)
+    on_boundary = any(_on_segment_brute(a, b, p) for a, b in edges)
+    inside = not on_boundary and winding_number(p, ring) % 2 == 1
+    assert point_in_polygon_evenodd(p, ring) == inside
+
+
+def test_degenerate_rings():
+    # repeated points and a collinear spike: the spike's edges are boundary
+    ring = [pt(0, 0), pt(0, 0), pt(4, 0), pt(8, 0), pt(4, 0), pt(4, 4)]
+    assert not point_in_polygon_evenodd(pt(6, 0), ring)     # on the spike
+    assert not point_in_polygon_evenodd(pt(4, 0), ring)     # at a vertex
+    assert point_in_polygon_evenodd(pt(3, 1), ring)
+    assert not point_in_polygon_evenodd(pt(9, 0), ring)
+    # a ring that is one point repeated has only that point as boundary
+    assert not point_in_polygon_evenodd(pt(1, 1), [pt(1, 1)] * 3)
+    assert on_segment(pt(1, 1), pt(1, 1), pt(1, 1))
+    assert not on_segment(pt(1, 1), pt(1, 1), pt(1, 2))
+
+
 def test_boundary_points_count_as_outside():
     square = [pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)]
     assert point_in_polygon_evenodd(pt(2, 2), square)

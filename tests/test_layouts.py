@@ -1,4 +1,15 @@
-"""Standard drawings: exact crossing counts, straightness, determinism."""
+"""Standard drawings: exact crossing counts, straightness, determinism.
+
+``drawings_golden.json`` maps ``concept/ell/k/variant`` to the sha256 of
+``drawing_to_json(draw_framework(...))`` for every GRID point and every
+threshold point, both variants.  It was recorded at commit 88daf00, before
+the corridor coordinates became integer affine maps, and is not regenerated
+by any tool: a change to any coordinate of a standard drawing fails here.
+"""
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +23,20 @@ from beyondcr import (
     is_straight_line,
     standard_drawing,
 )
-from conftest import FAN_KINDS, GRID
+from beyondcr.drawing import drawing_to_json
+from conftest import FAN_KINDS, GRID, THRESHOLD_POINTS
+
+GOLDEN = Path(__file__).with_name("drawings_golden.json")
+GOLDEN_POINTS = sorted(set(GRID) | set(THRESHOLD_POINTS), key=str)
+
+
+def drawing_hashes(kind, ell, k) -> dict[str, str]:
+    """``concept/ell/k/variant`` -> sha256 of the drawing's JSON."""
+    fg = construction_for(kind, ell, k)
+    return {f"{kind}/{ell}/{k}/{variant}": hashlib.sha256(
+                drawing_to_json(draw_framework(fg, variant)).encode()
+            ).hexdigest()
+            for variant in ("witness", "upper")}
 
 
 @pytest.mark.parametrize("kind,ell,k", GRID)
@@ -64,6 +88,16 @@ def test_unknown_variant_rejected():
         draw_framework(fg, "sideways")
     with pytest.raises(ValueError):
         crossing_count_formula("ic", 2, variant="sideways")
+
+
+def test_crossing_count_formula_refuses_what_construction_refuses():
+    # ell < 1 for every concept, and ell = 1 for k-planar (blue bundles
+    # have length ell): the formula has no drawing to count
+    for args in (("ic", -3), ("kpl", 1, 1)):
+        with pytest.raises(ValueError):
+            construction_for(*args)
+        with pytest.raises(ValueError):
+            crossing_count_formula(*args)
 
 
 def test_drawings_deterministic():
@@ -119,3 +153,17 @@ def test_designated_pair_actually_crosses():
     cids_u = {tuple(sorted((fg.edge_paths[x.a][0], fg.edge_paths[x.b][0])))
               for x in xs_u}
     assert cids_u == {("v1-w2", "v2-w1")}
+
+
+def test_drawings_golden_covers_grid_and_thresholds():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert set(golden) == {f"{kind}/{ell}/{k}/{variant}"
+                           for kind, ell, k in GOLDEN_POINTS
+                           for variant in ("witness", "upper")}
+
+
+@pytest.mark.parametrize("kind,ell,k", GOLDEN_POINTS)
+def test_standard_drawings_match_golden(kind, ell, k):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for key, digest in drawing_hashes(kind, ell, k).items():
+        assert golden[key] == digest, key
