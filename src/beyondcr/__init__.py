@@ -52,7 +52,6 @@ from .kuratowski import (
     coverage_ledger,
     covered_fraction,
     kuratowski_count,
-    restrict,
     verify_full_coverage,
 )
 from .standard_layouts import (
@@ -61,7 +60,6 @@ from .standard_layouts import (
     draw_framework,
     frame_edge_colors,
     k5_fcf_fixture,
-    standard_drawing,
 )
 
 __version__ = "0.1.0"

@@ -10,9 +10,8 @@ the vertex count across a doubling parameter grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .graph_core import (
     CONCEPTS,
@@ -26,8 +25,7 @@ from .kuratowski import counting_lower_bound
 from .standard_layouts import crossing_count_formula
 
 
-@dataclass(frozen=True)
-class UpperBound:
+class UpperBound(NamedTuple):
     """Closed-form cap on the crossing ratio at one (n, k)."""
 
     value: Fraction
@@ -78,8 +76,7 @@ def ratio_upper(concept: "str | ConceptId", n: int,
 # Ratio reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(NamedTuple):
     """Crossing-ratio data for one concept.
 
     Point fields (n, m, crossings, bound, ratio) are evaluated at
@@ -185,8 +182,7 @@ def slope_grid(concept: "str | ConceptId", k: int | None = None,
     return tuple(grid)
 
 
-@dataclass(frozen=True)
-class NotApplicable:
+class NotApplicable(NamedTuple):
     """Table row of a concept that does not exist at the requested k."""
 
     concept: str
@@ -216,7 +212,7 @@ def table1_report(k: int = 2,
         grid = slope_grid(cid, points=points)
         slope = growth_exponent([(n, r) for _ell, n, r in grid])
         base_point = ratio_report(cid, grid[0][0])
-        reports.append(replace(base_point, slope=slope, grid=grid))
+        reports.append(base_point._replace(slope=slope, grid=grid))
     return reports
 
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from pathlib import Path
 
 from .bounds_report import (
     format_table1,
@@ -65,7 +65,8 @@ def _dumps(obj) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -91,7 +92,8 @@ def _emit_verdict(verdict: Verdict, fmt: str, out: str | None) -> int:
 
 def _load_drawing(path: str):
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     try:
@@ -245,12 +247,12 @@ _FIXTURE_GRID = [
 
 
 def _cmd_fixtures(args) -> int:
-    outdir = Path(args.out or "fixtures")
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = args.out or "fixtures"
+    os.makedirs(outdir, exist_ok=True)
     written = []
 
     def save(name: str, text: str) -> None:
-        (outdir / name).write_text(text, encoding="utf-8")
+        _emit(text, os.path.join(outdir, name))
         written.append(name)
 
     for concept, ell, k in _FIXTURE_GRID:

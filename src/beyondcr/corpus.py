@@ -31,8 +31,11 @@ def random_drawing(rng: random.Random,
     ``bend_prob`` an edge gets a single bend.  Degenerate geometry
     (collinear overlaps, concurrent crossings, ...) and drawings with more
     than ``max_crossings`` crossings are rejected and resampled, up to
-    ``_MAX_ATTEMPTS`` times.
+    ``_MAX_ATTEMPTS`` times.  A negative ``max_crossings`` raises
+    ValueError, since no drawing meets it.
     """
+    if max_crossings < 0:
+        raise ValueError(f"max_crossings must be >= 0, not {max_crossings}")
     for _ in range(_MAX_ATTEMPTS):
         n = rng.randint(*n_range)
         names = [f"u{i}" for i in range(n)]

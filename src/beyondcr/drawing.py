@@ -29,10 +29,9 @@ import json
 import math
 import re
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .geometry import Point
 from .graph_core import (Edge, FRAME_NODES, Graph, edge_from_key, edge_key,
@@ -48,7 +47,6 @@ class GeneralPositionViolation(Exception):
         self.detail = detail
 
 
-@dataclass
 class Drawing:
     """A polyline drawing of a graph.
 
@@ -58,10 +56,15 @@ class Drawing:
     mean a straight-line edge.
     """
 
-    graph: Graph
-    positions: dict[str, Point]
-    curves: dict[Edge, tuple[Point, ...]] = field(default_factory=dict)
-    meta: dict = field(default_factory=dict)
+    __slots__ = ("graph", "positions", "curves", "meta")
+
+    def __init__(self, graph: Graph, positions: dict[str, Point],
+                 curves: dict[Edge, tuple[Point, ...]] | None = None,
+                 meta: dict | None = None):
+        self.graph = graph
+        self.positions = positions
+        self.curves = {} if curves is None else curves
+        self.meta = {} if meta is None else meta
 
     def polyline(self, e: Edge) -> tuple[Point, ...]:
         u, v = e
@@ -80,20 +83,24 @@ def is_straight_line(drawing: Drawing) -> bool:
 # Crossings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
 class Crossing:
     """One proper crossing point between two edge curves.
 
     ``a <= b``; for a self-crossing a == b.  ``pos_a``/``pos_b`` locate the
     point along each curve as (segment index, parameter within segment) and
-    order crossings along an edge.
+    order crossings along an edge.  Crossings have no order and compare
+    by identity; sort them by a key of these fields.
     """
 
-    a: Edge
-    b: Edge
-    pos_a: tuple[int, Fraction]
-    pos_b: tuple[int, Fraction]
-    point: Point
+    __slots__ = ("a", "b", "pos_a", "pos_b", "point")
+
+    def __init__(self, a: Edge, b: Edge, pos_a: tuple[int, Fraction],
+                 pos_b: tuple[int, Fraction], point: Point):
+        self.a = a
+        self.b = b
+        self.pos_a = pos_a
+        self.pos_b = pos_b
+        self.point = point
 
     def involves(self, e: Edge) -> bool:
         return self.a == e or self.b == e
@@ -342,8 +349,7 @@ def is_simple(xs: tuple[Crossing, ...]) -> bool:
 # Verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a checker: ok plus a machine-readable witness on failure."""
 
     ok: bool

@@ -9,10 +9,9 @@ pole-to-pole paths used by the Kuratowski-subdivision accounting.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 Edge = tuple[str, str]
 
@@ -36,28 +35,36 @@ def edge_from_key(key: str) -> Edge:
     return edge(u, v)
 
 
-@dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph with string vertex ids."""
+    """A simple undirected graph with string vertex ids; equal graphs have
+    equal vertex and edge tuples."""
 
-    vertices: tuple[str, ...]
-    edges: tuple[Edge, ...]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        vs = set(self.vertices)
-        if len(vs) != len(self.vertices):
+    def __init__(self, vertices: tuple[str, ...], edges: tuple[Edge, ...]):
+        vs = set(vertices)
+        if len(vs) != len(vertices):
             raise ValueError("duplicate vertices")
         if any("|" in v for v in vs):
             raise ValueError("'|' separates edge keys, so no vertex id may "
                              f"contain it: {sorted(v for v in vs if '|' in v)}")
-        es = set(self.edges)
-        if len(es) != len(self.edges):
+        if len(set(edges)) != len(edges):
             raise ValueError("parallel edges")
-        for u, v in self.edges:
+        for u, v in edges:
             if u not in vs or v not in vs:
                 raise ValueError(f"edge ({u},{v}) uses unknown vertex")
             if not u < v:
                 raise ValueError(f"edge ({u},{v}) not normalized")
+        self.vertices = vertices
+        self.edges = edges
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
 
     @property
     def n(self) -> int:
@@ -95,8 +102,7 @@ def connection_poles(cid: str) -> tuple[str, str]:
     return v, w
 
 
-@dataclass(frozen=True)
-class Frame:
+class Frame(NamedTuple):
     """Edge-colored K_{3,3}: coloring maps each connection id to a color.
 
     ``designated`` maps drawing-variant name ("witness"/"upper") to the
@@ -151,28 +157,13 @@ def build_frame(coloring: str = "standard") -> Frame:
 # Con-graph specifications
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConGraphSpec:
-    """Base class; concrete subclasses define the two-pole graph shape."""
+# Each spec is an immutable record with three sizes of the con-graph it
+# stands for, known without instantiating it: ``width`` (the pole-path
+# family), ``internal_count`` (internal vertices) and ``edge_count``.
+# Specs are tuples, so Bundle(1, 2) == BundlePlus(1, 2): dispatch on a
+# spec's type with isinstance, never by equality.
 
-    @property
-    def width(self) -> int:
-        """Size of the pole-path family, without instantiating the graph."""
-        raise NotImplementedError
-
-    @property
-    def internal_count(self) -> int:
-        """Number of internal vertices the instantiated con-graph has."""
-        raise NotImplementedError
-
-    @property
-    def edge_count(self) -> int:
-        """Number of edges the instantiated con-graph has."""
-        raise NotImplementedError
-
-
-@dataclass(frozen=True)
-class Bundle(ConGraphSpec):
+class Bundle(NamedTuple):
     """i internally disjoint pole paths, each of length j (j edges)."""
 
     i: int
@@ -191,8 +182,7 @@ class Bundle(ConGraphSpec):
         return self.i * self.j
 
 
-@dataclass(frozen=True)
-class BundlePlus(ConGraphSpec):
+class BundlePlus(NamedTuple):
     """Bundle(i, j) plus the direct pole edge {s, t}."""
 
     i: int
@@ -221,8 +211,7 @@ def Triangle() -> BundlePlus:
     return BundlePlus(1, 2)
 
 
-@dataclass(frozen=True)
-class K7(ConGraphSpec):
+class K7(NamedTuple):
     """Complete graph on the two poles and five internal vertices."""
 
     @property
@@ -239,8 +228,7 @@ class K7(ConGraphSpec):
         return 21
 
 
-@dataclass(frozen=True)
-class ApexBlue(ConGraphSpec):
+class ApexBlue(NamedTuple):
     """(k,2)-bundle s-a_i-t where each edge {s,a_i} is replaced by an
     (ell,2)-bundle and each a_i carries a K5 built on four new vertices."""
 
@@ -262,8 +250,7 @@ class ApexBlue(ConGraphSpec):
         return 4 * self.ell * self.k + 10 * self.k
 
 
-@dataclass(frozen=True)
-class SkewBlue(ConGraphSpec):
+class SkewBlue(NamedTuple):
     """(k,2)-bundle s-a_i-t where each edge {s,a_i} is replaced by a K5 on
     {s, a_i} and three new vertices minus the edge {s, a_i} itself."""
 
@@ -286,8 +273,10 @@ class SkewBlue(ConGraphSpec):
         return 10 * self.k
 
 
-@dataclass(frozen=True)
-class ConGraph:
+ConGraphSpec = Bundle | BundlePlus | K7 | ApexBlue | SkewBlue
+
+
+class ConGraph(NamedTuple):
     """An instantiated con-graph on concrete vertex ids.
 
     ``paths`` is the family of internally disjoint pole paths used for
@@ -399,8 +388,7 @@ def instantiate_congraph(spec: ConGraphSpec, cid: str, s: str, t: str) -> ConGra
 # Concepts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConceptId:
+class ConceptId(NamedTuple):
     """Identifier of a beyond-planarity concept, with parameter k if any."""
 
     kind: str
@@ -420,8 +408,7 @@ class ConceptId:
         return self.shorthand
 
 
-@dataclass(frozen=True, kw_only=True)
-class ConceptInfo:
+class ConceptInfo(NamedTuple):
     """Everything that is data or a formula about one concept.
 
     Formulas take the construction parameter ell and the structural k (see
@@ -433,11 +420,6 @@ class ConceptInfo:
 
     kind: str
     shorthand: str
-    aliases: tuple[str, ...] = ()  # parser names besides kind and shorthand
-    coloring: str = "standard"     # frame coloring used by the construction
-    requires_k: bool = False
-    k_min: int = 1
-    implied_k: int = 1             # structural k when requires_k is False
     threshold: Callable[[int], int]  # least ell with the quality guarantee
     # frame color -> con-graph spec
     recipe: Callable[[int, int], dict[str, ConGraphSpec]]
@@ -452,15 +434,20 @@ class ConceptInfo:
     # closed-form cap on the crossing ratio and its growth class in n
     cap: str
     cap_value: Callable[[int, int], Fraction]
+    theta_class: str
+    # standard-drawing layout family of the witness drawing
+    witness_layout: str
+    aliases: tuple[str, ...] = ()  # parser names besides kind and shorthand
+    coloring: str = "standard"     # frame coloring used by the construction
+    requires_k: bool = False
+    k_min: int = 1
+    implied_k: int = 1             # structural k when requires_k is False
     cap_notes: tuple[str, ...] = ()
     caveat: str | None = None
-    theta_class: str
     sharp: bool = True             # worst-case ratio survives k -> k+1
-    # standard-drawing layout families; grid_plan feeds the "grid" family
-    witness_layout: str
+    # the upper drawing's layout family; grid_plan feeds the "grid" family
     upper_layout: str = "ry"
     grid_plan: Callable[[int, int], list[int]] | None = None
-
 
 def _k_planar_specs(ell: int, k: int) -> dict[str, ConGraphSpec]:
     if ell < 2:
@@ -574,17 +561,17 @@ CONCEPTS: dict[str, ConceptInfo] = {
             theta_class="Theta(n)", witness_layout="grid",
             grid_plan=lambda ell, k: [0] + [1] * ell + [0]),
         _NNIC,
-        replace(_NNIC, kind="k-fan-crossing-free", shorthand="k-fcf",
-                aliases=("kfcf",), requires_k=True, k_min=2, implied_k=1,
-                cap="8*n^2/k + n",
-                cap_value=lambda n, k: Fraction(8 * n * n, k) + n,
-                theta_class="Theta(n^2/k)"),
+        _NNIC._replace(kind="k-fan-crossing-free", shorthand="k-fcf",
+                       aliases=("kfcf",), requires_k=True, k_min=2,
+                       implied_k=1, cap="8*n^2/k + n",
+                       cap_value=lambda n, k: Fraction(8 * n * n, k) + n,
+                       theta_class="Theta(n^2/k)"),
         _ADJACENCY_CROSSING,
-        replace(_ADJACENCY_CROSSING, kind="fan-crossing", shorthand="fc"),
-        replace(_ADJACENCY_CROSSING, kind="weak-fan-planar", shorthand="wfp",
-                caveat=None),
-        replace(_ADJACENCY_CROSSING, kind="strong-fan-planar",
-                shorthand="sfp", caveat=None),
+        _ADJACENCY_CROSSING._replace(kind="fan-crossing", shorthand="fc"),
+        _ADJACENCY_CROSSING._replace(kind="weak-fan-planar",
+                                     shorthand="wfp", caveat=None),
+        _ADJACENCY_CROSSING._replace(kind="strong-fan-planar",
+                                     shorthand="sfp", caveat=None),
         ConceptInfo(
             kind="k-edge-crossing", shorthand="k-ecr", aliases=("kecr",),
             requires_k=True, k_min=2, threshold=lambda k: 1,
@@ -677,14 +664,19 @@ def structural_k(concept: ConceptId) -> int:
 # Framework graphs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FrameworkGraph:
-    concept: ConceptId
-    ell: int
-    frame: Frame
-    congraphs: Mapping[str, ConGraph]
-    graph: Graph
-    below_threshold: bool
+    """A frame whose connections are replaced by con-graphs, and the graph
+    that results."""
+
+    def __init__(self, concept: ConceptId, ell: int, frame: Frame,
+                 congraphs: Mapping[str, ConGraph], graph: Graph,
+                 below_threshold: bool):
+        self.concept = concept
+        self.ell = ell
+        self.frame = frame
+        self.congraphs = congraphs
+        self.graph = graph
+        self.below_threshold = below_threshold
 
     @property
     def k(self) -> int:

@@ -16,23 +16,18 @@ dict; ``verify_full_coverage`` returns the first uncovered one in that form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple
 
 from .drawing import Crossing, Drawing, Verdict, compute_crossings
 from .graph_core import (
     ALL_CONNECTIONS,
-    Bundle,
-    ConGraph,
     ConceptId,
     FrameworkGraph,
     as_concept,
     connection_poles,
     connection_widths,
-    edge,
-    make_graph,
     structural_k,
 )
 
@@ -66,29 +61,30 @@ def kuratowski_count(fg: FrameworkGraph) -> int:
 # Coverage ledgers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class CoverageEntry:
     """One covering crossing, as the rectangle of subdivisions it covers.
 
+    ``index`` is the crossing's position in the drawing's crossing list.
     ``paths1``/``paths2`` are the path-index sets P_{c1}[e1] and P_{c2}[e2];
     the entry covers every subdivision choosing from both sets, a
     |paths1|*|paths2| / (w1*w2) share of the family.
     """
 
-    index: int                # position in the drawing's sorted crossing list
-    c1: str
-    c2: str
-    paths1: frozenset[int]
-    paths2: frozenset[int]
-    fraction: Fraction
+    __slots__ = ("index", "c1", "c2", "paths1", "paths2", "fraction")
 
-    def __post_init__(self):
-        if self.c1 == self.c2:
-            raise ValueError(f"entry {self.index} pairs {self.c1} with itself")
+    def __init__(self, index: int, c1: str, c2: str, paths1: frozenset[int],
+                 paths2: frozenset[int], fraction: Fraction):
+        if c1 == c2:
+            raise ValueError(f"entry {index} pairs {c1} with itself")
+        self.index = index
+        self.c1 = c1
+        self.c2 = c2
+        self.paths1 = paths1
+        self.paths2 = paths2
+        self.fraction = fraction
 
 
-@dataclass(frozen=True)
-class CoverageLedger:
+class CoverageLedger(NamedTuple):
     """All covering crossings of one drawing, plus the connection widths.
 
     ``skipped`` counts crossings that cover nothing: same-connection and
@@ -111,6 +107,12 @@ class CoverageLedger:
         return tuple(sorted(cids))
 
 
+# Connection pairs that share a pole, each connection with itself included:
+# crossings between their edges cover nothing.
+_ADJACENT = {(c, d) for c in ALL_CONNECTIONS for d in ALL_CONNECTIONS
+             if set(connection_poles(c)) & set(connection_poles(d))}
+
+
 def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
                     crossings: tuple[Crossing, ...] | None = None
                     ) -> CoverageLedger:
@@ -118,7 +120,11 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
 
     Crossings between edges of non-adjacent connections (pole sets disjoint)
     contribute a rectangle entry; everything else contributes nothing.
+    A drawing of another graph than the framework graph's raises ValueError.
     """
+    if drawing.graph != fg.graph:
+        raise ValueError(f"the drawing is not of the {fg.concept} framework "
+                         f"graph at ell={fg.ell}")
     if crossings is None:
         crossings = compute_crossings(drawing)
     widths = fg.widths()
@@ -132,13 +138,7 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
         except KeyError as exc:
             raise ValueError(f"crossed edge {exc.args[0]} belongs to no "
                              "con-graph of the framework graph") from None
-        if c1 == c2:
-            skipped += 1
-            continue
-        if set(connection_poles(c1)) & set(connection_poles(c2)):
-            skipped += 1
-            continue
-        if not t1 or not t2:
+        if (c1, c2) in _ADJACENT or not t1 or not t2:
             skipped += 1
             continue
         frac = Fraction(len(t1) * len(t2), widths[c1] * widths[c2])
@@ -221,58 +221,6 @@ def covered_fraction(ledger: CoverageLedger,
     """Exact share of the subdivision family covered by >= 1 entry."""
     required, uncovered = _uncovered(ledger, budget)
     return Fraction(required - sum(1 for _ in uncovered), required)
-
-
-# ---------------------------------------------------------------------------
-# Restrictions
-# ---------------------------------------------------------------------------
-
-def restrict(drawing: Drawing, fg: FrameworkGraph, cid: str,
-             path: "int | Sequence[str]") -> tuple[Drawing, FrameworkGraph]:
-    """Keep one pole path of connection ``cid``; drop the rest of its con-graph.
-
-    ``path`` is a path index or the path's vertex tuple.  The con-graph
-    shrinks to the width-1 bundle of the kept path, so the subdivision
-    family shrinks by a factor of the old width.  Restricting two distinct
-    connections commutes.
-    """
-    if cid not in fg.congraphs:
-        raise ValueError(f"unknown connection {cid!r}")
-    cg = fg.congraphs[cid]
-    if isinstance(path, int):
-        if not 0 <= path < cg.width:
-            raise ValueError(f"path index {path} out of range for {cid}")
-        chosen = cg.paths[path]
-    else:
-        chosen = tuple(path)
-        if chosen not in cg.paths:
-            chosen = chosen[::-1]
-        if chosen not in cg.paths:
-            raise ValueError(f"not a pole path of {cid}: {path!r}")
-    keep_edges = {edge(a, b) for a, b in zip(chosen, chosen[1:])}
-    new_cg = ConGraph(cid, Bundle(1, len(chosen) - 1), cg.s, cg.t,
-                      chosen[1:-1],
-                      tuple(e for e in cg.edges if e in keep_edges),
-                      (chosen,))
-
-    dropped_v = set(cg.internals) - set(chosen)
-    dropped_e = set(cg.edges) - keep_edges
-    g = fg.graph
-    new_graph = make_graph((v for v in g.vertices if v not in dropped_v),
-                           (e for e in g.edges if e not in dropped_e))
-    congraphs = dict(fg.congraphs)
-    congraphs[cid] = new_cg
-    new_fg = FrameworkGraph(fg.concept, fg.ell, fg.frame, congraphs,
-                            new_graph, fg.below_threshold)
-
-    positions = {v: p for v, p in drawing.positions.items()
-                 if v not in dropped_v}
-    curves = {e: b for e, b in drawing.curves.items() if e not in dropped_e}
-    meta = dict(drawing.meta)
-    restrictions = dict(meta.get("restrictions", {}))
-    restrictions[cid] = cg.paths.index(chosen)
-    meta["restrictions"] = dict(sorted(restrictions.items()))
-    return Drawing(new_graph, positions, curves, meta), new_fg
 
 
 # ---------------------------------------------------------------------------

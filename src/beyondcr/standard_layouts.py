@@ -28,8 +28,8 @@ from .drawing import Drawing
 from .geometry import Point, orient
 from .graph_core import (ALL_CONNECTIONS, ApexBlue, BundlePlus, ConceptId,
                          ConGraph, FrameworkGraph, K7, connection_poles,
-                         _recipe, as_concept, construction_for, edge,
-                         make_graph, structural_k)
+                         _recipe, as_concept, edge, make_graph,
+                         structural_k)
 
 LayoutVariant = Literal["witness", "upper"]
 
@@ -174,10 +174,11 @@ def _grid_witness(vcg: ConGraph, hcg: ConGraph, plan: list[int],
         x = cols[p]
         for q in range(1, j):
             positions[path[q]] = (x, bands[q])
+    neg_bands = [-b for b in bands]
     for r, path in enumerate(hcg.paths):
         y = rows[r]
         for q in range(1, j):
-            positions[path[q]] = (-bands[q], y)
+            positions[path[q]] = (neg_bands[q], y)
 
 
 def _pole_fan(vcg: ConGraph, hcg: ConGraph, positions: dict) -> None:
@@ -389,13 +390,6 @@ def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
     meta = {"concept": fg.concept.kind, "ell": fg.ell, "k": fg.concept.k,
             "variant": variant}
     return Drawing(fg.graph, positions, curves, meta=meta)
-
-
-def standard_drawing(concept: "str | ConceptId", ell: int,
-                     k: int | None = None,
-                     variant: LayoutVariant = "witness") -> Drawing:
-    fg = construction_for(concept, ell, k)
-    return draw_framework(fg, variant)
 
 
 def frame_edge_colors(fg: FrameworkGraph) -> dict:

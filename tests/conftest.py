@@ -2,7 +2,8 @@
 
 from fractions import Fraction
 
-from beyondcr import Drawing, edge, make_graph
+from beyondcr import (Drawing, construction_for, draw_framework, edge,
+                      make_graph)
 
 # Figure-scale (ell, k) points per concept.  Every theorem threshold whose
 # Kuratowski family fits the enumeration budget appears here too, so the
@@ -80,6 +81,11 @@ SLOPE_TARGET: dict[str, int] = {
 
 def pt(x, y):
     return (Fraction(x), Fraction(y))
+
+
+def standard_drawing(kind, ell, k=None, variant="witness") -> Drawing:
+    """The standard drawing of the concept's framework graph at (ell, k)."""
+    return draw_framework(construction_for(kind, ell, k), variant)
 
 
 def fan_fixture_adjacent_not_fan() -> Drawing:

@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from beyondcr import (Crossing, appendix_fcf_fixture, check_concept,
-                      compute_crossings, edge, random_corpus, random_drawing,
-                      standard_drawing)
+                      compute_crossings, edge, random_corpus, random_drawing)
 from beyondcr.checkers import _CHECKERS
 from beyondcr.graph_core import CONCEPTS, as_concept, edge_from_key, edge_key
 from conftest import (
@@ -16,6 +15,7 @@ from conftest import (
     fan_fixture_adjacent_not_fan,
     fan_fixture_fan_not_weak,
     fan_fixture_weak_not_strong,
+    standard_drawing,
 )
 import oracles as o
 

@@ -128,6 +128,13 @@ def test_import_pulls_in_no_graph_library():
                   "assert 'networkx' not in sys.modules")
 
 
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S keeps site-packages' start-up hooks out of sys.modules
+    out = _python("-S", "-c", "import beyondcr.cli, sys; print(sorted("
+                              "{'dataclasses', 'inspect'} & set(sys.modules)))")
+    assert out == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -181,6 +188,19 @@ def test_coverage_of_drawing_file(tmp_path, capsys):
     assert run(["coverage", "--concept", "skewness", "--ell", "2", "--k", "1",
                 "--in", str(f), "--format", "text"]) == 0
     assert "fully covered: true" in out_of(capsys)
+
+
+def test_coverage_refuses_drawing_of_another_graph(tmp_path, capsys):
+    # NIC's blue con-graph is Bundle(4, 6), IC's Bundle(4, 9)
+    f = tmp_path / "nic4.json"
+    assert run(["layout", "--concept", "nic", "--ell", "4",
+                "--out", str(f)]) == 0
+    assert run(["coverage", "--concept", "ic", "--ell", "4",
+                "--in", str(f)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the drawing is not of the IC framework graph "
+                   "at ell=4\n")
 
 
 def test_coverage_budget_exhaustion(capsys):
@@ -315,6 +335,13 @@ def test_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert run(["gen", "--random", "-2", "--seed", "11"]) == 2
     assert capsys.readouterr() == ("", "error: --random needs N >= 0\n")
+
+
+def test_gen_refuses_negative_max_crossings(capsys):
+    assert run(["gen", "--random", "1", "--seed", "1",
+                "--max-crossings", "-1"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: max_crossings must be >= 0, not -1\n")
 
 
 def test_corrupt_drawing_file(tmp_path, capsys):

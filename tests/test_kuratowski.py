@@ -1,4 +1,4 @@
-"""Kuratowski families: coverage accounting, restriction, counting bounds."""
+"""Kuratowski families: coverage accounting and counting bounds."""
 
 import random
 from fractions import Fraction
@@ -18,7 +18,6 @@ from beyondcr import (
     crossing_count_formula,
     draw_framework,
     kuratowski_count,
-    restrict,
     verify_full_coverage,
 )
 from beyondcr.graph_core import ALL_CONNECTIONS
@@ -178,6 +177,12 @@ def test_entry_needs_two_connections():
                       Fraction(1, 4))
 
 
+def test_ledger_refuses_a_drawing_of_another_graph():
+    nic = draw_framework(construction_for("nic", 4), "witness")
+    with pytest.raises(ValueError, match="not of the IC framework graph"):
+        coverage_ledger(nic, construction_for("ic", 4))
+
+
 def test_empty_ledger_fails_fast():
     fg = construction_for("ic", 2)
     empty = CoverageLedger(fg.widths(), (), 0)
@@ -206,67 +211,6 @@ def test_threshold_families_exceed_default_budget():
                          ("nnic", 109, None), ("k-fan-crossing-free", 109, 2)]:
         fg = construction_for(kind, ell, k)
         assert kuratowski_count(fg) > DEFAULT_BUDGET
-
-
-# ---------------------------------------------------------------------------
-# Restriction
-# ---------------------------------------------------------------------------
-
-def test_restrict_shrinks_family():
-    fg = construction_for("k-planar", 3, 2)
-    d = draw_framework(fg, "witness")
-    before = kuratowski_count(fg)
-    w = fg.congraphs["v1-w1"].width
-    d1, fg1 = restrict(d, fg, "v1-w1", 2)
-    assert kuratowski_count(fg1) * w == before
-    assert fg1.congraphs["v1-w1"].width == 1
-    assert d1.meta["restrictions"] == {"v1-w1": 2}
-    # the restricted drawing still makes sense and still covers everything
-    ledger = coverage_ledger(d1, fg1)
-    assert verify_full_coverage(ledger, fg1).ok
-
-
-def test_restrict_commutes():
-    fg = construction_for("k-planar", 3, 2)
-    d = draw_framework(fg, "witness")
-    da, fga = restrict(*restrict(d, fg, "v1-w1", 2), "v2-w2", 0)
-    db, fgb = restrict(*restrict(d, fg, "v2-w2", 0), "v1-w1", 2)
-    assert fga.graph == fgb.graph
-    assert da.positions == db.positions
-    assert da.meta == db.meta
-    assert da.meta["restrictions"] == {"v1-w1": 2, "v2-w2": 0}
-
-
-def test_restrict_accepts_vertex_tuples():
-    fg = construction_for("k-planar", 3, 2)
-    d = draw_framework(fg, "witness")
-    path = fg.congraphs["v1-w1"].paths[2]
-    by_index = restrict(d, fg, "v1-w1", 2)
-    by_tuple = restrict(d, fg, "v1-w1", path)
-    by_reversed = restrict(d, fg, "v1-w1", tuple(reversed(path)))
-    assert by_index[1].graph == by_tuple[1].graph == by_reversed[1].graph
-    assert by_index[0].positions == by_tuple[0].positions
-
-
-def test_restrict_rejects_bad_input():
-    fg = construction_for("ic", 2)
-    d = draw_framework(fg, "witness")
-    with pytest.raises(ValueError):
-        restrict(d, fg, "v1-v2", 0)
-    with pytest.raises(ValueError):
-        restrict(d, fg, "v1-w1", 99)
-    with pytest.raises(ValueError):
-        restrict(d, fg, "v1-w1", ("v1", "nope", "w1"))
-
-
-def test_restrict_drops_other_paths_from_drawing():
-    fg = construction_for("ic", 2)
-    d = draw_framework(fg, "witness")
-    d1, fg1 = restrict(d, fg, "v1-w1", 0)
-    gone = set(fg.graph.vertices) - set(fg1.graph.vertices)
-    assert gone                       # some internal vertices disappeared
-    assert not (gone & set(d1.positions))
-    assert set(d1.positions) == set(fg1.graph.vertices)
 
 
 # ---------------------------------------------------------------------------

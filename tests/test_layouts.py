@@ -21,10 +21,9 @@ from beyondcr import (
     draw_framework,
     frame_edge_colors,
     is_straight_line,
-    standard_drawing,
 )
 from beyondcr.drawing import drawing_to_json
-from conftest import FAN_KINDS, GRID, THRESHOLD_POINTS
+from conftest import FAN_KINDS, GRID, THRESHOLD_POINTS, standard_drawing
 
 GOLDEN = Path(__file__).with_name("drawings_golden.json")
 GOLDEN_POINTS = sorted(set(GRID) | set(THRESHOLD_POINTS), key=str)
