@@ -25,7 +25,8 @@ from functools import partial
 from itertools import combinations
 
 from .drawing import Crossing, Drawing, Verdict, compute_crossings, is_simple
-from .geometry import Point, cross, point_in_polygon_evenodd, sub
+from .geometry import (Point, chain_parity, cross, on_segment, ray_toggle,
+                       sub)
 from .graph_core import ConceptId, Edge, as_concept, edge_key, structural_k
 
 
@@ -158,27 +159,14 @@ def _side_of_crossing(drawing: Drawing, e: Edge, x: Crossing,
                       anchor: str) -> int:
     """Sign of the crossing of f over e when f is oriented toward anchor."""
     f = x.other(e)
-    seg_e, _te = x.positions_on(e)[0]
-    seg_f, _tf = x.positions_on(f)[0]
-    a, b = drawing.segments(e)[seg_e]
-    c, d = drawing.segments(f)[seg_f]
-    dir_e = sub(b, a)
+    seg_e = x.positions_on(e)[0][0]
+    seg_f = x.positions_on(f)[0][0]
+    poly_e, poly_f = drawing.polyline(e), drawing.polyline(f)
+    dir_e = sub(poly_e[seg_e + 1], poly_e[seg_e])
+    c, d = poly_f[seg_f], poly_f[seg_f + 1]
     dir_f = sub(d, c) if anchor == f[1] else sub(c, d)
     s = cross(dir_e, dir_f)
     return 1 if s > 0 else -1
-
-
-def _sub_polyline_between(drawing: Drawing, e: Edge,
-                          p1: tuple[int, Fraction], pt1: Point,
-                          p2: tuple[int, Fraction], pt2: Point) -> list[Point]:
-    """Points of e's curve from crossing (p1, pt1) to crossing (p2, pt2)."""
-    if p2 < p1:
-        p1, p2, pt1, pt2 = p2, p1, pt2, pt1
-    poly = drawing.polyline(e)
-    out = [pt1]
-    out.extend(poly[p1[0] + 1: p2[0] + 1])
-    out.append(pt2)
-    return out
 
 
 def _curve_to_vertex(drawing: Drawing, f: Edge, pos: tuple[int, Fraction],
@@ -208,7 +196,12 @@ def _fan(concept: str, level: int, drawing: Drawing,
     pairwise adjacent (level 0, adjacency-crossing), share a common anchor
     vertex (level 1, fan-crossing), for some anchor all cross e from the
     same side (level 2, weak fan-planar), and for that anchor no fan region
-    traps an endpoint of e (level 3, strong fan-planar)."""
+    traps an endpoint of e (level 3, strong fan-planar).
+
+    The level-3 test gives each crossing on e one even-odd bit per endpoint
+    of e and compares bits instead of building a region per pair of
+    crossers (``_enclosure_failure``): O(len(e) + sum of tail lengths +
+    c^2) per edge and anchor for c crossings on e."""
     if not is_simple(xs):
         return Verdict(False, concept, "drawing is not simple")
     for e, crossings in sorted(_crossers_by_edge(xs).items()):
@@ -260,26 +253,48 @@ def _enclosure_failure(drawing: Drawing, e: Edge,
                        anchor: str) -> tuple[str, dict] | None:
     """sfp condition: for each pair of crossers, the closed curve formed by
     the piece of e between the two crossing points and the two crosser
-    curves up to the anchor must not strictly enclose an endpoint of e."""
-    endpoints = [(u, drawing.positions[u]) for u in e]
-    for xi, xj in combinations(crossings, 2):
-        pi = xi.positions_on(e)[0]
-        pj = xj.positions_on(e)[0]
-        fi, fj = xi.other(e), xj.other(e)
-        first, second = (xi, xj) if pi <= pj else (xj, xi)
-        ring = _sub_polyline_between(drawing, e,
-                                     first.positions_on(e)[0], first.point,
-                                     second.positions_on(e)[0], second.point)
-        ring += _curve_to_vertex(drawing, second.other(e),
-                                 second.positions_on(second.other(e))[0],
-                                 second.point, anchor)[1:]
-        back = _curve_to_vertex(drawing, first.other(e),
-                                first.positions_on(first.other(e))[0],
-                                first.point, anchor)
-        # a repeated point is a zero-length edge, harmless to the even-odd test
-        ring += list(reversed(back))[1:]
-        for u, p in endpoints:
-            if point_in_polygon_evenodd(p, ring):
+    curves up to the anchor must not strictly enclose an endpoint of e.
+
+    Each segment of such a ring flips an endpoint's even-odd ray count on
+    its own, in either direction (``geometry.ray_toggle``), so the ring's
+    parity at endpoint u is Q_i(u) XOR Q_j(u), one bit per crossing:
+    Q_i = H_i XOR T_i, the parities of e's curve from its first point to
+    crossing i and of crosser i's tail from crossing i to the anchor (the
+    prefix of e that H_i and H_j share cancels).  Boundary points count as
+    outside: a crosser whose tail holds u encloses it with no partner, and
+    ``compute_crossings`` refuses an endpoint of e on e's curve between
+    two crossings.  One walk of e and of each tail gives every bit, so an
+    (edge, anchor) costs O(len(e) + sum of tail lengths + c^2) for c
+    crossings on e; the first differing pair in ``combinations`` order,
+    then endpoint order, is the witness.
+    """
+    poly = drawing.polyline(e)
+    ends = [drawing.positions[u] for u in e]
+    # prefixes[k][s]: parity of e's curve up to its point s at endpoint k
+    prefixes = []
+    for p in ends:
+        prefix = [False]
+        for a, b in zip(poly, poly[1:]):
+            prefix.append(prefix[-1] ^ ray_toggle(p, a, b))
+        prefixes.append(prefix)
+    bits: list[list[bool | None]] = []  # Q per crossing and endpoint
+    for x in crossings:
+        f = x.other(e)
+        seg = x.positions_on(e)[0][0]
+        tail = _curve_to_vertex(drawing, f, x.positions_on(f)[0], x.point,
+                                anchor)
+        row: list[bool | None] = []
+        for p, prefix in zip(ends, prefixes):
+            if any(on_segment(a, b, p) for a, b in zip(tail, tail[1:])):
+                row.append(None)
+            else:
+                row.append(prefix[seg] ^ ray_toggle(p, poly[seg], x.point)
+                           ^ chain_parity(p, tail))
+        bits.append(row)
+    for (xi, qi), (xj, qj) in combinations(zip(crossings, bits), 2):
+        for u, bi, bj in zip(e, qi, qj):
+            if bi is not None and bj is not None and bi != bj:
+                fi, fj = xi.other(e), xj.other(e)
                 return (f"endpoint {u} of {edge_key(e)} is enclosed by the "
                         f"fan region of {edge_key(fi)} and {edge_key(fj)}",
                         {"edge": edge_key(e), "endpoint": u, "anchor": anchor,

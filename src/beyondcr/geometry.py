@@ -38,27 +38,35 @@ def on_segment(a: Point, b: Point, p: Point) -> bool:
     )
 
 
-def point_in_polygon_evenodd(p: Point, polygon: Sequence[Point]) -> bool:
-    """Exact even-odd containment; points on the boundary count as outside.
-
-    The polygon is the closed chain polygon[0] -> ... -> polygon[-1] ->
-    polygon[0] and may self-intersect.
-    """
-    n = len(polygon)
-    # Boundary check first: "strictly inside" must reject boundary points.
-    # A repeated point is a zero-length edge, on which only p == a lies.
-    if any(on_segment(polygon[i - 1], polygon[i], p) for i in range(n)):
-        return False
-    inside = False
+def ray_toggle(p: Point, a: Point, b: Point) -> bool:
+    """Whether segment ab flips the even-odd count of p's rightward ray:
+    ab spans p's height half-open, ``(ay > py) != (by > py)``, and meets
+    that height right of p.  The answer does not depend on ab's direction,
+    and splitting ab at a point on it splits it: the halves' answers XOR
+    to ab's."""
+    (ax, ay), (bx, by) = a, b
     px, py = p
-    for i in range(n):
-        a, b = polygon[i], polygon[(i + 1) % n]
-        (ax, ay), (bx, by) = a, b
-        if ay == by:
-            continue  # horizontal edges never toggle an upward ray
-        if (ay > py) != (by > py):
-            # x-coordinate of edge at height py, exactly.
-            xcross = ax + (bx - ax) * (py - ay) / (by - ay)
-            if xcross > px:
-                inside = not inside
+    if (ay > py) == (by > py):
+        return False
+    if ax > px and bx > px:
+        return True
+    if ax <= px and bx <= px:
+        return False
+    # ab's x at height py exceeds px, cross-multiplied by by - ay
+    d = (ax - px) * (by - ay) + (bx - ax) * (py - ay)
+    return d > 0 if by > ay else d < 0
+
+
+def chain_parity(p: Point, chain: Sequence[Point]) -> bool:
+    """Even-odd parity of p's rightward ray against the open chain
+    chain[0] -> ... -> chain[-1].
+
+    The chains that split a closed ring XOR to the ring's parity, which is
+    the even-odd containment of every p off the ring.  Boundary points are
+    the caller's to refuse: this test does not see them.
+    """
+    inside = False
+    for a, b in zip(chain, chain[1:]):
+        if ray_toggle(p, a, b):
+            inside = not inside
     return inside

@@ -131,6 +131,8 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
     edge_paths = fg.edge_paths
     entries: list[CoverageEntry] = []
     skipped = 0
+    # one Fraction per (paths, product of widths) pair: few distinct values
+    fracs: dict[tuple[int, int], Fraction] = {}
     for i, x in enumerate(crossings):
         try:
             c1, t1 = edge_paths[x.a]
@@ -141,7 +143,10 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
         if (c1, c2) in _ADJACENT or not t1 or not t2:
             skipped += 1
             continue
-        frac = Fraction(len(t1) * len(t2), widths[c1] * widths[c2])
+        key = (len(t1) * len(t2), widths[c1] * widths[c2])
+        frac = fracs.get(key)
+        if frac is None:
+            frac = fracs[key] = Fraction(*key)
         if c2 < c1:
             c1, c2, t1, t2 = c2, c1, t2, t1
         entries.append(CoverageEntry(i, c1, c2, t1, t2, frac))

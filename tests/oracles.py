@@ -170,6 +170,16 @@ def winding_number(p, polygon):
     return wn
 
 
+def on_segment_brute(a, b, p):
+    """p == a + t·(b - a) for some t in [0, 1], solved exactly for t."""
+    if a == b:
+        return p == a
+    axis = 0 if a[0] != b[0] else 1
+    t = Fraction(p[axis] - a[axis]) / (b[axis] - a[axis])
+    return 0 <= t <= 1 and p == (a[0] + t * (b[0] - a[0]),
+                                 a[1] + t * (b[1] - a[1]))
+
+
 # ---------------------------------------------------------------------------
 # Crossings along one edge, in curve order.
 # ---------------------------------------------------------------------------
@@ -417,3 +427,98 @@ def is_frame_subdivision(fg, sub):
         degree[v] = degree.get(v, 0) + 1
     frame_nodes = {"v1", "v2", "v3", "w1", "w2", "w3"}
     return all(d == (3 if v in frame_nodes else 2) for v, d in degree.items())
+
+
+# ---------------------------------------------------------------------------
+# Strong fan-planarity with one explicit ring per pair of crossers.
+# ---------------------------------------------------------------------------
+
+def _locate(poly, point):
+    """(segment, t) of the point on the first segment of the polyline that
+    holds it."""
+    for i, (a, b) in enumerate(zip(poly, poly[1:])):
+        if a != b and on_segment_brute(a, b, point):
+            axis = 0 if a[0] != b[0] else 1
+            return i, Fraction(point[axis] - a[axis]) / (b[axis] - a[axis])
+    raise ValueError(f"{point} is not on the curve")
+
+
+def _fan_failure_brute(drawing, e, crossings, anchor):
+    """(reason, witness) of the first failure of anchor for edge e, or None:
+    crossers oriented toward the anchor cross e from both sides, or the ring
+    of a pair of crossers (e between their crossings, then both crossers up
+    to the anchor) strictly encloses an endpoint of e."""
+    from beyondcr.graph_core import edge_key
+
+    poly_e = drawing.polyline(e)
+    sides, located = set(), []
+    for x in crossings:
+        f = x.b if x.a == e else x.a
+        poly_f = drawing.polyline(f)
+        if anchor == f[0]:
+            poly_f = poly_f[::-1]
+        i, t = _locate(poly_e, x.point)
+        j, _ = _locate(poly_f, x.point)
+        (a, b), (c, d) = poly_e[i:i + 2], poly_f[j:j + 2]
+        turn = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
+        sides.add(turn > 0)
+        located.append(((i, t), x, f, [x.point, *poly_f[j + 1:]]))
+    ek = edge_key(e)
+    if len(sides) > 1:
+        return (f"crossings of {ek} approach anchor {anchor} from both sides",
+                {"edge": ek, "anchor": anchor})
+    for ri, rj in combinations(located, 2):
+        fi, fj = ri[2], rj[2]
+        (lo, x_lo, _, tail_lo), (hi, x_hi, _, tail_hi) = sorted([ri, rj])
+        piece = [x_lo.point, *poly_e[lo[0] + 1:hi[0] + 1], x_hi.point]
+        # back along the first tail, leaving out the anchor and the point
+        # the ring starts at
+        ring = piece + tail_hi[1:] + tail_lo[::-1][1:-1]
+        n = len(ring)
+        for u in e:
+            p = drawing.positions[u]
+            if any(on_segment_brute(ring[k], ring[(k + 1) % n], p)
+                   for k in range(n)):
+                continue
+            if ray_cast_inside(p, ring):
+                return (f"endpoint {u} of {ek} is enclosed by the fan region "
+                        f"of {edge_key(fi)} and {edge_key(fj)}",
+                        {"edge": ek, "endpoint": u, "anchor": anchor,
+                         "crossers": [edge_key(fi), edge_key(fj)]})
+    return None
+
+
+def sfp_enclosure_brute(drawing, xs):
+    """(ok, reason, witness) of the strong fan-planar verdict: a simple
+    drawing in which, for every edge e crossed more than once, some common
+    vertex of its crossers (tried in name order) passes
+    ``_fan_failure_brute``; a failing edge reports its last anchor's
+    failure."""
+    from beyondcr.graph_core import edge_key
+
+    if not simple_ok(xs):
+        return (False, "drawing is not simple", None)
+    by_edge = {}
+    for x in xs:
+        by_edge.setdefault(x.a, []).append(x)
+        by_edge.setdefault(x.b, []).append(x)
+    for e in sorted(by_edge):
+        crossings = by_edge[e]
+        if len(crossings) < 2:
+            continue
+        fans = [x.b if x.a == e else x.a for x in crossings]
+        anchors = sorted(set.intersection(*(set(f) for f in fans)) - set(e))
+        if not anchors:
+            return (False,
+                    f"edges crossing {edge_key(e)} have no common vertex",
+                    {"edge": edge_key(e),
+                     "crossers": sorted(edge_key(f) for f in fans)})
+        failures = []
+        for v in anchors:
+            failure = _fan_failure_brute(drawing, e, crossings, v)
+            if failure is None:
+                break
+            failures.append(failure)
+        else:
+            return (False, *failures[-1])
+    return (True, "", None)

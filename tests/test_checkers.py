@@ -5,9 +5,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from beyondcr import (Crossing, appendix_fcf_fixture, check_concept,
-                      compute_crossings, edge, random_corpus, random_drawing)
+from beyondcr import (Crossing, Drawing, GeneralPositionViolation,
+                      appendix_fcf_fixture, check_concept, compute_crossings,
+                      edge, make_graph, random_corpus, random_drawing)
 from beyondcr.checkers import _CHECKERS
 from beyondcr.graph_core import CONCEPTS, as_concept, edge_from_key, edge_key
 from conftest import (
@@ -15,6 +18,7 @@ from conftest import (
     fan_fixture_adjacent_not_fan,
     fan_fixture_fan_not_weak,
     fan_fixture_weak_not_strong,
+    pt,
     standard_drawing,
 )
 import oracles as o
@@ -71,14 +75,12 @@ def test_fan_but_not_weak():
 def test_weak_but_not_strong():
     d = fan_fixture_weak_not_strong()
     assert _fan_verdicts(d) == (True, True, True, False)
-    v = check_concept(d, "strong-fan-planar")
-    assert "enclosed" in v.reason
+    v = _sfp_matches_brute(d, compute_crossings(d))
+    assert v.witness["endpoint"] == "e1" and "enclosed" in v.reason
 
 
 def test_non_simple_fails_every_fan_variant():
     # two adjacent edges crossing: not a simple drawing
-    from beyondcr import Drawing, edge, make_graph
-    from conftest import pt
     g = make_graph(["a", "b", "c"], [edge("a", "b"), edge("a", "c")])
     d = Drawing(g, {"a": pt(0, 0), "b": pt(6, 0), "c": pt(6, 3)},
                 curves={edge("a", "c"): (pt(2, -2), pt(4, 1))})
@@ -88,6 +90,117 @@ def test_non_simple_fails_every_fan_variant():
     # but the pairwise-endpoint and counting concepts do not mind
     assert check_concept(d, "ic").ok
     assert check_concept(d, "k-planar", 1).ok
+
+
+# ---------------------------------------------------------------------------
+# Strong fan-planarity against one explicit ring per pair of crossers
+# ---------------------------------------------------------------------------
+
+_SQUARE_SYMMETRIES = [
+    lambda x, y: (x, y), lambda x, y: (-y, x), lambda x, y: (-x, -y),
+    lambda x, y: (y, -x), lambda x, y: (-x, y), lambda x, y: (x, -y),
+    lambda x, y: (y, x), lambda x, y: (-y, -x),
+]
+
+
+@st.composite
+def fan_gadgets(draw):
+    """e = ab from (0, 0) to (12, 0), bent half a unit up or down between
+    any two whole x so that an endpoint's ray may cross e's own curve, and
+    2-4 crossers sharing the anchor, each crossing e once at a whole x.  A
+    "straight" crosser rises from below e to the anchor; the others drop
+    through e from above and run left around a, right around b, or "under"
+    the rest of e to its far end.  Crossers turning the same way nest by
+    where they cross e.  The whole drawing is mapped by one of the 8
+    symmetries of the square."""
+    width = 12
+    n = draw(st.integers(2, 4))
+    at = sorted(draw(st.sets(st.integers(1, width - 1), min_size=n,
+                             max_size=n)))
+    # left of the turn a crosser mostly goes left, right of it right; a
+    # turn between two crossers makes their fan region wrap e's ends
+    turn = draw(st.integers(1, n - 1) | st.integers(0, n))
+    routes = [draw(st.sampled_from([side] * 3 + ["under", "straight"]))
+              for side in ["left"] * turn + ["right"] * (n - turn)]
+    anchor = draw(st.sampled_from(["c", "v"]))
+    anchor_at = (draw(st.integers(-3, width + 3)), 2 * n + 8)
+    sym = draw(st.sampled_from(_SQUARE_SYMMETRIES))
+    lefts = [x for x, r in zip(at, routes) if r == "left"]
+    rights = [x for x, r in zip(at, routes) if r == "right"][::-1]
+    unders = [x for x, r in zip(at, routes) if r == "under"]
+    positions = {"a": (0, 0), "b": (width, 0), anchor: anchor_at}
+    zigzag = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=width,
+                           max_size=width))
+    curves = {("a", "b"): [(x + Fraction(1, 2), Fraction(y, 2))
+                           for x, y in enumerate(zigzag) if y]}
+    for k, (x, route) in enumerate(zip(at, routes)):
+        s = f"s{k}"
+        h = draw(st.integers(1, 3))
+        if route == "straight":
+            positions[s], bends = (x, -h), []
+        else:
+            if route == "under":
+                depth = n + 1 + unders.index(x)
+                left = 2 * x > width
+            else:
+                left = route == "left"
+                depth = 1 + (lefts if left else rights).index(x)
+            side = -depth if left else width + depth
+            positions[s] = (x, h)
+            bends = [(x, -depth), (side, -depth), (side, 4 + depth)]
+            if draw(st.booleans()):  # a kink outward on the way up
+                bends.insert(2, (side + Fraction(-1 if left else 1, 3), 2))
+        # the curve runs from the edge's first vertex to its second
+        curves[edge(s, anchor)] = bends if s < anchor else bends[::-1]
+    g = make_graph(sorted(positions), list(curves))
+    return Drawing(g, {v: pt(*sym(*p)) for v, p in positions.items()},
+                   {f: tuple(pt(*sym(*p)) for p in ps)
+                    for f, ps in curves.items() if ps})
+
+
+def _sfp_matches_brute(d, xs):
+    v = check_concept(d, "strong-fan-planar", xs=xs)
+    assert (v.ok, v.reason, v.witness) == o.sfp_enclosure_brute(d, xs)
+    return v
+
+
+def test_sfp_matches_explicit_rings_on_fan_gadgets():
+    reasons = Counter()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(fan_gadgets())
+    def run(d):
+        try:
+            xs = compute_crossings(d)
+        except GeneralPositionViolation:
+            reject()
+        v = _sfp_matches_brute(d, xs)
+        reasons["ok" if v.ok else "enclosed" if "enclosed" in v.reason
+                else "other"] += 1
+
+    run()
+    # the gadgets reach the enclosure test, both ways
+    assert reasons["enclosed"] >= 10 and reasons["ok"] >= 10
+
+
+@pytest.mark.parametrize("kind,ell,k", [g for g in GRID if g[0] in (
+    "weak-fan-planar", "strong-fan-planar")])
+@pytest.mark.parametrize("variant", ["witness", "upper"])
+def test_sfp_matches_explicit_rings_on_fan_drawings(kind, ell, k, variant):
+    d = standard_drawing(kind, ell, k, variant=variant)
+    _sfp_matches_brute(d, compute_crossings(d))
+
+
+def test_sfp_tail_through_an_endpoint_encloses_nothing():
+    # The fixture with a's tail rerouted through e1 after its crossing.
+    # compute_crossings refuses that touch, so the crossings come from the
+    # fixture: the segments they lie on are unchanged.  A boundary point
+    # counts as outside, so only e2 is enclosed.
+    d = fan_fixture_weak_not_strong()
+    xs = compute_crossings(d)
+    d.curves[edge("a", "v")] = (pt(1, -2), pt(-1, -2), pt(1, 2))
+    v = _sfp_matches_brute(d, xs)
+    assert v.witness["endpoint"] == "e2"
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from beyondcr import Drawing, compute_crossings, edge, make_graph
-from beyondcr.geometry import on_segment, orient, point_in_polygon_evenodd
+from beyondcr.geometry import chain_parity, on_segment, orient, ray_toggle
 from conftest import pt
-from oracles import (bbox_disjoint, ray_cast_inside, solve_segments,
-                     winding_number)
+from oracles import (bbox_disjoint, on_segment_brute, ray_cast_inside,
+                     solve_segments, winding_number)
 
 coords = st.integers(min_value=-8, max_value=8)
 points = st.tuples(coords, coords).map(lambda t: pt(*t))
@@ -60,32 +60,59 @@ def _on_boundary(p, ring):
     return False
 
 
+def _evenodd(p, ring):
+    """Even-odd containment of p in the closed ring from the chain parity;
+    points on the boundary count as outside."""
+    closed = [*ring, ring[0]]
+    if any(on_segment(a, b, p) for a, b in zip(closed, closed[1:])):
+        return False
+    return chain_parity(p, closed)
+
+
 @given(points, polygons)
 def test_even_odd_matches_ray_casting(p, ring):
     assume(not _on_boundary(p, ring))
-    assert point_in_polygon_evenodd(p, ring) == ray_cast_inside(p, ring)
+    assert _evenodd(p, ring) == ray_cast_inside(p, ring)
 
 
 @given(points, polygons)
 def test_even_odd_matches_winding_parity(p, ring):
     assume(not _on_boundary(p, ring))
-    assert point_in_polygon_evenodd(p, ring) == (winding_number(p, ring) % 2 == 1)
+    assert _evenodd(p, ring) == (winding_number(p, ring) % 2 == 1)
+
+
+@given(points, polygons, st.data())
+def test_chain_parities_xor_to_the_ring_parity(p, ring, data):
+    # cut the closed ring into chains that share their end points; each
+    # chain may be walked either way
+    assume(not _on_boundary(p, ring))
+    closed = [*ring, ring[0]]
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(closed) - 2))))
+    bounds = [0, *cuts, len(closed) - 1]
+    parity = False
+    for lo, hi in zip(bounds, bounds[1:]):
+        chain = closed[lo:hi + 1]
+        if data.draw(st.booleans()):
+            chain.reverse()
+        parity ^= chain_parity(p, chain)
+    assert parity == ray_cast_inside(p, ring)
+    assert parity == (winding_number(p, ring) % 2 == 1)
+
+
+@given(points, points, points,
+       st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                        Fraction(1)]))
+def test_ray_toggle_splits_at_a_point_of_the_segment(p, a, b, t):
+    # any p, boundary included: the halves' toggles XOR to the segment's
+    c = (a[0] + t * (b[0] - a[0]), a[1] + t * (b[1] - a[1]))
+    assert ray_toggle(p, a, c) ^ ray_toggle(p, c, b) == ray_toggle(p, a, b)
+    assert ray_toggle(p, a, b) == ray_toggle(p, b, a)
 
 
 # Small rationals (denominators 1-3) and rings drawn from a pool of at most
 # four points, so repeated points, zero-length and collinear edges are common.
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
 rational_points = st.tuples(rationals, rationals)
-
-
-def _on_segment_brute(a, b, p):
-    """p == a + t·(b - a) for some t in [0, 1], solved exactly for t."""
-    if a == b:
-        return p == a
-    axis = 0 if a[0] != b[0] else 1
-    t = (p[axis] - a[axis]) / (b[axis] - a[axis])
-    return 0 <= t <= 1 and p == (a[0] + t * (b[0] - a[0]),
-                                 a[1] + t * (b[1] - a[1]))
 
 
 @st.composite
@@ -108,31 +135,31 @@ def test_boundary_and_containment_match_brute_force(ring_p):
     n = len(ring)
     edges = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
     for a, b in edges:
-        assert on_segment(a, b, p) == _on_segment_brute(a, b, p)
-    on_boundary = any(_on_segment_brute(a, b, p) for a, b in edges)
+        assert on_segment(a, b, p) == on_segment_brute(a, b, p)
+    on_boundary = any(on_segment_brute(a, b, p) for a, b in edges)
     inside = not on_boundary and winding_number(p, ring) % 2 == 1
-    assert point_in_polygon_evenodd(p, ring) == inside
+    assert _evenodd(p, ring) == inside
 
 
 def test_degenerate_rings():
     # repeated points and a collinear spike: the spike's edges are boundary
     ring = [pt(0, 0), pt(0, 0), pt(4, 0), pt(8, 0), pt(4, 0), pt(4, 4)]
-    assert not point_in_polygon_evenodd(pt(6, 0), ring)     # on the spike
-    assert not point_in_polygon_evenodd(pt(4, 0), ring)     # at a vertex
-    assert point_in_polygon_evenodd(pt(3, 1), ring)
-    assert not point_in_polygon_evenodd(pt(9, 0), ring)
+    assert not _evenodd(pt(6, 0), ring)     # on the spike
+    assert not _evenodd(pt(4, 0), ring)     # at a vertex
+    assert _evenodd(pt(3, 1), ring)
+    assert not _evenodd(pt(9, 0), ring)
     # a ring that is one point repeated has only that point as boundary
-    assert not point_in_polygon_evenodd(pt(1, 1), [pt(1, 1)] * 3)
+    assert not _evenodd(pt(1, 1), [pt(1, 1)] * 3)
     assert on_segment(pt(1, 1), pt(1, 1), pt(1, 1))
     assert not on_segment(pt(1, 1), pt(1, 1), pt(1, 2))
 
 
 def test_boundary_points_count_as_outside():
     square = [pt(0, 0), pt(4, 0), pt(4, 4), pt(0, 4)]
-    assert point_in_polygon_evenodd(pt(2, 2), square)
-    assert not point_in_polygon_evenodd(pt(0, 2), square)   # on an edge
-    assert not point_in_polygon_evenodd(pt(4, 4), square)   # at a corner
-    assert not point_in_polygon_evenodd(pt(5, 2), square)
+    assert _evenodd(pt(2, 2), square)
+    assert not _evenodd(pt(0, 2), square)   # on an edge
+    assert not _evenodd(pt(4, 4), square)   # at a corner
+    assert not _evenodd(pt(5, 2), square)
 
 
 def test_winding_direction():
