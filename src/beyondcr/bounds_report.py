@@ -149,10 +149,11 @@ def growth_exponent(points: Sequence[tuple[int, Fraction]]) -> float:
     """Least-squares slope of log(ratio) against log(n)."""
     if len(points) < 2:
         raise ValueError("need at least two grid points")
-    xs = [math.log(n) for n, _ in points]
-    ys = [math.log(r) for _, r in points]
     if any(r <= 0 for _, r in points):
         raise ValueError("ratios must be positive for a log-log slope")
+    xs = [math.log(n) for n, _ in points]
+    # a ratio can exceed the float range, its numerator and denominator not
+    ys = [math.log(r.numerator) - math.log(r.denominator) for _, r in points]
     mean_x = sum(xs) / len(xs)
     mean_y = sum(ys) / len(ys)
     sxx = sum((x - mean_x) ** 2 for x in xs)
@@ -164,22 +165,6 @@ def growth_exponent(points: Sequence[tuple[int, Fraction]]) -> float:
 # threshold that the bounds' low-order terms (1 - c/ell, additive
 # constants in n) cannot distort the measured slope.
 _BASE_MIN = 1024
-
-
-def slope_grid(concept: "str | ConceptId", k: int | None = None,
-               points: int = 5) -> tuple[tuple[int, int, Fraction], ...]:
-    """(ell, n, ratio) along a doubling ell grid, closed-form only."""
-    cid = as_concept(concept, k)
-    kk = structural_k(cid)
-    base = max(cid.info.threshold(kk), _BASE_MIN)
-    grid = []
-    for i in range(points):
-        ell = base << i
-        n, _m = framework_size(cid, ell)
-        bound, _ = counting_lower_bound(cid, ell)
-        upper = crossing_count_formula(cid, ell, variant="upper")
-        grid.append((ell, n, Fraction(bound, upper)))
-    return tuple(grid)
 
 
 class NotApplicable(NamedTuple):
@@ -209,10 +194,11 @@ def table1_report(k: int = 2,
                                          f"requires k >= {info.k_min}"))
             continue
         cid = ConceptId(kind, k if info.requires_k else None)
-        grid = slope_grid(cid, points=points)
-        slope = growth_exponent([(n, r) for _ell, n, r in grid])
-        base_point = ratio_report(cid, grid[0][0])
-        reports.append(base_point._replace(slope=slope, grid=grid))
+        base = max(info.threshold(structural_k(cid)), _BASE_MIN)
+        rows = [ratio_report(cid, base << i) for i in range(points)]
+        grid = tuple((r.ell, r.n, r.empirical_ratio) for r in rows)
+        slope = growth_exponent([(r.n, r.empirical_ratio) for r in rows])
+        reports.append(rows[0]._replace(slope=slope, grid=grid))
     return reports
 
 

@@ -4,6 +4,9 @@
 (unless they are passed in) and calls the concept's ``_CHECKERS`` entry as
 ``(drawing, crossings, k)``, where k is the concept's structural k; the
 concepts without a parameter ignore it.  Every checker returns a Verdict.
+All but one decide from the crossings alone, the fan sides included
+(``Crossing.turn``); only strong fan-planarity's enclosure test reads the
+drawing's curves.
 Failure verdicts carry a machine-checkable witness: the edge / vertex /
 crossing pair that breaks the condition, or for the search-based concepts
 (gap, apex, skewness) a certificate that no valid assignment or deletion
@@ -25,8 +28,7 @@ from functools import partial
 from itertools import combinations
 
 from .drawing import Crossing, Drawing, Verdict, compute_crossings, is_simple
-from .geometry import (Point, chain_parity, cross, on_segment, ray_toggle,
-                       sub)
+from .geometry import Point, chain_parity, on_segment, ray_toggle
 from .graph_core import ConceptId, Edge, as_concept, edge_key, structural_k
 
 
@@ -155,20 +157,6 @@ def _crossers_by_edge(xs: tuple[Crossing, ...]
     return out
 
 
-def _side_of_crossing(drawing: Drawing, e: Edge, x: Crossing,
-                      anchor: str) -> int:
-    """Sign of the crossing of f over e when f is oriented toward anchor."""
-    f = x.other(e)
-    seg_e = x.positions_on(e)[0][0]
-    seg_f = x.positions_on(f)[0][0]
-    poly_e, poly_f = drawing.polyline(e), drawing.polyline(f)
-    dir_e = sub(poly_e[seg_e + 1], poly_e[seg_e])
-    c, d = poly_f[seg_f], poly_f[seg_f + 1]
-    dir_f = sub(d, c) if anchor == f[1] else sub(c, d)
-    s = cross(dir_e, dir_f)
-    return 1 if s > 0 else -1
-
-
 def _curve_to_vertex(drawing: Drawing, f: Edge, pos: tuple[int, Fraction],
                      xpt: Point, vertex: str) -> list[Point]:
     """Points of f's curve from a crossing point to one of its endpoints."""
@@ -229,7 +217,10 @@ def _fan(concept: str, level: int, drawing: Drawing,
         ok_anchor = None
         last_reason: tuple[str, dict] | None = None
         for v in anchors:
-            sides = {_side_of_crossing(drawing, e, x, v) for x in crossings}
+            # the side f crosses e from, f running toward v: the crossing's
+            # turn, flipped when e is its b and when f runs backward
+            sides = {x.turn * (1 if x.a == e else -1)
+                     * (1 if x.other(e)[1] == v else -1) for x in crossings}
             if len(sides) > 1:
                 last_reason = (
                     f"crossings of {edge_key(e)} approach anchor {v} from "
@@ -372,22 +363,30 @@ def _k_gap_planar(drawing: Drawing, xs: tuple[Crossing, ...],
 
 
 def _hitting_set(universe: list[frozenset], k: int) -> set | None:
-    """Smallest-first branch and bound for a hitting set of size <= k."""
-    def solve(remaining: list[frozenset], budget: int) -> set | None:
-        if not remaining:
-            return set()
-        if budget == 0:
+    """Smallest-first branch and bound for a hitting set of size <= k:
+    depth first, each depth branching on the elements of a smallest set
+    not yet hit, in ``str`` order.  The depths are an explicit stack, so
+    k is not limited by the recursion limit."""
+    frames: list = []   # per depth: its unhit sets and untried choices
+    chosen: list = []   # per depth: the choice being explored
+    remaining = universe
+    while remaining:
+        if len(frames) < k:
+            target = min(remaining, key=len)
+            frames.append((remaining, iter(sorted(target, key=str))))
+        # the next untried choice of the deepest depth that has one
+        while frames:
+            sets, choices = frames[-1]
+            del chosen[len(frames) - 1:]
+            choice = next(choices, None)
+            if choice is not None:
+                break
+            frames.pop()
+        if not frames:
             return None
-        target = min(remaining, key=len)
-        for choice in sorted(target, key=str):
-            rest = [r for r in remaining if choice not in r]
-            sub = solve(rest, budget - 1)
-            if sub is not None:
-                sub.add(choice)
-                return sub
-        return None
-
-    return solve(universe, k)
+        chosen.append(choice)
+        remaining = [r for r in sets if choice not in r]
+    return set(chosen)
 
 
 def _k_apex(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:

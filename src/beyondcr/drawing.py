@@ -15,7 +15,9 @@ rejected after two, a collinear pair is an overlap, and otherwise the
 pair crosses or touches.  Only the crossings are kept and sorted, plus the
 first touch or overlap, so memory is O(segments + crossings).
 Points and segment parameters go back to ``Fraction`` in drawing
-coordinates for output.
+coordinates for output, and each crossing keeps the sign of its two
+segments' cross product as ``turn``: the side a crosser passes from,
+which the fan checkers read instead of the geometry.
 
 A drawing must be in *general position*: no overlapping segments, no curve
 through a vertex or bend of another curve, and no two crossings at the same
@@ -88,19 +90,23 @@ class Crossing:
 
     ``a <= b``; for a self-crossing a == b.  ``pos_a``/``pos_b`` locate the
     point along each curve as (segment index, parameter within segment) and
-    order crossings along an edge.  Crossings have no order and compare
-    by identity; sort them by a key of these fields.
+    order crossings along an edge.  ``turn`` is +1 or -1, the sign of the
+    cross product of a's segment direction and b's, both curves running
+    from their smaller endpoint: +1 when b passes from a's right to its
+    left.  Crossings have no order and compare by identity; sort them by a
+    key of these fields.
     """
 
-    __slots__ = ("a", "b", "pos_a", "pos_b", "point")
+    __slots__ = ("a", "b", "pos_a", "pos_b", "point", "turn")
 
     def __init__(self, a: Edge, b: Edge, pos_a: tuple[int, Fraction],
-                 pos_b: tuple[int, Fraction], point: Point):
+                 pos_b: tuple[int, Fraction], point: Point, turn: int):
         self.a = a
         self.b = b
         self.pos_a = pos_a
         self.pos_b = pos_b
         self.point = point
+        self.turn = turn
 
     def involves(self, e: Edge) -> bool:
         return self.a == e or self.b == e
@@ -124,17 +130,17 @@ class Crossing:
 
 
 def _point_table(drawing: Drawing, bent: list[Edge]
-                 ) -> tuple[list, int | None]:
+                 ) -> tuple[list, int]:
     """Every vertex (in graph order) and bend (in ``bent`` order) with the
     scale: points times the LCM of all coordinate denominators are integer
-    pairs.  Points with an inexact coordinate come back as given, with no
-    scale, so duplicates are still found before they are refused."""
+    pairs.  A coordinate that is not an int or Fraction raises TypeError."""
     g = drawing.graph
     points = [drawing.positions[v] for v in g.vertices]
     points += [p for e in bent for p in drawing.curves[e]]
-    if not all(type(c) is int or isinstance(c, Fraction)
-               for p in points for c in p):
-        return points, None
+    bad = [c for p in points for c in p
+           if type(c) is not int and not isinstance(c, Fraction)]
+    if bad:
+        raise TypeError(f"coordinate {bad[0]!r} is not an int or Fraction")
     scale = math.lcm(*(c.denominator for p in points for c in p))
     return [(x.numerator * (scale // x.denominator),
              y.numerator * (scale // y.denominator))
@@ -178,7 +184,9 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
     over itself at a bend included), touching curves (except shared
     endpoints of adjacent edges), curves through vertices/bends, and
     coincident crossing points.  When several degeneracies exist, the one
-    raised is the first in (edge, edge, segment, segment) order.
+    raised is the first in (edge, edge, segment, segment) order.  A
+    coordinate that is not an int or Fraction raises TypeError before any
+    degeneracy is looked for.
     """
     g = drawing.graph
     for v in g.vertices:
@@ -197,10 +205,6 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
     if set(drawing.curves) - set(g.edges):
         bad = sorted(set(drawing.curves) - set(g.edges))[0]
         raise ValueError(f"curve for non-edge {bad}")
-    if scale is None:
-        bad = next(c for p in points for c in p
-                   if type(c) is not int and not isinstance(c, Fraction))
-        raise TypeError(f"coordinate {bad!r} is not an int or Fraction")
 
     # Segment ids run in (edge, index along the edge) order, and ends[s]
     # holds the point ids of segment s.  Points are distinct and no edge is
@@ -313,8 +317,10 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
                 f"{ea} x {eb} and {seen[at]} cross at the "
                 f"same point ({p[0]},{p[1]})")
         seen[at] = (ea, eb)
+        # cross(b - a, d - c) = d4 - d3, and d3, d4 have opposite signs
         found.append(Crossing(ea, eb, (index[s], Fraction(d1, den)),
-                              (index[t], Fraction(d3, d3 - d4)), p))
+                              (index[t], Fraction(d3, d3 - d4)), p,
+                              1 if d4 > 0 else -1))
     if first_bad is not None:
         (oa, ob, _, _), kind, p = first_bad
         ea, eb = edge_list[oa], edge_list[ob]

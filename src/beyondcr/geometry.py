@@ -1,8 +1,10 @@
-"""Exact rational plane predicates for the fan checkers in ``checkers``.
+"""Exact rational plane predicates for strong fan-planarity's enclosure
+test in ``checkers``, plus the orientation test the standard layouts use.
 
 Coordinates are ``fractions.Fraction`` or ``int`` and every predicate is
 exact, so no caller sees an epsilon.  The crossing engine in ``drawing``
-classifies segment pairs with its own inline integer orientations.
+classifies segment pairs with its own inline integer orientations and
+keeps each crossing's side as ``Crossing.turn``.
 """
 
 from __future__ import annotations
@@ -13,17 +15,9 @@ from typing import Sequence
 Point = tuple[Fraction, Fraction]
 
 
-def sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-def cross(a: Point, b: Point) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def orient(a: Point, b: Point, c: Point) -> Fraction:
     """Twice the signed area of triangle abc (>0 means c left of a->b)."""
-    return cross(sub(b, a), sub(c, a))
+    return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
 def on_segment(a: Point, b: Point, p: Point) -> bool:

@@ -430,8 +430,18 @@ def is_frame_subdivision(fg, sub):
 
 
 # ---------------------------------------------------------------------------
-# Strong fan-planarity with one explicit ring per pair of crossers.
+# Weak and strong fan-planarity: sides from the curves' Fraction directions,
+# and one explicit ring per pair of crossers.
 # ---------------------------------------------------------------------------
+
+def turn_brute(drawing, x):
+    """Sign of the cross product of the directions of the segments that
+    crossing x lies on, read from the drawing at x.pos_a and x.pos_b."""
+    (i, _), (j, _) = x.pos_a, x.pos_b
+    (a, b), (c, d) = drawing.segments(x.a)[i], drawing.segments(x.b)[j]
+    turn = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
+    return (turn > 0) - (turn < 0)
+
 
 def _locate(poly, point):
     """(segment, t) of the point on the first segment of the polyline that
@@ -443,11 +453,12 @@ def _locate(poly, point):
     raise ValueError(f"{point} is not on the curve")
 
 
-def _fan_failure_brute(drawing, e, crossings, anchor):
+def _fan_failure_brute(drawing, e, crossings, anchor, strong):
     """(reason, witness) of the first failure of anchor for edge e, or None:
-    crossers oriented toward the anchor cross e from both sides, or the ring
-    of a pair of crossers (e between their crossings, then both crossers up
-    to the anchor) strictly encloses an endpoint of e."""
+    crossers oriented toward the anchor cross e from both sides, or, when
+    ``strong``, the ring of a pair of crossers (e between their crossings,
+    then both crossers up to the anchor) strictly encloses an endpoint of
+    e."""
     from beyondcr.graph_core import edge_key
 
     poly_e = drawing.polyline(e)
@@ -467,6 +478,8 @@ def _fan_failure_brute(drawing, e, crossings, anchor):
     if len(sides) > 1:
         return (f"crossings of {ek} approach anchor {anchor} from both sides",
                 {"edge": ek, "anchor": anchor})
+    if not strong:
+        return None
     for ri, rj in combinations(located, 2):
         fi, fj = ri[2], rj[2]
         (lo, x_lo, _, tail_lo), (hi, x_hi, _, tail_hi) = sorted([ri, rj])
@@ -488,10 +501,10 @@ def _fan_failure_brute(drawing, e, crossings, anchor):
     return None
 
 
-def sfp_enclosure_brute(drawing, xs):
-    """(ok, reason, witness) of the strong fan-planar verdict: a simple
-    drawing in which, for every edge e crossed more than once, some common
-    vertex of its crossers (tried in name order) passes
+def fan_planar_brute(drawing, xs, strong):
+    """(ok, reason, witness) of the strong (or weak) fan-planar verdict: a
+    simple drawing in which, for every edge e crossed more than once, some
+    common vertex of its crossers (tried in name order) passes
     ``_fan_failure_brute``; a failing edge reports its last anchor's
     failure."""
     from beyondcr.graph_core import edge_key
@@ -515,7 +528,7 @@ def sfp_enclosure_brute(drawing, xs):
                      "crossers": sorted(edge_key(f) for f in fans)})
         failures = []
         for v in anchors:
-            failure = _fan_failure_brute(drawing, e, crossings, v)
+            failure = _fan_failure_brute(drawing, e, crossings, v, strong)
             if failure is None:
                 break
             failures.append(failure)

@@ -32,7 +32,7 @@ from beyondcr.standard_layouts import appendix_fcf_fixture
 from conftest import (ACCEPTANCE_REPORT, FAN_KINDS, GRID, SLOPE_TARGET,
                       THRESHOLD_POINTS)
 from oracles import (APPENDIX_WALLS, apex_ok_brute, count_on_edge,
-                     gap_ok_brute, skew_ok_brute)
+                     gap_ok_brute, skew_ok_brute, turn_brute)
 
 
 def criterion(num: int, desc: str):
@@ -170,6 +170,7 @@ def test_threshold_points_verified_by_exact_geometry():
         if xs is None:
             xs = compute_crossings(d)
             counted.append((geometry, xs))
+            assert all(x.turn == turn_brute(d, x) for x in xs)
         assert len(xs) == crossing_count_formula(kind, ell, k, variant)
         ok = check_concept(d, kind, k, xs=xs).ok
         assert ok == (variant == "witness"), (kind, ell, k, variant)

@@ -14,7 +14,7 @@ from beyondcr import (
     ratio_upper,
     table1_report,
 )
-from beyondcr.bounds_report import reports_to_json_obj, slope_grid
+from beyondcr.bounds_report import reports_to_json_obj
 from beyondcr.graph_core import CONCEPTS, as_concept
 from conftest import FAN_KINDS, GRID, SLOPE_TARGET
 from oracles import crossing_lemma_bound
@@ -116,8 +116,17 @@ def test_growth_exponent_needs_two_points():
         growth_exponent([(10, Fraction(1))])
 
 
+def test_growth_exponent_beyond_the_float_range():
+    # ratios far above 2**1024, where a float of the ratio overflows
+    pts = [(n, Fraction(3 ** 2000 * n * n, 7)) for n in (8, 64, 512)]
+    assert growth_exponent(pts) == pytest.approx(2.0, abs=1e-9)
+    with pytest.raises(ValueError, match="positive"):
+        growth_exponent([(10, Fraction(0)), (20, Fraction(1))])
+
+
 def test_slope_grid_shape():
-    grid = slope_grid("ic", points=3)
+    grid = next(r.grid for r in table1_report(k=2, points=3)
+                if r.concept == "IC")
     assert len(grid) == 3
     ns = [n for _ell, n, _r in grid]
     assert ns == sorted(ns) and ns[0] >= 1024

@@ -12,7 +12,8 @@ from beyondcr import (Crossing, Drawing, GeneralPositionViolation,
                       appendix_fcf_fixture, check_concept, compute_crossings,
                       edge, make_graph, random_corpus, random_drawing)
 from beyondcr.checkers import _CHECKERS
-from beyondcr.graph_core import CONCEPTS, as_concept, edge_from_key, edge_key
+from beyondcr.graph_core import (CONCEPTS, as_concept, edge_from_key,
+                                 edge_key, structural_k)
 from conftest import (
     GRID,
     fan_fixture_adjacent_not_fan,
@@ -68,6 +69,7 @@ def test_adjacent_but_not_fan():
 def test_fan_but_not_weak():
     d = fan_fixture_fan_not_weak()
     assert _fan_verdicts(d) == (True, True, False, False)
+    _fan_matches_brute(d, compute_crossings(d))
     v = check_concept(d, "weak-fan-planar")
     assert "both sides" in v.reason
 
@@ -75,7 +77,7 @@ def test_fan_but_not_weak():
 def test_weak_but_not_strong():
     d = fan_fixture_weak_not_strong()
     assert _fan_verdicts(d) == (True, True, True, False)
-    v = _sfp_matches_brute(d, compute_crossings(d))
+    v = _fan_matches_brute(d, compute_crossings(d))
     assert v.witness["endpoint"] == "e1" and "enclosed" in v.reason
 
 
@@ -93,7 +95,8 @@ def test_non_simple_fails_every_fan_variant():
 
 
 # ---------------------------------------------------------------------------
-# Strong fan-planarity against one explicit ring per pair of crossers
+# Weak and strong fan-planarity against sides from the curves' Fraction
+# directions and one explicit ring per pair of crossers
 # ---------------------------------------------------------------------------
 
 _SQUARE_SYMMETRIES = [
@@ -112,7 +115,9 @@ def fan_gadgets(draw):
     through e from above and run left around a, right around b, or "under"
     the rest of e to its far end.  Crossers turning the same way nest by
     where they cross e.  The whole drawing is mapped by one of the 8
-    symmetries of the square."""
+    symmetries of the square.  e's endpoints and the crossers' own ends
+    are named so that e may be the first or the second edge of a crossing,
+    with both in one gadget."""
     width = 12
     n = draw(st.integers(2, 4))
     at = sorted(draw(st.sets(st.integers(1, width - 1), min_size=n,
@@ -128,13 +133,14 @@ def fan_gadgets(draw):
     lefts = [x for x, r in zip(at, routes) if r == "left"]
     rights = [x for x, r in zip(at, routes) if r == "right"][::-1]
     unders = [x for x, r in zip(at, routes) if r == "under"]
-    positions = {"a": (0, 0), "b": (width, 0), anchor: anchor_at}
+    a, b = draw(st.sampled_from([("a", "b"), ("m", "n")]))
+    positions = {a: (0, 0), b: (width, 0), anchor: anchor_at}
     zigzag = draw(st.lists(st.sampled_from([-1, 0, 1]), min_size=width,
                            max_size=width))
-    curves = {("a", "b"): [(x + Fraction(1, 2), Fraction(y, 2))
-                           for x, y in enumerate(zigzag) if y]}
+    curves = {(a, b): [(x + Fraction(1, 2), Fraction(y, 2))
+                       for x, y in enumerate(zigzag) if y]}
     for k, (x, route) in enumerate(zip(at, routes)):
-        s = f"s{k}"
+        s = draw(st.sampled_from("fs")) + str(k)
         h = draw(st.integers(1, 3))
         if route == "straight":
             positions[s], bends = (x, -h), []
@@ -158,9 +164,12 @@ def fan_gadgets(draw):
                     for f, ps in curves.items() if ps})
 
 
-def _sfp_matches_brute(d, xs):
-    v = check_concept(d, "strong-fan-planar", xs=xs)
-    assert (v.ok, v.reason, v.witness) == o.sfp_enclosure_brute(d, xs)
+def _fan_matches_brute(d, xs):
+    """Checks the wfp and sfp verdicts against the oracle; returns sfp's."""
+    for kind, strong in (("weak-fan-planar", False),
+                         ("strong-fan-planar", True)):
+        v = check_concept(d, kind, xs=xs)
+        assert (v.ok, v.reason, v.witness) == o.fan_planar_brute(d, xs, strong)
     return v
 
 
@@ -174,13 +183,15 @@ def test_sfp_matches_explicit_rings_on_fan_gadgets():
             xs = compute_crossings(d)
         except GeneralPositionViolation:
             reject()
-        v = _sfp_matches_brute(d, xs)
+        v = _fan_matches_brute(d, xs)
         reasons["ok" if v.ok else "enclosed" if "enclosed" in v.reason
+                else "both sides" if "both sides" in v.reason
                 else "other"] += 1
 
     run()
-    # the gadgets reach the enclosure test, both ways
+    # the gadgets reach the side test and the enclosure test, both ways
     assert reasons["enclosed"] >= 10 and reasons["ok"] >= 10
+    assert reasons["both sides"] >= 10
 
 
 @pytest.mark.parametrize("kind,ell,k", [g for g in GRID if g[0] in (
@@ -188,7 +199,7 @@ def test_sfp_matches_explicit_rings_on_fan_gadgets():
 @pytest.mark.parametrize("variant", ["witness", "upper"])
 def test_sfp_matches_explicit_rings_on_fan_drawings(kind, ell, k, variant):
     d = standard_drawing(kind, ell, k, variant=variant)
-    _sfp_matches_brute(d, compute_crossings(d))
+    _fan_matches_brute(d, compute_crossings(d))
 
 
 def test_sfp_tail_through_an_endpoint_encloses_nothing():
@@ -199,7 +210,7 @@ def test_sfp_tail_through_an_endpoint_encloses_nothing():
     d = fan_fixture_weak_not_strong()
     xs = compute_crossings(d)
     d.curves[edge("a", "v")] = (pt(1, -2), pt(-1, -2), pt(1, 2))
-    v = _sfp_matches_brute(d, xs)
+    v = _fan_matches_brute(d, xs)
     assert v.witness["endpoint"] == "e2"
 
 
@@ -269,7 +280,7 @@ def _ic_family_orders(rng):
             a, b, c, e = rng.sample(names, 4)
             lst.append(Crossing(*sorted([edge(a, b), edge(c, e)]),
                                 (0, Fraction(1, 2)), (0, Fraction(1, 2)),
-                                (Fraction(i), Fraction(0))))
+                                (Fraction(i), Fraction(0)), 1))
         yield d, lst
 
 
@@ -360,6 +371,22 @@ def test_precomputed_crossings_short_circuit():
                 ck = 2 if info.requires_k else None
                 assert (check_concept(d, concept, ck, xs=xs).to_json_obj()
                         == check_concept(d, concept, ck).to_json_obj())
+
+
+def test_only_strong_fan_planarity_reads_the_drawing():
+    # every other checker gives the same verdict with no drawing at all
+    drawings = [standard_drawing(kind, ell, k, variant=variant)
+                for kind, ell, k in GRID for variant in ("witness", "upper")]
+    drawings += [fan_fixture_adjacent_not_fan(), fan_fixture_fan_not_weak(),
+                 fan_fixture_weak_not_strong()]
+    for d in drawings:
+        xs = compute_crossings(d)
+        for concept, info in CONCEPTS.items():
+            if concept == "strong-fan-planar":
+                continue
+            cid = as_concept(concept, 2 if info.requires_k else None)
+            assert (_CHECKERS[concept](None, xs, structural_k(cid))
+                    == check_concept(d, cid, xs=xs))
 
 
 def test_every_concept_has_one_checker():

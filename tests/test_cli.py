@@ -12,9 +12,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import beyondcr
-from beyondcr import drawing_from_json
+from beyondcr import (Drawing, drawing_from_json, drawing_to_json, edge,
+                      make_graph)
 from beyondcr.cli import run
 from beyondcr.graph_core import CONCEPTS
+from conftest import pt
 
 
 def out_of(capsys):
@@ -278,6 +280,14 @@ def test_report_json(capsys):
     assert all(len(o["grid"]) == 3 for o in objs)
 
 
+def test_report_ratios_beyond_the_float_range(capsys):
+    # from 503 points on, the grid's largest ratios exceed the float range
+    assert run(["report", "--k", "2", "--points", "503",
+                "--format", "json"]) == 0
+    objs = json.loads(out_of(capsys))
+    assert all(len(o["grid"]) == 503 for o in objs)
+
+
 # ---------------------------------------------------------------------------
 # svg / fixtures
 # ---------------------------------------------------------------------------
@@ -317,6 +327,27 @@ def test_fixtures_match_committed_corpus(tmp_path, capsys):
     for name in fresh:
         assert (tmp_path / name).read_bytes() == \
             (committed / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("concept,key", [("apex", "apices"),
+                                         ("skew", "removed")])
+def test_deletion_search_deeper_than_the_recursion_limit(tmp_path, capsys,
+                                                         concept, key):
+    # 1 100 pairwise-disjoint X's: one deletion per crossing is needed
+    n = 1100
+    names = [f"{c}{i}" for i in range(n) for c in "abcd"]
+    positions = {}
+    for i in range(n):
+        positions.update({f"a{i}": pt(10 * i, 0), f"b{i}": pt(10 * i + 2, 2),
+                          f"c{i}": pt(10 * i, 2), f"d{i}": pt(10 * i + 2, 0)})
+    edges = [edge(f"{u}{i}", f"{v}{i}") for i in range(n)
+             for u, v in ("ab", "cd")]
+    f = tmp_path / "xs.json"
+    f.write_text(drawing_to_json(Drawing(make_graph(names, edges),
+                                         positions)))
+    assert run(["check", "--concept", concept, "--k", str(n),
+                "--in", str(f)]) == 0
+    assert len(json.loads(out_of(capsys))["witness"][key]) == n
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,15 @@ from beyondcr import (
     is_simple,
     is_straight_line,
     make_graph,
+    random_corpus,
     random_drawing,
     to_svg,
 )
 from beyondcr.drawing import _candidate_pairs
-from conftest import pt
+from conftest import GRID, fan_fixture_weak_not_strong, pt, standard_drawing
 from oracles import (bbox_disjoint, brute_crossing_points, count_on_edge,
-                     first_violation_kind, ordered_along, solve_segments)
+                     first_violation_kind, ordered_along, solve_segments,
+                     turn_brute)
 
 
 def D(vertices, edges, pos, curves=None, meta=None):
@@ -455,6 +457,25 @@ def test_inexact_coordinates_refused():
     d.positions["a"] = (0.0, 0.0)
     with pytest.raises(TypeError):
         compute_crossings(d)
+    # before any degeneracy: here a float duplicates vertex c's point
+    d.positions["a"] = (0.0, Fraction(4))
+    with pytest.raises(TypeError):
+        compute_crossings(d)
+
+
+def test_turn_is_the_sign_of_the_segments_cross_product():
+    # the threshold drawings are checked in test_acceptance, where their
+    # crossings are computed anyway
+    drawings = [standard_drawing(kind, ell, k, variant=variant)
+                for kind, ell, k in GRID for variant in ("witness", "upper")]
+    drawings += random_corpus(1913, 300, bend_prob=0.35)
+    drawings.append(fan_fixture_weak_not_strong())
+    turns = set()
+    for d in drawings:
+        for x in compute_crossings(d):
+            assert x.turn == turn_brute(d, x)
+            turns.add(x.turn)
+    assert turns == {1, -1}
 
 
 def test_random_drawing_respects_caps():
