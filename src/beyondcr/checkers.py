@@ -362,16 +362,35 @@ def _k_gap_planar(drawing: Drawing, xs: tuple[Crossing, ...],
                     "internal_crossings": internal})
 
 
+def _packs_more_than(sets: list[frozenset], budget: int) -> bool:
+    """Whether a greedy packing of pairwise-disjoint ``sets`` holds more
+    than ``budget`` of them; each needs a choice of its own."""
+    if len(sets) <= budget:
+        return False
+    used: set = set()
+    packed = 0
+    for r in sets:
+        if used.isdisjoint(r):
+            packed += 1
+            if packed > budget:
+                return True
+            used |= r
+    return False
+
+
 def _hitting_set(universe: list[frozenset], k: int) -> set | None:
     """Smallest-first branch and bound for a hitting set of size <= k:
     depth first, each depth branching on the elements of a smallest set
-    not yet hit, in ``str`` order.  The depths are an explicit stack, so
-    k is not limited by the recursion limit."""
+    not yet hit, in ``str`` order.  A depth whose unhit sets pack more
+    disjoint sets than choices are left is dead, and only such subtrees
+    are cut, so the first hitting set found is the plain search's.  The
+    depths are an explicit stack, so k is not limited by the recursion
+    limit."""
     frames: list = []   # per depth: its unhit sets and untried choices
     chosen: list = []   # per depth: the choice being explored
     remaining = universe
     while remaining:
-        if len(frames) < k:
+        if not _packs_more_than(remaining, k - len(frames)):
             target = min(remaining, key=len)
             frames.append((remaining, iter(sorted(target, key=str))))
         # the next untried choice of the deepest depth that has one

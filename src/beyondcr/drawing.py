@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterator, Mapping, NamedTuple
@@ -71,10 +71,6 @@ class Drawing:
     def polyline(self, e: Edge) -> tuple[Point, ...]:
         u, v = e
         return (self.positions[u], *self.curves.get(e, ()), self.positions[v])
-
-    def segments(self, e: Edge) -> list[tuple[Point, Point]]:
-        poly = self.polyline(e)
-        return list(zip(poly, poly[1:]))
 
 
 def is_straight_line(drawing: Drawing) -> bool:
@@ -184,9 +180,10 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
     over itself at a bend included), touching curves (except shared
     endpoints of adjacent edges), curves through vertices/bends, and
     coincident crossing points.  When several degeneracies exist, the one
-    raised is the first in (edge, edge, segment, segment) order.  A
-    coordinate that is not an int or Fraction raises TypeError before any
-    degeneracy is looked for.
+    raised is the first in (edge, edge, segment, segment) order; a curve
+    through an isolated vertex, which no pair sees, is a touch raised only
+    when there is no other.  A coordinate that is not an int or Fraction
+    raises TypeError before any degeneracy is looked for.
     """
     g = drawing.graph
     for v in g.vertices:
@@ -330,6 +327,22 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
         raise GeneralPositionViolation(
             "touch", f"{ea} touches {eb} at "
                      f"({Fraction(p[0], scale)},{Fraction(p[1], scale)})")
+    # No segment ends at an isolated vertex, so no pair above met one: a
+    # curve through one is a touch, found only here (a crossing at one was
+    # refused above).  Endpoints are other points, so a collinear point
+    # within a segment's box lies inside it.
+    isolated = set(g.vertices).difference(*g.edges)
+    if isolated:
+        lone = sorted((points[vid[v]], v) for v in isolated)
+        lone_x = [p[0] for p, _ in lone]
+        for s, (ax, ay, bx, by) in enumerate(segs):
+            for (px, py), v in lone[bisect_left(lone_x, min(ax, bx)):
+                                    bisect_right(lone_x, max(ax, bx))]:
+                if (min(ay, by) <= py <= max(ay, by)
+                        and (bx - ax) * (py - ay) == (by - ay) * (px - ax)):
+                    raise GeneralPositionViolation(
+                        "touch", f"{edge_list[owner[s]]} passes through "
+                                 f"isolated vertex {v}")
     # Crossing order: a position along edge a is unique once crossings are
     # known not to coincide.
     found.sort(key=lambda x: (x.a, x.b, x.pos_a))

@@ -1,9 +1,10 @@
-"""Frames, con-graphs and framework graphs.
+"""Concepts, con-graphs and framework graphs.
 
-A *frame* is an edge-colored K_{3,3} on nodes v1,v2,v3 / w1,w2,w3.  Each of
-its nine connections is replaced by a *con-graph* (a two-pole graph) to form
-a *framework graph*; each con-graph carries a family of internally disjoint
-pole-to-pole paths used by the Kuratowski-subdivision accounting.
+The *frame* is a K_{3,3} on nodes v1,v2,v3 / w1,w2,w3, edge-colored by one
+of the ``COLORINGS``.  A concept and ell fix a *framework graph*: each
+connection is replaced by the *con-graph* (a two-pole graph) its color
+dictates, carrying internally disjoint pole-to-pole paths for the
+Kuratowski-subdivision accounting.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def make_graph(vertices: Iterable[str], edges: Iterable[Edge]) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# Frames
+# The frame
 # ---------------------------------------------------------------------------
 
 def connection_id(v: str, w: str) -> str:
@@ -102,55 +103,26 @@ def connection_poles(cid: str) -> tuple[str, str]:
     return v, w
 
 
-class Frame(NamedTuple):
-    """Edge-colored K_{3,3}: coloring maps each connection id to a color.
+# Coloring name -> color of each connection, in ALL_CONNECTIONS order.
+# standard: the 4-cycle v1-w1 blue, w1-v2 yellow, v2-w2 blue, w2-v1 red.
+# alternate: v1-w1 blue, and v1-w2 and v2-w1 red (independent, each
+# adjacent to the blue one).  The other connections are gray.
+COLORINGS: dict[str, dict[str, str]] = {
+    name: {cid: colors.get(cid, "gray") for cid in ALL_CONNECTIONS}
+    for name, colors in (
+        ("standard", {"v1-w1": "blue", "v2-w1": "yellow", "v2-w2": "blue",
+                      "v1-w2": "red"}),
+        ("alternate", {"v1-w1": "blue", "v1-w2": "red", "v2-w1": "red"}),
+    )
+}
 
-    ``designated`` maps drawing-variant name ("witness"/"upper") to the
-    ordered pair of connection ids whose con-graphs may cross each other in
-    the corresponding standard drawing.
-    """
-
-    coloring_name: str
-    coloring: Mapping[str, str]
-    designated: Mapping[str, tuple[str, str]]
-
-    def color(self, cid: str) -> str:
-        return self.coloring[cid]
-
-
-def build_frame(coloring: str = "standard") -> Frame:
-    """Build the frame with the given coloring ("standard" or "alternate").
-
-    standard : a 4-cycle v1-w1 (blue), w1-v2 (yellow), v2-w2 (blue),
-               w2-v1 (red); the remaining five connections gray.
-    alternate: v1-w1 blue, v1-w2 and v2-w1 red (two independent connections,
-               each adjacent to the blue one); the remaining six gray.
-    """
-    if coloring == "standard":
-        colors = {
-            "v1-w1": "blue",
-            "v2-w1": "yellow",
-            "v2-w2": "blue",
-            "v1-w2": "red",
-        }
-        default = "gray"
-    elif coloring == "alternate":
-        colors = {
-            "v1-w1": "blue",
-            "v1-w2": "red",
-            "v2-w1": "red",
-        }
-        default = "gray"
-    else:
-        raise ValueError(f"unknown frame coloring {coloring!r}")
-    full = {cid: colors.get(cid, default) for cid in ALL_CONNECTIONS}
-    designated = {
-        # Both colorings use the same non-adjacent connection pairs; only the
-        # colors of those connections differ.
-        "upper": ("v1-w2", "v2-w1"),
-        "witness": ("v1-w1", "v2-w2"),
-    }
-    return Frame(coloring, full, designated)
+# Drawing variant -> the (vertical, horizontal) pair of non-adjacent
+# connections whose con-graphs may cross in that standard drawing, the
+# same for both colorings.
+DESIGNATED: dict[str, tuple[str, str]] = {
+    "upper": ("v1-w2", "v2-w1"),
+    "witness": ("v1-w1", "v2-w2"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -199,16 +171,6 @@ class BundlePlus(NamedTuple):
     @property
     def edge_count(self) -> int:
         return self.i * self.j + 1
-
-
-def SingleEdge() -> Bundle:
-    """A single pole edge == Bundle(1, 1)."""
-    return Bundle(1, 1)
-
-
-def Triangle() -> BundlePlus:
-    """Pole edge plus one length-2 path == BundlePlus(1, 2)."""
-    return BundlePlus(1, 2)
 
 
 class K7(NamedTuple):
@@ -298,8 +260,10 @@ class ConGraph(NamedTuple):
         return len(self.paths)
 
 
-def instantiate_congraph(spec: ConGraphSpec, cid: str, s: str, t: str) -> ConGraph:
-    """Create the concrete con-graph for one frame connection."""
+def instantiate_congraph(spec: ConGraphSpec, cid: str) -> ConGraph:
+    """Create the concrete con-graph for one frame connection; its poles
+    are the connection's v-node and w-node."""
+    s, t = connection_poles(cid)
     internals: list[str] = []
     edges: list[Edge] = []
     paths: list[tuple[str, ...]] = []
@@ -438,7 +402,7 @@ class ConceptInfo(NamedTuple):
     # standard-drawing layout family of the witness drawing
     witness_layout: str
     aliases: tuple[str, ...] = ()  # parser names besides kind and shorthand
-    coloring: str = "standard"     # frame coloring used by the construction
+    coloring: str = "standard"     # the frame's COLORINGS key
     requires_k: bool = False
     k_min: int = 1
     implied_k: int = 1             # structural k when requires_k is False
@@ -454,7 +418,7 @@ def _k_planar_specs(ell: int, k: int) -> dict[str, ConGraphSpec]:
         raise ValueError("k-planar construction needs ell >= 2 "
                          "(blue bundles have length ell)")
     return {"red": Bundle(k + 1, 2), "blue": Bundle(ell * k, ell),
-            "gray": Bundle(ell * k, 2), "yellow": SingleEdge()}
+            "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)}
 
 
 def _lk_squared(ell: int, k: int) -> int:
@@ -491,7 +455,7 @@ _QUADRATIC_NOTE = "quadratic concept cap with m <= 4n"
 _NNIC = ConceptInfo(
     kind="nnic", shorthand="NNIC", implied_k=2, threshold=lambda k: 109,
     recipe=lambda ell, k: {"red": Bundle(2 * k, 2), "blue": Bundle(ell * k, 3),
-                           "gray": Bundle(ell * k, 2), "yellow": SingleEdge()},
+                           "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
     witness_crossings=_lk_squared, upper_crossings=lambda ell, k: 2 * k,
     share=lambda ell, k: (1 - Fraction(108 * (k - 1), ell * k),
                           f"1 - 108*({k}-1)/({ell}*{k})"),
@@ -504,7 +468,7 @@ _NNIC = ConceptInfo(
 _ADJACENCY_CROSSING = ConceptInfo(
     kind="adjacency-crossing", shorthand="ac", threshold=lambda k: 1,
     recipe=lambda ell, k: {"red": K7(), "blue": Bundle(ell, 2),
-                           "gray": K7(), "yellow": SingleEdge()},
+                           "gray": K7(), "yellow": Bundle(1, 1)},
     witness_crossings=lambda ell, k: ell * ell + 54,
     upper_crossings=lambda ell, k: 60,
     share=_whole_family, rect=_rect_l, cap="4*n^2 + n",
@@ -528,7 +492,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             requires_k=True, threshold=lambda k: 11,
             recipe=lambda ell, k: {
                 "red": Bundle(k + 1, 2), "blue": Bundle(ell * k, 2 * ell + 1),
-                "gray": Bundle(ell * k, 2), "yellow": SingleEdge()},
+                "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
             witness_crossings=_lk_squared, upper_crossings=lambda ell, k: k + 1,
             share=lambda ell, k: (1 - Fraction(10, ell), f"1 - 10/{ell}"),
             rect=_rect_lk, cap="n*k/(k+1) + k",
@@ -538,8 +502,8 @@ CONCEPTS: dict[str, ConceptInfo] = {
         ConceptInfo(
             kind="ic", shorthand="IC", threshold=lambda k: 2,
             recipe=lambda ell, k: {
-                "red": Triangle(), "blue": Bundle(ell, 2 * ell + 1),
-                "gray": Triangle(), "yellow": SingleEdge()},
+                "red": BundlePlus(1, 2), "blue": Bundle(ell, 2 * ell + 1),
+                "gray": BundlePlus(1, 2), "yellow": Bundle(1, 1)},
             witness_crossings=lambda ell, k: ell * ell,
             upper_crossings=lambda ell, k: 2,
             share=_whole_family, rect=_rect_l, cap="n/8",
@@ -550,8 +514,8 @@ CONCEPTS: dict[str, ConceptInfo] = {
         ConceptInfo(
             kind="nic", shorthand="NIC", threshold=lambda k: 4,
             recipe=lambda ell, k: {
-                "red": Triangle(), "blue": Bundle(ell, ell + 2),
-                "gray": Bundle(ell, 2), "yellow": SingleEdge()},
+                "red": BundlePlus(1, 2), "blue": Bundle(ell, ell + 2),
+                "gray": Bundle(ell, 2), "yellow": Bundle(1, 1)},
             witness_crossings=lambda ell, k: ell * ell,
             upper_crossings=lambda ell, k: 2,
             share=lambda ell, k: (1 - Fraction(1, 2) - Fraction(3, 2 * ell),
@@ -577,7 +541,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             requires_k=True, k_min=2, threshold=lambda k: 1,
             recipe=lambda ell, k: {
                 "red": Bundle(k, 2), "blue": Bundle(k // 2, 2),
-                "gray": Bundle(ell * k, 2), "yellow": SingleEdge()},
+                "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
             witness_crossings=lambda ell, k: (k // 2) ** 2,
             upper_crossings=lambda ell, k: k,
             share=lambda ell, k: (Fraction(1, 2), "1/2"),
@@ -602,7 +566,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
         ConceptInfo(
             kind="k-apex", shorthand="k-apex", aliases=("apex",),
             coloring="alternate", requires_k=True, threshold=lambda k: 1,
-            recipe=lambda ell, k: {"red": SingleEdge(),
+            recipe=lambda ell, k: {"red": Bundle(1, 1),
                                    "blue": ApexBlue(ell, k),
                                    "gray": Bundle(ell * k, 2)},
             witness_crossings=lambda ell, k: (ell * k) ** 2 + k,
@@ -614,7 +578,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
         ConceptInfo(
             kind="skewness", shorthand="skew-k", aliases=("skew",),
             coloring="alternate", requires_k=True, threshold=lambda k: k + 1,
-            recipe=lambda ell, k: {"red": SingleEdge(),
+            recipe=lambda ell, k: {"red": Bundle(1, 1),
                                    "blue": SkewBlue(ell, k),
                                    "gray": Bundle(ell * k, 2)},
             witness_crossings=lambda ell, k: ell * k * k + k,
@@ -648,10 +612,7 @@ def parse_concept(text: str, k: int | None = None) -> ConceptId:
 
 def as_concept(concept: "str | ConceptId", k: int | None = None) -> ConceptId:
     if isinstance(concept, ConceptId):
-        info = concept.info
-        if info.requires_k and (concept.k is None or concept.k < info.k_min):
-            raise ValueError(f"concept {info.shorthand} requires k >= {info.k_min}")
-        return concept
+        return parse_concept(concept.kind, concept.k)
     return parse_concept(concept, k)
 
 
@@ -665,22 +626,28 @@ def structural_k(concept: ConceptId) -> int:
 # ---------------------------------------------------------------------------
 
 class FrameworkGraph:
-    """A frame whose connections are replaced by con-graphs, and the graph
-    that results."""
+    """The frame of a concept's coloring with every connection replaced by
+    a con-graph, and the graph that results."""
 
-    def __init__(self, concept: ConceptId, ell: int, frame: Frame,
-                 congraphs: Mapping[str, ConGraph], graph: Graph,
-                 below_threshold: bool):
+    def __init__(self, concept: ConceptId, ell: int,
+                 congraphs: Mapping[str, ConGraph], graph: Graph):
         self.concept = concept
         self.ell = ell
-        self.frame = frame
         self.congraphs = congraphs
         self.graph = graph
-        self.below_threshold = below_threshold
 
     @property
     def k(self) -> int:
         return structural_k(self.concept)
+
+    @property
+    def colors(self) -> dict[str, str]:
+        """Connection id -> frame color."""
+        return COLORINGS[self.concept.info.coloring]
+
+    @property
+    def below_threshold(self) -> bool:
+        return self.ell < self.concept.info.threshold(self.k)
 
     @cached_property
     def edge_paths(self) -> dict[Edge, tuple[str, frozenset[int]]]:
@@ -699,59 +666,37 @@ class FrameworkGraph:
         return {cid: cg.width for cid, cg in self.congraphs.items()}
 
 
-def build_framework_graph(frame: Frame,
-                          recipe: Mapping[str, ConGraphSpec],
-                          concept: ConceptId,
-                          ell: int,
-                          below_threshold: bool = False) -> FrameworkGraph:
-    """Replace every frame connection by the con-graph its color dictates."""
-    congraphs: dict[str, ConGraph] = {}
-    vertices: set[str] = set(FRAME_NODES)
-    edges: set[Edge] = set()
-    for cid in ALL_CONNECTIONS:
-        color = frame.color(cid)
-        if color not in recipe:
-            raise ValueError(f"recipe missing color {color!r} for {cid}")
-        s, t = connection_poles(cid)
-        cg = instantiate_congraph(recipe[color], cid, s, t)
-        congraphs[cid] = cg
-        vertices.update(cg.internals)
-        for e in cg.edges:
-            if e in edges:
-                raise ValueError(f"edge {e} produced by two con-graphs")
-            edges.add(e)
-    graph = make_graph(vertices, edges)
-    return FrameworkGraph(concept, ell, frame, congraphs, graph, below_threshold)
-
-
 def construction_for(concept: "str | ConceptId", ell: int,
                      k: int | None = None) -> FrameworkGraph:
-    """Build the extremal framework graph G_ell for a concept.
+    """Build the extremal framework graph G_ell for a concept: every frame
+    connection is replaced by the con-graph its color dictates.
 
     Valid for every ell >= 1 (ell >= 2 for k-planar); when ell is below the
     concept's quality threshold the graph is still built and flagged.
     """
     cid = as_concept(concept, k)
-    info = cid.info
-    below = ell < info.threshold(structural_k(cid))
-    return build_framework_graph(build_frame(info.coloring),
-                                 _recipe(cid, ell), cid, ell, below)
+    congraphs: dict[str, ConGraph] = {}
+    vertices: set[str] = set(FRAME_NODES)
+    edges: set[Edge] = set()
+    for c, spec in _connection_specs(cid, ell).items():
+        cg = congraphs[c] = instantiate_congraph(spec, c)
+        vertices.update(cg.internals)
+        for e in cg.edges:
+            if e in edges:
+                raise ValueError(f"edge {e} produced by two con-graphs")
+            edges.add(e)
+    return FrameworkGraph(cid, ell, congraphs, make_graph(vertices, edges))
 
 
-def _recipe(cid: ConceptId, ell: int) -> Mapping[str, ConGraphSpec]:
-    """The concept's color -> con-graph spec map at ell.  Both the graph
-    construction and the closed-form sizes start here, so this is the one
-    place that refuses ell < 1."""
+def _connection_specs(cid: ConceptId, ell: int) -> dict[str, ConGraphSpec]:
+    """The con-graph spec of every connection, in ALL_CONNECTIONS order.
+    Both the graph construction and the closed-form sizes start here, so
+    this is the one place that refuses ell < 1."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    return cid.info.recipe(ell, structural_k(cid))
-
-
-def _connection_specs(cid: ConceptId, ell: int) -> list[ConGraphSpec]:
-    """The con-graph spec of every connection, in ALL_CONNECTIONS order."""
-    frame = build_frame(cid.info.coloring)
-    recipe = _recipe(cid, ell)
-    return [recipe[frame.color(c)] for c in ALL_CONNECTIONS]
+    recipe = cid.info.recipe(ell, structural_k(cid))
+    return {c: recipe[color]
+            for c, color in COLORINGS[cid.info.coloring].items()}
 
 
 def connection_widths(concept: "str | ConceptId", ell: int,
@@ -762,13 +707,13 @@ def connection_widths(concept: "str | ConceptId", ell: int,
     which the counting bounds and ratio tables need.
     """
     specs = _connection_specs(as_concept(concept, k), ell)
-    return {c: spec.width for c, spec in zip(ALL_CONNECTIONS, specs)}
+    return {c: spec.width for c, spec in specs.items()}
 
 
 def framework_size(concept: "str | ConceptId", ell: int,
                    k: int | None = None) -> tuple[int, int]:
     """(n, m) of the framework graph, without building it."""
-    specs = _connection_specs(as_concept(concept, k), ell)
+    specs = _connection_specs(as_concept(concept, k), ell).values()
     n = len(FRAME_NODES) + sum(s.internal_count for s in specs)
     m = sum(s.edge_count for s in specs)
     return n, m
@@ -788,7 +733,7 @@ def graph_to_json_obj(fg: FrameworkGraph | Graph) -> dict:
     g = fg.graph
     edge_labels = {}
     for cid, cg in sorted(fg.congraphs.items()):
-        color = fg.frame.color(cid)
+        color = fg.colors[cid]
         for e in cg.edges:
             edge_labels[edge_key(e)] = {"connection": cid, "color": color}
     vertex_labels = {}
@@ -805,7 +750,7 @@ def graph_to_json_obj(fg: FrameworkGraph | Graph) -> dict:
             "concept": fg.concept.kind,
             "ell": fg.ell,
             "k": fg.concept.k,
-            "coloring": fg.frame.coloring_name,
+            "coloring": fg.concept.info.coloring,
             "below_threshold": fg.below_threshold,
             "vertex_labels": vertex_labels,
             "edge_labels": edge_labels,

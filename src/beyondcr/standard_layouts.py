@@ -26,10 +26,10 @@ from typing import Callable, Literal
 
 from .drawing import Drawing
 from .geometry import Point, orient
-from .graph_core import (ALL_CONNECTIONS, ApexBlue, BundlePlus, ConceptId,
-                         ConGraph, FrameworkGraph, K7, connection_poles,
-                         _recipe, as_concept, edge, make_graph,
-                         structural_k)
+from .graph_core import (ALL_CONNECTIONS, DESIGNATED, ApexBlue, BundlePlus,
+                         ConceptId, ConGraph, FrameworkGraph, K7,
+                         _connection_specs, connection_poles, as_concept, edge,
+                         make_graph, structural_k)
 
 LayoutVariant = Literal["witness", "upper"]
 
@@ -55,7 +55,7 @@ def crossing_count_formula(concept: "str | ConceptId", ell: int,
                            variant: LayoutVariant = "witness") -> int:
     """Exact number of crossings of the standard drawing."""
     cid = as_concept(concept, k)
-    _recipe(cid, ell)  # refuses an ell the construction refuses
+    _connection_specs(cid, ell)  # refuses an ell the construction refuses
     if variant == "witness":
         formula = cid.info.witness_crossings
     elif variant == "upper":
@@ -363,7 +363,7 @@ def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
     if variant not in ("witness", "upper"):
         raise ValueError(f"unknown drawing variant {variant!r}")
     D = _pole_distance(fg)
-    vcid, hcid = fg.frame.designated[variant]
+    vcid, hcid = DESIGNATED[variant]
     vv, vw = connection_poles(vcid)
     hv, hw = connection_poles(hcid)
     poles = {vv: (0, D), vw: (0, -D), hv: (-D, 0), hw: (D, 0),
@@ -394,12 +394,9 @@ def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
 
 def frame_edge_colors(fg: FrameworkGraph) -> dict:
     """Edge -> frame color of its connection, for rendering."""
-    out = {}
-    for cid, cg in fg.congraphs.items():
-        color = fg.frame.color(cid)
-        for e in cg.edges:
-            out[e] = color
-    return out
+    colors = fg.colors
+    return {e: colors[cid] for cid, cg in fg.congraphs.items()
+            for e in cg.edges}
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,12 @@ from fractions import Fraction
 from itertools import combinations, product
 
 
+def segments(drawing, e):
+    """The (start, end) point pairs of e's curve, from its smaller end."""
+    poly = drawing.polyline(e)
+    return list(zip(poly, poly[1:]))
+
+
 # ---------------------------------------------------------------------------
 # Segment intersection by solving p + t*(q-p) = r + u*(s-r) exactly.
 # ---------------------------------------------------------------------------
@@ -82,10 +88,10 @@ def brute_crossing_points(drawing):
     out = []
     edges = list(drawing.graph.edges)
     for i, e in enumerate(edges):
-        segs_e = drawing.segments(e)
+        segs_e = segments(drawing, e)
         for f in edges[i + 1:]:
             for a1, a2 in segs_e:
-                for b1, b2 in drawing.segments(f):
+                for b1, b2 in segments(drawing, f):
                     kind, payload = solve_segments(a1, a2, b1, b2)
                     if kind == "proper":
                         out.append((e, f, payload[0]))
@@ -100,7 +106,8 @@ def first_violation_kind(drawing):
     meeting at their shared endpoint), crossing through a vertex or bend,
     or crossing at a point an earlier pair already crossed at.
     Consecutive segments of one edge meet at their bend, so of them only
-    an overlap (the edge doubling back) counts.
+    an overlap (the edge doubling back) counts.  After all pairs, a curve
+    through a vertex of no edge is a touch.
     """
     corners = set(drawing.positions.values())
     for bends in drawing.curves.values():
@@ -109,8 +116,8 @@ def first_violation_kind(drawing):
     edges = sorted(drawing.graph.edges)
     for i, e in enumerate(edges):
         for f in edges[i:]:
-            for si, (a1, a2) in enumerate(drawing.segments(e)):
-                for sj, (b1, b2) in enumerate(drawing.segments(f)):
+            for si, (a1, a2) in enumerate(segments(drawing, e)):
+                for sj, (b1, b2) in enumerate(segments(drawing, f)):
                     if e == f and sj <= si:
                         continue
                     kind, payload = solve_segments(a1, a2, b1, b2)
@@ -131,6 +138,11 @@ def first_violation_kind(drawing):
                         if point in seen:
                             return "concurrent-crossings"
                         seen.add(point)
+    for v in drawing.graph.vertices:
+        if not any(v in e for e in edges) and any(
+                on_segment_brute(a, b, drawing.positions[v])
+                for e in edges for a, b in segments(drawing, e)):
+            return "touch"
     return None
 
 
@@ -438,7 +450,7 @@ def turn_brute(drawing, x):
     """Sign of the cross product of the directions of the segments that
     crossing x lies on, read from the drawing at x.pos_a and x.pos_b."""
     (i, _), (j, _) = x.pos_a, x.pos_b
-    (a, b), (c, d) = drawing.segments(x.a)[i], drawing.segments(x.b)[j]
+    (a, b), (c, d) = segments(drawing, x.a)[i], segments(drawing, x.b)[j]
     turn = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
     return (turn > 0) - (turn < 0)
 

@@ -1,5 +1,6 @@
 """End-to-end command line tests (everything in-process through run())."""
 
+import ast
 import json
 import os
 import re
@@ -135,6 +136,26 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = _python("-S", "-c", "import beyondcr.cli, sys; print(sorted("
                               "{'dataclasses', 'inspect'} & set(sys.modules)))")
     assert out == "[]\n"
+
+
+def test_every_definition_in_src_has_a_use_there_or_is_exported():
+    # by name: a function, class or method is kept for src/ itself or for
+    # the package's users, never for the tests alone
+    defined, used, exported = [], set(), set()
+    for path in sorted(Path(beyondcr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((node.name, f"{path.name}:{node.lineno}"))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) \
+                    and path.name == "__init__.py":
+                exported.update(alias.name for alias in node.names)
+    assert [(name, where) for name, where in defined
+            if name not in used | exported
+            and not (name.startswith("__") and name.endswith("__"))] == []
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +369,10 @@ def test_deletion_search_deeper_than_the_recursion_limit(tmp_path, capsys,
     assert run(["check", "--concept", concept, "--k", str(n),
                 "--in", str(f)]) == 0
     assert len(json.loads(out_of(capsys))["witness"][key]) == n
+    # one deletion short: the n disjoint X's refute k = n - 1 at the root
+    assert run(["check", "--concept", concept, "--k", str(n - 1),
+                "--in", str(f)]) == 1
+    assert json.loads(out_of(capsys))["ok"] is False
 
 
 # ---------------------------------------------------------------------------

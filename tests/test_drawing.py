@@ -29,8 +29,8 @@ from beyondcr import (
 from beyondcr.drawing import _candidate_pairs
 from conftest import GRID, fan_fixture_weak_not_strong, pt, standard_drawing
 from oracles import (bbox_disjoint, brute_crossing_points, count_on_edge,
-                     first_violation_kind, ordered_along, solve_segments,
-                     turn_brute)
+                     first_violation_kind, ordered_along, segments,
+                     solve_segments, turn_brute)
 
 
 def D(vertices, edges, pos, curves=None, meta=None):
@@ -172,6 +172,46 @@ def test_segment_through_shared_vertex_rejected():
     assert ei.value.kind == "touch"
 
 
+def test_curve_through_isolated_vertex_rejected():
+    # z has no edge, so no segment ends there for a pair to meet it
+    d = D(["a", "b", "z"], [edge("a", "b")],
+          {"a": pt(0, 0), "b": pt(2, 0), "z": pt(1, 0)})
+    with pytest.raises(GeneralPositionViolation) as ei:
+        compute_crossings(d)
+    assert (ei.value.kind, ei.value.detail) == \
+        ("touch", "('a', 'b') passes through isolated vertex z")
+    assert first_violation_kind(d) == "touch"
+    # on a bent edge's second segment, at a rational point, with a proper
+    # crossing elsewhere
+    d = D(["a", "b", "c", "d", "z"], [edge("a", "b"), edge("c", "d")],
+          {"a": pt(0, 0), "b": pt(0, 3), "c": pt(3, 0), "d": pt(1, 2),
+           "z": (Fraction(3, 2), Fraction(3))},
+          curves={edge("a", "b"): (pt(3, 3),)})
+    with pytest.raises(GeneralPositionViolation) as ei:
+        compute_crossings(d)
+    assert (ei.value.kind, ei.value.detail) == \
+        ("touch", "('a', 'b') passes through isolated vertex z")
+    assert first_violation_kind(d) == "touch"
+    # a pair's violation is raised first: here c-d overlaps a-b, and a
+    # crossing at an isolated vertex is a crossing-at-vertex
+    d.positions["c"], d.positions["d"] = pt(1, 1), pt(2, 2)
+    with pytest.raises(GeneralPositionViolation) as ei:
+        compute_crossings(d)
+    assert ei.value.kind == first_violation_kind(d) == "overlap"
+    d = D(["a", "b", "c", "d", "z"], [edge("a", "b"), edge("c", "d")],
+          {"a": pt(0, 0), "b": pt(4, 4), "c": pt(0, 4), "d": pt(4, 0),
+           "z": pt(2, 2)})
+    with pytest.raises(GeneralPositionViolation) as ei:
+        compute_crossings(d)
+    assert ei.value.kind == first_violation_kind(d) == "crossing-at-vertex"
+    # on the line of a segment but beyond its end, or just off it: fine
+    for z in (pt(3, 0), (Fraction(1), Fraction(1, 9))):
+        d = D(["a", "b", "z"], [edge("a", "b")],
+              {"a": pt(0, 0), "b": pt(2, 0), "z": z})
+        assert compute_crossings(d) == ()
+        assert first_violation_kind(d) is None
+
+
 def test_edge_doubling_back_over_itself_rejected():
     # a-b bends at (4, 0) and runs back over its own first segment through b
     d = D(["a", "b"], [edge("a", "b")], {"a": pt(0, 0), "b": pt(2, 0)},
@@ -215,7 +255,7 @@ def _rational_drawing(rng):
 
 def _point_at(d, e, pos):
     i, t = pos
-    (x1, y1), (x2, y2) = d.segments(e)[i]
+    (x1, y1), (x2, y2) = segments(d, e)[i]
     return (x1 + t * (x2 - x1), y1 + t * (y2 - y1))
 
 
@@ -388,7 +428,7 @@ def _self_crossing_points(d):
     """(e, e, point) for every proper crossing of two segments of one edge."""
     out = []
     for e in d.graph.edges:
-        segs = d.segments(e)
+        segs = segments(d, e)
         for si, sj in combinations(range(len(segs)), 2):
             kind, payload = solve_segments(*segs[si], *segs[sj])
             if kind == "proper":
@@ -440,7 +480,7 @@ def test_legal_star_matches_brute_force(swap, fx, fy):
 
 def test_sweep_skips_pairs_with_a_common_endpoint():
     d = draw_framework(construction_for("nnic", 2), "witness")
-    segs = [ab for e in sorted(d.graph.edges) for ab in d.segments(e)]
+    segs = [ab for e in sorted(d.graph.edges) for ab in segments(d, e)]
     ids: dict = {}
     ends = [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
             for a, b in segs]
@@ -525,5 +565,5 @@ def test_polyline_and_segments():
           curves={edge("a", "b"): (pt(2, 2),)})
     poly = d.polyline(("a", "b"))
     assert tuple(poly) == (pt(0, 0), pt(2, 2), pt(4, 0))
-    assert d.segments(("a", "b"))[0] == (pt(0, 0), pt(2, 2))
-    assert len(d.segments(("a", "b"))) == 2
+    assert segments(d, ("a", "b"))[0] == (pt(0, 0), pt(2, 2))
+    assert len(segments(d, ("a", "b"))) == 2

@@ -1,11 +1,11 @@
-"""Frames, con-graph gadgets, concept registry, and framework construction."""
+"""Frame colorings, con-graph gadgets, concept registry, and framework construction."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from beyondcr import (
-    build_frame,
+    ConceptId,
     connection_widths,
     construction_for,
     edge,
@@ -16,16 +16,16 @@ from beyondcr import (
 )
 from beyondcr.graph_core import (
     ALL_CONNECTIONS,
+    COLORINGS,
     CONCEPTS,
+    DESIGNATED,
     FRAME_NODES,
     Bundle,
     BundlePlus,
     ApexBlue,
     Graph,
     K7,
-    SingleEdge,
     SkewBlue,
-    Triangle,
     as_concept,
     connection_id,
     connection_poles,
@@ -74,28 +74,31 @@ def test_connection_ids():
 
 
 def test_standard_coloring():
-    frame = build_frame("standard")
-    assert frame.coloring == {
+    assert COLORINGS["standard"] == {
         "v1-w1": "blue", "v2-w2": "blue", "v1-w2": "red", "v2-w1": "yellow",
         "v1-w3": "gray", "v2-w3": "gray", "v3-w1": "gray", "v3-w2": "gray",
         "v3-w3": "gray"}
-    assert frame.color("v1-w1") == "blue"
-    assert frame.designated["upper"] == ("v1-w2", "v2-w1")
-    assert frame.designated["witness"] == ("v1-w1", "v2-w2")
+    assert tuple(COLORINGS["standard"]) == ALL_CONNECTIONS
+    assert DESIGNATED["upper"] == ("v1-w2", "v2-w1")
+    assert DESIGNATED["witness"] == ("v1-w1", "v2-w2")
 
 
 def test_alternate_coloring():
-    frame = build_frame("alternate")
-    assert frame.coloring == {
+    assert COLORINGS["alternate"] == {
         "v1-w1": "blue", "v1-w2": "red", "v2-w1": "red", "v1-w3": "gray",
         "v2-w2": "gray", "v2-w3": "gray", "v3-w1": "gray", "v3-w2": "gray",
         "v3-w3": "gray"}
-    assert frame.designated == build_frame("standard").designated
+    assert tuple(COLORINGS["alternate"]) == ALL_CONNECTIONS
+    assert DESIGNATED == {"upper": ("v1-w2", "v2-w1"),
+                          "witness": ("v1-w1", "v2-w2")}
 
 
-def test_unknown_coloring_rejected():
-    with pytest.raises(ValueError):
-        build_frame("rainbow")
+def test_every_recipe_covers_its_coloring():
+    # construction_for looks each connection's color up in the recipe
+    for kind, info in CONCEPTS.items():
+        assert info.coloring in COLORINGS, kind
+        recipe = info.recipe(2, info.k_min)
+        assert set(COLORINGS[info.coloring].values()) <= set(recipe), kind
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +109,7 @@ small = st.integers(min_value=1, max_value=6)
 
 
 def _assert_spec_matches(spec, disjoint_paths=True):
-    cg = instantiate_congraph(spec, "v1-w1", "v1", "w1")
+    cg = instantiate_congraph(spec, "v1-w1")
     assert cg.width == spec.width == len(cg.paths)
     assert len(cg.internals) == spec.internal_count
     assert len(cg.edges) == spec.edge_count
@@ -144,12 +147,12 @@ def test_skew_blue_counts(ell, k):
 
 
 def test_special_gadget_counts():
-    _assert_spec_matches(SingleEdge())
-    _assert_spec_matches(Triangle())
+    _assert_spec_matches(Bundle(1, 1))
+    _assert_spec_matches(BundlePlus(1, 2))
     _assert_spec_matches(K7())
     k7 = K7()
     assert (k7.width, k7.internal_count, k7.edge_count) == (6, 5, 21)
-    assert SingleEdge().width == 1 and Triangle().edge_count == 3
+    assert Bundle(1, 1).width == 1 and BundlePlus(1, 2).edge_count == 3
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +176,15 @@ def test_parse_concept_errors():
         parse_concept("k-fan-crossing-free", 1)   # k_min = 2
     with pytest.raises(ValueError):
         parse_concept("k-edge-crossing", 1)       # k_min = 2
+
+
+def test_as_concept_checks_hand_built_ids_like_parse_concept():
+    assert as_concept(ConceptId("ic", 3)) == ConceptId("ic")
+    assert as_concept(ConceptId("k-planar", 2)) == ConceptId("k-planar", 2)
+    for bad in (ConceptId("bogus"), ConceptId("k-planar"),
+                ConceptId("k-edge-crossing", 1)):
+        with pytest.raises(ValueError):
+            as_concept(bad)
 
 
 def test_structural_k_defaults():
