@@ -383,6 +383,12 @@ def run(argv=None) -> int:
             GeneralPositionViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError:
+        pass
+    # Reported once the handler has dropped the traceback, whose frames
+    # hold what filled the memory: printing needs memory too.
+    print("error: out of memory", file=sys.stderr)
+    return 2
 
 
 def main() -> None:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 Edge = tuple[str, str]
@@ -132,14 +133,14 @@ DESIGNATED: dict[str, tuple[str, str]] = {
 # Each spec is an immutable record with three sizes of the con-graph it
 # stands for, known without instantiating it: ``width`` (the pole-path
 # family), ``internal_count`` (internal vertices) and ``edge_count``.
-# Specs are tuples, so Bundle(1, 2) == BundlePlus(1, 2): dispatch on a
-# spec's type with isinstance, never by equality.
 
 class Bundle(NamedTuple):
-    """i internally disjoint pole paths, each of length j (j edges)."""
+    """i internally disjoint pole paths, each of length j (j edges), plus
+    the direct pole edge {s, t} if ``direct``."""
 
     i: int
     j: int
+    direct: bool = False
 
     @property
     def width(self) -> int:
@@ -151,26 +152,7 @@ class Bundle(NamedTuple):
 
     @property
     def edge_count(self) -> int:
-        return self.i * self.j
-
-
-class BundlePlus(NamedTuple):
-    """Bundle(i, j) plus the direct pole edge {s, t}."""
-
-    i: int
-    j: int
-
-    @property
-    def width(self) -> int:
-        return self.i
-
-    @property
-    def internal_count(self) -> int:
-        return self.i * (self.j - 1)
-
-    @property
-    def edge_count(self) -> int:
-        return self.i * self.j + 1
+        return self.i * self.j + self.direct
 
 
 class K7(NamedTuple):
@@ -216,7 +198,6 @@ class SkewBlue(NamedTuple):
     """(k,2)-bundle s-a_i-t where each edge {s,a_i} is replaced by a K5 on
     {s, a_i} and three new vertices minus the edge {s, a_i} itself."""
 
-    ell: int
     k: int
 
     @property
@@ -235,7 +216,7 @@ class SkewBlue(NamedTuple):
         return 10 * self.k
 
 
-ConGraphSpec = Bundle | BundlePlus | K7 | ApexBlue | SkewBlue
+ConGraphSpec = Bundle | K7 | ApexBlue | SkewBlue
 
 
 class ConGraph(NamedTuple):
@@ -243,8 +224,8 @@ class ConGraph(NamedTuple):
 
     ``paths`` is the family of internally disjoint pole paths used for
     Kuratowski accounting (each a vertex tuple from s to t).  Edges not on
-    any family path (direct edges of BundlePlus, K7 pentagon edges, apex K5
-    blobs, ...) simply never contribute coverage.
+    any family path (direct pole edges of bundles, K7 pentagon edges, apex
+    K5 blobs, ...) simply never contribute coverage.
     """
 
     cid: str
@@ -271,46 +252,26 @@ def instantiate_congraph(spec: ConGraphSpec, cid: str) -> ConGraph:
     def name(*parts) -> str:
         return "/".join([cid, *map(str, parts)])
 
-    if isinstance(spec, (Bundle, BundlePlus)):
-        i, j = spec.i, spec.j
-        if i < 1 or j < 1:
-            raise ValueError(f"bundle parameters must be positive: {spec}")
-        if j == 1 and i > 1:
-            raise ValueError(f"{spec} would need parallel pole edges")
-        for p in range(i):
-            prev = s
-            pv: list[str] = [s]
-            for pos in range(1, j):
-                vtx = name(f"p{p}", pos)
-                internals.append(vtx)
-                edges.append(edge(prev, vtx))
-                pv.append(vtx)
-                prev = vtx
-            edges.append(edge(prev, t))
-            pv.append(t)
-            paths.append(tuple(pv))
-        if isinstance(spec, BundlePlus):
-            if j == 1:
-                raise ValueError("BundlePlus(i,1) would duplicate the pole edge")
+    if isinstance(spec, Bundle):
+        for p in range(spec.i):
+            path = (s, *(name(f"p{p}", pos) for pos in range(1, spec.j)), t)
+            internals.extend(path[1:-1])
+            edges.extend(edge(a, b) for a, b in zip(path, path[1:]))
+            paths.append(path)
+        if spec.direct:
             edges.append(edge(s, t))
     elif isinstance(spec, K7):
         qs = [name(f"q{r}") for r in range(1, 6)]
         internals.extend(qs)
-        allv = [s, t, *qs]
-        for a in range(len(allv)):
-            for b in range(a + 1, len(allv)):
-                edges.append(edge(allv[a], allv[b]))
+        edges.extend(edge(a, b) for a, b in combinations((s, t, *qs), 2))
         paths.append((s, t))
         for q in qs:
             paths.append((s, q, t))
     elif isinstance(spec, ApexBlue):
-        ell, k = spec.ell, spec.k
-        if ell < 1 or k < 1:
-            raise ValueError(f"apex-blue parameters must be positive: {spec}")
-        for ai in range(k):
+        for ai in range(spec.k):
             a = name(f"a{ai}")
             internals.append(a)
-            for jj in range(ell):
+            for jj in range(spec.ell):
                 left = name(f"a{ai}", f"L{jj}")
                 right = name(f"a{ai}", f"R{jj}")
                 internals.extend([left, right])
@@ -321,15 +282,9 @@ def instantiate_congraph(spec: ConGraphSpec, cid: str) -> ConGraph:
                 paths.append((s, left, a, right, t))
             blob = [name(f"a{ai}", f"q{r}") for r in range(4)]
             internals.extend(blob)
-            k5 = [a, *blob]
-            for x in range(len(k5)):
-                for y in range(x + 1, len(k5)):
-                    edges.append(edge(k5[x], k5[y]))
-    elif isinstance(spec, SkewBlue):
-        k = spec.k
-        if k < 1:
-            raise ValueError(f"skew-blue parameters must be positive: {spec}")
-        for ai in range(k):
+            edges.extend(edge(x, y) for x, y in combinations((a, *blob), 2))
+    else:  # SkewBlue
+        for ai in range(spec.k):
             a = name(f"a{ai}")
             ws = [name(f"a{ai}", f"w{r}") for r in (1, 2, 3)]
             internals.extend([a, *ws])
@@ -337,12 +292,8 @@ def instantiate_congraph(spec: ConGraphSpec, cid: str) -> ConGraph:
             for w in ws:
                 edges.append(edge(s, w))
                 edges.append(edge(a, w))
-            edges.append(edge(ws[0], ws[1]))
-            edges.append(edge(ws[0], ws[2]))
-            edges.append(edge(ws[1], ws[2]))
+            edges.extend(edge(x, y) for x, y in combinations(ws, 2))
             paths.append((s, ws[0], a, t))
-    else:
-        raise TypeError(f"unknown con-graph spec {spec!r}")
 
     return ConGraph(cid, spec, s, t, tuple(internals), tuple(sorted(set(edges))),
                     tuple(paths))
@@ -502,8 +453,8 @@ CONCEPTS: dict[str, ConceptInfo] = {
         ConceptInfo(
             kind="ic", shorthand="IC", threshold=lambda k: 2,
             recipe=lambda ell, k: {
-                "red": BundlePlus(1, 2), "blue": Bundle(ell, 2 * ell + 1),
-                "gray": BundlePlus(1, 2), "yellow": Bundle(1, 1)},
+                "red": Bundle(1, 2, True), "blue": Bundle(ell, 2 * ell + 1),
+                "gray": Bundle(1, 2, True), "yellow": Bundle(1, 1)},
             witness_crossings=lambda ell, k: ell * ell,
             upper_crossings=lambda ell, k: 2,
             share=_whole_family, rect=_rect_l, cap="n/8",
@@ -514,7 +465,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
         ConceptInfo(
             kind="nic", shorthand="NIC", threshold=lambda k: 4,
             recipe=lambda ell, k: {
-                "red": BundlePlus(1, 2), "blue": Bundle(ell, ell + 2),
+                "red": Bundle(1, 2, True), "blue": Bundle(ell, ell + 2),
                 "gray": Bundle(ell, 2), "yellow": Bundle(1, 1)},
             witness_crossings=lambda ell, k: ell * ell,
             upper_crossings=lambda ell, k: 2,
@@ -579,7 +530,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             kind="skewness", shorthand="skew-k", aliases=("skew",),
             coloring="alternate", requires_k=True, threshold=lambda k: k + 1,
             recipe=lambda ell, k: {"red": Bundle(1, 1),
-                                   "blue": SkewBlue(ell, k),
+                                   "blue": SkewBlue(k),
                                    "gray": Bundle(ell * k, 2)},
             witness_crossings=lambda ell, k: ell * k * k + k,
             upper_crossings=lambda ell, k: k + 1,
@@ -681,10 +632,7 @@ def construction_for(concept: "str | ConceptId", ell: int,
     for c, spec in _connection_specs(cid, ell).items():
         cg = congraphs[c] = instantiate_congraph(spec, c)
         vertices.update(cg.internals)
-        for e in cg.edges:
-            if e in edges:
-                raise ValueError(f"edge {e} produced by two con-graphs")
-            edges.add(e)
+        edges.update(cg.edges)
     return FrameworkGraph(cid, ell, congraphs, make_graph(vertices, edges))
 
 

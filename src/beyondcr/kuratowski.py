@@ -67,7 +67,8 @@ class CoverageEntry:
     ``index`` is the crossing's position in the drawing's crossing list.
     ``paths1``/``paths2`` are the path-index sets P_{c1}[e1] and P_{c2}[e2];
     the entry covers every subdivision choosing from both sets, a
-    |paths1|*|paths2| / (w1*w2) share of the family.
+    |paths1|*|paths2| / (w1*w2) share of the family.  The connections are
+    stored in order, c1 < c2, each with its own path set.
     """
 
     __slots__ = ("index", "c1", "c2", "paths1", "paths2", "fraction")
@@ -76,6 +77,8 @@ class CoverageEntry:
                  paths2: frozenset[int], fraction: Fraction):
         if c1 == c2:
             raise ValueError(f"entry {index} pairs {c1} with itself")
+        if c2 < c1:
+            c1, c2, paths1, paths2 = c2, c1, paths2, paths1
         self.index = index
         self.c1 = c1
         self.c2 = c2
@@ -89,8 +92,8 @@ class CoverageLedger(NamedTuple):
 
     ``skipped`` counts crossings that cover nothing: same-connection and
     adjacent-connection crossings, and crossings on edges that lie on no
-    pole path (direct pole edges of bundle+ con-graphs, K7 pentagon edges,
-    apex K5 blobs, ...).
+    pole path (direct pole edges of bundles, K7 pentagon edges, apex K5
+    blobs, ...).
     """
 
     widths: dict[str, int]
@@ -147,8 +150,6 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
         frac = fracs.get(key)
         if frac is None:
             frac = fracs[key] = Fraction(*key)
-        if c2 < c1:
-            c1, c2, t1, t2 = c2, c1, t2, t1
         entries.append(CoverageEntry(i, c1, c2, t1, t2, frac))
     return CoverageLedger(widths, tuple(entries), skipped)
 
@@ -177,12 +178,9 @@ def _uncovered(ledger: CoverageLedger, budget: int
     # covered[c, d][p]: the paths of d that an entry covers with path p of c
     covered: dict[tuple[str, str], dict[int, set[int]]] = {}
     for e in ledger.entries:
-        (c, ps), (d, qs) = (e.c1, e.paths1), (e.c2, e.paths2)
-        if d < c:
-            (c, ps), (d, qs) = (d, qs), (c, ps)
-        rows = covered.setdefault((c, d), {})
-        for p in ps:
-            rows.setdefault(p, set()).update(qs)
+        rows = covered.setdefault((e.c1, e.c2), {})
+        for p in e.paths1:
+            rows.setdefault(p, set()).update(e.paths2)
 
     def walk(depth: int, sub: dict[str, int]) -> Iterator[dict[str, int]]:
         if depth == len(cids):

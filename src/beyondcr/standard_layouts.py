@@ -26,8 +26,8 @@ from typing import Callable, Literal
 
 from .drawing import Drawing
 from .geometry import Point, orient
-from .graph_core import (ALL_CONNECTIONS, DESIGNATED, ApexBlue, BundlePlus,
-                         ConceptId, ConGraph, FrameworkGraph, K7,
+from .graph_core import (ALL_CONNECTIONS, DESIGNATED, ApexBlue, ConceptId,
+                         ConGraph, FrameworkGraph, K7,
                          _connection_specs, connection_poles, as_concept, edge,
                          make_graph, structural_k)
 
@@ -216,15 +216,15 @@ def _apex_stripe_x(i: int, kk: int) -> Fraction:
     return Fraction(600 * (i + 1), kk + 1) - 300
 
 
-# K5 blob offsets in fifths: (4, 0), (2, 4), (9/5, 1) and (11/5, 2)
-_K5_BLOB = {"b": (20, 0), "c": (10, 20), "d": (9, 5), "e": (11, 10)}
+# K5 blob offsets of q0..q3 in fifths: (4, 0), (2, 4), (9/5, 1), (11/5, 2)
+_K5_BLOB = ((20, 0), (10, 20), (9, 5), (11, 10))
 
 
 def _apex_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
-                  D: int, ell: int, kk: int) -> None:
+                  ell: int, kk: int) -> None:
     gamma = Fraction(600, (kk + 1) * 4 * (ell + 2))
     by_anchor: dict[str, list] = {}
-    for idx, path in enumerate(vcg.paths):
+    for path in vcg.paths:
         by_anchor.setdefault(path[2], []).append(path)
     anchors = sorted(by_anchor)  # a0, a1, ... in name order
     for i, a in enumerate(anchors):
@@ -234,9 +234,8 @@ def _apex_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
             x = lam + (jj + 1) * gamma
             positions[path[1]] = (x, Fraction(150))   # upper internal
             positions[path[3]] = (x, Fraction(-150))  # lower internal
-        blob = [v for v in vcg.internals if v.startswith(a + "/q")]
-        for name, (bx, by) in zip(blob, _K5_BLOB.values()):
-            positions[name] = (lam - bx, Fraction(-by))
+        for r, (bx, by) in enumerate(_K5_BLOB):
+            positions[f"{a}/q{r}"] = (lam - bx, Fraction(-by))
     ih = len(hcg.paths)
     for r, path in enumerate(hcg.paths):
         h = 30 + Fraction(90 * (2 * r + 1), 2 * ih)
@@ -267,9 +266,9 @@ def _skew_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
 # ---------------------------------------------------------------------------
 
 def _ry_upper(vcg: ConGraph, positions: dict) -> None:
-    """Vertical bundle/triangle whose long edges all cross the horizontal
-    single edge; a direct pole edge crosses it at the origin."""
-    if isinstance(vcg.spec, BundlePlus):
+    """Vertical bundle whose long edges all cross the horizontal single
+    edge; a direct pole edge crosses it at the origin instead."""
+    if vcg.spec.direct:
         positions[vcg.paths[0][1]] = (Fraction(100), Fraction(150))
         return
     i = len(vcg.paths)
@@ -314,11 +313,10 @@ def _stripe_upper(vcg: ConGraph, positions: dict, D: int, ell: int,
                 mu = mu_i + (jj + 1) * delta
                 positions[path[1]] = pos(7 * den // 16, mu)
                 positions[path[3]] = pos(9 * den // 16, mu)
-            blob = [v for v in vcg.internals if v.startswith(a + "/q")]
-            for name, (bx, by) in zip(blob, _K5_BLOB.values()):
+            for r, (bx, by) in enumerate(_K5_BLOB):
                 # alpha 1/2 + bx/5000, mu mu_i - by/(100·40(kk+1))
-                positions[name] = pos(den // 2 + bx * den // 5000,
-                                      mu_i - by * cap // 100)
+                positions[f"{a}/q{r}"] = pos(den // 2 + bx * den // 5000,
+                                             mu_i - by * cap // 100)
         else:  # SkewBlue: w-triangle with one crossing a-w1 x w2-w3
             delta = cap // 100
             positions[f"{a}/w1"] = pos(28 * den // 64, mu_i + delta)
@@ -349,7 +347,7 @@ _LAYOUTS = {
     "pole-fan": lambda fg, v, h, pos, cur, D: _pole_fan(v, h, pos),
     "gap": lambda fg, v, h, pos, cur, D: _gap_witness(v, h, pos, D, fg.k),
     "apex": lambda fg, v, h, pos, cur, D: _apex_witness(
-        v, h, pos, D, fg.ell, fg.k),
+        v, h, pos, fg.ell, fg.k),
     "skew": lambda fg, v, h, pos, cur, D: _skew_witness(v, h, pos, D, fg.k),
     "ry": lambda fg, v, h, pos, cur, D: _ry_upper(v, pos),
     "k7": lambda fg, v, h, pos, cur, D: _fan_upper(v, pos, cur, D),

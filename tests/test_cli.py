@@ -108,13 +108,19 @@ def test_check_rectilinear_refuses_bent_fan_drawing(tmp_path, capsys):
     assert out_of(capsys) == "ok: false\nreason: drawing is not straight-line\n"
 
 
-def _python(*args, hash_seed="0"):
+def _run_python(*args, hash_seed="0", preexec_fn=None):
     """Run a fresh interpreter on this checkout's package."""
     env = dict(os.environ, PYTHONHASHSEED=hash_seed,
                PYTHONPATH=str(Path(beyondcr.__file__).resolve().parent.parent))
-    done = subprocess.run([sys.executable, *args], env=env, check=True,
+    return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True,
-                          cwd=Path(__file__).resolve().parent.parent)
+                          cwd=Path(__file__).resolve().parent.parent,
+                          preexec_fn=preexec_fn)
+
+
+def _python(*args, hash_seed="0"):
+    done = _run_python(*args, hash_seed=hash_seed)
+    done.check_returncode()
     return done.stdout
 
 
@@ -391,6 +397,19 @@ def test_error_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert run(["gen", "--random", "-2", "--seed", "11"]) == 2
     assert capsys.readouterr() == ("", "error: --random needs N >= 0\n")
+
+
+def test_out_of_memory_exits_2_with_one_error_line():
+    # exit 1 would read "predicate fails"; the cap binds the child only
+    import resource
+    cap = 256 * 2 ** 20
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    done = _run_python("-m", "beyondcr.cli", "gen", "--concept", "kpl",
+                       "--ell", "3000", "--k", "1", preexec_fn=limit_memory)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: out of memory\n")
 
 
 def test_gen_refuses_negative_max_crossings(capsys):

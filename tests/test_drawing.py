@@ -348,6 +348,15 @@ _GADGETS = {
                 ["01", "23"], {}),
     "crossing-at-vertex": ({"0": (0, 0), "1": (4, 4), "2": (0, 4),
                             "3": (4, 0), "4": (2, 2)}, ["01", "23"], {}),
+    # 01 and 23 cross at vertex 4, whose own edge 45 sorts after them: the
+    # crossing comes first in edge-pair order, and no vertex is isolated.
+    "crossing-at-vertex-with-edge": ({"0": (0, 0), "1": (4, 4), "2": (0, 4),
+                                      "3": (4, 0), "4": (2, 2), "5": (2, 5)},
+                                     ["01", "23", "45"], {}),
+    # The same geometry with the vertex's edge 01 first: 23 touches it.
+    "touch-at-crossing": ({"2": (0, 0), "3": (4, 4), "4": (0, 4),
+                           "5": (4, 0), "0": (2, 2), "1": (2, 5)},
+                          ["23", "45", "01"], {}),
     "concurrent-crossings": ({"0": (0, 0), "1": (4, 4), "2": (0, 4),
                               "3": (4, 0), "4": (2, 0), "5": (2, 4)},
                              ["01", "23", "45"], {}),
@@ -362,6 +371,24 @@ _GADGETS = {
     "star-overlap": ({"0": (5, 3), "1": (2, 0), "2": (0, 0)}, ["02", "12"],
                      {"02": [(4, 0)]}),
 }
+
+
+@pytest.mark.parametrize("name,kind", [
+    ("touch", "touch"), ("overlap", "overlap"),
+    ("crossing-at-vertex", "crossing-at-vertex"),
+    ("crossing-at-vertex-with-edge", "crossing-at-vertex"),
+    ("touch-at-crossing", "touch"),
+    ("concurrent-crossings", "concurrent-crossings"),
+    ("both", "crossing-at-vertex"), ("star-overlap", "overlap")])
+def test_each_gadget_alone_raises_its_kind(name, kind):
+    points, pairs, bends = _GADGETS[name]
+    edges = [edge(u, v) for u, v in pairs]
+    d = D(points, edges, {v: pt(*p) for v, p in points.items()},
+          curves={edge(*uv): tuple(pt(*p) for p in ps)
+                  for uv, ps in bends.items()})
+    with pytest.raises(GeneralPositionViolation) as ei:
+        compute_crossings(d)
+    assert ei.value.kind == first_violation_kind(d) == kind
 
 
 def _with_gadgets(rng, d, count):

@@ -21,7 +21,6 @@ from beyondcr.graph_core import (
     DESIGNATED,
     FRAME_NODES,
     Bundle,
-    BundlePlus,
     ApexBlue,
     Graph,
     K7,
@@ -132,7 +131,8 @@ def test_bundle_counts(i, j):
 
 @given(small, st.integers(min_value=2, max_value=6))
 def test_bundle_plus_counts(i, j):
-    _assert_spec_matches(BundlePlus(i, j))
+    # a bundle plus its direct pole edge
+    _assert_spec_matches(Bundle(i, j, True))
 
 
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
@@ -141,18 +141,50 @@ def test_apex_blue_counts(ell, k):
     _assert_spec_matches(ApexBlue(ell, k), disjoint_paths=False)
 
 
-@given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=3))
-def test_skew_blue_counts(ell, k):
-    _assert_spec_matches(SkewBlue(ell, k), disjoint_paths=False)
+@given(st.integers(min_value=1, max_value=3))
+def test_skew_blue_counts(k):
+    _assert_spec_matches(SkewBlue(k), disjoint_paths=False)
 
 
 def test_special_gadget_counts():
     _assert_spec_matches(Bundle(1, 1))
-    _assert_spec_matches(BundlePlus(1, 2))
+    _assert_spec_matches(Bundle(1, 2, True))
     _assert_spec_matches(K7())
     k7 = K7()
     assert (k7.width, k7.internal_count, k7.edge_count) == (6, 5, 21)
-    assert Bundle(1, 1).width == 1 and BundlePlus(1, 2).edge_count == 3
+    assert Bundle(1, 1).width == 1 and Bundle(1, 2, True).edge_count == 3
+
+
+def _recipe_points(kind):
+    """(ell, k) from ell 1 (2 for k-planar) to 6 and k from k_min to
+    k_min + 2, k only where the concept takes one."""
+    info = CONCEPTS[kind]
+    ks = range(info.k_min, info.k_min + 3) if info.requires_k else (None,)
+    first_ell = 2 if kind == "k-planar" else 1
+    return [(ell, k) for k in ks for ell in range(first_ell, 7)]
+
+
+@pytest.mark.parametrize("kind", sorted(CONCEPTS))
+def test_every_recipe_builds_its_declared_sizes(kind):
+    # instantiate_congraph and construction_for trust the recipes: no spec
+    # needs a parallel edge, and no two con-graphs share a vertex or edge
+    for ell, k in _recipe_points(kind):
+        fg = construction_for(kind, ell, k)
+        for cid, cg in fg.congraphs.items():
+            built = (len(cg.paths), len(cg.internals), len(cg.edges))
+            spec = cg.spec
+            declared = (spec.width, spec.internal_count, spec.edge_count)
+            assert built == declared, (ell, k, cid)
+        assert (fg.graph.n, fg.graph.m) == framework_size(kind, ell, k), \
+            (ell, k)
+
+
+def test_spec_shapes_never_compare_equal():
+    # tuple lengths 3, 2, 1 and 0
+    shapes = [Bundle(1, 2), Bundle(1, 2, True), ApexBlue(1, 2), SkewBlue(1),
+              K7()]
+    assert len(set(shapes)) == len(shapes)
+    assert Bundle(2, 1) != ApexBlue(2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +293,7 @@ def test_paths_through():
     for i, path in enumerate(cg.paths):
         for a, b in zip(path, path[1:]):
             assert fg.edge_paths[edge(a, b)] == ("v1-w1", frozenset({i}))
-    # the direct pole edge of a bundle+ belongs to no pole path
+    # the direct pole edge of a bundle belongs to no pole path
     fg_ic = construction_for("ic", 2)
     assert fg_ic.edge_paths[edge("v1", "w2")] == ("v1-w2", frozenset())
     # a K7 edge from a pole lies on exactly one of its six pole paths

@@ -177,6 +177,13 @@ def test_entry_needs_two_connections():
                       Fraction(1, 4))
 
 
+def test_entry_stores_its_connections_in_order():
+    e = CoverageEntry(0, "v2-w2", "v1-w1", frozenset({1}), frozenset({0, 2}),
+                      Fraction(1, 4))
+    assert (e.c1, e.paths1, e.c2, e.paths2) == (
+        "v1-w1", frozenset({0, 2}), "v2-w2", frozenset({1}))
+
+
 def test_ledger_refuses_a_drawing_of_another_graph():
     nic = draw_framework(construction_for("nic", 4), "witness")
     with pytest.raises(ValueError, match="not of the IC framework graph"):
