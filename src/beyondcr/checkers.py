@@ -22,13 +22,14 @@ Counting conventions, applied consistently:
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
-from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from typing import Callable
 
 from .drawing import Crossing, Drawing, Verdict, compute_crossings, is_simple
-from .geometry import Point, chain_parity, on_segment, ray_toggle
+from .geometry import IntPoint, chain_parity, on_segment, ray_toggle
 from .graph_core import ConceptId, Edge, as_concept, edge_key, structural_k
 
 
@@ -37,8 +38,13 @@ def _crossing_vertices(x: Crossing) -> set[str]:
 
 
 def _xjson(x: Crossing) -> dict:
+    """The crossing's edges and point, each coordinate written from the
+    integers as ``str(Fraction)`` writes it."""
+    px, py, w = x.xyw
+    gx, gy = math.gcd(px, w), math.gcd(py, w)
     return {"edges": [edge_key(x.a), edge_key(x.b)],
-            "point": [str(x.point[0]), str(x.point[1])]}
+            "point": [str(px // w) if gx == w else f"{px // gx}/{w // gx}",
+                      str(py // w) if gy == w else f"{py // gy}/{w // gy}"]}
 
 
 # ---------------------------------------------------------------------------
@@ -157,15 +163,26 @@ def _crossers_by_edge(xs: tuple[Crossing, ...]
     return out
 
 
-def _curve_to_vertex(drawing: Drawing, f: Edge, pos: tuple[int, Fraction],
-                     xpt: Point, vertex: str) -> list[Point]:
-    """Points of f's curve from a crossing point to one of its endpoints."""
-    poly = drawing.polyline(f)
-    if vertex == f[1]:
-        return [xpt, *poly[pos[0] + 1:]]
-    if vertex == f[0]:
-        return [xpt, *reversed(poly[:pos[0] + 1])]
-    raise ValueError(f"{vertex} is not an endpoint of {f}")
+ScaledCurves = tuple[int, Callable[[Edge], list[IntPoint]]]
+
+
+def _scaled_curves(drawing: Drawing) -> ScaledCurves:
+    """The drawing's scale, the LCM of its coordinates' denominators, and
+    a function from an edge to its polyline's points times the scale as
+    integer pairs, each edge's built once."""
+    # the distinct denominators only, so lcm's argument tuple stays short
+    scale = math.lcm(*{c.denominator for points in (
+        drawing.positions.values(), *drawing.curves.values())
+        for p in points for c in p})
+    scaled: dict[Edge, list[IntPoint]] = {}
+
+    def polyline(e: Edge) -> list[IntPoint]:
+        if e not in scaled:
+            scaled[e] = [(x.numerator * (scale // x.denominator),
+                          y.numerator * (scale // y.denominator))
+                         for x, y in drawing.polyline(e)]
+        return scaled[e]
+    return scale, polyline
 
 
 def _fan_anchor_candidates(e: Edge, crossers: list[Crossing]) -> list[str]:
@@ -192,6 +209,7 @@ def _fan(concept: str, level: int, drawing: Drawing,
     c^2) per edge and anchor for c crossings on e."""
     if not is_simple(xs):
         return Verdict(False, concept, "drawing is not simple")
+    curves = None   # the scaled curves, built for the first level-3 test
     for e, crossings in sorted(_crossers_by_edge(xs).items()):
         if len(crossings) <= 1:
             continue
@@ -227,7 +245,9 @@ def _fan(concept: str, level: int, drawing: Drawing,
                     f"both sides", {"edge": edge_key(e), "anchor": v})
                 continue
             if level == 3:
-                trapped = _enclosure_failure(drawing, e, crossings, v)
+                if curves is None:
+                    curves = _scaled_curves(drawing)
+                trapped = _enclosure_failure(curves, e, crossings, v)
                 if trapped is not None:
                     last_reason = trapped
                     continue
@@ -239,7 +259,7 @@ def _fan(concept: str, level: int, drawing: Drawing,
     return Verdict(True, concept)
 
 
-def _enclosure_failure(drawing: Drawing, e: Edge,
+def _enclosure_failure(curves: ScaledCurves, e: Edge,
                        crossings: list[Crossing],
                        anchor: str) -> tuple[str, dict] | None:
     """sfp condition: for each pair of crossers, the closed curve formed by
@@ -258,9 +278,15 @@ def _enclosure_failure(drawing: Drawing, e: Edge,
     (edge, anchor) costs O(len(e) + sum of tail lengths + c^2) for c
     crossings on e; the first differing pair in ``combinations`` order,
     then endpoint order, is the witness.
+
+    Every predicate runs on integers: the curves are the check's scaled
+    polylines, and the two segments that end at a crossing point (x/w,
+    y/w) are tested with their other points and u times w, so crossings
+    need not share the check's scale.
     """
-    poly = drawing.polyline(e)
-    ends = [drawing.positions[u] for u in e]
+    scale, polyline = curves
+    poly = polyline(e)
+    ends = (poly[0], poly[-1])
     # prefixes[k][s]: parity of e's curve up to its point s at endpoint k
     prefixes = []
     for p in ends:
@@ -271,16 +297,23 @@ def _enclosure_failure(drawing: Drawing, e: Edge,
     bits: list[list[bool | None]] = []  # Q per crossing and endpoint
     for x in crossings:
         f = x.other(e)
-        seg = x.positions_on(e)[0][0]
-        tail = _curve_to_vertex(drawing, f, x.positions_on(f)[0], x.point,
-                                anchor)
+        seg, seg_f = (x.seg_a, x.seg_b) if x.a == e else (x.seg_b, x.seg_a)
+        # the tail: the crossing point, then f's points up to the anchor
+        poly_f = polyline(f)
+        rest = poly_f[seg_f + 1:] if anchor == f[1] else poly_f[seg_f::-1]
+        px, py, w = x.xyw
+        xpt = (px * scale, py * scale)
+        start = (poly[seg][0] * w, poly[seg][1] * w)
+        head = (rest[0][0] * w, rest[0][1] * w)
         row: list[bool | None] = []
         for p, prefix in zip(ends, prefixes):
-            if any(on_segment(a, b, p) for a, b in zip(tail, tail[1:])):
+            pw = (p[0] * w, p[1] * w)
+            if on_segment(xpt, head, pw) or any(
+                    on_segment(a, b, p) for a, b in zip(rest, rest[1:])):
                 row.append(None)
             else:
-                row.append(prefix[seg] ^ ray_toggle(p, poly[seg], x.point)
-                           ^ chain_parity(p, tail))
+                row.append(prefix[seg] ^ ray_toggle(pw, start, xpt)
+                           ^ ray_toggle(pw, xpt, head) ^ chain_parity(p, rest))
         bits.append(row)
     for (xi, qi), (xj, qj) in combinations(zip(crossings, bits), 2):
         for u, bi, bj in zip(e, qi, qj):

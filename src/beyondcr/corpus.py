@@ -32,10 +32,13 @@ def random_drawing(rng: random.Random,
     (collinear overlaps, concurrent crossings, ...) and drawings with more
     than ``max_crossings`` crossings are rejected and resampled, up to
     ``_MAX_ATTEMPTS`` times.  A negative ``max_crossings`` raises
-    ValueError, since no drawing meets it.
+    ValueError, since no drawing meets it, and so does a ``bend_prob``
+    outside [0, 1] (NaN included), which is no probability.
     """
     if max_crossings < 0:
         raise ValueError(f"max_crossings must be >= 0, not {max_crossings}")
+    if not 0 <= bend_prob <= 1:
+        raise ValueError(f"bend_prob must be in [0, 1], not {bend_prob}")
     for _ in range(_MAX_ATTEMPTS):
         n = rng.randint(*n_range)
         names = [f"u{i}" for i in range(n)]

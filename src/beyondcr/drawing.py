@@ -14,10 +14,12 @@ four integer orientations: one lying on a side of the other's line is
 rejected after two, a collinear pair is an overlap, and otherwise the
 pair crosses or touches.  Only the crossings are kept and sorted, plus the
 first touch or overlap, so memory is O(segments + crossings).
-Points and segment parameters go back to ``Fraction`` in drawing
-coordinates for output, and each crossing keeps the sign of its two
-segments' cross product as ``turn``: the side a crosser passes from,
-which the fan checkers read instead of the geometry.
+A ``Crossing`` keeps the engine's exact integers: the segment index and
+the parameter (num, den) on each curve, and the point as one triple
+(x, y, w) in drawing coordinates.  ``point``, ``pos_a`` and ``pos_b``
+build ``Fraction``s from them on read.  Each crossing also keeps the sign
+of its two segments' cross product as ``turn``: the side a crosser passes
+from, which the fan checkers read instead of the geometry.
 
 A drawing must be in *general position*: no overlapping segments, no curve
 through a vertex or bend of another curve, and no two crossings at the same
@@ -84,25 +86,52 @@ def is_straight_line(drawing: Drawing) -> bool:
 class Crossing:
     """One proper crossing point between two edge curves.
 
-    ``a <= b``; for a self-crossing a == b.  ``pos_a``/``pos_b`` locate the
-    point along each curve as (segment index, parameter within segment) and
-    order crossings along an edge.  ``turn`` is +1 or -1, the sign of the
-    cross product of a's segment direction and b's, both curves running
-    from their smaller endpoint: +1 when b passes from a's right to its
-    left.  Crossings have no order and compare by identity; sort them by a
-    key of these fields.
+    ``a <= b``; for a self-crossing a == b.  The crossing keeps the
+    engine's exact integers: it lies on segment ``seg_a`` of a's curve at
+    parameter ``num_a / den_a`` and on segment ``seg_b`` of b's curve at
+    ``num_b / den_b``, at the point (x/w, y/w) in drawing coordinates,
+    where ``xyw`` is (x, y, w); every den and w is positive.  ``pos_a`` and
+    ``pos_b``, each (segment index, parameter), and ``point`` build
+    ``Fraction``s from them on every read; ``pos_a`` orders crossings
+    along an edge.  ``turn`` is +1 or -1, the sign of the cross product of
+    a's segment direction and b's, both curves running from their smaller
+    endpoint: +1 when b passes from a's right to its left.  Crossings have
+    no order and compare by identity; sort them by a key of these fields.
     """
 
-    __slots__ = ("a", "b", "pos_a", "pos_b", "point", "turn")
+    __slots__ = ("a", "b", "seg_a", "num_a", "den_a", "seg_b", "num_b",
+                 "den_b", "xyw", "turn")
 
-    def __init__(self, a: Edge, b: Edge, pos_a: tuple[int, Fraction],
-                 pos_b: tuple[int, Fraction], point: Point, turn: int):
+    def __init__(self, a: Edge, b: Edge, seg_a: int, num_a: int, den_a: int,
+                 seg_b: int, num_b: int, den_b: int,
+                 xyw: tuple[int, int, int], turn: int):
         self.a = a
         self.b = b
-        self.pos_a = pos_a
-        self.pos_b = pos_b
-        self.point = point
+        self.seg_a = seg_a
+        self.num_a = num_a
+        self.den_a = den_a
+        self.seg_b = seg_b
+        self.num_b = num_b
+        self.den_b = den_b
+        self.xyw = xyw
         self.turn = turn
+
+    @property
+    def point(self) -> Point:
+        x, y, w = self.xyw
+        return (Fraction(x, w), Fraction(y, w))
+
+    @property
+    def pos_a(self) -> tuple[int, Fraction]:
+        return (self.seg_a, Fraction(self.num_a, self.den_a))
+
+    @property
+    def pos_b(self) -> tuple[int, Fraction]:
+        return (self.seg_b, Fraction(self.num_b, self.den_b))
+
+    def __repr__(self) -> str:
+        return (f"Crossing({self.a}, {self.b}, pos_a={self.pos_a}, "
+                f"pos_b={self.pos_b}, point={self.point}, turn={self.turn})")
 
     def involves(self, e: Edge) -> bool:
         return self.a == e or self.b == e
@@ -113,16 +142,6 @@ class Crossing:
         if e == self.b:
             return self.a
         raise ValueError(f"{e} not part of this crossing")
-
-    def positions_on(self, e: Edge) -> list[tuple[int, Fraction]]:
-        out = []
-        if self.a == e:
-            out.append(self.pos_a)
-        if self.b == e:
-            out.append(self.pos_b)
-        if not out:
-            raise ValueError(f"{e} not part of this crossing")
-        return out
 
 
 def _point_table(drawing: Drawing, bent: list[Edge]
@@ -137,7 +156,8 @@ def _point_table(drawing: Drawing, bent: list[Edge]
            if type(c) is not int and not isinstance(c, Fraction)]
     if bad:
         raise TypeError(f"coordinate {bad[0]!r} is not an int or Fraction")
-    scale = math.lcm(*(c.denominator for p in points for c in p))
+    # the distinct denominators only, so lcm's argument tuple stays short
+    scale = math.lcm(*{c.denominator for p in points for c in p})
     return [(x.numerator * (scale // x.denominator),
              y.numerator * (scale // y.denominator))
             for x, y in points], scale
@@ -284,13 +304,20 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
             first_bad = (key, kind, p)
 
     # Check the proper crossings in (edge, edge, segment, segment) order up
-    # to the first touch or overlap.  A point is keyed by its scaled
-    # coordinates over their least common denominator, (x, y, den), so no
-    # Fraction is hashed; with den 1 it may be a vertex or bend.
-    proper.sort()
-    seen: dict[tuple[int, int, int], tuple[Edge, Edge]] = {}
+    # to the first touch or overlap.  A point is the triple (x, y, w) of its
+    # scaled coordinates over their least common denominator, times the
+    # scale, so no Fraction is hashed; with w the scale it may be a vertex
+    # or bend.  That order is the order along a, except where one pair
+    # crosses one segment of a more than once: such a run, found[start:],
+    # takes each crossing in by its parameter on a, cross-multiplied.
+    # Popped from the end of a reversed sort, each record is freed as its
+    # crossing is built, so the two never all coexist.
+    proper.sort(reverse=True)
+    seen: set[tuple[int, int, int]] = set()
     found: list[Crossing] = []
-    for oa, ob, s, t, d1, d2, d3, d4 in proper:
+    run, start = None, 0
+    while proper:
+        oa, ob, s, t, d1, d2, d3, d4 = proper.pop()
         if first_bad is not None and (oa, ob, s, t) > first_bad[0]:
             break
         ea, eb = edge_list[oa], edge_list[ob]
@@ -301,23 +328,32 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
             d1, den = -d1, -den
         x, y = ax * den + d1 * (bx - ax), ay * den + d1 * (by - ay)
         common = math.gcd(x, y, den)
-        at = (x // common, y // common, den // common)
-        p = (Fraction(at[0], at[2] * scale), Fraction(at[1], at[2] * scale))
-        if at[2] == 1 and at[:2] in pid:
+        xyw = (x // common, y // common, den // common * scale)
+        if xyw[2] == scale and xyw[:2] in pid:
             raise GeneralPositionViolation(
                 "crossing-at-vertex",
                 f"{ea} x {eb} crosses at "
-                f"{_point_label(drawing, bent, pid[at[:2]])}")
-        if at in seen:
+                f"{_point_label(drawing, bent, pid[xyw[:2]])}")
+        if xyw in seen:
+            first = next(c for c in found if c.xyw == xyw)
+            p = first.point
             raise GeneralPositionViolation(
                 "concurrent-crossings",
-                f"{ea} x {eb} and {seen[at]} cross at the "
-                f"same point ({p[0]},{p[1]})")
-        seen[at] = (ea, eb)
-        # cross(b - a, d - c) = d4 - d3, and d3, d4 have opposite signs
-        found.append(Crossing(ea, eb, (index[s], Fraction(d1, den)),
-                              (index[t], Fraction(d3, d3 - d4)), p,
-                              1 if d4 > 0 else -1))
+                f"{ea} x {eb} and {(first.a, first.b)} cross at the same "
+                f"point ({p[0]},{p[1]})")
+        seen.add(xyw)
+        # t2 = d3 / (d3 - d4); cross(b - a, d - c) = d4 - d3, and d3, d4
+        # have opposite signs
+        num_b, den_b = (-d3, d4 - d3) if d4 > 0 else (d3, d3 - d4)
+        crossing = Crossing(ea, eb, index[s], d1, den, index[t], num_b,
+                            den_b, xyw, 1 if d4 > 0 else -1)
+        if run != (s, ob):
+            run, start = (s, ob), len(found)
+        i = len(found)
+        while (i > start
+               and d1 * found[i - 1].den_a < found[i - 1].num_a * den):
+            i -= 1
+        found.insert(i, crossing)
     if first_bad is not None:
         (oa, ob, _, _), kind, p = first_bad
         ea, eb = edge_list[oa], edge_list[ob]
@@ -343,9 +379,6 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
                     raise GeneralPositionViolation(
                         "touch", f"{edge_list[owner[s]]} passes through "
                                  f"isolated vertex {v}")
-    # Crossing order: a position along edge a is unique once crossings are
-    # known not to coincide.
-    found.sort(key=lambda x: (x.a, x.b, x.pos_a))
     return tuple(found)
 
 

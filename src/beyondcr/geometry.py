@@ -1,10 +1,12 @@
-"""Exact rational plane predicates for strong fan-planarity's enclosure
-test in ``checkers``, plus the orientation test the standard layouts use.
+"""Exact plane predicates for strong fan-planarity's enclosure test in
+``checkers``, plus the orientation test the standard layouts use.
 
-Coordinates are ``fractions.Fraction`` or ``int`` and every predicate is
-exact, so no caller sees an epsilon.  The crossing engine in ``drawing``
-classifies segment pairs with its own inline integer orientations and
-keeps each crossing's side as ``Crossing.turn``.
+Coordinates are ``int`` or ``fractions.Fraction`` and every predicate is
+exact, so no caller sees an epsilon.  The enclosure test passes plain
+integers: curves scaled to a common denominator, and crossing points
+homogenised by their own.  The layouts pass ``Fraction``s.  The crossing
+engine in ``drawing`` classifies segment pairs with its own inline integer
+orientations and keeps each crossing's side as ``Crossing.turn``.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 Point = tuple[Fraction, Fraction]
+IntPoint = tuple[int, int]
 
 
 def orient(a: Point, b: Point, c: Point) -> Fraction:
@@ -24,7 +27,7 @@ def on_segment(a: Point, b: Point, p: Point) -> bool:
     """True iff p lies on the closed segment ab (a, b endpoints included).
 
     The bounding box goes first: it rejects most points with comparisons
-    alone, before the orientation's Fraction products."""
+    alone, before the orientation's products."""
     return (
         min(a[0], b[0]) <= p[0] <= max(a[0], b[0])
         and min(a[1], b[1]) <= p[1] <= max(a[1], b[1])

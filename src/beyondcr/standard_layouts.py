@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Literal
 
 from .drawing import Drawing
-from .geometry import Point, orient
+from .geometry import IntPoint, Point, orient
 from .graph_core import (ALL_CONNECTIONS, DESIGNATED, ApexBlue, ConceptId,
                          ConGraph, FrameworkGraph, K7,
                          _connection_specs, connection_poles, as_concept, edge,
@@ -34,8 +34,6 @@ from .graph_core import (ALL_CONNECTIONS, DESIGNATED, ApexBlue, ConceptId,
 LayoutVariant = Literal["witness", "upper"]
 
 R = 300  # half-side of the central interaction box
-
-IntPoint = tuple[int, int]  # poles and corridor directions
 
 
 def _affine(A: IntPoint, d: IntPoint, a: int, m: int, den: int) -> Point:

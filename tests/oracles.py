@@ -200,8 +200,10 @@ def ordered_along(xs, e):
     """((segment, t), crossing) for every crossing on e, sorted along e."""
     out = []
     for x in xs:
-        for p in x.positions_on(e) if x.involves(e) else ():
-            out.append((p, x))
+        if x.a == e:
+            out.append((x.pos_a, x))
+        if x.b == e:
+            out.append((x.pos_b, x))
     out.sort(key=lambda px: px[0])
     return out
 

@@ -279,8 +279,7 @@ def _ic_family_orders(rng):
         for i in range(rng.randrange(2, 9)):
             a, b, c, e = rng.sample(names, 4)
             lst.append(Crossing(*sorted([edge(a, b), edge(c, e)]),
-                                (0, Fraction(1, 2)), (0, Fraction(1, 2)),
-                                (Fraction(i), Fraction(0)), 1))
+                                0, 1, 2, 0, 1, 2, (i, 0, 1), 1))
         yield d, lst
 
 

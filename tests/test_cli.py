@@ -419,6 +419,14 @@ def test_gen_refuses_negative_max_crossings(capsys):
         "", "error: max_crossings must be >= 0, not -1\n")
 
 
+@pytest.mark.parametrize("prob", ["1.5", "-0.1", "nan"])
+def test_gen_refuses_a_bend_prob_outside_0_1(prob, capsys):
+    assert run(["gen", "--random", "3", "--seed", "1",
+                "--bend-prob", prob]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: bend_prob must be in [0, 1], not {float(prob)}\n")
+
+
 def test_corrupt_drawing_file(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text("{not json")

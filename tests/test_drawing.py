@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from beyondcr import (
+    Crossing,
     Drawing,
     GeneralPositionViolation,
     compute_crossings,
@@ -26,6 +27,7 @@ from beyondcr import (
     random_drawing,
     to_svg,
 )
+from beyondcr.checkers import _xjson
 from beyondcr.drawing import _candidate_pairs
 from conftest import GRID, fan_fixture_weak_not_strong, pt, standard_drawing
 from oracles import (bbox_disjoint, brute_crossing_points, count_on_edge,
@@ -287,6 +289,28 @@ def test_self_crossing_positions_in_curve_order():
     assert x.point == (Fraction(1), Fraction(1, 2))
 
 
+def test_crossings_hold_integers_and_read_as_fractions():
+    bent = random_drawing(random.Random(11), bend_prob=1)
+    assert bent.curves
+    for d in (standard_drawing("nnic", 2), bent):
+        xs = compute_crossings(d)
+        assert xs
+        assert sorted((x.a, x.b, x.point) for x in xs if x.a != x.b) == \
+            brute_crossing_points(d)
+        for x in xs:
+            held = [getattr(x, name) for name in Crossing.__slots__]
+            assert all(type(v) in (int, str) for h in held
+                       for v in (h if isinstance(h, tuple) else (h,)))
+            assert _point_at(d, x.a, x.pos_a) == x.point == \
+                _point_at(d, x.b, x.pos_b)
+            assert _xjson(x)["point"] == [str(c) for c in x.point]
+    # negative, integral and non-reduced coordinates
+    for xyw in [(-6, 8, 4), (0, -5, 5), (7, -9, 3), (12, 30, 18)]:
+        x = Crossing(edge("a", "b"), edge("c", "d"), 0, 1, 2, 0, 1, 2, xyw, 1)
+        assert _xjson(x)["point"] == [str(Fraction(c, xyw[2]))
+                                      for c in xyw[:2]]
+
+
 def _many_violations(drop=()):
     """Concurrent crossings at (2/3, 2/3), an overlap and touches."""
     def third(x, y):
@@ -505,6 +529,36 @@ def test_legal_star_matches_brute_force(swap, fx, fy):
     assert sorted((x.a, x.b, x.point) for x in xs) == brute_crossing_points(d)
 
 
+def _twice_crossed_drawing(swap, fx, fy):
+    """Straight ab crossed by cd at x = 5, 8 and then 1, in cd's curve
+    order, and gh crossing its own first segment at x = 27 and then 23: in
+    both, a later segment crosses one segment earlier along it.  Mapped by
+    a symmetry of the square."""
+    def place(x, y):
+        x, y = (y, x) if swap else (x, y)
+        return pt(fx * x, fy * y)
+    at = {"a": (0, 0), "b": (10, 0), "c": (5, Fraction(1, 2)),
+          "d": (3, -2), "g": (20, 0), "h": (22, 5)}
+    return D(list(at), [edge("a", "b"), edge("c", "d"), edge("g", "h")],
+             {v: place(*p) for v, p in at.items()},
+             curves={edge("c", "d"): tuple(place(*p) for p in (
+                         (5, -1), (8, -1), (8, 1), (1, 1), (1, -2))),
+                     edge("g", "h"): tuple(place(*p) for p in (
+                         (30, 0), (27, 3), (27, -3), (23, -3), (23, 3)))})
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("fx, fy", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+def test_crossings_of_one_segment_come_in_order_along_it(swap, fx, fy):
+    d = _twice_crossed_drawing(swap, fx, fy)
+    xs = compute_crossings(d)
+    keys = [(x.a, x.b, x.pos_a) for x in xs]
+    assert len(xs) == 5 and keys == sorted(keys)
+    got = sorted((x.a, x.b, x.point) for x in xs)
+    assert [x for x in got if x[0] != x[1]] == brute_crossing_points(d)
+    assert [x for x in got if x[0] == x[1]] == _self_crossing_points(d)
+
+
 def test_sweep_skips_pairs_with_a_common_endpoint():
     d = draw_framework(construction_for("nnic", 2), "witness")
     segs = [ab for e in sorted(d.graph.edges) for ab in segments(d, e)]
@@ -552,6 +606,16 @@ def test_random_drawing_respects_caps():
                            max_crossings=5)
         assert 4 <= len(d.graph.vertices) <= 6
         assert len(compute_crossings(d)) <= 5
+
+
+@pytest.mark.parametrize("prob", [1.5, -0.1, float("nan")])
+def test_random_drawing_refuses_a_bend_prob_outside_0_1(prob):
+    rng = random.Random(7)
+    with pytest.raises(ValueError, match="bend_prob must be in"):
+        random_drawing(rng, bend_prob=prob)
+    # nothing was drawn: the same rng still gives the same drawing
+    assert drawing_to_json(random_drawing(rng)) == \
+        drawing_to_json(random_drawing(random.Random(7)))
 
 
 # ---------------------------------------------------------------------------

@@ -119,9 +119,9 @@ def test_ledger_agrees_with_crossings_subdivision_by_subdivision(
         for _ in range(6)]
     # the standard drawings never cross edges of one connection or of two
     # adjacent ones, so made-up crossings between any two edges add them
-    half = (0, Fraction(1, 2))
-    subsets += [[Crossing(*sorted(rng.sample(fg.graph.edges, 2)), half, half,
-                          (Fraction(i), Fraction(0)), 1)
+    half = (0, 1, 2)
+    subsets += [[Crossing(*sorted(rng.sample(fg.graph.edges, 2)), *half, *half,
+                          (i, 0, 1), 1)
                  for i in range(rng.randrange(1, 12))] for _ in range(6)]
     for subset in subsets:
         ledger = coverage_ledger(d, fg, crossings=tuple(subset))
