@@ -206,7 +206,7 @@ def _fan(concept: str, level: int, drawing: Drawing,
     The level-3 test gives each crossing on e one even-odd bit per endpoint
     of e and compares bits instead of building a region per pair of
     crossers (``_enclosure_failure``): O(len(e) + sum of tail lengths +
-    c^2) per edge and anchor for c crossings on e."""
+    c) per edge and anchor for c crossings on e."""
     if not is_simple(xs):
         return Verdict(False, concept, "drawing is not simple")
     curves = None   # the scaled curves, built for the first level-3 test
@@ -275,9 +275,10 @@ def _enclosure_failure(curves: ScaledCurves, e: Edge,
     outside: a crosser whose tail holds u encloses it with no partner, and
     ``compute_crossings`` refuses an endpoint of e on e's curve between
     two crossings.  One walk of e and of each tail gives every bit, so an
-    (edge, anchor) costs O(len(e) + sum of tail lengths + c^2) for c
-    crossings on e; the first differing pair in ``combinations`` order,
-    then endpoint order, is the witness.
+    (edge, anchor) costs O(len(e) + sum of tail lengths + c) for c
+    crossings on e.  The witness is the first differing pair in
+    ``combinations`` order, then endpoint order, found in one pass over the
+    bits (``_first_split``).
 
     Every predicate runs on integers: the curves are the check's scaled
     polylines, and the two segments that end at a crossing point (x/w,
@@ -315,15 +316,40 @@ def _enclosure_failure(curves: ScaledCurves, e: Edge,
                 row.append(prefix[seg] ^ ray_toggle(pw, start, xpt)
                            ^ ray_toggle(pw, xpt, head) ^ chain_parity(p, rest))
         bits.append(row)
-    for (xi, qi), (xj, qj) in combinations(zip(crossings, bits), 2):
-        for u, bi, bj in zip(e, qi, qj):
-            if bi is not None and bj is not None and bi != bj:
-                fi, fj = xi.other(e), xj.other(e)
-                return (f"endpoint {u} of {edge_key(e)} is enclosed by the "
-                        f"fan region of {edge_key(fi)} and {edge_key(fj)}",
-                        {"edge": edge_key(e), "endpoint": u, "anchor": anchor,
-                         "crossers": [edge_key(fi), edge_key(fj)]})
-    return None
+    split = _first_split(bits)
+    if split is None:
+        return None
+    i, j, k = split
+    u, fi, fj = e[k], crossings[i].other(e), crossings[j].other(e)
+    return (f"endpoint {u} of {edge_key(e)} is enclosed by the fan region "
+            f"of {edge_key(fi)} and {edge_key(fj)}",
+            {"edge": edge_key(e), "endpoint": u, "anchor": anchor,
+             "crossers": [edge_key(fi), edge_key(fj)]})
+
+
+def _first_split(bits: list[list[bool | None]]
+                 ) -> tuple[int, int, int] | None:
+    """The least (i, j, k), i < j, with bits[i][k] and bits[j][k] both set
+    and different, or None.
+
+    For endpoint k, the first set bit i has a partner if any later bit
+    differs from it, and the first such j is its least partner; with no
+    such j every set bit equals bits[i][k], so k has no pair.  The least
+    of the two endpoints' pairs wins, a tie going to endpoint 0.  O(c)
+    for c crossings, where comparing every pair would be O(c^2).
+    """
+    best = None
+    for k in (0, 1):
+        i = next((i for i, row in enumerate(bits) if row[k] is not None),
+                 None)
+        if i is None:
+            continue
+        first = bits[i][k]
+        j = next((j for j in range(i + 1, len(bits))
+                  if bits[j][k] is not None and bits[j][k] != first), None)
+        if j is not None and (best is None or (i, j) < best[:2]):
+            best = (i, j, k)
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,18 @@ def bbox_disjoint(a, b, c, d):
     )
 
 
+def octagon_disjoint(a, b, c, d):
+    """True if segments ab and cd are apart along x, y, x + y or x - y:
+    their bounding octagons are disjoint."""
+    for f in (lambda p: p[0], lambda p: p[1], lambda p: p[0] + p[1],
+              lambda p: p[0] - p[1]):
+        lo1, hi1 = sorted((f(a), f(b)))
+        lo2, hi2 = sorted((f(c), f(d)))
+        if hi1 < lo2 or hi2 < lo1:
+            return True
+    return False
+
+
 def brute_crossing_points(drawing):
     """All proper inter-edge crossing points via the 2x2 solver.
 
@@ -282,6 +294,15 @@ def simple_ok(xs):
             return False
         pairs[(x.a, x.b)] = pairs.get((x.a, x.b), 0) + 1
     return all(c == 1 for c in pairs.values())
+
+
+def is_simple_brute(xs):
+    """No crossing of two edges with a common end (an edge with itself
+    included), and no two crossings of one pair of edges, by comparing
+    every pair of crossings."""
+    if any(set(x.a) & set(x.b) for x in xs):
+        return False
+    return not any({x.a, x.b} == {y.a, y.b} for x, y in combinations(xs, 2))
 
 
 def kfcf_ok(xs, k):
@@ -512,6 +533,17 @@ def _fan_failure_brute(drawing, e, crossings, anchor, strong):
                         f"of {edge_key(fi)} and {edge_key(fj)}",
                         {"edge": ek, "endpoint": u, "anchor": anchor,
                          "crossers": [edge_key(fi), edge_key(fj)]})
+    return None
+
+
+def first_split_pairwise(bits):
+    """(i, j, k) of the first pair of crossings, in combinations order, and
+    then the first endpoint k, whose even-odd bits are both set and differ;
+    None when there is none.  Every pair is compared."""
+    for (i, qi), (j, qj) in combinations(enumerate(bits), 2):
+        for k, (bi, bj) in enumerate(zip(qi, qj)):
+            if bi is not None and bj is not None and bi != bj:
+                return (i, j, k)
     return None
 
 

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, reject, settings
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 
 from beyondcr import (Crossing, Drawing, GeneralPositionViolation,
                       appendix_fcf_fixture, check_concept, compute_crossings,
-                      edge, make_graph, random_corpus, random_drawing)
-from beyondcr.checkers import _CHECKERS
+                      edge, is_simple, make_graph, random_corpus,
+                      random_drawing)
+from beyondcr import checkers
+from beyondcr.checkers import _CHECKERS, _first_split
 from beyondcr.graph_core import (CONCEPTS, as_concept, edge_from_key,
                                  edge_key, structural_k)
 from conftest import (
@@ -212,6 +215,60 @@ def test_sfp_tail_through_an_endpoint_encloses_nothing():
     d.curves[edge("a", "v")] = (pt(1, -2), pt(-1, -2), pt(1, 2))
     v = _fan_matches_brute(d, xs)
     assert v.witness["endpoint"] == "e2"
+
+
+def test_first_split_is_the_first_differing_pair():
+    # every table of up to 4 crossings, each bit unset, False or True
+    values = (None, False, True)
+    for c in range(5):
+        for flat in product(values, repeat=2 * c):
+            bits = [list(flat[2 * i:2 * i + 2]) for i in range(c)]
+            assert _first_split(bits) == o.first_split_pairwise(bits)
+
+
+def test_enclosure_witness_matches_the_pairwise_loop(monkeypatch):
+    # the bits of every enclosure test on the fan gadgets and fixtures
+    splits = Counter()
+
+    def checked(bits):
+        got = _first_split(bits)
+        assert got == o.first_split_pairwise(bits)
+        splits[got is not None] += 1
+        return got
+    monkeypatch.setattr(checkers, "_first_split", checked)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(fan_gadgets())
+    def run(d):
+        try:
+            xs = compute_crossings(d)
+        except GeneralPositionViolation:
+            reject()
+        _fan_matches_brute(d, xs)
+
+    run()
+    for d in [fan_fixture_adjacent_not_fan(), fan_fixture_fan_not_weak(),
+              fan_fixture_weak_not_strong(), appendix_fcf_fixture()[1]]:
+        _fan_matches_brute(d, compute_crossings(d))
+    assert splits[True] >= 10 and splits[False] >= 10
+
+
+def test_is_simple_matches_pairwise_oracle():
+    drawings = random_corpus(515, 150, bend_prob=0.35)
+    drawings += [standard_drawing(kind, ell, k, variant=variant)
+                 for kind, ell, k in GRID for variant in ("witness", "upper")]
+    drawings += [fan_fixture_adjacent_not_fan(), fan_fixture_fan_not_weak(),
+                 fan_fixture_weak_not_strong(), appendix_fcf_fixture()[1]]
+    seen = Counter()
+    for d in drawings:
+        xs = compute_crossings(d)
+        e = min(d.graph.edges)
+        loop = Crossing(e, e, 0, 1, 2, 1, 1, 2, (0, 0, 1), 1)
+        # as computed, with its first crossing repeated, and with a loop
+        for ys in (xs, xs + xs[:1], xs + (loop,)):
+            assert is_simple(ys) == o.is_simple_brute(ys)
+            seen[is_simple(ys)] += 1
+    assert seen[True] >= 10 and seen[False] >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -31,8 +31,8 @@ from beyondcr.checkers import _xjson
 from beyondcr.drawing import _candidate_pairs
 from conftest import GRID, fan_fixture_weak_not_strong, pt, standard_drawing
 from oracles import (bbox_disjoint, brute_crossing_points, count_on_edge,
-                     first_violation_kind, ordered_along, segments,
-                     solve_segments, turn_brute)
+                     first_violation_kind, octagon_disjoint, ordered_along,
+                     segments, solve_segments, turn_brute)
 
 
 def D(vertices, edges, pos, curves=None, meta=None):
@@ -397,6 +397,14 @@ _GADGETS = {
 }
 
 
+def _gadget(name):
+    points, pairs, bends = _GADGETS[name]
+    return D(points, [edge(u, v) for u, v in pairs],
+             {v: pt(*p) for v, p in points.items()},
+             curves={edge(*uv): tuple(pt(*p) for p in ps)
+                     for uv, ps in bends.items()})
+
+
 @pytest.mark.parametrize("name,kind", [
     ("touch", "touch"), ("overlap", "overlap"),
     ("crossing-at-vertex", "crossing-at-vertex"),
@@ -405,11 +413,7 @@ _GADGETS = {
     ("concurrent-crossings", "concurrent-crossings"),
     ("both", "crossing-at-vertex"), ("star-overlap", "overlap")])
 def test_each_gadget_alone_raises_its_kind(name, kind):
-    points, pairs, bends = _GADGETS[name]
-    edges = [edge(u, v) for u, v in pairs]
-    d = D(points, edges, {v: pt(*p) for v, p in points.items()},
-          curves={edge(*uv): tuple(pt(*p) for p in ps)
-                  for uv, ps in bends.items()})
+    d = _gadget(name)
     with pytest.raises(GeneralPositionViolation) as ei:
         compute_crossings(d)
     assert ei.value.kind == first_violation_kind(d) == kind
@@ -559,18 +563,73 @@ def test_crossings_of_one_segment_come_in_order_along_it(swap, fx, fy):
     assert [x for x in got if x[0] == x[1]] == _self_crossing_points(d)
 
 
-def test_sweep_skips_pairs_with_a_common_endpoint():
-    d = draw_framework(construction_for("nnic", 2), "witness")
+def _sweep(d):
+    """d's segments in (edge, index) order, their endpoint ids, and the
+    pairs ``_candidate_pairs`` yields for them, built from the points."""
     segs = [ab for e in sorted(d.graph.edges) for ab in segments(d, e)]
     ids: dict = {}
     ends = [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
             for a, b in segs]
-    meet = {(s, t) for s, t in combinations(range(len(segs)), 2)
+    boxes = [(min(a[0], b[0]), max(a[0], b[0]), min(a[1], b[1]),
+              max(a[1], b[1]), s, *ends[s]) for s, (a, b) in enumerate(segs)]
+    sums = [sorted((a[0] + a[1], b[0] + b[1])) for a, b in segs]
+    difs = [sorted((a[0] - a[1], b[0] - b[1])) for a, b in segs]
+    pairs = list(_candidate_pairs(boxes, [lo for lo, _ in sums],
+                                  [hi for _, hi in sums],
+                                  [lo for lo, _ in difs],
+                                  [hi for _, hi in difs]))
+    assert len(pairs) == len(set(pairs))
+    return segs, ends, set(pairs)
+
+
+def test_sweep_skips_pairs_with_a_common_endpoint():
+    d = draw_framework(construction_for("nnic", 2), "witness")
+    segs, ends, got = _sweep(d)
+    near = {(s, t) for s, t in combinations(range(len(segs)), 2)
             if not bbox_disjoint(*segs[s], *segs[t])}
+    meet = {(s, t) for s, t in near
+            if not octagon_disjoint(*segs[s], *segs[t])}
     star = {(s, t) for s, t in meet if set(ends[s]) & set(ends[t])}
-    assert star
-    assert sorted(_candidate_pairs([(*a, *b) for a, b in segs], ends)) == \
-        sorted(meet - star)
+    assert star and near - meet
+    assert got == meet - star
+
+
+def _bundle_45():
+    """Five near-parallel 45-degree edges whose boxes all meet while their
+    x - y ranges do not, crossed by one steep edge."""
+    at = {}
+    for i in range(5):
+        at[f"p{i}"] = pt(3 * i, 0)
+        at[f"q{i}"] = pt(3 * i + 40, 41)
+    at["s"], at["t"] = pt(30, -5), pt(31, 50)
+    edges = [edge(f"p{i}", f"q{i}") for i in range(5)] + [edge("s", "t")]
+    return D(list(at), edges, at)
+
+
+def test_sweep_yields_every_pair_that_meets():
+    bundle = _bundle_45()
+    segs, _, got = _sweep(bundle)
+    boxed = {(s, t) for s, t in combinations(range(5), 2)
+             if not bbox_disjoint(*segs[s], *segs[t])
+             and octagon_disjoint(*segs[s], *segs[t])}
+    assert len(boxed) == 10 and not got & boxed
+    assert {(s, 5) for s in range(5)} <= got
+    drawings = [bundle, *(_gadget(name) for name in _GADGETS)]
+    drawings += random_corpus(2024, 60, bend_prob=0.35)
+    rng = random.Random(77)
+    drawings += [_with_gadgets(rng, random_drawing(rng, bend_prob=0.3), 2)
+                 for _ in range(20)]
+    kinds = set()
+    for d in drawings:
+        segs, ends, got = _sweep(d)
+        for s, t in combinations(range(len(segs)), 2):
+            if set(ends[s]) & set(ends[t]):
+                continue
+            kind, _ = solve_segments(*segs[s], *segs[t])
+            if kind != "none":
+                kinds.add(kind)
+                assert (s, t) in got, (kind, segs[s], segs[t])
+    assert kinds == {"proper", "touch", "overlap"}
 
 
 def test_inexact_coordinates_refused():
