@@ -136,8 +136,7 @@ def _k_fan_crossing_free(drawing: Drawing, xs: tuple[Crossing, ...],
         apex_count: dict[str, list[Edge]] = {}
         for f in crossers[e]:
             for z in f:
-                if z not in e:
-                    apex_count.setdefault(z, []).append(f)
+                apex_count.setdefault(z, []).append(f)
         for z in sorted(apex_count):
             fan = apex_count[z]
             if len(fan) > k - 1:
@@ -185,16 +184,6 @@ def _scaled_curves(drawing: Drawing) -> ScaledCurves:
     return scale, polyline
 
 
-def _fan_anchor_candidates(e: Edge, crossers: list[Crossing]) -> list[str]:
-    common: set[str] | None = None
-    for x in crossers:
-        vs = set(x.other(e))
-        common = vs if common is None else common & vs
-    if not common:
-        return []
-    return sorted(common - set(e))
-
-
 def _fan(concept: str, level: int, drawing: Drawing,
          xs: tuple[Crossing, ...], k: int) -> Verdict:
     """A simple drawing in which the edges crossing any one edge e are
@@ -216,7 +205,7 @@ def _fan(concept: str, level: int, drawing: Drawing,
         if level == 0:
             for x1, x2 in combinations(crossings, 2):
                 f1, f2 = x1.other(e), x2.other(e)
-                if f1 != f2 and not set(f1) & set(f2):
+                if not set(f1) & set(f2):
                     return Verdict(
                         False, concept,
                         f"edges {edge_key(f1)} and {edge_key(f2)} cross "
@@ -224,7 +213,10 @@ def _fan(concept: str, level: int, drawing: Drawing,
                         {"edge": edge_key(e),
                          "crossers": [edge_key(f1), edge_key(f2)]})
             continue
-        anchors = _fan_anchor_candidates(e, crossings)
+        # in a simple drawing no crosser touches e, so every vertex that
+        # all crossers share is an anchor candidate
+        anchors = sorted(set.intersection(*(set(x.other(e))
+                                            for x in crossings)))
         if not anchors:
             fans = sorted(edge_key(x.other(e)) for x in crossings)
             return Verdict(False, concept,

@@ -579,12 +579,18 @@ def to_svg(drawing: Drawing,
         pts.extend(drawing.curves[e])
     if not pts:
         return '<svg xmlns="http://www.w3.org/2000/svg"/>'
-    xs = [float(p[0]) for p in pts]
-    ys = [float(p[1]) for p in pts]
-    minx, maxx = min(xs), max(xs)
-    miny, maxy = min(ys), max(ys)
-    spanx = (maxx - minx) or 1.0
-    spany = (maxy - miny) or 1.0
+    try:
+        xs = [float(p[0]) for p in pts]
+        ys = [float(p[1]) for p in pts]
+        minx, maxx = min(xs), max(xs)
+        miny, maxy = min(ys), max(ys)
+        spanx = (maxx - minx) or 1.0
+        spany = (maxy - miny) or 1.0
+        if math.isinf(spanx + spany):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError("coordinates beyond float range: the drawing "
+                         "cannot be rendered") from None
     scale = (width - 40) / max(spanx, spany)
     height = int(spany * scale) + 40
 

@@ -329,8 +329,9 @@ class ConceptInfo(NamedTuple):
     Formulas take the construction parameter ell and the structural k (see
     ``structural_k``); ``threshold`` takes k alone and ``cap_value`` takes
     the vertex count n and k.  The concept's checker lives in
-    ``checkers``; its layout families name emitters in
-    ``standard_layouts``.
+    ``checkers``.  The record names only the witness drawing's layout
+    family in ``standard_layouts``; the upper drawing, like straightness,
+    follows from the recipe.
     """
 
     kind: str
@@ -360,8 +361,7 @@ class ConceptInfo(NamedTuple):
     cap_notes: tuple[str, ...] = ()
     caveat: str | None = None
     sharp: bool = True             # worst-case ratio survives k -> k+1
-    # the upper drawing's layout family; grid_plan feeds the "grid" family
-    upper_layout: str = "ry"
+    # strands per edge of the "grid" witness family
     grid_plan: Callable[[int, int], list[int]] | None = None
 
 def _k_planar_specs(ell: int, k: int) -> dict[str, ConGraphSpec]:
@@ -425,7 +425,7 @@ _ADJACENCY_CROSSING = ConceptInfo(
     share=_whole_family, rect=_rect_l, cap="4*n^2 + n",
     cap_value=_quadratic_cap, cap_notes=(_QUADRATIC_NOTE,),
     caveat="simple-drawings-only", theta_class="Theta(n^2)",
-    witness_layout="pole-fan", upper_layout="k7")
+    witness_layout="pole-fan")
 
 CONCEPTS: dict[str, ConceptInfo] = {
     c.kind: c
@@ -513,7 +513,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             cap="4*n/k + k", cap_value=lambda n, k: Fraction(4 * n, k) + k,
             cap_notes=("sparse term 4*n/k uses m <= 4n",),
             theta_class="Theta(n/k)", sharp=False,
-            witness_layout="gap", upper_layout="pole-fan"),
+            witness_layout="gap"),
         ConceptInfo(
             kind="k-apex", shorthand="k-apex", aliases=("apex",),
             coloring="alternate", requires_k=True, threshold=lambda k: 1,
@@ -525,7 +525,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             share=_whole_family, rect=_rect_lk, cap="8*n^2/(k+1) + n",
             cap_value=lambda n, k: Fraction(8 * n * n, k + 1) + n,
             cap_notes=(_QUADRATIC_NOTE,), theta_class="Theta(n^2/k)",
-            witness_layout="apex", upper_layout="stripe"),
+            witness_layout="apex"),
         ConceptInfo(
             kind="skewness", shorthand="skew-k", aliases=("skew",),
             coloring="alternate", requires_k=True, threshold=lambda k: k + 1,
@@ -538,7 +538,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             rect=lambda ell, k: (ell * k ** 2, f"{ell}*{k}^2"),
             cap="4*n*k/(k+1) + k", cap_value=_sparse_k_cap,
             cap_notes=(_SPARSE_K_NOTE,), theta_class="Theta(n)",
-            witness_layout="skew", upper_layout="stripe"),
+            witness_layout="skew"),
     ]
 }
 

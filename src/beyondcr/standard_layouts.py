@@ -12,7 +12,11 @@ one designated connection is drawn along the vertical axis and the other
 along the horizontal axis, and all crossings between different connections
 happen in a small box around the origin.  Every other connection is drawn
 planar inside a thin corridor around the straight segment between its
-poles; those seven segments are pairwise non-crossing by construction.
+poles, by its con-graph's shape; those seven segments are pairwise
+non-crossing by construction.
+
+A concept record names the witness drawing's layout family.  The upper
+drawing needs no name: the shapes of its designated pair decide it.
 
 All coordinates are exact rationals.  Only the complete-graph gadget used
 by the fan-family concepts needs bends; every other standard drawing is
@@ -26,9 +30,9 @@ from typing import Callable, Literal
 
 from .drawing import Drawing
 from .geometry import IntPoint, Point, orient
-from .graph_core import (ALL_CONNECTIONS, DESIGNATED, ApexBlue, ConceptId,
-                         ConGraph, FrameworkGraph, K7,
-                         _connection_specs, connection_poles, as_concept, edge,
+from .graph_core import (ALL_CONNECTIONS, DESIGNATED, ApexBlue, Bundle,
+                         ConceptId, ConGraph, FrameworkGraph, K7, as_concept,
+                         connection_poles, connection_widths, edge,
                          make_graph, structural_k)
 
 LayoutVariant = Literal["witness", "upper"]
@@ -53,7 +57,7 @@ def crossing_count_formula(concept: "str | ConceptId", ell: int,
                            variant: LayoutVariant = "witness") -> int:
     """Exact number of crossings of the standard drawing."""
     cid = as_concept(concept, k)
-    _connection_specs(cid, ell)  # refuses an ell the construction refuses
+    connection_widths(cid, ell)  # refuses an ell the construction refuses
     if variant == "witness":
         formula = cid.info.witness_crossings
     elif variant == "upper":
@@ -138,6 +142,53 @@ def _corridor_k7(cg: ConGraph, A: IntPoint, B: IntPoint,
     _place_k7(cg, cg.s, cg.t, mapfn, positions, curves)
 
 
+def _by_anchor(cg: ConGraph) -> list[tuple[str, list[tuple[str, ...]]]]:
+    """The anchors a_i of an apex or skew con-graph in name order (a10
+    before a2), each with the pole paths through it."""
+    paths: dict[str, list] = {}
+    for path in cg.paths:
+        paths.setdefault(path[2], []).append(path)
+    return sorted(paths.items())
+
+
+# K5 blob offsets of q0..q3 in fifths: (4, 0), (2, 4), (9/5, 1), (11/5, 2)
+_K5_BLOB = ((20, 0), (10, 20), (9, 5), (11, 10))
+
+
+def _corridor_stripes(cg: ConGraph, A: IntPoint, B: IntPoint,
+                      positions: dict, ell: int, kk: int) -> None:
+    """Apex or skew con-graph between integer poles A and B, one parallel
+    stripe per anchor, with exactly one internal crossing per anchor (K5
+    blob or w-triangle)."""
+    # Every position is A + d·alpha + rot90(d)·mu with d = B - A and alpha,
+    # mu multiples of 1/den.
+    cap = 10000 * (ell + 2)           # stripe spacing 1/(40(kk+1)), over den
+    den = 40 * (kk + 1) * cap
+    d = (B[0] - A[0], B[1] - A[1])
+
+    def pos(alpha: int, mu: int) -> Point:
+        return _affine(A, d, alpha, mu, den)
+
+    for i, (a, paths) in enumerate(_by_anchor(cg)):
+        mu_i = (i + 1) * cap
+        positions[a] = pos(den // 2, mu_i)
+        if isinstance(cg.spec, ApexBlue):
+            delta = cap // (4 * (ell + 2))
+            for jj, path in enumerate(paths):
+                mu = mu_i + (jj + 1) * delta
+                positions[path[1]] = pos(7 * den // 16, mu)
+                positions[path[3]] = pos(9 * den // 16, mu)
+            for r, (bx, by) in enumerate(_K5_BLOB):
+                # alpha 1/2 + bx/5000, mu mu_i - by/(100·40(kk+1))
+                positions[f"{a}/q{r}"] = pos(den // 2 + bx * den // 5000,
+                                             mu_i - by * cap // 100)
+        else:  # SkewBlue: w-triangle with one crossing a-w1 x w2-w3
+            delta = cap // 100
+            positions[f"{a}/w1"] = pos(28 * den // 64, mu_i + delta)
+            positions[f"{a}/w2"] = pos(28 * den // 64, mu_i + 2 * delta)
+            positions[f"{a}/w3"] = pos(29 * den // 64, mu_i + delta // 2)
+
+
 # ---------------------------------------------------------------------------
 # Designated-pair emitters: witness drawings
 # ---------------------------------------------------------------------------
@@ -214,21 +265,13 @@ def _apex_stripe_x(i: int, kk: int) -> Fraction:
     return Fraction(600 * (i + 1), kk + 1) - 300
 
 
-# K5 blob offsets of q0..q3 in fifths: (4, 0), (2, 4), (9/5, 1), (11/5, 2)
-_K5_BLOB = ((20, 0), (10, 20), (9, 5), (11, 10))
-
-
 def _apex_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
                   ell: int, kk: int) -> None:
     gamma = Fraction(600, (kk + 1) * 4 * (ell + 2))
-    by_anchor: dict[str, list] = {}
-    for path in vcg.paths:
-        by_anchor.setdefault(path[2], []).append(path)
-    anchors = sorted(by_anchor)  # a0, a1, ... in name order
-    for i, a in enumerate(anchors):
+    for i, (a, paths) in enumerate(_by_anchor(vcg)):
         lam = _apex_stripe_x(i, kk)
         positions[a] = (lam, Fraction(0))
-        for jj, path in enumerate(by_anchor[a]):
+        for jj, path in enumerate(paths):
             x = lam + (jj + 1) * gamma
             positions[path[1]] = (x, Fraction(150))   # upper internal
             positions[path[3]] = (x, Fraction(-150))  # lower internal
@@ -243,8 +286,7 @@ def _apex_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
 def _skew_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
                   D: int, kk: int) -> None:
     w_local = {"w1": (16, 9), "w2": (16, -7), "w3": (-9, 1)}
-    anchors = sorted({p[2] for p in vcg.paths})
-    for i, a in enumerate(anchors):
+    for i, (a, _) in enumerate(_by_anchor(vcg)):
         lam = _apex_stripe_x(i, kk)
         positions[a] = (lam, Fraction(0))
         # w = a + (d·2ux + rot90(d)·2uy)/D with d = t - a = (-lam, -D);
@@ -286,71 +328,20 @@ def _fan_upper(vcg: ConGraph, positions: dict, curves: dict, D: int) -> None:
     _place_k7(vcg, vcg.t, vcg.s, mapfn, positions, curves)
 
 
-def _stripe_upper(vcg: ConGraph, positions: dict, D: int, ell: int,
-                  kk: int) -> None:
-    """Blue con-graph between the upper poles, one parallel stripe per unit,
-    with exactly one internal crossing per unit (K5 blob or w-triangle)."""
-    # Corridor from the pole at P1 along d = (D, -D); every position is
-    # (0, D) + d·alpha + rot90(d)·mu with alpha, mu multiples of 1/den.
-    cap = 10000 * (ell + 2)           # stripe spacing 1/(40(kk+1)), over den
-    den = 40 * (kk + 1) * cap
-
-    def pos(alpha: int, mu: int) -> Point:
-        return _affine((0, D), (D, -D), alpha, mu, den)
-
-    by_anchor: dict[str, list] = {}
-    for path in vcg.paths:
-        by_anchor.setdefault(path[2], []).append(path)
-    anchors = sorted(by_anchor)
-    for i, a in enumerate(anchors):
-        mu_i = (i + 1) * cap
-        positions[a] = pos(den // 2, mu_i)
-        if isinstance(vcg.spec, ApexBlue):
-            delta = cap // (4 * (ell + 2))
-            for jj, path in enumerate(by_anchor[a]):
-                mu = mu_i + (jj + 1) * delta
-                positions[path[1]] = pos(7 * den // 16, mu)
-                positions[path[3]] = pos(9 * den // 16, mu)
-            for r, (bx, by) in enumerate(_K5_BLOB):
-                # alpha 1/2 + bx/5000, mu mu_i - by/(100·40(kk+1))
-                positions[f"{a}/q{r}"] = pos(den // 2 + bx * den // 5000,
-                                             mu_i - by * cap // 100)
-        else:  # SkewBlue: w-triangle with one crossing a-w1 x w2-w3
-            delta = cap // 100
-            positions[f"{a}/w1"] = pos(28 * den // 64, mu_i + delta)
-            positions[f"{a}/w2"] = pos(28 * den // 64, mu_i + 2 * delta)
-            positions[f"{a}/w3"] = pos(29 * den // 64, mu_i + delta // 2)
-
-
 # ---------------------------------------------------------------------------
 # Assembly
 # ---------------------------------------------------------------------------
 
-def _pole_distance(fg: FrameworkGraph) -> int:
-    return 5000 * (fg.ell + fg.k + 2)
-
-
-# The blue connection of the alternate coloring.  The stripe family draws
-# it although the upper drawing does not designate it: plain corridors
-# cannot place its K5 blobs / w-triangles.
-_STRIPE_CID = "v1-w1"
-
-
-# Layout families named by the concept records: each places the internal
-# vertices (and bends) of the designated pair, called as
-# (fg, vertical con-graph, horizontal con-graph, positions, curves, D).
+# Witness layout families named by the concept records: each places the
+# internal vertices of the designated pair, called as
+# (fg, vertical con-graph, horizontal con-graph, positions, D).
 _LAYOUTS = {
-    "grid": lambda fg, v, h, pos, cur, D: _grid_witness(
+    "grid": lambda fg, v, h, pos, D: _grid_witness(
         v, h, fg.concept.info.grid_plan(fg.ell, fg.k), pos),
-    "pole-fan": lambda fg, v, h, pos, cur, D: _pole_fan(v, h, pos),
-    "gap": lambda fg, v, h, pos, cur, D: _gap_witness(v, h, pos, D, fg.k),
-    "apex": lambda fg, v, h, pos, cur, D: _apex_witness(
-        v, h, pos, fg.ell, fg.k),
-    "skew": lambda fg, v, h, pos, cur, D: _skew_witness(v, h, pos, D, fg.k),
-    "ry": lambda fg, v, h, pos, cur, D: _ry_upper(v, pos),
-    "k7": lambda fg, v, h, pos, cur, D: _fan_upper(v, pos, cur, D),
-    "stripe": lambda fg, v, h, pos, cur, D: _stripe_upper(
-        fg.congraphs[_STRIPE_CID], pos, D, fg.ell, fg.k),
+    "pole-fan": lambda fg, v, h, pos, D: _pole_fan(v, h, pos),
+    "gap": lambda fg, v, h, pos, D: _gap_witness(v, h, pos, D, fg.k),
+    "apex": lambda fg, v, h, pos, D: _apex_witness(v, h, pos, fg.ell, fg.k),
+    "skew": lambda fg, v, h, pos, D: _skew_witness(v, h, pos, D, fg.k),
 }
 
 
@@ -358,7 +349,7 @@ def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
     """Standard drawing of a framework graph (witness or upper)."""
     if variant not in ("witness", "upper"):
         raise ValueError(f"unknown drawing variant {variant!r}")
-    D = _pole_distance(fg)
+    D = 5000 * (fg.ell + fg.k + 2)  # pole distance
     vcid, hcid = DESIGNATED[variant]
     vv, vw = connection_poles(vcid)
     hv, hw = connection_poles(hcid)
@@ -368,21 +359,28 @@ def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
         v: (Fraction(x), Fraction(y)) for v, (x, y) in poles.items()}
     curves: dict = {}
 
-    info = fg.concept.info
-    layout = info.witness_layout if variant == "witness" else info.upper_layout
-    own = {vcid, hcid, _STRIPE_CID} if layout == "stripe" else {vcid, hcid}
     for cid in ALL_CONNECTIONS:
-        if cid in own:
+        if cid in (vcid, hcid):
             continue
         cg = fg.congraphs[cid]
         A, B = poles[cg.s], poles[cg.t]
         if isinstance(cg.spec, K7):
             _corridor_k7(cg, A, B, positions, curves)
-        else:
+        elif isinstance(cg.spec, Bundle):
             _corridor_bundle(cg, A, B, positions)
+        else:
+            _corridor_stripes(cg, A, B, positions, fg.ell, fg.k)
 
-    _LAYOUTS[layout](fg, fg.congraphs[vcid], fg.congraphs[hcid], positions,
-                     curves, D)
+    vcg, hcg = fg.congraphs[vcid], fg.congraphs[hcid]
+    if variant == "witness":
+        _LAYOUTS[fg.concept.info.witness_layout](fg, vcg, hcg, positions, D)
+    elif isinstance(vcg.spec, K7):
+        _fan_upper(vcg, positions, curves, D)
+    elif hcg.internals:
+        _pole_fan(vcg, hcg, positions)
+    elif vcg.internals:
+        _ry_upper(vcg, positions)
+    # else both are single edges, which already cross at the origin
     meta = {"concept": fg.concept.kind, "ell": fg.ell, "k": fg.concept.k,
             "variant": variant}
     return Drawing(fg.graph, positions, curves, meta=meta)

@@ -164,6 +164,18 @@ def test_every_definition_in_src_has_a_use_there_or_is_exported():
             and not (name.startswith("__") and name.endswith("__"))] == []
 
 
+def test_no_src_module_imports_a_private_name_from_a_sibling():
+    # an underscore name belongs to its module; a sibling goes through a
+    # public entry point instead
+    private = [(path.name, alias.name)
+               for path in sorted(Path(beyondcr.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.ImportFrom) and (
+                   node.level > 0 or node.module.startswith("beyondcr"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []
+
+
 # ---------------------------------------------------------------------------
 # gen
 # ---------------------------------------------------------------------------
@@ -329,6 +341,19 @@ def test_svg_command(tmp_path, capsys):
     # deterministic
     assert run(["svg", "--in", str(f)]) == 0
     assert out_of(capsys).strip() == svg.strip()
+
+
+@pytest.mark.parametrize("a,b", [
+    (["0", "0"], ["1" + "0" * 400, "0"]),         # no float holds it
+    ([-17 * 10 ** 307, 0], [17 * 10 ** 307, 0]),  # their span overflows
+], ids=["coordinate", "span"])
+def test_svg_refuses_coordinates_beyond_float_range(tmp_path, capsys, a, b):
+    f = tmp_path / "d.json"
+    f.write_text(drawing_to_json(Drawing(make_graph("ab", [("a", "b")]),
+                                         {"a": pt(*a), "b": pt(*b)}, {})))
+    assert run(["svg", "--in", str(f)]) == 2
+    assert capsys.readouterr() == ("", "error: coordinates beyond float "
+                                       "range: the drawing cannot be rendered\n")
 
 
 def test_fixtures_regenerate_byte_identically(tmp_path, capsys):

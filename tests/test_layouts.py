@@ -166,3 +166,22 @@ def test_standard_drawings_match_golden(kind, ell, k):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     for key, digest in drawing_hashes(kind, ell, k).items():
         assert golden[key] == digest, key
+
+
+# sha256 of the drawing's JSON past ten anchors, where name order (a10
+# before a2) and numeric order differ, recorded at commit 99474c5.
+PAST_TEN_ANCHORS = {
+    "k-apex/2/12/witness":
+        "4f69db5f677e92cf02f283b3cd4a5998622587817fe67ae1f7a5bb963ef0bc27",
+    "k-apex/2/12/upper":
+        "a5db70517e5e3b80e63df04da4086281f53ed309930cf900ea0e560f5cb81c30",
+    "skewness/2/12/witness":
+        "6b4be7f8f6bc6cc9a99910590016f80fe7d2d6c7fe092e3ed9038f14f5dae644",
+    "skewness/2/12/upper":
+        "73f25bed49eef008b56500c612d19d12c90b11bd0342a3096d46d01cfe560a50",
+}
+
+
+def test_drawings_past_ten_anchors_match_pins():
+    assert {**drawing_hashes("k-apex", 2, 12),
+            **drawing_hashes("skewness", 2, 12)} == PAST_TEN_ANCHORS
