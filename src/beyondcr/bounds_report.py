@@ -18,6 +18,7 @@ from .graph_core import (
     K7,
     ConceptId,
     as_concept,
+    connection_specs,
     framework_size,
     structural_k,
 )
@@ -141,14 +142,14 @@ def ratio_report(concept: "str | ConceptId", ell: int,
         sharpness=cid.info.sharp,
         # only K7 gadgets need bent edges in the standard drawings
         rectilinear=not any(isinstance(spec, K7) for spec
-                            in cid.info.recipe(ell, kk).values()),
+                            in connection_specs(cid, ell).values()),
     )
 
 
 def growth_exponent(points: Sequence[tuple[int, Fraction]]) -> float:
     """Least-squares slope of log(ratio) against log(n)."""
-    if len(points) < 2:
-        raise ValueError("need at least two grid points")
+    if len({n for n, _ in points}) < 2:
+        raise ValueError("need grid points at two different n")
     if any(r <= 0 for _, r in points):
         raise ValueError("ratios must be positive for a log-log slope")
     xs = [math.log(n) for n, _ in points]

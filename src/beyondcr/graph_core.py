@@ -330,8 +330,8 @@ class ConceptInfo(NamedTuple):
     ``structural_k``); ``threshold`` takes k alone and ``cap_value`` takes
     the vertex count n and k.  The concept's checker lives in
     ``checkers``.  The record names only the witness drawing's layout
-    family in ``standard_layouts``; the upper drawing, like straightness,
-    follows from the recipe.
+    family in ``standard_layouts``; the upper drawing, straightness and
+    the crossing counts of both standard drawings follow from the recipe.
     """
 
     kind: str
@@ -339,9 +339,6 @@ class ConceptInfo(NamedTuple):
     threshold: Callable[[int], int]  # least ell with the quality guarantee
     # frame color -> con-graph spec
     recipe: Callable[[int, int], dict[str, ConGraphSpec]]
-    # exact crossing counts of the two standard drawings
-    witness_crossings: Callable[[int, int], int]
-    upper_crossings: Callable[[int, int], int]
     # counting lower bound share * rect: the share of the subdivision
     # family that counted crossings must cover, and the number of
     # rectangles one crossing covers at most, each with its trace text
@@ -370,10 +367,6 @@ def _k_planar_specs(ell: int, k: int) -> dict[str, ConGraphSpec]:
                          "(blue bundles have length ell)")
     return {"red": Bundle(k + 1, 2), "blue": Bundle(ell * k, ell),
             "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)}
-
-
-def _lk_squared(ell: int, k: int) -> int:
-    return (ell * k) ** 2
 
 
 def _rect_lk(ell: int, k: int) -> tuple[int, str]:
@@ -407,7 +400,6 @@ _NNIC = ConceptInfo(
     kind="nnic", shorthand="NNIC", implied_k=2, threshold=lambda k: 109,
     recipe=lambda ell, k: {"red": Bundle(2 * k, 2), "blue": Bundle(ell * k, 3),
                            "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
-    witness_crossings=_lk_squared, upper_crossings=lambda ell, k: 2 * k,
     share=lambda ell, k: (1 - Fraction(108 * (k - 1), ell * k),
                           f"1 - 108*({k}-1)/({ell}*{k})"),
     rect=_rect_lk, cap="4*n^2 + n", cap_value=_quadratic_cap,
@@ -420,8 +412,6 @@ _ADJACENCY_CROSSING = ConceptInfo(
     kind="adjacency-crossing", shorthand="ac", threshold=lambda k: 1,
     recipe=lambda ell, k: {"red": K7(), "blue": Bundle(ell, 2),
                            "gray": K7(), "yellow": Bundle(1, 1)},
-    witness_crossings=lambda ell, k: ell * ell + 54,
-    upper_crossings=lambda ell, k: 60,
     share=_whole_family, rect=_rect_l, cap="4*n^2 + n",
     cap_value=_quadratic_cap, cap_notes=(_QUADRATIC_NOTE,),
     caveat="simple-drawings-only", theta_class="Theta(n^2)",
@@ -433,7 +423,6 @@ CONCEPTS: dict[str, ConceptInfo] = {
         ConceptInfo(
             kind="k-planar", shorthand="k-pl", aliases=("kpl",),
             requires_k=True, threshold=lambda k: 41, recipe=_k_planar_specs,
-            witness_crossings=_lk_squared, upper_crossings=lambda ell, k: k + 1,
             share=lambda ell, k: (1 - Fraction(40, ell), f"1 - 40/{ell}"),
             rect=_rect_lk, cap="4*n*k/(k+1) + k", cap_value=_sparse_k_cap,
             cap_notes=(_SPARSE_K_NOTE,), theta_class="Theta(n)",
@@ -444,7 +433,6 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {
                 "red": Bundle(k + 1, 2), "blue": Bundle(ell * k, 2 * ell + 1),
                 "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
-            witness_crossings=_lk_squared, upper_crossings=lambda ell, k: k + 1,
             share=lambda ell, k: (1 - Fraction(10, ell), f"1 - 10/{ell}"),
             rect=_rect_lk, cap="n*k/(k+1) + k",
             cap_value=lambda n, k: Fraction(n * k, k + 1) + k,
@@ -455,8 +443,6 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {
                 "red": Bundle(1, 2, True), "blue": Bundle(ell, 2 * ell + 1),
                 "gray": Bundle(1, 2, True), "yellow": Bundle(1, 1)},
-            witness_crossings=lambda ell, k: ell * ell,
-            upper_crossings=lambda ell, k: 2,
             share=_whole_family, rect=_rect_l, cap="n/8",
             cap_value=lambda n, k: Fraction(n, 8),
             cap_notes=("n/4 crossings cap against a floor of 2 crossings",),
@@ -467,8 +453,6 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {
                 "red": Bundle(1, 2, True), "blue": Bundle(ell, ell + 2),
                 "gray": Bundle(ell, 2), "yellow": Bundle(1, 1)},
-            witness_crossings=lambda ell, k: ell * ell,
-            upper_crossings=lambda ell, k: 2,
             share=lambda ell, k: (1 - Fraction(1, 2) - Fraction(3, 2 * ell),
                                   f"1 - 1/2 - 3/(2*{ell})"),
             rect=_rect_l, cap="9*n/10",
@@ -478,7 +462,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
         _NNIC,
         _NNIC._replace(kind="k-fan-crossing-free", shorthand="k-fcf",
                        aliases=("kfcf",), requires_k=True, k_min=2,
-                       implied_k=1, cap="8*n^2/k + n",
+                       cap="8*n^2/k + n",
                        cap_value=lambda n, k: Fraction(8 * n * n, k) + n,
                        theta_class="Theta(n^2/k)"),
         _ADJACENCY_CROSSING,
@@ -493,8 +477,6 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {
                 "red": Bundle(k, 2), "blue": Bundle(k // 2, 2),
                 "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
-            witness_crossings=lambda ell, k: (k // 2) ** 2,
-            upper_crossings=lambda ell, k: k,
             share=lambda ell, k: (Fraction(1, 2), "1/2"),
             rect=lambda ell, k: ((k // 2) ** 2, f"floor({k}/2)^2"),
             cap="2*k", cap_value=lambda n, k: Fraction(2 * k),
@@ -506,8 +488,6 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {"red": Bundle(5 * k, 2),
                                    "blue": Bundle(5 * k, 2),
                                    "gray": Bundle(ell * k, 5)},
-            witness_crossings=lambda ell, k: 5 * ell * k * k,
-            upper_crossings=lambda ell, k: 25 * k * k,
             share=lambda ell, k: (Fraction(1, 5), "1/5"),
             rect=lambda ell, k: (5 * ell * k ** 2, f"5*{ell}*{k}^2"),
             cap="4*n/k + k", cap_value=lambda n, k: Fraction(4 * n, k) + k,
@@ -520,8 +500,6 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {"red": Bundle(1, 1),
                                    "blue": ApexBlue(ell, k),
                                    "gray": Bundle(ell * k, 2)},
-            witness_crossings=lambda ell, k: (ell * k) ** 2 + k,
-            upper_crossings=lambda ell, k: k + 1,
             share=_whole_family, rect=_rect_lk, cap="8*n^2/(k+1) + n",
             cap_value=lambda n, k: Fraction(8 * n * n, k + 1) + n,
             cap_notes=(_QUADRATIC_NOTE,), theta_class="Theta(n^2/k)",
@@ -532,8 +510,6 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {"red": Bundle(1, 1),
                                    "blue": SkewBlue(k),
                                    "gray": Bundle(ell * k, 2)},
-            witness_crossings=lambda ell, k: ell * k * k + k,
-            upper_crossings=lambda ell, k: k + 1,
             share=_whole_family,
             rect=lambda ell, k: (ell * k ** 2, f"{ell}*{k}^2"),
             cap="4*n*k/(k+1) + k", cap_value=_sparse_k_cap,
@@ -629,17 +605,22 @@ def construction_for(concept: "str | ConceptId", ell: int,
     congraphs: dict[str, ConGraph] = {}
     vertices: set[str] = set(FRAME_NODES)
     edges: set[Edge] = set()
-    for c, spec in _connection_specs(cid, ell).items():
+    for c, spec in connection_specs(cid, ell).items():
         cg = congraphs[c] = instantiate_congraph(spec, c)
         vertices.update(cg.internals)
         edges.update(cg.edges)
     return FrameworkGraph(cid, ell, congraphs, make_graph(vertices, edges))
 
 
-def _connection_specs(cid: ConceptId, ell: int) -> dict[str, ConGraphSpec]:
+def connection_specs(concept: "str | ConceptId", ell: int,
+                     k: int | None = None) -> dict[str, ConGraphSpec]:
     """The con-graph spec of every connection, in ALL_CONNECTIONS order.
-    Both the graph construction and the closed-form sizes start here, so
-    this is the one place that refuses ell < 1."""
+
+    The graph construction, the closed-form sizes and the crossing counts
+    of the standard drawings all start here, so this is the one place that
+    refuses ell < 1.
+    """
+    cid = as_concept(concept, k)
     if ell < 1:
         raise ValueError("ell must be >= 1")
     recipe = cid.info.recipe(ell, structural_k(cid))
@@ -654,14 +635,14 @@ def connection_widths(concept: "str | ConceptId", ell: int,
     Matches ``construction_for(...).widths()`` but stays cheap at large ell,
     which the counting bounds and ratio tables need.
     """
-    specs = _connection_specs(as_concept(concept, k), ell)
+    specs = connection_specs(concept, ell, k)
     return {c: spec.width for c, spec in specs.items()}
 
 
 def framework_size(concept: "str | ConceptId", ell: int,
                    k: int | None = None) -> tuple[int, int]:
     """(n, m) of the framework graph, without building it."""
-    specs = _connection_specs(as_concept(concept, k), ell).values()
+    specs = connection_specs(concept, ell, k).values()
     n = len(FRAME_NODES) + sum(s.internal_count for s in specs)
     m = sum(s.edge_count for s in specs)
     return n, m

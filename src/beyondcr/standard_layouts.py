@@ -15,8 +15,9 @@ planar inside a thin corridor around the straight segment between its
 poles, by its con-graph's shape; those seven segments are pairwise
 non-crossing by construction.
 
-A concept record names the witness drawing's layout family.  The upper
-drawing needs no name: the shapes of its designated pair decide it.
+A concept record names the witness drawing's layout family.  The
+con-graph shapes decide the rest: the upper drawing's emitter (by the
+designated pair) and both drawings' crossing counts.
 
 All coordinates are exact rationals.  Only the complete-graph gadget used
 by the fan-family concepts needs bends; every other standard drawing is
@@ -31,9 +32,9 @@ from typing import Callable, Literal
 from .drawing import Drawing
 from .geometry import IntPoint, Point, orient
 from .graph_core import (ALL_CONNECTIONS, DESIGNATED, ApexBlue, Bundle,
-                         ConceptId, ConGraph, FrameworkGraph, K7, as_concept,
-                         connection_poles, connection_widths, edge,
-                         make_graph, structural_k)
+                         ConceptId, ConGraph, ConGraphSpec, FrameworkGraph,
+                         K7, SkewBlue, connection_poles, connection_specs,
+                         edge, make_graph)
 
 LayoutVariant = Literal["witness", "upper"]
 
@@ -55,16 +56,29 @@ def _affine(A: IntPoint, d: IntPoint, a: int, m: int, den: int) -> Point:
 def crossing_count_formula(concept: "str | ConceptId", ell: int,
                            k: int | None = None,
                            variant: LayoutVariant = "witness") -> int:
-    """Exact number of crossings of the standard drawing."""
-    cid = as_concept(concept, k)
-    connection_widths(cid, ell)  # refuses an ell the construction refuses
-    if variant == "witness":
-        formula = cid.info.witness_crossings
-    elif variant == "upper":
-        formula = cid.info.upper_crossings
-    else:
+    """Exact number of crossings of the standard drawing: each strand of
+    one designated con-graph crosses each of the other's once, each
+    con-graph adds its own crossings, and no other connections cross."""
+    specs = connection_specs(concept, ell, k)
+    if variant not in ("witness", "upper"):
         raise ValueError(f"unknown drawing variant {variant!r}")
-    return formula(ell, structural_k(cid))
+    v, h = (specs[cid] for cid in DESIGNATED[variant])
+    return _strands(v) * _strands(h) + sum(map(_own_crossings,
+                                               specs.values()))
+
+
+def _strands(spec: ConGraphSpec) -> int:
+    """Strands of a designated con-graph through the central box: its pole
+    paths, plus a bundle's direct pole edge."""
+    return spec.width + (isinstance(spec, Bundle) and spec.direct)
+
+
+def _own_crossings(spec: ConGraphSpec) -> int:
+    """Crossings inside one con-graph's drawing: the 9 of the K7 gadget,
+    and one per anchor (K5 blob or w-triangle) of the stripes."""
+    if isinstance(spec, K7):
+        return 9
+    return spec.k if isinstance(spec, (ApexBlue, SkewBlue)) else 0
 
 
 # ---------------------------------------------------------------------------

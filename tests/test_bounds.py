@@ -114,6 +114,12 @@ def test_growth_exponent_recovers_power_law():
 def test_growth_exponent_needs_two_points():
     with pytest.raises(ValueError):
         growth_exponent([(10, Fraction(1))])
+    # points at one n give no slope, however many there are; at n = 6 the
+    # float variance of three equal logs is not even exactly zero
+    with pytest.raises(ValueError, match="different n"):
+        growth_exponent([(5, Fraction(1)), (5, Fraction(2))])
+    with pytest.raises(ValueError, match="different n"):
+        growth_exponent([(6, Fraction(r)) for r in (1, 2, 3)])
 
 
 def test_growth_exponent_beyond_the_float_range():

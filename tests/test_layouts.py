@@ -9,6 +9,7 @@ by any tool: a change to any coordinate of a standard drawing fails here.
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,9 @@ from beyondcr import (
     is_straight_line,
 )
 from beyondcr.drawing import drawing_to_json
+from beyondcr.graph_core import (CONCEPTS, DESIGNATED, connection_specs,
+                                 parse_concept, structural_k)
+from beyondcr.standard_layouts import _own_crossings, _strands
 from conftest import FAN_KINDS, GRID, THRESHOLD_POINTS, standard_drawing
 
 GOLDEN = Path(__file__).with_name("drawings_golden.json")
@@ -79,6 +83,57 @@ def test_upper_formulas_frozen():
     assert crossing_count_formula("k-gap-planar", 5, 1, "upper") == 25        # 25k^2
     assert crossing_count_formula("k-apex", 2, 2, "upper") == 3
     assert crossing_count_formula("skewness", 3, 2, "upper") == 3
+
+
+@pytest.mark.parametrize("kind,ell,k", GRID)
+@pytest.mark.parametrize("variant", ["witness", "upper"])
+def test_crossings_split_by_connection(kind, ell, k, variant):
+    # every strand of the vertical designated con-graph crosses every strand
+    # of the horizontal one once, each con-graph crosses itself only by its
+    # shape's own crossings, and no other pair of connections crosses
+    fg = construction_for(kind, ell, k)
+    split = Counter(
+        tuple(sorted({fg.edge_paths[x.a][0], fg.edge_paths[x.b][0]}))
+        for x in compute_crossings(draw_framework(fg, variant)))
+    specs = connection_specs(kind, ell, k)
+    v, h = DESIGNATED[variant]
+    want = {(cid,): _own_crossings(spec) for cid, spec in specs.items()}
+    want[tuple(sorted((v, h)))] = _strands(specs[v]) * _strands(specs[h])
+    assert split == {pair: n for pair, n in want.items() if n}
+
+
+# The paper's closed forms of the two standard drawings' crossing counts,
+# (witness, upper) per concept, in the construction parameter ell and the
+# structural k: references for the counts read off the con-graph shapes.
+_K_PLANAR = (lambda ell, k: (ell * k) ** 2, lambda ell, k: k + 1)
+_IC = (lambda ell, k: ell * ell, lambda ell, k: 2)
+_NNIC = (lambda ell, k: (ell * k) ** 2, lambda ell, k: 2 * k)
+PAPER_CROSSINGS = {
+    "k-planar": _K_PLANAR, "k-vertex-planar": _K_PLANAR,
+    "ic": _IC, "nic": _IC,
+    "nnic": _NNIC, "k-fan-crossing-free": _NNIC,
+    **dict.fromkeys(FAN_KINDS, (lambda ell, k: ell * ell + 54,
+                                lambda ell, k: 60)),
+    "k-edge-crossing": (lambda ell, k: (k // 2) ** 2, lambda ell, k: k),
+    "k-gap-planar": (lambda ell, k: 5 * ell * k * k,
+                     lambda ell, k: 25 * k * k),
+    "k-apex": (lambda ell, k: (ell * k) ** 2 + k, lambda ell, k: k + 1),
+    "skewness": (lambda ell, k: ell * k * k + k, lambda ell, k: k + 1),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CONCEPTS))
+@pytest.mark.parametrize("variant", ["witness", "upper"])
+def test_crossing_counts_match_the_papers_closed_forms(kind, variant):
+    formula = PAPER_CROSSINGS[kind][variant == "upper"]
+    info = CONCEPTS[kind]
+    ks = range(info.k_min, info.k_min + 4) if info.requires_k else [None]
+    low = 2 if kind == "k-planar" else 1  # k-planar's blue bundles: length ell
+    for k in ks:
+        kk = structural_k(parse_concept(kind, k))
+        for ell in range(low, low + 31):
+            assert crossing_count_formula(kind, ell, k, variant) \
+                == formula(ell, kk), (kind, ell, k, variant)
 
 
 def test_unknown_variant_rejected():
