@@ -19,6 +19,7 @@ from .graph_core import (
     ConceptId,
     as_concept,
     connection_specs,
+    evaluate,
     framework_size,
     structural_k,
 )
@@ -62,7 +63,7 @@ def ratio_upper(concept: "str | ConceptId", n: int,
     info = cid.info
     if n <= 0:
         raise ValueError("need n > 0")
-    value = info.cap_value(n, kk)
+    value, _text = evaluate(info.cap, n=n, k=kk)
     trace = [f"expression: {info.cap} (constants implementation-derived "
              f"for the class {info.theta_class})", *info.cap_notes]
     if m is not None:
@@ -188,6 +189,8 @@ def table1_report(k: int = 2,
     drawings are emitted, so the grid can sit far above the thresholds.
     A concept needing a larger k than ``k`` gets a NotApplicable row.
     """
+    if points < 2:
+        raise ValueError("points must be >= 2")
     reports = []
     for kind, info in CONCEPTS.items():
         if info.requires_k and k < info.k_min:

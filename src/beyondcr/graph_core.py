@@ -10,7 +10,10 @@ Kuratowski-subdivision accounting.
 from __future__ import annotations
 
 import json
-from functools import cached_property
+import math
+import operator
+import re
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -326,12 +329,16 @@ class ConceptId(NamedTuple):
 class ConceptInfo(NamedTuple):
     """Everything that is data or a formula about one concept.
 
-    Formulas take the construction parameter ell and the structural k (see
-    ``structural_k``); ``threshold`` takes k alone and ``cap_value`` takes
-    the vertex count n and k.  The concept's checker lives in
-    ``checkers``.  The record names only the witness drawing's layout
-    family in ``standard_layouts``; the upper drawing, straightness and
-    the crossing counts of both standard drawings follow from the recipe.
+    ``share``, ``rect`` and ``cap`` are formula texts, each stated once:
+    ``evaluate`` gives both its exact value and, with every name replaced by
+    its value, the text the traces print.  ``share`` and ``rect`` read the
+    construction parameter ell and the structural k (see ``structural_k``),
+    ``cap`` the vertex count n and k.  ``threshold`` takes k alone, and
+    ``recipe`` and ``grid_plan`` take ell and k.  The concept's checker
+    lives in ``checkers``.  The record names only the witness drawing's
+    layout family in ``standard_layouts``; the upper drawing, straightness
+    and the crossing counts of both standard drawings follow from the
+    recipe.
     """
 
     kind: str
@@ -341,12 +348,11 @@ class ConceptInfo(NamedTuple):
     recipe: Callable[[int, int], dict[str, ConGraphSpec]]
     # counting lower bound share * rect: the share of the subdivision
     # family that counted crossings must cover, and the number of
-    # rectangles one crossing covers at most, each with its trace text
-    share: Callable[[int, int], tuple[Fraction, str]]
-    rect: Callable[[int, int], tuple[int, str]]
+    # rectangles one crossing covers at most
+    share: str
+    rect: str
     # closed-form cap on the crossing ratio and its growth class in n
     cap: str
-    cap_value: Callable[[int, int], Fraction]
     theta_class: str
     # standard-drawing layout family of the witness drawing
     witness_layout: str
@@ -361,6 +367,121 @@ class ConceptInfo(NamedTuple):
     # strands per edge of the "grid" witness family
     grid_plan: Callable[[int, int], list[int]] | None = None
 
+
+def evaluate(text: str, **values: int) -> tuple[Fraction, str]:
+    """The exact value of a formula text, and the text with each name
+    replaced by its value.
+
+    The grammar: integer literals, the names given as ``values``,
+    ``+ - * /``, unary minus, ``^`` as power (right-associative, and
+    binding tighter than a unary minus on its left), parentheses and
+    ``floor(...)``.  ``/`` divides exactly, so no float ever arises.
+    Anything else raises ValueError.  ``evaluate("(ell*k)^2", ell=41, k=1)``
+    is ``(Fraction(1681), "(41*1)^2")``.
+    """
+    run, template = _compile(text)
+    try:
+        value = run(values)
+    except KeyError as name:
+        raise ValueError(f"unknown name {name} in formula {text!r}") from None
+    return (value if type(value) is Fraction else Fraction(value),
+            template.format_map(values))
+
+
+def _power(base, exponent):
+    if exponent != int(exponent):
+        raise ValueError(f"exponent {exponent} is not an integer")
+    # an int to a negative int power would be a float
+    exponent = int(exponent)
+    return base ** exponent if exponent >= 0 else Fraction(base) ** exponent
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": Fraction, "^": _power}
+
+
+@lru_cache  # 128 texts, several times what the records hold
+def _compile(text: str):
+    """Parse a formula text once, by recursive descent: its evaluator on a
+    name -> value dict and its trace template.
+
+        sum     := product (("+" | "-") product)*
+        product := unary (("*" | "/") unary)*
+        unary   := "-" unary | atom ["^" unary]
+        atom    := integer | name | "floor" "(" sum ")" | "(" sum ")"
+    """
+    # (integer, name, other) per token, read back to front by pop()
+    tokens = re.findall(r"([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|(\S)", text)[::-1]
+
+    def fail(what: str):
+        raise ValueError(f"{what} in formula {text!r}")
+
+    def peek() -> str | None:
+        return tokens[-1][2] if tokens else None
+
+    def expect(op: str) -> None:
+        if peek() != op:
+            fail(f"expected {op!r}")
+        tokens.pop()
+
+    def binary(op: str, a, b):
+        f = _BINARY[op]
+        return lambda v: f(a(v), b(v))
+
+    def sum_():
+        run = product()
+        while peek() in ("+", "-"):
+            run = binary(tokens.pop()[2], run, product())
+        return run
+
+    def product():
+        run = unary()
+        while peek() in ("*", "/"):
+            run = binary(tokens.pop()[2], run, unary())
+        return run
+
+    def unary():
+        if peek() == "-":
+            tokens.pop()
+            inner = unary()
+            return lambda v: -inner(v)
+        base = atom()
+        if peek() == "^":
+            tokens.pop()
+            return binary("^", base, unary())
+        return base
+
+    def atom():
+        if not tokens:
+            fail("unexpected end")
+        number, name, other = tokens.pop()
+        if number:
+            value = int(number)
+            return lambda v: value
+        if name == "floor":
+            expect("(")
+            inner = sum_()
+            expect(")")
+            return lambda v: math.floor(inner(v))
+        if name:
+            if peek() == "(":
+                fail(f"call of {name!r}")
+            return lambda v: v[name]
+        if other == "(":
+            inner = sum_()
+            expect(")")
+            return inner
+        fail(f"unexpected {other!r}")
+
+    run = sum_()
+    if tokens:
+        fail(f"unexpected {''.join(tokens[-1])!r}")
+    template = re.sub(r"[A-Za-z_][A-Za-z_0-9]*",
+                      lambda m: m[0] if m[0] == "floor" else f"{{{m[0]}}}",
+                      text)
+    return run, template
+
+
 def _k_planar_specs(ell: int, k: int) -> dict[str, ConGraphSpec]:
     if ell < 2:
         raise ValueError("k-planar construction needs ell >= 2 "
@@ -369,28 +490,8 @@ def _k_planar_specs(ell: int, k: int) -> dict[str, ConGraphSpec]:
             "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)}
 
 
-def _rect_lk(ell: int, k: int) -> tuple[int, str]:
-    return (ell * k) ** 2, f"({ell}*{k})^2"
-
-
-def _rect_l(ell: int, k: int) -> tuple[int, str]:
-    return ell ** 2, f"{ell}^2"
-
-
-def _whole_family(ell: int, k: int) -> tuple[Fraction, str]:
-    return Fraction(1), "1"
-
-
 def _alternating_plan(ell: int, k: int) -> list[int]:
     return [0] + [k, 0] * ell
-
-
-def _sparse_k_cap(n: int, k: int) -> Fraction:
-    return Fraction(4 * n * k, k + 1) + k
-
-
-def _quadratic_cap(n: int, k: int) -> Fraction:
-    return Fraction(4 * n * n + n)
 
 
 _SPARSE_K_NOTE = "sparse term 4*n*k/(k+1) uses m <= 4n"
@@ -400,9 +501,7 @@ _NNIC = ConceptInfo(
     kind="nnic", shorthand="NNIC", implied_k=2, threshold=lambda k: 109,
     recipe=lambda ell, k: {"red": Bundle(2 * k, 2), "blue": Bundle(ell * k, 3),
                            "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
-    share=lambda ell, k: (1 - Fraction(108 * (k - 1), ell * k),
-                          f"1 - 108*({k}-1)/({ell}*{k})"),
-    rect=_rect_lk, cap="4*n^2 + n", cap_value=_quadratic_cap,
+    share="1 - 108*(k-1)/(ell*k)", rect="(ell*k)^2", cap="4*n^2 + n",
     cap_notes=(_QUADRATIC_NOTE,), theta_class="Theta(n^2)",
     witness_layout="grid", grid_plan=lambda ell, k: [0, ell * k, 0])
 
@@ -412,8 +511,7 @@ _ADJACENCY_CROSSING = ConceptInfo(
     kind="adjacency-crossing", shorthand="ac", threshold=lambda k: 1,
     recipe=lambda ell, k: {"red": K7(), "blue": Bundle(ell, 2),
                            "gray": K7(), "yellow": Bundle(1, 1)},
-    share=_whole_family, rect=_rect_l, cap="4*n^2 + n",
-    cap_value=_quadratic_cap, cap_notes=(_QUADRATIC_NOTE,),
+    share="1", rect="ell^2", cap="4*n^2 + n", cap_notes=(_QUADRATIC_NOTE,),
     caveat="simple-drawings-only", theta_class="Theta(n^2)",
     witness_layout="pole-fan")
 
@@ -423,8 +521,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
         ConceptInfo(
             kind="k-planar", shorthand="k-pl", aliases=("kpl",),
             requires_k=True, threshold=lambda k: 41, recipe=_k_planar_specs,
-            share=lambda ell, k: (1 - Fraction(40, ell), f"1 - 40/{ell}"),
-            rect=_rect_lk, cap="4*n*k/(k+1) + k", cap_value=_sparse_k_cap,
+            share="1 - 40/ell", rect="(ell*k)^2", cap="4*n*k/(k+1) + k",
             cap_notes=(_SPARSE_K_NOTE,), theta_class="Theta(n)",
             witness_layout="grid", grid_plan=lambda ell, k: [k] * ell),
         ConceptInfo(
@@ -433,9 +530,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {
                 "red": Bundle(k + 1, 2), "blue": Bundle(ell * k, 2 * ell + 1),
                 "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
-            share=lambda ell, k: (1 - Fraction(10, ell), f"1 - 10/{ell}"),
-            rect=_rect_lk, cap="n*k/(k+1) + k",
-            cap_value=lambda n, k: Fraction(n * k, k + 1) + k,
+            share="1 - 10/ell", rect="(ell*k)^2", cap="n*k/(k+1) + k",
             theta_class="Theta(n)", witness_layout="grid",
             grid_plan=_alternating_plan),
         ConceptInfo(
@@ -443,8 +538,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {
                 "red": Bundle(1, 2, True), "blue": Bundle(ell, 2 * ell + 1),
                 "gray": Bundle(1, 2, True), "yellow": Bundle(1, 1)},
-            share=_whole_family, rect=_rect_l, cap="n/8",
-            cap_value=lambda n, k: Fraction(n, 8),
+            share="1", rect="ell^2", cap="n/8",
             cap_notes=("n/4 crossings cap against a floor of 2 crossings",),
             theta_class="Theta(n)", witness_layout="grid",
             grid_plan=_alternating_plan),
@@ -453,18 +547,13 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {
                 "red": Bundle(1, 2, True), "blue": Bundle(ell, ell + 2),
                 "gray": Bundle(ell, 2), "yellow": Bundle(1, 1)},
-            share=lambda ell, k: (1 - Fraction(1, 2) - Fraction(3, 2 * ell),
-                                  f"1 - 1/2 - 3/(2*{ell})"),
-            rect=_rect_l, cap="9*n/10",
-            cap_value=lambda n, k: Fraction(9 * n, 10),
+            share="1 - 1/2 - 3/(2*ell)", rect="ell^2", cap="9*n/10",
             theta_class="Theta(n)", witness_layout="grid",
             grid_plan=lambda ell, k: [0] + [1] * ell + [0]),
         _NNIC,
         _NNIC._replace(kind="k-fan-crossing-free", shorthand="k-fcf",
                        aliases=("kfcf",), requires_k=True, k_min=2,
-                       cap="8*n^2/k + n",
-                       cap_value=lambda n, k: Fraction(8 * n * n, k) + n,
-                       theta_class="Theta(n^2/k)"),
+                       cap="8*n^2/k + n", theta_class="Theta(n^2/k)"),
         _ADJACENCY_CROSSING,
         _ADJACENCY_CROSSING._replace(kind="fan-crossing", shorthand="fc"),
         _ADJACENCY_CROSSING._replace(kind="weak-fan-planar",
@@ -477,9 +566,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {
                 "red": Bundle(k, 2), "blue": Bundle(k // 2, 2),
                 "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
-            share=lambda ell, k: (Fraction(1, 2), "1/2"),
-            rect=lambda ell, k: ((k // 2) ** 2, f"floor({k}/2)^2"),
-            cap="2*k", cap_value=lambda n, k: Fraction(2 * k),
+            share="1/2", rect="floor(k/2)^2", cap="2*k",
             theta_class="Theta(k)", witness_layout="pole-fan"),
         ConceptInfo(
             kind="k-gap-planar", shorthand="k-gap-pl",
@@ -488,9 +575,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {"red": Bundle(5 * k, 2),
                                    "blue": Bundle(5 * k, 2),
                                    "gray": Bundle(ell * k, 5)},
-            share=lambda ell, k: (Fraction(1, 5), "1/5"),
-            rect=lambda ell, k: (5 * ell * k ** 2, f"5*{ell}*{k}^2"),
-            cap="4*n/k + k", cap_value=lambda n, k: Fraction(4 * n, k) + k,
+            share="1/5", rect="5*ell*k^2", cap="4*n/k + k",
             cap_notes=("sparse term 4*n/k uses m <= 4n",),
             theta_class="Theta(n/k)", sharp=False,
             witness_layout="gap"),
@@ -500,8 +585,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {"red": Bundle(1, 1),
                                    "blue": ApexBlue(ell, k),
                                    "gray": Bundle(ell * k, 2)},
-            share=_whole_family, rect=_rect_lk, cap="8*n^2/(k+1) + n",
-            cap_value=lambda n, k: Fraction(8 * n * n, k + 1) + n,
+            share="1", rect="(ell*k)^2", cap="8*n^2/(k+1) + n",
             cap_notes=(_QUADRATIC_NOTE,), theta_class="Theta(n^2/k)",
             witness_layout="apex"),
         ConceptInfo(
@@ -510,9 +594,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             recipe=lambda ell, k: {"red": Bundle(1, 1),
                                    "blue": SkewBlue(k),
                                    "gray": Bundle(ell * k, 2)},
-            share=_whole_family,
-            rect=lambda ell, k: (ell * k ** 2, f"{ell}*{k}^2"),
-            cap="4*n*k/(k+1) + k", cap_value=_sparse_k_cap,
+            share="1", rect="ell*k^2", cap="4*n*k/(k+1) + k",
             cap_notes=(_SPARSE_K_NOTE,), theta_class="Theta(n)",
             witness_layout="skew"),
     ]

@@ -28,6 +28,7 @@ from .graph_core import (
     as_concept,
     connection_poles,
     connection_widths,
+    evaluate,
     structural_k,
 )
 
@@ -245,8 +246,8 @@ def counting_lower_bound(concept: "str | ConceptId", ell: int,
     cid = as_concept(concept, k)
     widths = connection_widths(cid, ell)    # refuses ell < 1 first
     kk = structural_k(cid)
-    share, share_s = cid.info.share(ell, kk)
-    rect, rect_s = cid.info.rect(ell, kk)
+    share, share_s = evaluate(cid.info.share, ell=ell, k=kk)
+    rect, rect_s = evaluate(cid.info.rect, ell=ell, k=kk)
     total = prod(widths[c] for c in ALL_CONNECTIONS)
     bound = share * rect
     trace = [

@@ -26,7 +26,7 @@ from beyondcr import (
 from beyondcr.cli import run
 from beyondcr.corpus import random_corpus
 from beyondcr.drawing import is_straight_line
-from beyondcr.graph_core import CONCEPTS, as_concept, structural_k
+from beyondcr.graph_core import CONCEPTS, as_concept, evaluate, structural_k
 from beyondcr.kuratowski import DEFAULT_BUDGET
 from beyondcr.standard_layouts import appendix_fcf_fixture
 from conftest import (ACCEPTANCE_REPORT, FAN_KINDS, GRID, SLOPE_TARGET,
@@ -178,8 +178,8 @@ def test_threshold_points_verified_by_exact_geometry():
         assert verify_full_coverage(ledger, fg).ok, (kind, ell, k, variant)
         if variant == "witness":
             cid = as_concept(kind, k)
-            share, _ = cid.info.share(ell, structural_k(cid))
-            rect, _ = cid.info.rect(ell, structural_k(cid))
+            share, _ = evaluate(cid.info.share, ell=ell, k=structural_k(cid))
+            rect, _ = evaluate(cid.info.rect, ell=ell, k=structural_k(cid))
             assert {e.fraction for e in ledger.entries} == {Fraction(1, rect)}
             assert ledger.fraction_sum == 1 >= share
     # NNIC and k-fan-crossing-free (k=2) at ell=109 draw the same geometry,

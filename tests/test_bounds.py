@@ -15,7 +15,7 @@ from beyondcr import (
     table1_report,
 )
 from beyondcr.bounds_report import reports_to_json_obj
-from beyondcr.graph_core import CONCEPTS, as_concept
+from beyondcr.graph_core import CONCEPTS, as_concept, structural_k
 from conftest import FAN_KINDS, GRID, SLOPE_TARGET
 from oracles import crossing_lemma_bound
 
@@ -49,6 +49,18 @@ RATIO_AT_100 = {
     ("k-apex", 1): (Fraction(40100), "8*n^2/(k+1) + n"),
     ("skewness", 1): (Fraction(201), "4*n*k/(k+1) + k"),
 }
+
+
+@pytest.mark.parametrize("kind", sorted(CONCEPTS))
+def test_construction_ratio_stays_under_its_cap(kind):
+    info = CONCEPTS[kind]
+    for k in range(info.k_min, info.k_min + 4) if info.requires_k else [None]:
+        cid = as_concept(kind, k)
+        t = info.threshold(structural_k(cid))
+        for ell in {t, t + 1, 2 * t, 4 * t, 64 * t, 1024 * t}:
+            r = ratio_report(cid, ell)
+            assert r.empirical_ratio <= ratio_upper(cid, r.n, r.m).value, \
+                (kind, k, ell)
 
 
 @pytest.mark.parametrize("kind,k", sorted(RATIO_AT_100, key=str))

@@ -319,6 +319,12 @@ def test_report_json(capsys):
     assert all(len(o["grid"]) == 3 for o in objs)
 
 
+@pytest.mark.parametrize("points", ["1", "0", "-2"])
+def test_report_refuses_fewer_than_two_points(points, capsys):
+    assert run(["report", "--k", "2", "--points", points]) == 2
+    assert capsys.readouterr().err == "error: points must be >= 2\n"
+
+
 def test_report_ratios_beyond_the_float_range(capsys):
     # from 503 points on, the grid's largest ratios exceed the float range
     assert run(["report", "--k", "2", "--points", "503",

@@ -1,5 +1,7 @@
 """Frame colorings, con-graph gadgets, concept registry, and framework construction."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -28,6 +30,7 @@ from beyondcr.graph_core import (
     as_concept,
     connection_id,
     connection_poles,
+    evaluate,
     graph_to_json_obj,
     instantiate_congraph,
     structural_k,
@@ -238,6 +241,65 @@ def test_thresholds():
     assert at_k2["k-gap-planar"] == 5
     assert at_k2["k-apex"] == 1
     assert at_k2["skewness"] == 3        # k + 1
+
+
+# ---------------------------------------------------------------------------
+# Formula texts
+# ---------------------------------------------------------------------------
+
+def test_evaluate_is_exact():
+    assert evaluate("1/2") == (Fraction(1, 2), "1/2")
+    # a float would give 0.333... and 1 + 2^-60 == 1
+    assert evaluate("1/3")[0] == Fraction(1, 3)
+    assert evaluate("(2^60 + 1)/2^60")[0] == 1 + Fraction(1, 2 ** 60)
+    assert all(type(evaluate(t, k=3)[0]) is Fraction
+               for t in ("1/2", "7", "k^2", "floor(k/2)"))
+
+
+def test_evaluate_substitutes_whole_names_only():
+    assert evaluate("4*n^2 + n", n=3) == (39, "4*3^2 + 3")
+    assert evaluate("(ell*k)^2", ell=41, k=1) == (1681, "(41*1)^2")
+    assert evaluate("1 - 108*(k-1)/(ell*k)", ell=109, k=2) \
+        == (Fraction(55, 109), "1 - 108*(2-1)/(109*2)")
+    # floor is the grammar's one function, never a name to replace
+    assert evaluate("floor(k/2)^2", k=5, floor=9) == (4, "floor(5/2)^2")
+
+
+def test_evaluate_precedence():
+    assert evaluate("-k^2", k=3)[0] == -9
+    assert evaluate("2^3^2")[0] == 512
+    assert evaluate("2^-1")[0] == Fraction(1, 2)
+    assert evaluate("4*n*k/(k+1) + k", n=100, k=1)[0] == 201
+    assert evaluate("1 - 1/2 - 3/(2*ell)", ell=4)[0] == Fraction(1, 8)
+
+
+@pytest.mark.parametrize("text", [
+    "1.5",           # a float literal
+    "x + 1",         # a name not given
+    "ell.k",         # an attribute
+    "max(k, 2)",     # a call other than floor
+    "'k'",           # a string constant
+    "k**2",          # Python's power, not the grammar's
+    "+k", "", "k k", "(k", "floor", "k^(1/2)",
+])
+def test_evaluate_refuses_anything_outside_the_grammar(text):
+    with pytest.raises(ValueError):
+        evaluate(text, ell=2, k=4)
+
+
+@pytest.mark.parametrize("kind", sorted(CONCEPTS))
+def test_rect_is_the_witness_pair_product(kind):
+    # Pole paths are internally disjoint, so no edge lies on two of them:
+    # a crossing of the designated witness pair covers one path pair at
+    # most, 1/(w[v]*w[h]) of the family, and rect must be that product.
+    info = CONCEPTS[kind]
+    v, h = DESIGNATED["witness"]
+    for k in range(info.k_min, info.k_min + 8) if info.requires_k else [None]:
+        cid = as_concept(kind, k)
+        for ell in range(2, 80):
+            w = connection_widths(cid, ell)
+            rect, _ = evaluate(info.rect, ell=ell, k=structural_k(cid))
+            assert rect == w[v] * w[h], (kind, k, ell)
 
 
 # ---------------------------------------------------------------------------
