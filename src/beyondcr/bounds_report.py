@@ -198,7 +198,8 @@ def table1_report(k: int = 2,
                                          f"requires k >= {info.k_min}"))
             continue
         cid = ConceptId(kind, k if info.requires_k else None)
-        base = max(info.threshold(structural_k(cid)), _BASE_MIN)
+        threshold, _ = evaluate(info.threshold, k=structural_k(cid))
+        base = max(int(threshold), _BASE_MIN)
         rows = [ratio_report(cid, base << i) for i in range(points)]
         grid = tuple((r.ell, r.n, r.empirical_ratio) for r in rows)
         slope = growth_exponent([(r.n, r.empirical_ratio) for r in rows])

@@ -329,21 +329,21 @@ class ConceptId(NamedTuple):
 class ConceptInfo(NamedTuple):
     """Everything that is data or a formula about one concept.
 
-    ``share``, ``rect`` and ``cap`` are formula texts, each stated once:
-    ``evaluate`` gives both its exact value and, with every name replaced by
-    its value, the text the traces print.  ``share`` and ``rect`` read the
-    construction parameter ell and the structural k (see ``structural_k``),
-    ``cap`` the vertex count n and k.  ``threshold`` takes k alone, and
-    ``recipe`` and ``grid_plan`` take ell and k.  The concept's checker
-    lives in ``checkers``.  The record names only the witness drawing's
-    layout family in ``standard_layouts``; the upper drawing, straightness
-    and the crossing counts of both standard drawings follow from the
-    recipe.
+    ``threshold``, ``share``, ``rect`` and ``cap`` are formula texts, each
+    stated once: ``evaluate`` gives both its exact value and, with every
+    name replaced by its value, the text the traces print.  ``share`` and
+    ``rect`` read the construction parameter ell and the structural k (see
+    ``structural_k``), ``cap`` the vertex count n and k, and ``threshold``
+    k alone.  ``recipe`` and ``grid_plan`` take ell and k.  The concept's
+    checker lives in ``checkers``.  The record names only the witness
+    drawing's layout family in ``standard_layouts``; the upper drawing,
+    straightness and the crossing counts of both standard drawings follow
+    from the recipe.
     """
 
     kind: str
     shorthand: str
-    threshold: Callable[[int], int]  # least ell with the quality guarantee
+    threshold: str  # least ell with the quality guarantee, in k
     # frame color -> con-graph spec
     recipe: Callable[[int, int], dict[str, ConGraphSpec]]
     # counting lower bound share * rect: the share of the subdivision
@@ -372,12 +372,13 @@ def evaluate(text: str, **values: int) -> tuple[Fraction, str]:
     """The exact value of a formula text, and the text with each name
     replaced by its value.
 
-    The grammar: integer literals, the names given as ``values``,
-    ``+ - * /``, unary minus, ``^`` as power (right-associative, and
-    binding tighter than a unary minus on its left), parentheses and
-    ``floor(...)``.  ``/`` divides exactly, so no float ever arises.
-    Anything else raises ValueError.  ``evaluate("(ell*k)^2", ell=41, k=1)``
-    is ``(Fraction(1681), "(41*1)^2")``.
+    The grammar is Python arithmetic with ``^`` for power: integer
+    literals, the names given as ``values``, ``+ - * /``, unary minus,
+    ``^`` (right-associative, and binding tighter than a unary minus on its
+    left, as Python's ``**``), parentheses and ``floor(...)``.  ``/``
+    divides exactly, so no float ever arises.  Anything else, ``**`` and a
+    literal with leading zeros such as ``007`` included, raises ValueError.
+    ``evaluate("(ell*k)^2", ell=41, k=1)`` is ``(Fraction(1681), "(41*1)^2")``.
     """
     run, template = _compile(text)
     try:
@@ -396,86 +397,57 @@ def _power(base, exponent):
     return base ** exponent if exponent >= 0 else Fraction(base) ** exponent
 
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": Fraction, "^": _power}
-
-
 @lru_cache  # 128 texts, several times what the records hold
 def _compile(text: str):
-    """Parse a formula text once, by recursive descent: its evaluator on a
-    name -> value dict and its trace template.
-
-        sum     := product (("+" | "-") product)*
-        product := unary (("*" | "/") unary)*
-        unary   := "-" unary | atom ["^" unary]
-        atom    := integer | name | "floor" "(" sum ")" | "(" sum ")"
+    """Parse a formula text once, by Python's parser with ``^`` read as
+    ``**``: its evaluator on a name -> value dict and its trace template.
+    One walk maps the grammar's node kinds to closures and refuses any
+    other node, and an integer literal that is not plain decimal digits.
     """
-    # (integer, name, other) per token, read back to front by pop()
-    tokens = re.findall(r"([0-9]+)|([A-Za-z_][A-Za-z_0-9]*)|(\S)", text)[::-1]
+    import ast  # off the eager path of ``import beyondcr.cli``
+    import warnings
 
     def fail(what: str):
         raise ValueError(f"{what} in formula {text!r}")
 
-    def peek() -> str | None:
-        return tokens[-1][2] if tokens else None
+    # whitespace of any kind only separates tokens; Python's comments,
+    # commas and non-ASCII names have no place in the grammar
+    source = " ".join(text.split())
+    if not source.isascii() or any(c in source for c in ("**", "#", ",")):
+        fail("a character outside the grammar")
+    source = source.replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            # "1if k else 2" warns "invalid decimal literal" on stderr; as
+            # an error it becomes a SyntaxError and prints nothing
+            warnings.simplefilter("error")
+            tree = ast.parse(source, mode="eval")
+    except SyntaxError as e:
+        fail(f"syntax error ({e.msg})")
+    binary = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: Fraction, ast.Pow: _power}
 
-    def expect(op: str) -> None:
-        if peek() != op:
-            fail(f"expected {op!r}")
-        tokens.pop()
+    def walk(node):
+        match node:
+            case ast.BinOp(left, op, right) if type(op) in binary:
+                f, a, b = binary[type(op)], walk(left), walk(right)
+                return lambda v: f(a(v), b(v))
+            case ast.UnaryOp(ast.USub(), operand):
+                inner = walk(operand)
+                return lambda v: -inner(v)
+            case ast.Constant(int(value)) \
+                    if ast.get_source_segment(source, node).isdigit():
+                return lambda v: value
+            case ast.Name(name) if name != "floor":
+                return lambda v: v[name]
+            # "(floor)(k)" is no call of floor
+            case ast.Call(ast.Name("floor", col_offset=at), [arg], []) \
+                    if at == node.col_offset:
+                inner = walk(arg)
+                return lambda v: math.floor(inner(v))
+        fail(f"{type(node).__name__} outside the grammar")
 
-    def binary(op: str, a, b):
-        f = _BINARY[op]
-        return lambda v: f(a(v), b(v))
-
-    def sum_():
-        run = product()
-        while peek() in ("+", "-"):
-            run = binary(tokens.pop()[2], run, product())
-        return run
-
-    def product():
-        run = unary()
-        while peek() in ("*", "/"):
-            run = binary(tokens.pop()[2], run, unary())
-        return run
-
-    def unary():
-        if peek() == "-":
-            tokens.pop()
-            inner = unary()
-            return lambda v: -inner(v)
-        base = atom()
-        if peek() == "^":
-            tokens.pop()
-            return binary("^", base, unary())
-        return base
-
-    def atom():
-        if not tokens:
-            fail("unexpected end")
-        number, name, other = tokens.pop()
-        if number:
-            value = int(number)
-            return lambda v: value
-        if name == "floor":
-            expect("(")
-            inner = sum_()
-            expect(")")
-            return lambda v: math.floor(inner(v))
-        if name:
-            if peek() == "(":
-                fail(f"call of {name!r}")
-            return lambda v: v[name]
-        if other == "(":
-            inner = sum_()
-            expect(")")
-            return inner
-        fail(f"unexpected {other!r}")
-
-    run = sum_()
-    if tokens:
-        fail(f"unexpected {''.join(tokens[-1])!r}")
+    run = walk(tree.body)
     template = re.sub(r"[A-Za-z_][A-Za-z_0-9]*",
                       lambda m: m[0] if m[0] == "floor" else f"{{{m[0]}}}",
                       text)
@@ -498,7 +470,7 @@ _SPARSE_K_NOTE = "sparse term 4*n*k/(k+1) uses m <= 4n"
 _QUADRATIC_NOTE = "quadratic concept cap with m <= 4n"
 
 _NNIC = ConceptInfo(
-    kind="nnic", shorthand="NNIC", implied_k=2, threshold=lambda k: 109,
+    kind="nnic", shorthand="NNIC", implied_k=2, threshold="109",
     recipe=lambda ell, k: {"red": Bundle(2 * k, 2), "blue": Bundle(ell * k, 3),
                            "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
     share="1 - 108*(k-1)/(ell*k)", rect="(ell*k)^2", cap="4*n^2 + n",
@@ -508,7 +480,7 @@ _NNIC = ConceptInfo(
 # The four fan-family concepts share one construction: K7 gadgets on the
 # red and gray connections, whose fixed drawing needs bent edges.
 _ADJACENCY_CROSSING = ConceptInfo(
-    kind="adjacency-crossing", shorthand="ac", threshold=lambda k: 1,
+    kind="adjacency-crossing", shorthand="ac", threshold="1",
     recipe=lambda ell, k: {"red": K7(), "blue": Bundle(ell, 2),
                            "gray": K7(), "yellow": Bundle(1, 1)},
     share="1", rect="ell^2", cap="4*n^2 + n", cap_notes=(_QUADRATIC_NOTE,),
@@ -520,13 +492,13 @@ CONCEPTS: dict[str, ConceptInfo] = {
     for c in [
         ConceptInfo(
             kind="k-planar", shorthand="k-pl", aliases=("kpl",),
-            requires_k=True, threshold=lambda k: 41, recipe=_k_planar_specs,
+            requires_k=True, threshold="41", recipe=_k_planar_specs,
             share="1 - 40/ell", rect="(ell*k)^2", cap="4*n*k/(k+1) + k",
             cap_notes=(_SPARSE_K_NOTE,), theta_class="Theta(n)",
             witness_layout="grid", grid_plan=lambda ell, k: [k] * ell),
         ConceptInfo(
             kind="k-vertex-planar", shorthand="k-vp", aliases=("kvp",),
-            requires_k=True, threshold=lambda k: 11,
+            requires_k=True, threshold="11",
             recipe=lambda ell, k: {
                 "red": Bundle(k + 1, 2), "blue": Bundle(ell * k, 2 * ell + 1),
                 "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
@@ -534,7 +506,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             theta_class="Theta(n)", witness_layout="grid",
             grid_plan=_alternating_plan),
         ConceptInfo(
-            kind="ic", shorthand="IC", threshold=lambda k: 2,
+            kind="ic", shorthand="IC", threshold="2",
             recipe=lambda ell, k: {
                 "red": Bundle(1, 2, True), "blue": Bundle(ell, 2 * ell + 1),
                 "gray": Bundle(1, 2, True), "yellow": Bundle(1, 1)},
@@ -543,7 +515,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             theta_class="Theta(n)", witness_layout="grid",
             grid_plan=_alternating_plan),
         ConceptInfo(
-            kind="nic", shorthand="NIC", threshold=lambda k: 4,
+            kind="nic", shorthand="NIC", threshold="4",
             recipe=lambda ell, k: {
                 "red": Bundle(1, 2, True), "blue": Bundle(ell, ell + 2),
                 "gray": Bundle(ell, 2), "yellow": Bundle(1, 1)},
@@ -562,7 +534,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
                                      shorthand="sfp", caveat=None),
         ConceptInfo(
             kind="k-edge-crossing", shorthand="k-ecr", aliases=("kecr",),
-            requires_k=True, k_min=2, threshold=lambda k: 1,
+            requires_k=True, k_min=2, threshold="1",
             recipe=lambda ell, k: {
                 "red": Bundle(k, 2), "blue": Bundle(k // 2, 2),
                 "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
@@ -571,7 +543,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
         ConceptInfo(
             kind="k-gap-planar", shorthand="k-gap-pl",
             aliases=("kgap", "k-gap", "gap"), coloring="alternate",
-            requires_k=True, threshold=lambda k: 5,
+            requires_k=True, threshold="5",
             recipe=lambda ell, k: {"red": Bundle(5 * k, 2),
                                    "blue": Bundle(5 * k, 2),
                                    "gray": Bundle(ell * k, 5)},
@@ -581,7 +553,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             witness_layout="gap"),
         ConceptInfo(
             kind="k-apex", shorthand="k-apex", aliases=("apex",),
-            coloring="alternate", requires_k=True, threshold=lambda k: 1,
+            coloring="alternate", requires_k=True, threshold="1",
             recipe=lambda ell, k: {"red": Bundle(1, 1),
                                    "blue": ApexBlue(ell, k),
                                    "gray": Bundle(ell * k, 2)},
@@ -590,7 +562,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             witness_layout="apex"),
         ConceptInfo(
             kind="skewness", shorthand="skew-k", aliases=("skew",),
-            coloring="alternate", requires_k=True, threshold=lambda k: k + 1,
+            coloring="alternate", requires_k=True, threshold="k + 1",
             recipe=lambda ell, k: {"red": Bundle(1, 1),
                                    "blue": SkewBlue(k),
                                    "gray": Bundle(ell * k, 2)},
@@ -656,7 +628,7 @@ class FrameworkGraph:
 
     @property
     def below_threshold(self) -> bool:
-        return self.ell < self.concept.info.threshold(self.k)
+        return self.ell < evaluate(self.concept.info.threshold, k=self.k)[0]
 
     @cached_property
     def edge_paths(self) -> dict[Edge, tuple[str, frozenset[int]]]:

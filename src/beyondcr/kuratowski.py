@@ -258,7 +258,7 @@ def counting_lower_bound(concept: "str | ConceptId", ell: int,
         f"each counted crossing covers at most 1/({rect_s}) = 1/{rect}",
         f"bound: ({share}) * {rect} = {bound}",
     ]
-    threshold = cid.info.threshold(kk)
+    threshold, _ = evaluate(cid.info.threshold, k=kk)
     if ell < threshold:
         trace.append(f"below threshold: ell={ell} < {threshold}; "
                      "formula evaluated anyway")

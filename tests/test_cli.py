@@ -138,9 +138,11 @@ def test_import_pulls_in_no_graph_library():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # -S keeps site-packages' start-up hooks out of sys.modules
+    # -S keeps site-packages' start-up hooks out of sys.modules; ast is
+    # loaded only by a process that evaluates a formula text
     out = _python("-S", "-c", "import beyondcr.cli, sys; print(sorted("
-                              "{'dataclasses', 'inspect'} & set(sys.modules)))")
+                              "{'dataclasses', 'inspect', 'ast'}"
+                              " & set(sys.modules)))")
     assert out == "[]\n"
 
 

@@ -1,5 +1,6 @@
 """Frame colorings, con-graph gadgets, concept registry, and framework construction."""
 
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -229,18 +230,48 @@ def test_structural_k_defaults():
 
 
 def test_thresholds():
-    at_k2 = {kind: CONCEPTS[kind].threshold(2) for kind in CONCEPTS}
+    at_k2 = {kind: evaluate(CONCEPTS[kind].threshold, k=2)[0]
+             for kind in CONCEPTS}
+    # share-limited, and the 109 of NNIC and k-fcf: see the two tests below
     assert at_k2["k-planar"] == 41
     assert at_k2["k-vertex-planar"] == 11
-    assert at_k2["ic"] == 2
     assert at_k2["nic"] == 4
     assert at_k2["nnic"] == 109
     assert at_k2["k-fan-crossing-free"] == 109
-    assert at_k2["adjacency-crossing"] == 1
-    assert at_k2["k-edge-crossing"] == 1
+    # the paper's; share (1) is positive and the witness passes at ell = 1
+    assert at_k2["ic"] == 2
+    # the paper's; share (1/5) is positive and the witness passes at ell < 5
     assert at_k2["k-gap-planar"] == 5
-    assert at_k2["k-apex"] == 1
-    assert at_k2["skewness"] == 3        # k + 1
+    # the paper's k + 1; share (1) is positive and the witness passes below
+    assert at_k2["skewness"] == 3
+    assert evaluate(CONCEPTS["skewness"].threshold, k=5)[0] == 6
+    # share is positive at every ell, so ell = 1 is the least
+    for kind in ("adjacency-crossing", "fan-crossing", "weak-fan-planar",
+                 "strong-fan-planar", "k-edge-crossing", "k-apex"):
+        assert at_k2[kind] == 1, kind
+
+
+@pytest.mark.parametrize("kind", ["k-planar", "k-vertex-planar", "nic"])
+def test_share_limited_threshold_is_the_least_ell_with_positive_share(kind):
+    info = CONCEPTS[kind]
+    for k in range(info.k_min, info.k_min + 9):
+        t, _ = evaluate(info.threshold, k=k)
+        assert evaluate(info.share, ell=t, k=k)[0] > 0, (kind, k)
+        assert evaluate(info.share, ell=t - 1, k=k)[0] <= 0, (kind, k)
+
+
+@pytest.mark.parametrize("kind", ["nnic", "k-fan-crossing-free"])
+def test_109_is_where_a_k_free_lower_bound_on_share_turns_positive(kind):
+    # share = 1 - 108*(k-1)/(ell*k) is positive earlier (ell = 55 at k = 2);
+    # 109 is the least ell with 1 - 108/ell > 0, which share is never below
+    info = CONCEPTS[kind]
+    for k in range(info.k_min, info.k_min + 9):
+        assert evaluate(info.threshold, k=k)[0] == 109
+        for ell in range(1, 300):
+            assert evaluate("1 - 108/ell", ell=ell)[0] \
+                <= evaluate(info.share, ell=ell, k=k)[0], (kind, k, ell)
+    assert evaluate("1 - 108/ell", ell=109)[0] > 0
+    assert evaluate("1 - 108/ell", ell=108)[0] <= 0
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +294,9 @@ def test_evaluate_substitutes_whole_names_only():
         == (Fraction(55, 109), "1 - 108*(2-1)/(109*2)")
     # floor is the grammar's one function, never a name to replace
     assert evaluate("floor(k/2)^2", k=5, floor=9) == (4, "floor(5/2)^2")
+    # whitespace of any kind only separates, and the trace keeps it
+    assert evaluate("  k^2 ", k=3) == (9, "  3^2 ")
+    assert evaluate("\tk\n+ 1\u00a0", k=3) == (4, "\t3\n+ 1\u00a0")
 
 
 def test_evaluate_precedence():
@@ -281,10 +315,29 @@ def test_evaluate_precedence():
     "'k'",           # a string constant
     "k**2",          # Python's power, not the grammar's
     "+k", "", "k k", "(k", "floor", "k^(1/2)",
+    # Python syntax that is no part of the grammar
+    "True", "k if k else 1", "lambda: 1", "floor(k/2, 1)", "[k]", "k < 2",
+    "ceil(k/2)", "(floor)(k)", "floor(k,)", "floor()", "floor(^k)",
+    "k # 1", "k@k", "k//2", "k%2", "~k",
+    # literals that are not plain decimal digits, or have leading zeros
+    "1_000", "0x10", "0o7", "1e3", "007",
+    # Python would read fullwidth k as k
+    "\uff4b",
 ])
 def test_evaluate_refuses_anything_outside_the_grammar(text):
     with pytest.raises(ValueError):
         evaluate(text, ell=2, k=4)
+
+
+@pytest.mark.parametrize("text", ["2k", "1if k else 2", "2or k", "0x1for"])
+def test_evaluate_refuses_a_syntax_warning_text_silently(text):
+    # a literal run into a keyword makes Python's parser warn "invalid
+    # decimal literal" on stderr before it parses or refuses the text
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError):
+            evaluate(text, k=4)
+    assert seen == []
 
 
 @pytest.mark.parametrize("kind", sorted(CONCEPTS))
