@@ -231,7 +231,6 @@ class ConGraph(NamedTuple):
     K5 blobs, ...) simply never contribute coverage.
     """
 
-    cid: str
     spec: ConGraphSpec
     s: str
     t: str
@@ -298,8 +297,8 @@ def instantiate_congraph(spec: ConGraphSpec, cid: str) -> ConGraph:
             edges.extend(edge(x, y) for x, y in combinations(ws, 2))
             paths.append((s, ws[0], a, t))
 
-    return ConGraph(cid, spec, s, t, tuple(internals), tuple(sorted(set(edges))),
-                    tuple(paths))
+    return ConGraph(spec, s, t, tuple(internals),
+                    tuple(sorted(set(edges))), tuple(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -335,10 +334,10 @@ class ConceptInfo(NamedTuple):
     ``rect`` read the construction parameter ell and the structural k (see
     ``structural_k``), ``cap`` the vertex count n and k, and ``threshold``
     k alone.  ``recipe`` and ``grid_plan`` take ell and k.  The concept's
-    checker lives in ``checkers``.  The record names only the witness
-    drawing's layout family in ``standard_layouts``; the upper drawing,
-    straightness and the crossing counts of both standard drawings follow
-    from the recipe.
+    checker lives in ``checkers``.  ``grid_plan``, set for a witness drawn
+    as an orthogonal grid, is the record's only layout datum: the emitters
+    of both standard drawings, straightness and their crossing counts
+    follow from the recipe's shapes in ``standard_layouts``.
     """
 
     kind: str
@@ -354,8 +353,6 @@ class ConceptInfo(NamedTuple):
     # closed-form cap on the crossing ratio and its growth class in n
     cap: str
     theta_class: str
-    # standard-drawing layout family of the witness drawing
-    witness_layout: str
     aliases: tuple[str, ...] = ()  # parser names besides kind and shorthand
     coloring: str = "standard"     # the frame's COLORINGS key
     requires_k: bool = False
@@ -364,7 +361,8 @@ class ConceptInfo(NamedTuple):
     cap_notes: tuple[str, ...] = ()
     caveat: str | None = None
     sharp: bool = True             # worst-case ratio survives k -> k+1
-    # strands per edge of the "grid" witness family
+    # opposing strands crossed by each edge of a witness pole path, for a
+    # witness drawn as an orthogonal grid
     grid_plan: Callable[[int, int], list[int]] | None = None
 
 
@@ -475,7 +473,7 @@ _NNIC = ConceptInfo(
                            "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
     share="1 - 108*(k-1)/(ell*k)", rect="(ell*k)^2", cap="4*n^2 + n",
     cap_notes=(_QUADRATIC_NOTE,), theta_class="Theta(n^2)",
-    witness_layout="grid", grid_plan=lambda ell, k: [0, ell * k, 0])
+    grid_plan=lambda ell, k: [0, ell * k, 0])
 
 # The four fan-family concepts share one construction: K7 gadgets on the
 # red and gray connections, whose fixed drawing needs bent edges.
@@ -484,8 +482,7 @@ _ADJACENCY_CROSSING = ConceptInfo(
     recipe=lambda ell, k: {"red": K7(), "blue": Bundle(ell, 2),
                            "gray": K7(), "yellow": Bundle(1, 1)},
     share="1", rect="ell^2", cap="4*n^2 + n", cap_notes=(_QUADRATIC_NOTE,),
-    caveat="simple-drawings-only", theta_class="Theta(n^2)",
-    witness_layout="pole-fan")
+    caveat="simple-drawings-only", theta_class="Theta(n^2)")
 
 CONCEPTS: dict[str, ConceptInfo] = {
     c.kind: c
@@ -495,7 +492,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
             requires_k=True, threshold="41", recipe=_k_planar_specs,
             share="1 - 40/ell", rect="(ell*k)^2", cap="4*n*k/(k+1) + k",
             cap_notes=(_SPARSE_K_NOTE,), theta_class="Theta(n)",
-            witness_layout="grid", grid_plan=lambda ell, k: [k] * ell),
+            grid_plan=lambda ell, k: [k] * ell),
         ConceptInfo(
             kind="k-vertex-planar", shorthand="k-vp", aliases=("kvp",),
             requires_k=True, threshold="11",
@@ -503,8 +500,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
                 "red": Bundle(k + 1, 2), "blue": Bundle(ell * k, 2 * ell + 1),
                 "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
             share="1 - 10/ell", rect="(ell*k)^2", cap="n*k/(k+1) + k",
-            theta_class="Theta(n)", witness_layout="grid",
-            grid_plan=_alternating_plan),
+            theta_class="Theta(n)", grid_plan=_alternating_plan),
         ConceptInfo(
             kind="ic", shorthand="IC", threshold="2",
             recipe=lambda ell, k: {
@@ -512,15 +508,14 @@ CONCEPTS: dict[str, ConceptInfo] = {
                 "gray": Bundle(1, 2, True), "yellow": Bundle(1, 1)},
             share="1", rect="ell^2", cap="n/8",
             cap_notes=("n/4 crossings cap against a floor of 2 crossings",),
-            theta_class="Theta(n)", witness_layout="grid",
-            grid_plan=_alternating_plan),
+            theta_class="Theta(n)", grid_plan=_alternating_plan),
         ConceptInfo(
             kind="nic", shorthand="NIC", threshold="4",
             recipe=lambda ell, k: {
                 "red": Bundle(1, 2, True), "blue": Bundle(ell, ell + 2),
                 "gray": Bundle(ell, 2), "yellow": Bundle(1, 1)},
             share="1 - 1/2 - 3/(2*ell)", rect="ell^2", cap="9*n/10",
-            theta_class="Theta(n)", witness_layout="grid",
+            theta_class="Theta(n)",
             grid_plan=lambda ell, k: [0] + [1] * ell + [0]),
         _NNIC,
         _NNIC._replace(kind="k-fan-crossing-free", shorthand="k-fcf",
@@ -539,7 +534,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
                 "red": Bundle(k, 2), "blue": Bundle(k // 2, 2),
                 "gray": Bundle(ell * k, 2), "yellow": Bundle(1, 1)},
             share="1/2", rect="floor(k/2)^2", cap="2*k",
-            theta_class="Theta(k)", witness_layout="pole-fan"),
+            theta_class="Theta(k)"),
         ConceptInfo(
             kind="k-gap-planar", shorthand="k-gap-pl",
             aliases=("kgap", "k-gap", "gap"), coloring="alternate",
@@ -549,8 +544,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
                                    "gray": Bundle(ell * k, 5)},
             share="1/5", rect="5*ell*k^2", cap="4*n/k + k",
             cap_notes=("sparse term 4*n/k uses m <= 4n",),
-            theta_class="Theta(n/k)", sharp=False,
-            witness_layout="gap"),
+            theta_class="Theta(n/k)", sharp=False),
         ConceptInfo(
             kind="k-apex", shorthand="k-apex", aliases=("apex",),
             coloring="alternate", requires_k=True, threshold="1",
@@ -558,8 +552,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
                                    "blue": ApexBlue(ell, k),
                                    "gray": Bundle(ell * k, 2)},
             share="1", rect="(ell*k)^2", cap="8*n^2/(k+1) + n",
-            cap_notes=(_QUADRATIC_NOTE,), theta_class="Theta(n^2/k)",
-            witness_layout="apex"),
+            cap_notes=(_QUADRATIC_NOTE,), theta_class="Theta(n^2/k)"),
         ConceptInfo(
             kind="skewness", shorthand="skew-k", aliases=("skew",),
             coloring="alternate", requires_k=True, threshold="k + 1",
@@ -567,8 +560,7 @@ CONCEPTS: dict[str, ConceptInfo] = {
                                    "blue": SkewBlue(k),
                                    "gray": Bundle(ell * k, 2)},
             share="1", rect="ell*k^2", cap="4*n*k/(k+1) + k",
-            cap_notes=(_SPARSE_K_NOTE,), theta_class="Theta(n)",
-            witness_layout="skew"),
+            cap_notes=(_SPARSE_K_NOTE,), theta_class="Theta(n)"),
     ]
 }
 

@@ -65,22 +65,20 @@ def kuratowski_count(fg: FrameworkGraph) -> int:
 class CoverageEntry:
     """One covering crossing, as the rectangle of subdivisions it covers.
 
-    ``index`` is the crossing's position in the drawing's crossing list.
     ``paths1``/``paths2`` are the path-index sets P_{c1}[e1] and P_{c2}[e2];
     the entry covers every subdivision choosing from both sets, a
     |paths1|*|paths2| / (w1*w2) share of the family.  The connections are
     stored in order, c1 < c2, each with its own path set.
     """
 
-    __slots__ = ("index", "c1", "c2", "paths1", "paths2", "fraction")
+    __slots__ = ("c1", "c2", "paths1", "paths2", "fraction")
 
-    def __init__(self, index: int, c1: str, c2: str, paths1: frozenset[int],
+    def __init__(self, c1: str, c2: str, paths1: frozenset[int],
                  paths2: frozenset[int], fraction: Fraction):
         if c1 == c2:
-            raise ValueError(f"entry {index} pairs {c1} with itself")
+            raise ValueError(f"an entry pairs {c1} with itself")
         if c2 < c1:
             c1, c2, paths1, paths2 = c2, c1, paths2, paths1
-        self.index = index
         self.c1 = c1
         self.c2 = c2
         self.paths1 = paths1
@@ -137,7 +135,7 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
     skipped = 0
     # one Fraction per (paths, product of widths) pair: few distinct values
     fracs: dict[tuple[int, int], Fraction] = {}
-    for i, x in enumerate(crossings):
+    for x in crossings:
         try:
             c1, t1 = edge_paths[x.a]
             c2, t2 = edge_paths[x.b]
@@ -151,7 +149,7 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
         frac = fracs.get(key)
         if frac is None:
             frac = fracs[key] = Fraction(*key)
-        entries.append(CoverageEntry(i, c1, c2, t1, t2, frac))
+        entries.append(CoverageEntry(c1, c2, t1, t2, frac))
     return CoverageLedger(widths, tuple(entries), skipped)
 
 

@@ -15,9 +15,9 @@ planar inside a thin corridor around the straight segment between its
 poles, by its con-graph's shape; those seven segments are pairwise
 non-crossing by construction.
 
-A concept record names the witness drawing's layout family.  The
-con-graph shapes decide the rest: the upper drawing's emitter (by the
-designated pair) and both drawings' crossing counts.
+The con-graph shapes also decide each drawing's designated-pair emitter
+(a witness whose record has a ``grid_plan`` is an orthogonal grid) and
+both drawings' crossing counts.
 
 All coordinates are exact rationals.  Only the complete-graph gadget used
 by the fan-family concepts needs bends; every other standard drawing is
@@ -346,19 +346,6 @@ def _fan_upper(vcg: ConGraph, positions: dict, curves: dict, D: int) -> None:
 # Assembly
 # ---------------------------------------------------------------------------
 
-# Witness layout families named by the concept records: each places the
-# internal vertices of the designated pair, called as
-# (fg, vertical con-graph, horizontal con-graph, positions, D).
-_LAYOUTS = {
-    "grid": lambda fg, v, h, pos, D: _grid_witness(
-        v, h, fg.concept.info.grid_plan(fg.ell, fg.k), pos),
-    "pole-fan": lambda fg, v, h, pos, D: _pole_fan(v, h, pos),
-    "gap": lambda fg, v, h, pos, D: _gap_witness(v, h, pos, D, fg.k),
-    "apex": lambda fg, v, h, pos, D: _apex_witness(v, h, pos, fg.ell, fg.k),
-    "skew": lambda fg, v, h, pos, D: _skew_witness(v, h, pos, D, fg.k),
-}
-
-
 def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
     """Standard drawing of a framework graph (witness or upper)."""
     if variant not in ("witness", "upper"):
@@ -385,11 +372,20 @@ def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
         else:
             _corridor_stripes(cg, A, B, positions, fg.ell, fg.k)
 
+    # the designated pair's emitter, picked by its shapes; first match wins,
+    # as every pair above the last two branches has internal vertices too
     vcg, hcg = fg.congraphs[vcid], fg.congraphs[hcid]
-    if variant == "witness":
-        _LAYOUTS[fg.concept.info.witness_layout](fg, vcg, hcg, positions, D)
+    plan = fg.concept.info.grid_plan
+    if variant == "witness" and plan:
+        _grid_witness(vcg, hcg, plan(fg.ell, fg.k), positions)
     elif isinstance(vcg.spec, K7):
         _fan_upper(vcg, positions, curves, D)
+    elif isinstance(vcg.spec, ApexBlue):
+        _apex_witness(vcg, hcg, positions, fg.ell, fg.k)
+    elif isinstance(vcg.spec, SkewBlue):
+        _skew_witness(vcg, hcg, positions, D, fg.k)
+    elif isinstance(hcg.spec, Bundle) and hcg.spec.j > 2:
+        _gap_witness(vcg, hcg, positions, D, fg.k)
     elif hcg.internals:
         _pole_fan(vcg, hcg, positions)
     elif vcg.internals:

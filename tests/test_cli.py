@@ -166,6 +166,37 @@ def test_every_definition_in_src_has_a_use_there_or_is_exported():
             and not (name.startswith("__") and name.endswith("__"))] == []
 
 
+def test_every_record_field_in_src_is_read_there():
+    # a NamedTuple field or a __slots__ entry is data src/ itself reads as
+    # an attribute somewhere, never a value only stored
+    fields, read = [], set()
+    for path in sorted(Path(beyondcr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            named_tuple = any(isinstance(base, ast.Name)
+                              and base.id == "NamedTuple"
+                              for base in node.bases)
+            for stmt in node.body:
+                if named_tuple and isinstance(stmt, ast.AnnAssign):
+                    names = [stmt.target.id]
+                elif isinstance(stmt, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__slots__"
+                        for t in stmt.targets):
+                    names = ast.literal_eval(stmt.value)
+                else:
+                    continue
+                fields += [(node.name, name, f"{path.name}:{stmt.lineno}")
+                           for name in names]
+    # both kinds of field are collected
+    assert {("Graph", "edges"), ("ConceptInfo", "grid_plan")} \
+        <= {(cls, name) for cls, name, _ in fields}
+    assert [f for f in fields if f[1] not in read] == []
+
+
 def test_no_src_module_imports_a_private_name_from_a_sibling():
     # an underscore name belongs to its module; a sibling goes through a
     # public entry point instead

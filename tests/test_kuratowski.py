@@ -149,13 +149,13 @@ def _clipped_ledgers(draw):
                          max_size=4, unique=True))
     widths = {c: draw(st.integers(1, 4)) for c in cids}
     entries = []
-    for i in range(draw(st.integers(0, 8))):
+    for _ in range(draw(st.integers(0, 8))):
         c1, c2 = draw(st.permutations(cids))[:2]
         ps, qs = (frozenset(draw(st.lists(st.integers(0, widths[c] - 1),
                                           min_size=1, unique=True)))
                   for c in (c1, c2))
         entries.append(CoverageEntry(
-            i, c1, c2, ps, qs,
+            c1, c2, ps, qs,
             Fraction(len(ps) * len(qs), widths[c1] * widths[c2])))
     return CoverageLedger(widths, tuple(entries))
 
@@ -173,12 +173,12 @@ def test_entry_needs_two_connections():
     # a rectangle spans two connections; coverage_ledger skips crossings
     # inside one connection, and a hand-made entry may not pair one either
     with pytest.raises(ValueError):
-        CoverageEntry(0, "v1-w1", "v1-w1", frozenset({0}), frozenset({0}),
+        CoverageEntry("v1-w1", "v1-w1", frozenset({0}), frozenset({0}),
                       Fraction(1, 4))
 
 
 def test_entry_stores_its_connections_in_order():
-    e = CoverageEntry(0, "v2-w2", "v1-w1", frozenset({1}), frozenset({0, 2}),
+    e = CoverageEntry("v2-w2", "v1-w1", frozenset({1}), frozenset({0, 2}),
                       Fraction(1, 4))
     assert (e.c1, e.paths1, e.c2, e.paths2) == (
         "v1-w1", frozenset({0, 2}), "v2-w2", frozenset({1}))

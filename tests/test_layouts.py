@@ -136,6 +136,26 @@ def test_crossing_counts_match_the_papers_closed_forms(kind, variant):
                 == formula(ell, kk), (kind, ell, k, variant)
 
 
+@pytest.mark.parametrize(
+    "kind", sorted(kind for kind, info in CONCEPTS.items() if info.grid_plan))
+def test_every_grid_plan_fits_the_witness_pair(kind):
+    # the grid witness lays edge q of every pole path of both designated
+    # con-graphs across plan[q] opposing strands: one entry per edge, and
+    # every strand of the other con-graph laid
+    info = CONCEPTS[kind]
+    ks = range(info.k_min, info.k_min + 4) if info.requires_k else [None]
+    low = 2 if kind == "k-planar" else 1  # k-planar's blue bundles: length ell
+    for k in ks:
+        for ell in range(low, low + 12):
+            fg = construction_for(kind, ell, k)
+            plan = info.grid_plan(ell, fg.k)
+            for cid in DESIGNATED["witness"]:
+                cg = fg.congraphs[cid]
+                assert {len(p) - 1 for p in cg.paths} == {len(plan)}, \
+                    (kind, ell, k, cid)
+                assert sum(plan) == cg.width, (kind, ell, k, cid)
+
+
 def test_unknown_variant_rejected():
     fg = construction_for("ic", 2)
     with pytest.raises(ValueError):
