@@ -6,7 +6,11 @@
 concepts without a parameter ignore it.  Every checker returns a Verdict.
 All but one decide from the crossings alone, the fan sides included
 (``Crossing.turn``); only strong fan-planarity's enclosure test reads the
-drawing's curves.
+drawing's curves.  They count, group and search on the crossings' edge
+indices ``ia`` and ``ib``, which order as the edges do, and read an
+``Edge`` off a crossing to name it in a witness.  The vertex-based
+concepts key on the edges' endpoint strings, and skewness on the edges
+themselves, since its search branches in their ``str`` order.
 Failure verdicts carry a machine-checkable witness: the edge / vertex /
 crossing pair that breaks the condition, or for the search-based concepts
 (gap, apex, skewness) a certificate that no valid assignment or deletion
@@ -23,9 +27,9 @@ Counting conventions, applied consistently:
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable
 
 from .drawing import Crossing, Drawing, Verdict, compute_crossings, is_simple
@@ -33,8 +37,26 @@ from .geometry import IntPoint, chain_parity, on_segment, ray_toggle
 from .graph_core import ConceptId, Edge, as_concept, edge_key, structural_k
 
 
-def _crossing_vertices(x: Crossing) -> set[str]:
-    return set(x.a) | set(x.b)
+def _edge_counts(xs: tuple[Crossing, ...]) -> dict[int, int]:
+    """Crossings per edge index, a self-crossing counted twice."""
+    counts: dict[int, int] = {}
+    for x in xs:
+        counts[x.ia] = counts.get(x.ia, 0) + 1
+        counts[x.ib] = counts.get(x.ib, 0) + 1
+    return counts
+
+
+def _edges_by_index(xs: tuple[Crossing, ...]) -> dict[int, Edge]:
+    """Every crossed edge by its index."""
+    edges = {x.ia: x.a for x in xs}
+    edges.update({x.ib: x.b for x in xs})
+    return edges
+
+
+def _edge_key_of(xs: tuple[Crossing, ...], e: int) -> str:
+    """The key of the crossed edge of index e, read off its first crossing."""
+    x = next(x for x in xs if x.ia == e or x.ib == e)
+    return edge_key(x.a if x.ia == e else x.b)
 
 
 def _xjson(x: Crossing) -> dict:
@@ -53,37 +75,44 @@ def _xjson(x: Crossing) -> dict:
 
 def _k_planar(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:
     """Every edge is crossed at most k times (self-crossings count twice)."""
-    counts: dict[Edge, int] = {}
-    for x in xs:
-        counts[x.a] = counts.get(x.a, 0) + 1
-        counts[x.b] = counts.get(x.b, 0) + 1
-    for e in sorted(counts):
-        if counts[e] > k:
-            return Verdict(False, "k-planar",
-                           f"edge {edge_key(e)} crossed {counts[e]} > {k} times",
-                           {"edge": edge_key(e), "count": counts[e],
-                            "crossings": [_xjson(x) for x in xs
-                                          if x.involves(e)]})
-    return Verdict(True, "k-planar")
+    counts = _edge_counts(xs)
+    if max(counts.values(), default=0) <= k:
+        return Verdict(True, "k-planar")
+    e = min(e for e, c in counts.items() if c > k)
+    name = _edge_key_of(xs, e)
+    return Verdict(False, "k-planar",
+                   f"edge {name} crossed {counts[e]} > {k} times",
+                   {"edge": name, "count": counts[e],
+                    "crossings": [_xjson(x) for x in xs
+                                  if x.ia == e or x.ib == e]})
 
 
 def _k_vertex_planar(drawing: Drawing, xs: tuple[Crossing, ...],
                      k: int) -> Verdict:
     """Every vertex has at most k crossings on its incident edges; a crossing
-    between two edges sharing that vertex still counts once."""
+    between two edges sharing that vertex still counts once.
+
+    A vertex's count is the sum of its edges' counts, less one for each
+    crossing whose two edges both hold it (a self-crossing included)."""
     counts: dict[str, int] = {}
-    per_vertex: dict[str, list[Crossing]] = {}
+    edges = _edges_by_index(xs)
+    for e, c in _edge_counts(xs).items():
+        for v in edges[e]:
+            counts[v] = counts.get(v, 0) + c
     for x in xs:
-        for v in _crossing_vertices(x):
-            counts[v] = counts.get(v, 0) + 1
-            per_vertex.setdefault(v, []).append(x)
-    for v in sorted(counts):
-        if counts[v] > k:
-            return Verdict(False, "k-vertex-planar",
-                           f"vertex {v} has {counts[v]} > {k} adjacent crossings",
-                           {"vertex": v, "count": counts[v],
-                            "crossings": [_xjson(x) for x in per_vertex[v]]})
-    return Verdict(True, "k-vertex-planar")
+        a, b = x.a, x.b
+        if a[0] in b:
+            counts[a[0]] -= 1
+        if a[1] in b:
+            counts[a[1]] -= 1
+    if max(counts.values(), default=0) <= k:
+        return Verdict(True, "k-vertex-planar")
+    v = min(v for v, c in counts.items() if c > k)
+    return Verdict(False, "k-vertex-planar",
+                   f"vertex {v} has {counts[v]} > {k} adjacent crossings",
+                   {"vertex": v, "count": counts[v],
+                    "crossings": [_xjson(x) for x in xs
+                                  if v in x.a or v in x.b]})
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +133,7 @@ def _shared_endpoints(concept: str, limit: int, require_simple: bool,
     first: dict[tuple[str, ...], int] = {}
     pair: tuple[int, int] | None = None
     for j, x in enumerate(xs):
-        for key in combinations(sorted(_crossing_vertices(x)), limit + 1):
+        for key in combinations(sorted({*x.a, *x.b}), limit + 1):
             i = first.setdefault(key, j)
             if i < j and (pair is None or i < pair[0]):
                 pair = (i, j)
@@ -113,7 +142,7 @@ def _shared_endpoints(concept: str, limit: int, require_simple: bool,
     if pair is None:
         return Verdict(True, concept)
     x1, x2 = xs[pair[0]], xs[pair[1]]
-    shared = _crossing_vertices(x1) & _crossing_vertices(x2)
+    shared = {*x1.a, *x1.b} & {*x2.a, *x2.b}
     return Verdict(False, concept,
                    f"two crossings share {len(shared)} > {limit} "
                    f"endpoints ({', '.join(sorted(shared))})",
@@ -128,24 +157,27 @@ def _k_fan_crossing_free(drawing: Drawing, xs: tuple[Crossing, ...],
     edges crossing e are incident to z."""
     if not is_simple(xs):
         return Verdict(False, "k-fan-crossing-free", "drawing is not simple")
-    crossers: dict[Edge, set[Edge]] = {}
+    # the edges crossing each edge index; in a simple drawing they are
+    # distinct and miss the edge's ends
+    crossers: dict[int, list[Edge]] = defaultdict(list)
     for x in xs:
-        crossers.setdefault(x.a, set()).add(x.b)
-        crossers.setdefault(x.b, set()).add(x.a)
+        crossers[x.ia].append(x.b)
+        crossers[x.ib].append(x.a)
     for e in sorted(crossers):
-        apex_count: dict[str, list[Edge]] = {}
-        for f in crossers[e]:
-            for z in f:
-                apex_count.setdefault(z, []).append(f)
-        for z in sorted(apex_count):
-            fan = apex_count[z]
-            if len(fan) > k - 1:
-                return Verdict(
-                    False, "k-fan-crossing-free",
-                    f"edge {edge_key(e)} is crossed by {len(fan)} >= {k} "
-                    f"edges incident to {z}",
-                    {"edge": edge_key(e), "apex": z,
-                     "fan": sorted(edge_key(f) for f in fan)})
+        fs = crossers[e]
+        if len(fs) < k:
+            continue
+        apex_count = Counter(chain.from_iterable(fs))
+        if max(apex_count.values()) < k:
+            continue
+        z = min(z for z, c in apex_count.items() if c >= k)
+        name = _edge_key_of(xs, e)
+        return Verdict(
+            False, "k-fan-crossing-free",
+            f"edge {name} is crossed by {apex_count[z]} >= {k} "
+            f"edges incident to {z}",
+            {"edge": name, "apex": z,
+             "fan": sorted(edge_key(f) for f in fs if z in f)})
     return Verdict(True, "k-fan-crossing-free")
 
 
@@ -154,11 +186,11 @@ def _k_fan_crossing_free(drawing: Drawing, xs: tuple[Crossing, ...],
 # ---------------------------------------------------------------------------
 
 def _crossers_by_edge(xs: tuple[Crossing, ...]
-                      ) -> dict[Edge, list[Crossing]]:
-    out: dict[Edge, list[Crossing]] = {}
+                      ) -> dict[int, list[Crossing]]:
+    out: dict[int, list[Crossing]] = defaultdict(list)
     for x in xs:
-        out.setdefault(x.a, []).append(x)
-        out.setdefault(x.b, []).append(x)
+        out[x.ia].append(x)
+        out[x.ib].append(x)
     return out
 
 
@@ -202,39 +234,43 @@ def _fan(concept: str, level: int, drawing: Drawing,
     for e, crossings in sorted(_crossers_by_edge(xs).items()):
         if len(crossings) <= 1:
             continue
+        # the edges crossing edge e, and e itself
+        fs = [x.b if x.ia == e else x.a for x in crossings]
+        edge = crossings[0].a if crossings[0].ia == e else crossings[0].b
+        # in a simple drawing no crosser touches e, so every vertex that
+        # all crossers share is an anchor candidate
+        common = set(fs[0]).intersection(*fs[1:])
         if level == 0:
-            for x1, x2 in combinations(crossings, 2):
-                f1, f2 = x1.other(e), x2.other(e)
-                if not set(f1) & set(f2):
+            if common:      # crossers through one vertex are pairwise adjacent
+                continue
+            for f1, f2 in combinations(fs, 2):
+                if f1[0] not in f2 and f1[1] not in f2:
                     return Verdict(
                         False, concept,
                         f"edges {edge_key(f1)} and {edge_key(f2)} cross "
-                        f"{edge_key(e)} but share no vertex",
-                        {"edge": edge_key(e),
+                        f"{edge_key(edge)} but share no vertex",
+                        {"edge": edge_key(edge),
                          "crossers": [edge_key(f1), edge_key(f2)]})
             continue
-        # in a simple drawing no crosser touches e, so every vertex that
-        # all crossers share is an anchor candidate
-        anchors = sorted(set.intersection(*(set(x.other(e))
-                                            for x in crossings)))
-        if not anchors:
-            fans = sorted(edge_key(x.other(e)) for x in crossings)
+        if not common:
             return Verdict(False, concept,
-                           f"edges crossing {edge_key(e)} have no common vertex",
-                           {"edge": edge_key(e), "crossers": fans})
+                           f"edges crossing {edge_key(edge)} have no common "
+                           "vertex", {"edge": edge_key(edge),
+                                      "crossers": sorted(map(edge_key, fs))})
         if level == 1:
             continue
         ok_anchor = None
         last_reason: tuple[str, dict] | None = None
-        for v in anchors:
+        for v in sorted(common):
             # the side f crosses e from, f running toward v: the crossing's
             # turn, flipped when e is its b and when f runs backward
-            sides = {x.turn * (1 if x.a == e else -1)
-                     * (1 if x.other(e)[1] == v else -1) for x in crossings}
+            sides = {x.turn * (1 if x.ia == e else -1)
+                     * (1 if f[1] == v else -1)
+                     for x, f in zip(crossings, fs)}
             if len(sides) > 1:
                 last_reason = (
-                    f"crossings of {edge_key(e)} approach anchor {v} from "
-                    f"both sides", {"edge": edge_key(e), "anchor": v})
+                    f"crossings of {edge_key(edge)} approach anchor {v} from "
+                    f"both sides", {"edge": edge_key(edge), "anchor": v})
                 continue
             if level == 3:
                 if curves is None:
@@ -251,12 +287,13 @@ def _fan(concept: str, level: int, drawing: Drawing,
     return Verdict(True, concept)
 
 
-def _enclosure_failure(curves: ScaledCurves, e: Edge,
+def _enclosure_failure(curves: ScaledCurves, ie: int,
                        crossings: list[Crossing],
                        anchor: str) -> tuple[str, dict] | None:
     """sfp condition: for each pair of crossers, the closed curve formed by
-    the piece of e between the two crossing points and the two crosser
-    curves up to the anchor must not strictly enclose an endpoint of e.
+    the piece of e, the edge of index ``ie``, between the two crossing
+    points and the two crosser curves up to the anchor must not strictly
+    enclose an endpoint of e.
 
     Each segment of such a ring flips an endpoint's even-odd ray count on
     its own, in either direction (``geometry.ray_toggle``), so the ring's
@@ -278,6 +315,7 @@ def _enclosure_failure(curves: ScaledCurves, e: Edge,
     need not share the check's scale.
     """
     scale, polyline = curves
+    e = crossings[0].a if crossings[0].ia == ie else crossings[0].b
     poly = polyline(e)
     ends = (poly[0], poly[-1])
     # prefixes[k][s]: parity of e's curve up to its point s at endpoint k
@@ -288,9 +326,13 @@ def _enclosure_failure(curves: ScaledCurves, e: Edge,
             prefix.append(prefix[-1] ^ ray_toggle(p, a, b))
         prefixes.append(prefix)
     bits: list[list[bool | None]] = []  # Q per crossing and endpoint
+    fs: list[Edge] = []                 # the crossers, in crossing order
     for x in crossings:
-        f = x.other(e)
-        seg, seg_f = (x.seg_a, x.seg_b) if x.a == e else (x.seg_b, x.seg_a)
+        if x.ia == ie:
+            f, seg, seg_f = x.b, x.seg_a, x.seg_b
+        else:
+            f, seg, seg_f = x.a, x.seg_b, x.seg_a
+        fs.append(f)
         # the tail: the crossing point, then f's points up to the anchor
         poly_f = polyline(f)
         rest = poly_f[seg_f + 1:] if anchor == f[1] else poly_f[seg_f::-1]
@@ -312,7 +354,7 @@ def _enclosure_failure(curves: ScaledCurves, e: Edge,
     if split is None:
         return None
     i, j, k = split
-    u, fi, fj = e[k], crossings[i].other(e), crossings[j].other(e)
+    u, fi, fj = e[k], fs[i], fs[j]
     return (f"endpoint {u} of {edge_key(e)} is enclosed by the fan region "
             f"of {edge_key(fi)} and {edge_key(fj)}",
             {"edge": edge_key(e), "endpoint": u, "anchor": anchor,
@@ -351,27 +393,34 @@ def _first_split(bits: list[list[bool | None]]
 def _k_edge_crossing(drawing: Drawing, xs: tuple[Crossing, ...],
                      k: int) -> Verdict:
     """At most k edges are involved in crossings."""
-    crossed = {x.a for x in xs} | {x.b for x in xs}
+    crossed = _edges_by_index(xs)
     if len(crossed) > k:
         return Verdict(False, "k-edge-crossing",
                        f"{len(crossed)} > {k} edges are crossed",
-                       {"crossed_edges": sorted(edge_key(e) for e in crossed)})
+                       {"crossed_edges": sorted(map(edge_key,
+                                                    crossed.values()))})
     return Verdict(True, "k-edge-crossing")
 
 
-def _alternating_bfs(xs: tuple[Crossing, ...], charged: dict[Edge, list[int]],
-                     sources: list[int], k: int) -> tuple[Edge | None, dict]:
+def _alternating_bfs(xs: tuple[Crossing, ...], charged: dict[int, list[int]],
+                     sources: list[int], k: int, dead: set[int]
+                     ) -> tuple[int | None, dict]:
     """Breadth-first search from the edges of the crossings in sources, from
     each edge over the crossings charged to it to their other edges: the
-    first edge with fewer than k charges (or None) and the parent map."""
-    parent = dict.fromkeys(e for i in sources for e in (xs[i].a, xs[i].b))
+    first edge with fewer than k charges (or None) and the parent map, all
+    by edge index.  Edges in ``dead`` are passed over: the search reaches
+    from them only full edges of ``dead``, so no other edge's place in the
+    search order changes."""
+    parent = dict.fromkeys(e for i in sources for e in (xs[i].ia, xs[i].ib))
     queue = deque(parent)
     while queue:
         e = queue.popleft()
+        if e in dead:
+            continue
         if len(charged[e]) < k:
             return e, parent
         for j in charged[e]:
-            f = xs[j].other(e)
+            f = xs[j].ib if xs[j].ia == e else xs[j].ia
             if f not in parent:
                 parent[f] = (e, j)
                 queue.append(f)
@@ -387,12 +436,27 @@ def _k_gap_planar(drawing: Drawing, xs: tuple[Crossing, ...],
     crossings exceed k|E_R|."""
     if not xs:
         return Verdict(True, "k-gap-planar")
-    charged: dict[Edge, list[int]] = defaultdict(list)
+    charged: dict[int, list[int]] = defaultdict(list)
     uncharged: list[int] = []
-    for i in range(len(xs)):
-        e, parent = _alternating_bfs(xs, charged, [i], k)
+    # The edges a failed search reached are full and charged only crossings
+    # whose edges they all hold.  No augmenting path can enter them, so
+    # they stay so, and later searches pass them over.
+    dead: set[int] = set()
+    for i, x in enumerate(xs):
+        # the search would stop at once on x's first edge with room
+        held = charged[x.ia]
+        if len(held) >= k:
+            held = charged[x.ib]
+        if len(held) < k:
+            held.append(i)
+            continue
+        if x.ia in dead and x.ib in dead:
+            uncharged.append(i)
+            continue
+        e, parent = _alternating_bfs(xs, charged, [i], k, dead)
         if e is None:
             uncharged.append(i)
+            dead.update(parent)
             continue
         while parent[e] is not None:
             prev, j = parent[e]
@@ -403,13 +467,15 @@ def _k_gap_planar(drawing: Drawing, xs: tuple[Crossing, ...],
     if not uncharged:
         owner = {j: e for e, held in charged.items() for j in held}
         return Verdict(True, "k-gap-planar", witness={"assignment": {
-            str(i): edge_key(owner[i]) for i in range(len(xs))}})
-    reach = _alternating_bfs(xs, charged, uncharged, k)[1]
-    internal = sum(x.a in reach and x.b in reach for x in xs)
+            str(i): edge_key(x.a if owner[i] == x.ia else x.b)
+            for i, x in enumerate(xs)}})
+    reach = _alternating_bfs(xs, charged, uncharged, k, set())[1]
+    internal = sum(x.ia in reach and x.ib in reach for x in xs)
+    edges = _edges_by_index(xs)
     return Verdict(False, "k-gap-planar",
                    f"{internal} crossings among {len(reach)} edges exceed "
                    f"capacity {k}*{len(reach)}",
-                   {"edges": [edge_key(e) for e in sorted(reach)],
+                   {"edges": [edge_key(edges[e]) for e in sorted(reach)],
                     "internal_crossings": internal})
 
 
@@ -462,7 +528,7 @@ def _hitting_set(universe: list[frozenset], k: int) -> set | None:
 def _k_apex(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:
     """Some set of at most k vertices meets every crossing (deleting them
     leaves a crossing-free drawing)."""
-    sets = [frozenset(_crossing_vertices(x)) for x in xs]
+    sets = [frozenset((*x.a, *x.b)) for x in xs]
     hit = _hitting_set(sets, k)
     if hit is None:
         return Verdict(False, "k-apex",
@@ -473,8 +539,10 @@ def _k_apex(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:
 
 def _skewness(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:
     """Some set of at most k edges meets every crossing (deleting them
-    leaves a crossing-free drawing)."""
-    sets = [frozenset({x.a, x.b}) for x in xs]
+    leaves a crossing-free drawing).  Its sets hold the edges themselves:
+    the search branches in their ``str`` order, which indices would have
+    to look up."""
+    sets = [frozenset((x.a, x.b)) for x in xs]
     hit = _hitting_set(sets, k)
     if hit is None:
         return Verdict(False, "skewness",

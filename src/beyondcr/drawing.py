@@ -19,12 +19,15 @@ side of the other's line is rejected after two, a collinear pair is an
 overlap, and otherwise the pair crosses or touches.  Only the crossings
 are kept and sorted, plus the first touch or overlap, so memory is
 O(segments + crossings).
-A ``Crossing`` keeps the engine's exact integers: the segment index and
-the parameter (num, den) on each curve, and the point as one triple
-(x, y, w) in drawing coordinates.  ``point``, ``pos_a`` and ``pos_b``
-build ``Fraction``s from them on read.  Each crossing also keeps the sign
-of its two segments' cross product as ``turn``: the side a crosser passes
-from, which the fan checkers read instead of the geometry.
+A ``Crossing`` keeps the engine's exact integers: each edge's index in
+the sorted edge list, the segment index and the parameter (num, den) on
+each curve, and the point as one triple (x, y, w) in drawing
+coordinates.  The checkers and the coverage ledger count and group on
+the edge indices; the ``Edge`` tuples name edges in witnesses.
+``point``, ``pos_a`` and ``pos_b`` build ``Fraction``s from them on
+read.  Each crossing also keeps the sign of its two segments' cross
+product as ``turn``: the side a crosser passes from, which the fan
+checkers read instead of the geometry.
 
 A drawing must be in *general position*: no overlapping segments, no curve
 through a vertex or bend of another curve, and no two crossings at the same
@@ -90,27 +93,30 @@ def is_straight_line(drawing: Drawing) -> bool:
 class Crossing:
     """One proper crossing point between two edge curves.
 
-    ``a <= b``; for a self-crossing a == b.  The crossing keeps the
-    engine's exact integers: it lies on segment ``seg_a`` of a's curve at
-    parameter ``num_a / den_a`` and on segment ``seg_b`` of b's curve at
-    ``num_b / den_b``, at the point (x/w, y/w) in drawing coordinates,
-    where ``xyw`` is (x, y, w); every den and w is positive.  ``pos_a`` and
-    ``pos_b``, each (segment index, parameter), and ``point`` build
-    ``Fraction``s from them on every read; ``pos_a`` orders crossings
-    along an edge.  ``turn`` is +1 or -1, the sign of the cross product of
+    ``a <= b``; for a self-crossing a == b.  ``ia`` and ``ib`` are the
+    indices of a and b in ``sorted(drawing.graph.edges)``, so they order
+    as the edges do.  The crossing keeps the engine's exact integers: it
+    lies on segment ``seg_a`` of a's curve at parameter ``num_a / den_a``
+    and on segment ``seg_b`` of b's curve at ``num_b / den_b``, at the
+    point (x/w, y/w) in drawing coordinates, where ``xyw`` is (x, y, w);
+    every den and w is positive.  ``pos_a`` and ``pos_b``, each (segment
+    index, parameter), and ``point`` build ``Fraction``s from them on
+    every read; ``pos_a`` orders crossings along an edge.  ``turn`` is +1 or -1, the sign of the cross product of
     a's segment direction and b's, both curves running from their smaller
     endpoint: +1 when b passes from a's right to its left.  Crossings have
     no order and compare by identity; sort them by a key of these fields.
     """
 
-    __slots__ = ("a", "b", "seg_a", "num_a", "den_a", "seg_b", "num_b",
-                 "den_b", "xyw", "turn")
+    __slots__ = ("a", "b", "ia", "ib", "seg_a", "num_a", "den_a", "seg_b",
+                 "num_b", "den_b", "xyw", "turn")
 
-    def __init__(self, a: Edge, b: Edge, seg_a: int, num_a: int, den_a: int,
-                 seg_b: int, num_b: int, den_b: int,
+    def __init__(self, a: Edge, b: Edge, ia: int, ib: int, seg_a: int,
+                 num_a: int, den_a: int, seg_b: int, num_b: int, den_b: int,
                  xyw: tuple[int, int, int], turn: int):
         self.a = a
         self.b = b
+        self.ia = ia
+        self.ib = ib
         self.seg_a = seg_a
         self.num_a = num_a
         self.den_a = den_a
@@ -136,16 +142,6 @@ class Crossing:
     def __repr__(self) -> str:
         return (f"Crossing({self.a}, {self.b}, pos_a={self.pos_a}, "
                 f"pos_b={self.pos_b}, point={self.point}, turn={self.turn})")
-
-    def involves(self, e: Edge) -> bool:
-        return self.a == e or self.b == e
-
-    def other(self, e: Edge) -> Edge:
-        if e == self.a:
-            return self.b
-        if e == self.b:
-            return self.a
-        raise ValueError(f"{e} not part of this crossing")
 
 
 def _point_table(drawing: Drawing, bent: list[Edge]
@@ -312,8 +308,11 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
             s += 1
 
     # Classify each other candidate as the sweep yields it.  Proper
-    # crossings are kept.
-    proper: list[tuple[int, int, int, int, int, int, int, int]] = []
+    # crossings are kept, each as a record of ten ints: on 64-bit CPython a
+    # ten-tuple and a Crossing fall in one allocator size class, so each
+    # crossing reuses the memory of the record freed before it (with eight
+    # ints the k-fcf 109 k=4 witness pass peaked 16 MiB higher).
+    proper: list[tuple[int, ...]] = []
     for s, t in _candidate_pairs(boxes, lo_sum, hi_sum, lo_dif, hi_dif):
         ax, ay, bx, by = segs[s]
         cx, cy, dx, dy = segs[t]
@@ -330,7 +329,8 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
         if d3 > 0 and d4 > 0 or d3 < 0 and d4 < 0:
             continue
         if d1 and d2 and d3 and d4:
-            proper.append((owner[s], owner[t], s, t, d1, d2, d3, d4))
+            proper.append((owner[s], owner[t], s, t, d1, d2, d3, d4,
+                           index[s], index[t]))
             continue
         if d1 == 0 and d2 == 0:
             # Collinear with meeting boxes, so the segments share a point;
@@ -356,13 +356,14 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
     # crosses one segment of a more than once: such a run, found[start:],
     # takes each crossing in by its parameter on a, cross-multiplied.
     # Popped from the end of a reversed sort, each record is freed as its
-    # crossing is built, so the two never all coexist.
+    # crossing is built, so the two never all coexist.  The first four ints
+    # are unique, so the sort never reads the rest.
     proper.sort(reverse=True)
     seen: set[tuple[int, int, int]] = set()
     found: list[Crossing] = []
     run, start = None, 0
     while proper:
-        oa, ob, s, t, d1, d2, d3, d4 = proper.pop()
+        oa, ob, s, t, d1, d2, d3, d4, seg_a, seg_b = proper.pop()
         if first_bad is not None and (oa, ob, s, t) > first_bad[0]:
             break
         ea, eb = edge_list[oa], edge_list[ob]
@@ -390,7 +391,7 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
         # t2 = d3 / (d3 - d4); cross(b - a, d - c) = d4 - d3, and d3, d4
         # have opposite signs
         num_b, den_b = (-d3, d4 - d3) if d4 > 0 else (d3, d3 - d4)
-        crossing = Crossing(ea, eb, index[s], d1, den, index[t], num_b,
+        crossing = Crossing(ea, eb, oa, ob, seg_a, d1, den, seg_b, num_b,
                             den_b, xyw, 1 if d4 > 0 else -1)
         if run != (s, ob):
             run, start = (s, ob), len(found)
@@ -430,14 +431,17 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
 def is_simple(xs: tuple[Crossing, ...]) -> bool:
     """Whether a drawing with crossings ``xs`` is simple: no self-crossings,
     no crossing adjacent edges, and no edge pair crossing more than once.
-    An end of a in b covers a == b, and a repeated pair shrinks the set of
-    pairs below the number of crossings."""
-    pairs: set[tuple[Edge, Edge]] = set()
+    An end of a in b covers a == b, and a repeated pair of edge indices
+    shrinks the set of pairs below the number of crossings.  Each pair is
+    one int, by Cantor's pairing function, so the set holds no tuples."""
+    pairs: set[int] = set()
     for x in xs:
-        a, b = x.a, x.b
-        if a[0] in b or a[1] in b:
+        u, v = x.a
+        p, q = x.b
+        if u == p or u == q or v == p or v == q:
             return False
-        pairs.add((a, b))
+        s = x.ia + x.ib
+        pairs.add(s * (s + 1) // 2 + x.ib)
     return len(pairs) == len(xs)
 
 

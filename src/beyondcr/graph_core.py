@@ -623,17 +623,21 @@ class FrameworkGraph:
         return self.ell < evaluate(self.concept.info.threshold, k=self.k)[0]
 
     @cached_property
-    def edge_paths(self) -> dict[Edge, tuple[str, frozenset[int]]]:
-        """Every edge's connection and the indices of the pole paths of that
-        connection running through it (P_c[e], empty off the path family)."""
-        out: dict[Edge, tuple[str, frozenset[int]]] = {}
+    def edge_paths(self) -> list[tuple[int, frozenset[int]]]:
+        """Per edge of ``graph.edges``, in that order: the index of its
+        connection in ALL_CONNECTIONS and the indices of the pole paths of
+        that connection running through it (P_c[e], empty off the path
+        family).  ``make_graph`` sorts the edges, so a crossing's ``ia`` and
+        ``ib`` index this list."""
+        out: dict[Edge, tuple[int, frozenset[int]]] = {}
         for cid, cg in self.congraphs.items():
-            through: dict[Edge, set[int]] = {e: set() for e in cg.edges}
+            c = ALL_CONNECTIONS.index(cid)
+            out.update(dict.fromkeys(cg.edges, (c, frozenset())))
             for idx, p in enumerate(cg.paths):
                 for a, b in zip(p, p[1:]):
-                    through[edge(a, b)].add(idx)
-            out.update((e, (cid, frozenset(ps))) for e, ps in through.items())
-        return out
+                    e = edge(a, b)
+                    out[e] = (c, out[e][1] | {idx})
+        return list(map(out.__getitem__, self.graph.edges))
 
     def widths(self) -> dict[str, int]:
         return {cid: cg.width for cid, cg in self.congraphs.items()}

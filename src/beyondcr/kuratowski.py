@@ -12,6 +12,9 @@ into crossing counts gives the per-concept counting lower bounds.
 
 A subdivision is named by its path choices, a ``{connection: path index}``
 dict; ``verify_full_coverage`` returns the first uncovered one in that form.
+The ledger looks each crossing's edges up by their indices ``ia``/``ib``
+in ``FrameworkGraph.edge_paths`` and tests adjacency in a 9x9 table of
+connection indices.
 """
 
 from __future__ import annotations
@@ -109,10 +112,12 @@ class CoverageLedger(NamedTuple):
         return tuple(sorted(cids))
 
 
-# Connection pairs that share a pole, each connection with itself included:
-# crossings between their edges cover nothing.
-_ADJACENT = {(c, d) for c in ALL_CONNECTIONS for d in ALL_CONNECTIONS
-             if set(connection_poles(c)) & set(connection_poles(d))}
+# _ADJACENT[c][d]: whether connections c and d, by index in ALL_CONNECTIONS,
+# share a pole, each connection with itself included: crossings between
+# their edges cover nothing.
+_ADJACENT = tuple(tuple(bool(set(connection_poles(c))
+                             & set(connection_poles(d)))
+                        for d in ALL_CONNECTIONS) for c in ALL_CONNECTIONS)
 
 
 def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
@@ -123,6 +128,8 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
     Crossings between edges of non-adjacent connections (pole sets disjoint)
     contribute a rectangle entry; everything else contributes nothing.
     A drawing of another graph than the framework graph's raises ValueError.
+    ``crossings``, when given, are the drawing's as ``compute_crossings``
+    returns them: their edge indices index ``fg.edge_paths``.
     """
     if drawing.graph != fg.graph:
         raise ValueError(f"the drawing is not of the {fg.concept} framework "
@@ -130,26 +137,24 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
     if crossings is None:
         crossings = compute_crossings(drawing)
     widths = fg.widths()
+    width = [widths[c] for c in ALL_CONNECTIONS]   # by connection index
     edge_paths = fg.edge_paths
     entries: list[CoverageEntry] = []
     skipped = 0
     # one Fraction per (paths, product of widths) pair: few distinct values
     fracs: dict[tuple[int, int], Fraction] = {}
     for x in crossings:
-        try:
-            c1, t1 = edge_paths[x.a]
-            c2, t2 = edge_paths[x.b]
-        except KeyError as exc:
-            raise ValueError(f"crossed edge {exc.args[0]} belongs to no "
-                             "con-graph of the framework graph") from None
-        if (c1, c2) in _ADJACENT or not t1 or not t2:
+        c1, t1 = edge_paths[x.ia]
+        c2, t2 = edge_paths[x.ib]
+        if _ADJACENT[c1][c2] or not t1 or not t2:
             skipped += 1
             continue
-        key = (len(t1) * len(t2), widths[c1] * widths[c2])
+        key = (len(t1) * len(t2), width[c1] * width[c2])
         frac = fracs.get(key)
         if frac is None:
             frac = fracs[key] = Fraction(*key)
-        entries.append(CoverageEntry(c1, c2, t1, t2, frac))
+        entries.append(CoverageEntry(ALL_CONNECTIONS[c1], ALL_CONNECTIONS[c2],
+                                     t1, t2, frac))
     return CoverageLedger(widths, tuple(entries), skipped)
 
 

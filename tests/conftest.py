@@ -2,8 +2,8 @@
 
 from fractions import Fraction
 
-from beyondcr import (Drawing, construction_for, draw_framework, edge,
-                      make_graph)
+from beyondcr import (Crossing, Drawing, construction_for, draw_framework,
+                      edge, make_graph)
 
 # Figure-scale (ell, k) points per concept.  Every theorem threshold whose
 # Kuratowski family fits the enumeration budget appears here too, so the
@@ -81,6 +81,17 @@ SLOPE_TARGET: dict[str, int] = {
 
 def pt(x, y):
     return (Fraction(x), Fraction(y))
+
+
+def made_up_crossing(graph, e, f, xyw, turn=1) -> Crossing:
+    """A crossing of edges e and f of ``graph`` at (x/w, y/w), halfway along
+    the first segment of each, with the engine's edge indices: each edge's
+    index in the graph's sorted edges, so no test can pass indices that
+    disagree with its edges."""
+    a, b = sorted((e, f))
+    edges = sorted(graph.edges)
+    return Crossing(a, b, edges.index(a), edges.index(b), 0, 1, 2, 0, 1, 2,
+                    xyw, turn)
 
 
 def standard_drawing(kind, ell, k=None, variant="witness") -> Drawing:

@@ -340,6 +340,55 @@ def gap_ok_brute(xs, k):
     return not xs
 
 
+def gap_witness_plain(xs, k):
+    """The k-gap checker's witness by the plain method, keyed on the edge
+    tuples: for every crossing in turn, a breadth-first search over
+    alternating paths from its two edges (a, then b) to the first edge
+    with fewer than k charges, then the path flipped.  No search is
+    skipped, so every shortcut of the checker must give the same witness.
+    No crossings give no witness.
+    """
+    xs = list(xs)
+    if not xs:
+        return None
+    charged = {}
+
+    def search(sources):
+        parent = dict.fromkeys(e for i in sources for e in (xs[i].a, xs[i].b))
+        queue = list(parent)
+        for e in queue:
+            held = charged.setdefault(e, [])
+            if len(held) < k:
+                return e, parent
+            for j in held:
+                f = xs[j].b if xs[j].a == e else xs[j].a
+                if f not in parent:
+                    parent[f] = (e, j)
+                    queue.append(f)
+        return None, parent
+
+    uncharged = []
+    for i in range(len(xs)):
+        e, parent = search([i])
+        if e is None:
+            uncharged.append(i)
+            continue
+        while parent[e] is not None:
+            prev, j = parent[e]
+            charged[prev].remove(j)
+            charged[e].append(j)
+            e = prev
+        charged[e].append(i)
+    if not uncharged:
+        owner = {j: e for e, held in charged.items() for j in held}
+        return {"assignment": {str(i): "|".join(owner[i])
+                               for i in range(len(xs))}}
+    reach = search(uncharged)[1]
+    return {"edges": ["|".join(e) for e in sorted(reach)],
+            "internal_crossings": sum(x.a in reach and x.b in reach
+                                      for x in xs)}
+
+
 def apex_ok_brute(xs, k):
     """Try all vertex subsets of size <= k among crossing endpoints."""
     xs = list(xs)

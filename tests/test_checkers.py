@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from beyondcr import (Crossing, Drawing, GeneralPositionViolation,
+from beyondcr import (Drawing, GeneralPositionViolation, Graph,
                       appendix_fcf_fixture, check_concept, compute_crossings,
+                      construction_for, coverage_ledger, draw_framework,
                       edge, is_simple, make_graph, random_corpus,
                       random_drawing)
 from beyondcr import checkers
@@ -22,6 +23,7 @@ from conftest import (
     fan_fixture_adjacent_not_fan,
     fan_fixture_fan_not_weak,
     fan_fixture_weak_not_strong,
+    made_up_crossing,
     pt,
     standard_drawing,
 )
@@ -263,7 +265,7 @@ def test_is_simple_matches_pairwise_oracle():
     for d in drawings:
         xs = compute_crossings(d)
         e = min(d.graph.edges)
-        loop = Crossing(e, e, 0, 1, 2, 1, 1, 2, (0, 0, 1), 1)
+        loop = made_up_crossing(d.graph, e, e, (0, 0, 1))
         # as computed, with its first crossing repeated, and with a loop
         for ys in (xs, xs + xs[:1], xs + (loop,)):
             assert is_simple(ys) == o.is_simple_brute(ys)
@@ -332,12 +334,12 @@ def _ic_family_orders(rng):
         yield d, rng.sample(lst, len(lst))
     for _ in range(200):
         names = [f"u{i}" for i in range(rng.randrange(4, 32))]
-        lst = []
-        for i in range(rng.randrange(2, 9)):
-            a, b, c, e = rng.sample(names, 4)
-            lst.append(Crossing(*sorted([edge(a, b), edge(c, e)]),
-                                0, 1, 2, 0, 1, 2, (i, 0, 1), 1))
-        yield d, lst
+        pairs = [(edge(a, b), edge(c, e)) for a, b, c, e in (
+            rng.sample(names, 4) for _ in range(rng.randrange(2, 9)))]
+        d = Drawing(make_graph(names, {e for pair in pairs for e in pair}),
+                    {})
+        yield d, [made_up_crossing(d.graph, e, f, (i, 0, 1))
+                  for i, (e, f) in enumerate(pairs)]
 
 
 def test_ic_family_witness_is_the_first_pair_in_combinations_order():
@@ -379,6 +381,25 @@ def test_gap_planar_success_carries_an_assignment():
     assert max(loads.values()) <= 1
 
 
+def test_gap_witness_matches_the_plain_search():
+    # the checker skips searches (a crossing with room on an edge, edges a
+    # failed search reached) and must still give the witness that searching
+    # for every crossing gives
+    drawings = random_corpus(1717, 200, bend_prob=0.35)
+    drawings += [standard_drawing(kind, ell, k, variant=variant)
+                 for kind, ell, k in GRID for variant in ("witness", "upper")]
+    drawings += [standard_drawing("nnic", 10), standard_drawing("ic", 8),
+                 standard_drawing("strong-fan-planar", 6)]
+    seen = Counter()
+    for d in drawings:
+        xs = compute_crossings(d)
+        for k in (1, 2, 3):
+            v = check_concept(d, "k-gap-planar", k, xs=xs)
+            assert v.witness == o.gap_witness_plain(xs, k)
+            seen[v.ok] += 1
+    assert seen[True] >= 500 and seen[False] >= 50
+
+
 def test_gap_planar_failure_witness_is_pinned():
     # Recorded from the max-flow checker this one replaced.
     d = standard_drawing("strong-fan-planar", 6, variant="witness")
@@ -398,6 +419,64 @@ def test_apex_and_skew_witnesses_name_their_removals():
     d = standard_drawing("skewness", 2, 1, variant="witness")
     v = check_concept(d, "skewness", 1)
     assert v.ok and len(v.witness["removed"]) <= 1
+
+
+def test_hitting_set_branches_in_str_order():
+    # a|b is crossed by a!|c and a!|d.  As tuples ("a", "b") comes first,
+    # so it has the least edge index, but str(("a!", "c")) < str(("a",
+    # "b")): the search branches on a!|c first.  Recorded before crossings
+    # carried edge indices.
+    d = Drawing(make_graph(["a", "b", "a!", "c", "d"],
+                           [edge("a", "b"), edge("a!", "c"), edge("a!", "d")]),
+                {"a": pt(0, 0), "b": pt(6, 0), "a!": pt(3, -2),
+                 "c": pt(1, 2), "d": pt(5, 2)})
+    xs = compute_crossings(d)
+    assert [(x.ia, x.ib) for x in xs] == [(0, 1), (0, 2)]
+    assert check_concept(d, "skewness", 1, xs=xs).witness == {
+        "removed": ["a|b"]}
+    assert check_concept(d, "skewness", 2, xs=xs).witness == {
+        "removed": ["a!|c", "a!|d"]}
+    for k in (1, 2):
+        assert check_concept(d, "k-apex", k, xs=xs).witness == {
+            "apices": ["a"]}
+
+
+def test_verdicts_read_indices_into_the_sorted_edges():
+    # Graph(...) keeps its edges in the order given; the indices on the
+    # crossings still index the sorted edges, so a drawing listing its
+    # edges out of order gets the verdicts and the ledger of the same
+    # drawing made through make_graph
+    rng = random.Random(2323)
+    cases = [(construction_for(kind, ell, k), variant)
+             for kind, ell, k in GRID for variant in ("witness", "upper")]
+    cases += [(None, d) for d in random_corpus(2324, 40, bend_prob=0.35)]
+    for fg, d in cases:
+        if fg is not None:
+            d = draw_framework(fg, d)
+        edges = list(d.graph.edges)
+        rng.shuffle(edges)
+        if edges == sorted(edges):
+            edges.reverse()
+        assert edges != sorted(edges)
+        out_of_order = Drawing(Graph(d.graph.vertices, tuple(edges)),
+                               d.positions, d.curves)
+        xs = compute_crossings(out_of_order)
+        for concept, info in CONCEPTS.items():
+            for k in ((info.k_min, info.k_min + 1) if info.requires_k
+                      else (None,)):
+                assert (check_concept(out_of_order, concept, k,
+                                      xs=xs).to_json_obj()
+                        == check_concept(d, concept, k).to_json_obj())
+        if fg is not None:
+            ledger = coverage_ledger(d, fg, xs)
+            want = coverage_ledger(d, fg)
+            assert ledger.skipped == want.skipped
+            assert [_fields(e) for e in ledger.entries] == \
+                [_fields(e) for e in want.entries]
+
+
+def _fields(entry):
+    return tuple(getattr(entry, name) for name in entry.__slots__)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ from beyondcr import (
 )
 from beyondcr.checkers import _xjson
 from beyondcr.drawing import _candidate_pairs
-from conftest import GRID, fan_fixture_weak_not_strong, pt, standard_drawing
+from conftest import (GRID, fan_fixture_weak_not_strong, made_up_crossing,
+                      pt, standard_drawing)
 from oracles import (bbox_disjoint, brute_crossing_points, count_on_edge,
                      first_violation_kind, octagon_disjoint, ordered_along,
                      segments, solve_segments, turn_brute)
@@ -56,10 +57,7 @@ def test_single_proper_crossing():
     assert x.point == (Fraction(2), Fraction(2))
     assert x.a == ("a", "b") and x.b == ("c", "d")
     assert x.a <= x.b
-    assert x.other(("a", "b")) == ("c", "d")
-    assert x.involves(("c", "d"))
-    with pytest.raises(ValueError):
-        x.other(("a", "c"))
+    assert (x.ia, x.ib) == (0, 1)
 
 
 def test_shared_endpoint_is_not_a_crossing():
@@ -114,8 +112,8 @@ def test_crossings_ordered_along_edge():
     xs = compute_crossings(d)
     along = ordered_along(xs, ("a", "b"))
     assert len(along) == 2
-    assert along[0][1].involves(("c", "d"))
-    assert along[1][1].involves(("e", "f"))
+    assert along[0][1].b == ("c", "d")
+    assert along[1][1].b == ("e", "f")
     assert along[0][0] < along[1][0]
 
 
@@ -306,9 +304,34 @@ def test_crossings_hold_integers_and_read_as_fractions():
             assert _xjson(x)["point"] == [str(c) for c in x.point]
     # negative, integral and non-reduced coordinates
     for xyw in [(-6, 8, 4), (0, -5, 5), (7, -9, 3), (12, 30, 18)]:
-        x = Crossing(edge("a", "b"), edge("c", "d"), 0, 1, 2, 0, 1, 2, xyw, 1)
+        x = made_up_crossing(make_graph("abcd", [edge("a", "b"),
+                                                 edge("c", "d")]),
+                             edge("a", "b"), edge("c", "d"), xyw)
         assert _xjson(x)["point"] == [str(Fraction(c, xyw[2]))
                                       for c in xyw[:2]]
+
+
+# perfbench's framework-sweep points: every concept at a mid-scale ell
+SWEEP_GRID = (("k-planar", 4, 1), ("k-vertex-planar", 3, 1), ("ic", 4, None),
+              ("nic", 4, None), ("nnic", 2, None),
+              ("k-fan-crossing-free", 2, 2), ("adjacency-crossing", 1, None),
+              ("fan-crossing", 1, None), ("weak-fan-planar", 1, None),
+              ("strong-fan-planar", 1, None), ("k-edge-crossing", 1, 4),
+              ("k-gap-planar", 5, 1), ("k-apex", 3, 1), ("skewness", 4, 1))
+
+
+def test_edge_indices_index_the_sorted_edge_list():
+    drawings = [standard_drawing(kind, ell, k, variant)
+                for kind, ell, k in SWEEP_GRID
+                for variant in ("witness", "upper")]
+    drawings += random_corpus(4242, 200, bend_prob=0.35)
+    seen = 0
+    for d in drawings:
+        edges = sorted(d.graph.edges)
+        for x in compute_crossings(d):
+            assert edges[x.ia] == x.a and edges[x.ib] == x.b
+            seen += 1
+    assert seen > 1000
 
 
 def _many_violations(drop=()):

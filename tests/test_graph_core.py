@@ -395,11 +395,17 @@ def test_framework_graph_structure():
     assert fg.k == 1
     assert not fg.below_threshold
     assert set(fg.congraphs) == set(ALL_CONNECTIONS)
-    # every edge belongs to exactly one con-graph
-    assert set(fg.edge_paths) == set(fg.graph.edges)
-    for e, (cid, _) in fg.edge_paths.items():
+    # every edge belongs to exactly one con-graph, listed in edge order
+    assert len(fg.edge_paths) == fg.graph.m
+    for e, (cid, _) in _edge_paths(fg).items():
         assert e in fg.congraphs[cid].edges
-    assert edge("v1", "v2") not in fg.edge_paths
+    assert edge("v1", "v2") not in _edge_paths(fg)
+
+
+def _edge_paths(fg):
+    """``fg.edge_paths`` by edge, with each connection's id."""
+    return {e: (ALL_CONNECTIONS[c], paths)
+            for e, (c, paths) in zip(fg.graph.edges, fg.edge_paths)}
 
 
 def test_paths_through():
@@ -407,15 +413,15 @@ def test_paths_through():
     cg = fg.congraphs["v1-w1"]
     for i, path in enumerate(cg.paths):
         for a, b in zip(path, path[1:]):
-            assert fg.edge_paths[edge(a, b)] == ("v1-w1", frozenset({i}))
+            assert _edge_paths(fg)[edge(a, b)] == ("v1-w1", frozenset({i}))
     # the direct pole edge of a bundle belongs to no pole path
     fg_ic = construction_for("ic", 2)
-    assert fg_ic.edge_paths[edge("v1", "w2")] == ("v1-w2", frozenset())
+    assert _edge_paths(fg_ic)[edge("v1", "w2")] == ("v1-w2", frozenset())
     # a K7 edge from a pole lies on exactly one of its six pole paths
     fg_k7 = construction_for("fan-crossing", 2)
     k7 = next(c for c in fg_k7.congraphs.values() if len(c.edges) == 21)
-    assert all(len(fg_k7.edge_paths[e][1]) == (1 if k7.s in e or k7.t in e
-                                                else 0)
+    assert all(len(_edge_paths(fg_k7)[e][1]) == (1 if k7.s in e or k7.t in e
+                                                  else 0)
                for e in k7.edges)
 
 

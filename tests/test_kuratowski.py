@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from beyondcr import (
     BudgetExceeded,
-    Crossing,
     compute_crossings,
     construction_for,
     counting_lower_bound,
@@ -27,7 +26,7 @@ from beyondcr.kuratowski import (
     CoverageLedger,
     _uncovered,
 )
-from conftest import GRID
+from conftest import GRID, made_up_crossing
 from oracles import (
     entry_covers,
     full_coverage_brute,
@@ -119,9 +118,8 @@ def test_ledger_agrees_with_crossings_subdivision_by_subdivision(
         for _ in range(6)]
     # the standard drawings never cross edges of one connection or of two
     # adjacent ones, so made-up crossings between any two edges add them
-    half = (0, 1, 2)
-    subsets += [[Crossing(*sorted(rng.sample(fg.graph.edges, 2)), *half, *half,
-                          (i, 0, 1), 1)
+    subsets += [[made_up_crossing(fg.graph, *rng.sample(fg.graph.edges, 2),
+                                  (i, 0, 1))
                  for i in range(rng.randrange(1, 12))] for _ in range(6)]
     for subset in subsets:
         ledger = coverage_ledger(d, fg, crossings=tuple(subset))
