@@ -101,10 +101,11 @@ class Crossing:
     point (x/w, y/w) in drawing coordinates, where ``xyw`` is (x, y, w);
     every den and w is positive.  ``pos_a`` and ``pos_b``, each (segment
     index, parameter), and ``point`` build ``Fraction``s from them on
-    every read; ``pos_a`` orders crossings along an edge.  ``turn`` is +1 or -1, the sign of the cross product of
-    a's segment direction and b's, both curves running from their smaller
-    endpoint: +1 when b passes from a's right to its left.  Crossings have
-    no order and compare by identity; sort them by a key of these fields.
+    every read; ``pos_a`` orders crossings along an edge.  ``turn`` is +1
+    or -1, the sign of the cross product of a's segment direction and b's,
+    both curves running from their smaller endpoint: +1 when b passes from
+    a's right to its left.  Crossings have no order and compare by
+    identity; sort them by a key of these fields.
     """
 
     __slots__ = ("a", "b", "ia", "ib", "seg_a", "num_a", "den_a", "seg_b",

@@ -3,7 +3,7 @@
 The *frame* is a K_{3,3} on nodes v1,v2,v3 / w1,w2,w3, edge-colored by one
 of the ``COLORINGS``.  A concept and ell fix a *framework graph*: each
 connection is replaced by the *con-graph* (a two-pole graph) its color
-dictates, carrying internally disjoint pole-to-pole paths for the
+dictates, carrying edge-disjoint pole-to-pole paths for the
 Kuratowski-subdivision accounting.
 """
 
@@ -225,8 +225,9 @@ ConGraphSpec = Bundle | K7 | ApexBlue | SkewBlue
 class ConGraph(NamedTuple):
     """An instantiated con-graph on concrete vertex ids.
 
-    ``paths`` is the family of internally disjoint pole paths used for
-    Kuratowski accounting (each a vertex tuple from s to t).  Edges not on
+    ``paths`` is the family of edge-disjoint pole paths used for
+    Kuratowski accounting (each a vertex tuple from s to t); an
+    ``ApexBlue``'s paths through one anchor share that anchor.  Edges not on
     any family path (direct pole edges of bundles, K7 pentagon edges, apex
     K5 blobs, ...) simply never contribute coverage.
     """
@@ -623,20 +624,19 @@ class FrameworkGraph:
         return self.ell < evaluate(self.concept.info.threshold, k=self.k)[0]
 
     @cached_property
-    def edge_paths(self) -> list[tuple[int, frozenset[int]]]:
+    def edge_paths(self) -> list[tuple[int, int | None]]:
         """Per edge of ``graph.edges``, in that order: the index of its
-        connection in ALL_CONNECTIONS and the indices of the pole paths of
-        that connection running through it (P_c[e], empty off the path
-        family).  ``make_graph`` sorts the edges, so a crossing's ``ia`` and
-        ``ib`` index this list."""
-        out: dict[Edge, tuple[int, frozenset[int]]] = {}
+        connection in ALL_CONNECTIONS and the index of the pole path of
+        that connection running through it, None off the path family.  The
+        pole paths are edge-disjoint, so no edge lies on two.  ``make_graph``
+        sorts the edges, so a crossing's ``ia`` and ``ib`` index this
+        list."""
+        out: dict[Edge, tuple[int, int | None]] = {}
         for cid, cg in self.congraphs.items():
             c = ALL_CONNECTIONS.index(cid)
-            out.update(dict.fromkeys(cg.edges, (c, frozenset())))
+            out.update(dict.fromkeys(cg.edges, (c, None)))
             for idx, p in enumerate(cg.paths):
-                for a, b in zip(p, p[1:]):
-                    e = edge(a, b)
-                    out[e] = (c, out[e][1] | {idx})
+                out.update(dict.fromkeys(map(edge, p, p[1:]), (c, idx)))
         return list(map(out.__getitem__, self.graph.edges))
 
     def widths(self) -> dict[str, int]:

@@ -12,13 +12,16 @@ into crossing counts gives the per-concept counting lower bounds.
 
 A subdivision is named by its path choices, a ``{connection: path index}``
 dict; ``verify_full_coverage`` returns the first uncovered one in that form.
-The ledger looks each crossing's edges up by their indices ``ia``/``ib``
-in ``FrameworkGraph.edge_paths`` and tests adjacency in a 9x9 table of
-connection indices.
+An edge lies on at most one pole path, so a covering crossing is the tuple
+``(c1, p1, c2, p2)`` of its two connections and their paths, c1 < c2, and
+covers 1/(w1*w2) of the family.  The ledger looks each crossing's edges up
+by their indices ``ia``/``ib`` in ``FrameworkGraph.edge_paths`` and tests
+adjacency in a 9x9 table of connection indices.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import prod
 from typing import Iterator, NamedTuple
@@ -65,32 +68,16 @@ def kuratowski_count(fg: FrameworkGraph) -> int:
 # Coverage ledgers
 # ---------------------------------------------------------------------------
 
-class CoverageEntry:
-    """One covering crossing, as the rectangle of subdivisions it covers.
-
-    ``paths1``/``paths2`` are the path-index sets P_{c1}[e1] and P_{c2}[e2];
-    the entry covers every subdivision choosing from both sets, a
-    |paths1|*|paths2| / (w1*w2) share of the family.  The connections are
-    stored in order, c1 < c2, each with its own path set.
-    """
-
-    __slots__ = ("c1", "c2", "paths1", "paths2", "fraction")
-
-    def __init__(self, c1: str, c2: str, paths1: frozenset[int],
-                 paths2: frozenset[int], fraction: Fraction):
-        if c1 == c2:
-            raise ValueError(f"an entry pairs {c1} with itself")
-        if c2 < c1:
-            c1, c2, paths1, paths2 = c2, c1, paths2, paths1
-        self.c1 = c1
-        self.c2 = c2
-        self.paths1 = paths1
-        self.paths2 = paths2
-        self.fraction = fraction
+# A covering crossing (c1, p1, c2, p2): path p1 of connection c1 crosses
+# path p2 of connection c2, c1 < c2.  A plain tuple of str and int, not a
+# NamedTuple or a class: CPython's collector untracks only exact tuples of
+# atoms, and a threshold-scale ledger holds ~10^5 of them.
+Entry = tuple[str, int, str, int]
 
 
 class CoverageLedger(NamedTuple):
-    """All covering crossings of one drawing, plus the connection widths.
+    """All covering crossings of one drawing, as ``Entry`` tuples in
+    crossing order, plus the connection widths.
 
     ``skipped`` counts crossings that cover nothing: same-connection and
     adjacent-connection crossings, and crossings on edges that lie on no
@@ -99,17 +86,21 @@ class CoverageLedger(NamedTuple):
     """
 
     widths: dict[str, int]
-    entries: tuple[CoverageEntry, ...]
+    entries: tuple[Entry, ...]
     skipped: int = 0
 
     @property
     def fraction_sum(self) -> Fraction:
-        return sum((e.fraction for e in self.entries), Fraction(0))
+        """The entries' covers summed: a subdivision two entries cover
+        counts twice."""
+        pairs = Counter((c1, c2) for c1, _, c2, _ in self.entries)
+        return sum((Fraction(n, self.widths[c1] * self.widths[c2])
+                    for (c1, c2), n in pairs.items()), Fraction(0))
 
     def constrained(self) -> tuple[str, ...]:
         """Connections whose path choice any entry depends on."""
-        cids = {e.c1 for e in self.entries} | {e.c2 for e in self.entries}
-        return tuple(sorted(cids))
+        return tuple(sorted({e[0] for e in self.entries}
+                            | {e[2] for e in self.entries}))
 
 
 # _ADJACENT[c][d]: whether connections c and d, by index in ALL_CONNECTIONS,
@@ -121,41 +112,36 @@ _ADJACENT = tuple(tuple(bool(set(connection_poles(c))
 
 
 def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
-                    crossings: tuple[Crossing, ...] | None = None
+                    xs: tuple[Crossing, ...] | None = None
                     ) -> CoverageLedger:
     """Attribute every crossing of the drawing to the subdivisions it covers.
 
-    Crossings between edges of non-adjacent connections (pole sets disjoint)
-    contribute a rectangle entry; everything else contributes nothing.
-    A drawing of another graph than the framework graph's raises ValueError.
-    ``crossings``, when given, are the drawing's as ``compute_crossings``
-    returns them: their edge indices index ``fg.edge_paths``.
+    A crossing between pole paths of non-adjacent connections (pole sets
+    disjoint) becomes the entry ``(c1, p1, c2, p2)``; everything else
+    covers nothing and is counted in ``skipped``.  A drawing of another
+    graph than the framework graph's raises ValueError.  ``xs``, when
+    given, are the drawing's crossings as ``compute_crossings`` returns
+    them: their edge indices index ``fg.edge_paths``.
     """
     if drawing.graph != fg.graph:
         raise ValueError(f"the drawing is not of the {fg.concept} framework "
                          f"graph at ell={fg.ell}")
-    if crossings is None:
-        crossings = compute_crossings(drawing)
-    widths = fg.widths()
-    width = [widths[c] for c in ALL_CONNECTIONS]   # by connection index
+    if xs is None:
+        xs = compute_crossings(drawing)
     edge_paths = fg.edge_paths
-    entries: list[CoverageEntry] = []
+    entries: list[Entry] = []
     skipped = 0
-    # one Fraction per (paths, product of widths) pair: few distinct values
-    fracs: dict[tuple[int, int], Fraction] = {}
-    for x in crossings:
-        c1, t1 = edge_paths[x.ia]
-        c2, t2 = edge_paths[x.ib]
-        if _ADJACENT[c1][c2] or not t1 or not t2:
+    # an edge's smaller end id starts with its connection's v-pole, so
+    # edges sort by v-pole first; ia <= ib, and non-adjacent connections
+    # have different v-poles: c1 < c2 without a swap
+    for x in xs:
+        c1, p1 = edge_paths[x.ia]
+        c2, p2 = edge_paths[x.ib]
+        if _ADJACENT[c1][c2] or p1 is None or p2 is None:
             skipped += 1
-            continue
-        key = (len(t1) * len(t2), width[c1] * width[c2])
-        frac = fracs.get(key)
-        if frac is None:
-            frac = fracs[key] = Fraction(*key)
-        entries.append(CoverageEntry(ALL_CONNECTIONS[c1], ALL_CONNECTIONS[c2],
-                                     t1, t2, frac))
-    return CoverageLedger(widths, tuple(entries), skipped)
+        else:
+            entries.append((ALL_CONNECTIONS[c1], p1, ALL_CONNECTIONS[c2], p2))
+    return CoverageLedger(fg.widths(), tuple(entries), skipped)
 
 
 def _check_same_widths(ledger: CoverageLedger, fg: FrameworkGraph) -> None:
@@ -170,10 +156,10 @@ def _uncovered(ledger: CoverageLedger, budget: int
     BudgetExceeded; no entries leave the one empty tuple, which no budget
     refuses.
 
-    Every entry forbids a rectangle of path pairs on two connections, so
-    the walk assigns the constrained connections depth first, in order,
-    and skips each path that an earlier choice already pairs with a
-    covering entry: a covered prefix never reaches its extensions.
+    Every entry forbids one path pair on two connections, so the walk
+    assigns the constrained connections depth first, in order, and skips
+    each path that an earlier choice already pairs with a covering entry:
+    a covered prefix never reaches its extensions.
     """
     cids = ledger.constrained()
     required = prod(ledger.widths[c] for c in cids)
@@ -181,10 +167,8 @@ def _uncovered(ledger: CoverageLedger, budget: int
         raise BudgetExceeded(required, budget)
     # covered[c, d][p]: the paths of d that an entry covers with path p of c
     covered: dict[tuple[str, str], dict[int, set[int]]] = {}
-    for e in ledger.entries:
-        rows = covered.setdefault((e.c1, e.c2), {})
-        for p in e.paths1:
-            rows.setdefault(p, set()).update(e.paths2)
+    for c1, p1, c2, p2 in ledger.entries:
+        covered.setdefault((c1, c2), {}).setdefault(p1, set()).add(p2)
 
     def walk(depth: int, sub: dict[str, int]) -> Iterator[dict[str, int]]:
         if depth == len(cids):

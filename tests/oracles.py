@@ -422,7 +422,8 @@ def skew_ok_brute(xs, k):
 # ---------------------------------------------------------------------------
 
 def entry_covers(entry, sub):
-    return sub[entry.c1] in entry.paths1 and sub[entry.c2] in entry.paths2
+    c1, p1, c2, p2 = entry
+    return sub[c1] == p1 and sub[c2] == p2
 
 
 def product_walk_uncovered(ledger):

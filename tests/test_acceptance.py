@@ -180,7 +180,9 @@ def test_threshold_points_verified_by_exact_geometry():
             cid = as_concept(kind, k)
             share, _ = evaluate(cid.info.share, ell=ell, k=structural_k(cid))
             rect, _ = evaluate(cid.info.rect, ell=ell, k=structural_k(cid))
-            assert {e.fraction for e in ledger.entries} == {Fraction(1, rect)}
+            w = ledger.widths
+            assert {w[c1] * w[c2] for c1, _, c2, _ in ledger.entries} \
+                == {rect}
             assert ledger.fraction_sum == 1 >= share
     # NNIC and k-fan-crossing-free (k=2) at ell=109 draw the same geometry,
     # so their 47 524 witness crossings are counted once per variant

@@ -471,12 +471,7 @@ def test_verdicts_read_indices_into_the_sorted_edges():
             ledger = coverage_ledger(d, fg, xs)
             want = coverage_ledger(d, fg)
             assert ledger.skipped == want.skipped
-            assert [_fields(e) for e in ledger.entries] == \
-                [_fields(e) for e in want.entries]
-
-
-def _fields(entry):
-    return tuple(getattr(entry, name) for name in entry.__slots__)
+            assert ledger.entries == want.entries
 
 
 # ---------------------------------------------------------------------------

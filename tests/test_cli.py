@@ -248,10 +248,17 @@ def test_coverage_standard_drawing(capsys):
     assert run(["coverage", "--concept", "ic", "--ell", "2"]) == 0
     obj = json.loads(out_of(capsys))
     assert obj["ok"] is True
-    assert obj["fraction_sum"] is not None
+    assert obj["fraction_sum"] == "1"
     assert obj["kuratowski_count"] == 4
     assert obj["skipped_crossings"] == 0
     assert obj["covering_crossings"] > 0
+    # the witness's four crossings each cover 1/4 of the family, and the
+    # upper drawing's one covering crossing, of two 1-wide connections,
+    # covers all of it
+    assert run(["coverage", "--concept", "ic", "--ell", "2",
+                "--variant", "upper"]) == 0
+    obj = json.loads(out_of(capsys))
+    assert (obj["ok"], obj["fraction_sum"]) == (True, "1")
 
 
 def test_coverage_of_drawing_file(tmp_path, capsys):

@@ -171,7 +171,9 @@ def _recipe_points(kind):
 @pytest.mark.parametrize("kind", sorted(CONCEPTS))
 def test_every_recipe_builds_its_declared_sizes(kind):
     # instantiate_congraph and construction_for trust the recipes: no spec
-    # needs a parallel edge, and no two con-graphs share a vertex or edge
+    # needs a parallel edge, no two con-graphs share a vertex or edge, and
+    # no two pole paths of a con-graph share an edge (``edge_paths`` keeps
+    # one path per edge)
     for ell, k in _recipe_points(kind):
         fg = construction_for(kind, ell, k)
         for cid, cg in fg.congraphs.items():
@@ -179,6 +181,8 @@ def test_every_recipe_builds_its_declared_sizes(kind):
             spec = cg.spec
             declared = (spec.width, spec.internal_count, spec.edge_count)
             assert built == declared, (ell, k, cid)
+            on_paths = [edge(a, b) for p in cg.paths for a, b in zip(p, p[1:])]
+            assert len(set(on_paths)) == len(on_paths), (ell, k, cid)
         assert (fg.graph.n, fg.graph.m) == framework_size(kind, ell, k), \
             (ell, k)
 
@@ -342,7 +346,7 @@ def test_evaluate_refuses_a_syntax_warning_text_silently(text):
 
 @pytest.mark.parametrize("kind", sorted(CONCEPTS))
 def test_rect_is_the_witness_pair_product(kind):
-    # Pole paths are internally disjoint, so no edge lies on two of them:
+    # Pole paths are edge-disjoint, so no edge lies on two of them:
     # a crossing of the designated witness pair covers one path pair at
     # most, 1/(w[v]*w[h]) of the family, and rect must be that product.
     info = CONCEPTS[kind]
@@ -404,8 +408,8 @@ def test_framework_graph_structure():
 
 def _edge_paths(fg):
     """``fg.edge_paths`` by edge, with each connection's id."""
-    return {e: (ALL_CONNECTIONS[c], paths)
-            for e, (c, paths) in zip(fg.graph.edges, fg.edge_paths)}
+    return {e: (ALL_CONNECTIONS[c], path)
+            for e, (c, path) in zip(fg.graph.edges, fg.edge_paths)}
 
 
 def test_paths_through():
@@ -413,15 +417,19 @@ def test_paths_through():
     cg = fg.congraphs["v1-w1"]
     for i, path in enumerate(cg.paths):
         for a, b in zip(path, path[1:]):
-            assert _edge_paths(fg)[edge(a, b)] == ("v1-w1", frozenset({i}))
+            assert _edge_paths(fg)[edge(a, b)] == ("v1-w1", i)
     # the direct pole edge of a bundle belongs to no pole path
     fg_ic = construction_for("ic", 2)
-    assert _edge_paths(fg_ic)[edge("v1", "w2")] == ("v1-w2", frozenset())
-    # a K7 edge from a pole lies on exactly one of its six pole paths
+    assert _edge_paths(fg_ic)[edge("v1", "w2")] == ("v1-w2", None)
+    # a K7 edge from a pole lies on the one pole path through it, and a
+    # pentagon edge on none
     fg_k7 = construction_for("fan-crossing", 2)
-    k7 = next(c for c in fg_k7.congraphs.values() if len(c.edges) == 21)
-    assert all(len(_edge_paths(fg_k7)[e][1]) == (1 if k7.s in e or k7.t in e
-                                                  else 0)
+    cid, k7 = next((c, g) for c, g in fg_k7.congraphs.items()
+                   if len(g.edges) == 21)
+    on_path = {edge(a, b): (cid, i) for i, p in enumerate(k7.paths)
+               for a, b in zip(p, p[1:])}
+    assert len(on_path) == 11
+    assert all(_edge_paths(fg_k7)[e] == on_path.get(e, (cid, None))
                for e in k7.edges)
 
 

@@ -22,7 +22,6 @@ from beyondcr import (
 from beyondcr.graph_core import ALL_CONNECTIONS
 from beyondcr.kuratowski import (
     DEFAULT_BUDGET,
-    CoverageEntry,
     CoverageLedger,
     _uncovered,
 )
@@ -65,10 +64,17 @@ def test_standard_drawings_cover_everything(kind, ell, k, variant):
     fg = construction_for(kind, ell, k)
     d = draw_framework(fg, variant)
     ledger = coverage_ledger(d, fg)
+    assert _in_order(ledger)
     v = verify_full_coverage(ledger, fg)
     assert v.ok, v.reason
     assert covered_fraction(ledger) == 1
     assert ledger.fraction_sum >= 1
+
+
+def _in_order(ledger):
+    """Every entry names its connections in order, c1 < c2, which the
+    ledger gets without a swap and the pruned walk relies on."""
+    return all(c1 < c2 for c1, _, c2, _ in ledger.entries)
 
 
 def test_coverage_matches_full_product_walk():
@@ -79,6 +85,7 @@ def test_coverage_matches_full_product_walk():
         fg = construction_for(kind, ell, k)
         for variant in ("witness", "upper"):
             ledger = coverage_ledger(draw_framework(fg, variant), fg)
+            assert _in_order(ledger)
             assert full_coverage_brute(ledger, fg) == 0
 
 
@@ -88,6 +95,8 @@ def test_partial_ledger_detected():
     full = coverage_ledger(d, fg)
     assert len(full.entries) > 1
     clipped = CoverageLedger(full.widths, full.entries[:1], full.skipped)
+    # one crossing of the designated 2 x 2 pair
+    assert clipped.fraction_sum == Fraction(1, 4)
     v = verify_full_coverage(clipped, fg)
     assert not v.ok
     missing = v.witness["subdivision"]
@@ -122,7 +131,8 @@ def test_ledger_agrees_with_crossings_subdivision_by_subdivision(
                                   (i, 0, 1))
                  for i in range(rng.randrange(1, 12))] for _ in range(6)]
     for subset in subsets:
-        ledger = coverage_ledger(d, fg, crossings=tuple(subset))
+        ledger = coverage_ledger(d, fg, xs=tuple(subset))
+        assert _in_order(ledger)
         cids = ledger.constrained()
         walked = [tuple(sub[c] for c in cids)
                   for sub in _uncovered(ledger, DEFAULT_BUDGET)[1]]
@@ -142,19 +152,16 @@ def test_ledger_agrees_with_crossings_subdivision_by_subdivision(
 
 @st.composite
 def _clipped_ledgers(draw):
-    """Ledgers over two to four connections, entries in either orientation."""
+    """Ledgers over two to four connections, each entry one path pair on
+    two of them, c1 < c2, as ``coverage_ledger`` builds them."""
     cids = draw(st.lists(st.sampled_from(ALL_CONNECTIONS), min_size=2,
                          max_size=4, unique=True))
     widths = {c: draw(st.integers(1, 4)) for c in cids}
     entries = []
-    for _ in range(draw(st.integers(0, 8))):
-        c1, c2 = draw(st.permutations(cids))[:2]
-        ps, qs = (frozenset(draw(st.lists(st.integers(0, widths[c] - 1),
-                                          min_size=1, unique=True)))
-                  for c in (c1, c2))
-        entries.append(CoverageEntry(
-            c1, c2, ps, qs,
-            Fraction(len(ps) * len(qs), widths[c1] * widths[c2])))
+    for _ in range(draw(st.integers(0, 12))):
+        c1, c2 = sorted(draw(st.permutations(cids))[:2])
+        entries.append((c1, draw(st.integers(0, widths[c1] - 1)),
+                        c2, draw(st.integers(0, widths[c2] - 1))))
     return CoverageLedger(widths, tuple(entries))
 
 
@@ -165,21 +172,10 @@ def test_pruned_walk_matches_product_walk(ledger):
     assert list(_uncovered(ledger, DEFAULT_BUDGET)[1]) == expected
     required = prod(ledger.widths[c] for c in ledger.constrained())
     assert covered_fraction(ledger) == 1 - Fraction(len(expected), required)
-
-
-def test_entry_needs_two_connections():
-    # a rectangle spans two connections; coverage_ledger skips crossings
-    # inside one connection, and a hand-made entry may not pair one either
-    with pytest.raises(ValueError):
-        CoverageEntry("v1-w1", "v1-w1", frozenset({0}), frozenset({0}),
-                      Fraction(1, 4))
-
-
-def test_entry_stores_its_connections_in_order():
-    e = CoverageEntry("v2-w2", "v1-w1", frozenset({1}), frozenset({0, 2}),
-                      Fraction(1, 4))
-    assert (e.c1, e.paths1, e.c2, e.paths2) == (
-        "v1-w1", frozenset({0, 2}), "v2-w2", frozenset({1}))
+    w = ledger.widths
+    assert ledger.fraction_sum == sum(
+        (Fraction(1, w[c1] * w[c2]) for c1, _, c2, _ in ledger.entries),
+        Fraction(0))
 
 
 def test_ledger_refuses_a_drawing_of_another_graph():
