@@ -2,8 +2,8 @@
 
 ``check_concept`` is the one entry point.  It computes the crossings once
 (unless they are passed in) and calls the concept's ``_CHECKERS`` entry as
-``(drawing, crossings, k)``, where k is the concept's structural k; the
-concepts without a parameter ignore it.  Every checker returns a Verdict.
+``(kind, drawing, crossings, k)``, k the concept's structural k (ignored
+by concepts without one); every checker returns a Verdict labelled kind.
 All but one decide from the crossings alone, the fan sides included
 (``Crossing.turn``); only strong fan-planarity's enclosure test reads the
 drawing's curves.  They count, group and search on the crossings' edge
@@ -73,21 +73,21 @@ def _xjson(x: Crossing) -> dict:
 # Local crossing number / vertex crossing number
 # ---------------------------------------------------------------------------
 
-def _k_planar(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:
+def _k_planar(kind: str, drawing: Drawing, xs: tuple[Crossing, ...],
+              k: int) -> Verdict:
     """Every edge is crossed at most k times (self-crossings count twice)."""
     counts = _edge_counts(xs)
     if max(counts.values(), default=0) <= k:
-        return Verdict(True, "k-planar")
+        return Verdict(True, kind)
     e = min(e for e, c in counts.items() if c > k)
     name = _edge_key_of(xs, e)
-    return Verdict(False, "k-planar",
-                   f"edge {name} crossed {counts[e]} > {k} times",
+    return Verdict(False, kind, f"edge {name} crossed {counts[e]} > {k} times",
                    {"edge": name, "count": counts[e],
                     "crossings": [_xjson(x) for x in xs
                                   if x.ia == e or x.ib == e]})
 
 
-def _k_vertex_planar(drawing: Drawing, xs: tuple[Crossing, ...],
+def _k_vertex_planar(kind: str, drawing: Drawing, xs: tuple[Crossing, ...],
                      k: int) -> Verdict:
     """Every vertex has at most k crossings on its incident edges; a crossing
     between two edges sharing that vertex still counts once.
@@ -106,9 +106,9 @@ def _k_vertex_planar(drawing: Drawing, xs: tuple[Crossing, ...],
         if a[1] in b:
             counts[a[1]] -= 1
     if max(counts.values(), default=0) <= k:
-        return Verdict(True, "k-vertex-planar")
+        return Verdict(True, kind)
     v = min(v for v, c in counts.items() if c > k)
-    return Verdict(False, "k-vertex-planar",
+    return Verdict(False, kind,
                    f"vertex {v} has {counts[v]} > {k} adjacent crossings",
                    {"vertex": v, "count": counts[v],
                     "crossings": [_xjson(x) for x in xs
@@ -119,13 +119,13 @@ def _k_vertex_planar(drawing: Drawing, xs: tuple[Crossing, ...],
 # Independent-crossing family
 # ---------------------------------------------------------------------------
 
-def _shared_endpoints(concept: str, limit: int, require_simple: bool,
+def _shared_endpoints(limit: int, require_simple: bool, kind: str,
                       drawing: Drawing, xs: tuple[Crossing, ...],
                       k: int) -> Verdict:
     """No two crossings share more than ``limit`` endpoint vertices (and,
     with ``require_simple``, the drawing is simple)."""
     if require_simple and not is_simple(xs):
-        return Verdict(False, concept, "drawing is not simple")
+        return Verdict(False, kind, "drawing is not simple")
     # Two crossings share more than `limit` endpoints exactly when they hold
     # a common (limit+1)-set of endpoints, so each such set is keyed to the
     # first crossing holding it.  The least i met at j is j's least partner;
@@ -140,23 +140,23 @@ def _shared_endpoints(concept: str, limit: int, require_simple: bool,
         if pair is not None and pair[0] == 0:
             break
     if pair is None:
-        return Verdict(True, concept)
+        return Verdict(True, kind)
     x1, x2 = xs[pair[0]], xs[pair[1]]
     shared = {*x1.a, *x1.b} & {*x2.a, *x2.b}
-    return Verdict(False, concept,
+    return Verdict(False, kind,
                    f"two crossings share {len(shared)} > {limit} "
                    f"endpoints ({', '.join(sorted(shared))})",
                    {"crossings": [_xjson(x1), _xjson(x2)],
                     "shared": sorted(shared)})
 
 
-def _k_fan_crossing_free(drawing: Drawing, xs: tuple[Crossing, ...],
-                         k: int) -> Verdict:
+def _k_fan_crossing_free(kind: str, drawing: Drawing,
+                         xs: tuple[Crossing, ...], k: int) -> Verdict:
     """Simple drawing in which no edge is crossed by k edges with a common
     endpoint: for every edge e and vertex z outside e, at most k-1 of the
     edges crossing e are incident to z."""
     if not is_simple(xs):
-        return Verdict(False, "k-fan-crossing-free", "drawing is not simple")
+        return Verdict(False, kind, "drawing is not simple")
     # the edges crossing each edge index; in a simple drawing they are
     # distinct and miss the edge's ends
     crossers: dict[int, list[Edge]] = defaultdict(list)
@@ -173,12 +173,11 @@ def _k_fan_crossing_free(drawing: Drawing, xs: tuple[Crossing, ...],
         z = min(z for z, c in apex_count.items() if c >= k)
         name = _edge_key_of(xs, e)
         return Verdict(
-            False, "k-fan-crossing-free",
-            f"edge {name} is crossed by {apex_count[z]} >= {k} "
+            False, kind, f"edge {name} is crossed by {apex_count[z]} >= {k} "
             f"edges incident to {z}",
             {"edge": name, "apex": z,
              "fan": sorted(edge_key(f) for f in fs if z in f)})
-    return Verdict(True, "k-fan-crossing-free")
+    return Verdict(True, kind)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +215,7 @@ def _scaled_curves(drawing: Drawing) -> ScaledCurves:
     return scale, polyline
 
 
-def _fan(concept: str, level: int, drawing: Drawing,
+def _fan(level: int, kind: str, drawing: Drawing,
          xs: tuple[Crossing, ...], k: int) -> Verdict:
     """A simple drawing in which the edges crossing any one edge e are
     pairwise adjacent (level 0, adjacency-crossing), share a common anchor
@@ -229,7 +228,7 @@ def _fan(concept: str, level: int, drawing: Drawing,
     crossers (``_enclosure_failure``): O(len(e) + sum of tail lengths +
     c) per edge and anchor for c crossings on e."""
     if not is_simple(xs):
-        return Verdict(False, concept, "drawing is not simple")
+        return Verdict(False, kind, "drawing is not simple")
     curves = None   # the scaled curves, built for the first level-3 test
     for e, crossings in sorted(_crossers_by_edge(xs).items()):
         if len(crossings) <= 1:
@@ -246,14 +245,14 @@ def _fan(concept: str, level: int, drawing: Drawing,
             for f1, f2 in combinations(fs, 2):
                 if f1[0] not in f2 and f1[1] not in f2:
                     return Verdict(
-                        False, concept,
+                        False, kind,
                         f"edges {edge_key(f1)} and {edge_key(f2)} cross "
                         f"{edge_key(edge)} but share no vertex",
                         {"edge": edge_key(edge),
                          "crossers": [edge_key(f1), edge_key(f2)]})
             continue
         if not common:
-            return Verdict(False, concept,
+            return Verdict(False, kind,
                            f"edges crossing {edge_key(edge)} have no common "
                            "vertex", {"edge": edge_key(edge),
                                       "crossers": sorted(map(edge_key, fs))})
@@ -283,8 +282,8 @@ def _fan(concept: str, level: int, drawing: Drawing,
             break
         if ok_anchor is None:
             reason, witness = last_reason  # at least one anchor was tried
-            return Verdict(False, concept, reason, witness)
-    return Verdict(True, concept)
+            return Verdict(False, kind, reason, witness)
+    return Verdict(True, kind)
 
 
 def _enclosure_failure(curves: ScaledCurves, ie: int,
@@ -390,16 +389,15 @@ def _first_split(bits: list[list[bool | None]]
 # Global counting concepts
 # ---------------------------------------------------------------------------
 
-def _k_edge_crossing(drawing: Drawing, xs: tuple[Crossing, ...],
+def _k_edge_crossing(kind: str, drawing: Drawing, xs: tuple[Crossing, ...],
                      k: int) -> Verdict:
     """At most k edges are involved in crossings."""
     crossed = _edges_by_index(xs)
     if len(crossed) > k:
-        return Verdict(False, "k-edge-crossing",
-                       f"{len(crossed)} > {k} edges are crossed",
+        return Verdict(False, kind, f"{len(crossed)} > {k} edges are crossed",
                        {"crossed_edges": sorted(map(edge_key,
                                                     crossed.values()))})
-    return Verdict(True, "k-edge-crossing")
+    return Verdict(True, kind)
 
 
 def _alternating_bfs(xs: tuple[Crossing, ...], charged: dict[int, list[int]],
@@ -427,7 +425,7 @@ def _alternating_bfs(xs: tuple[Crossing, ...], charged: dict[int, list[int]],
     return None, parent
 
 
-def _k_gap_planar(drawing: Drawing, xs: tuple[Crossing, ...],
+def _k_gap_planar(kind: str, drawing: Drawing, xs: tuple[Crossing, ...],
                   k: int) -> Verdict:
     """Each crossing can be charged to one of its two edges so that every
     edge is charged at most k times.  Decided by augmenting paths; on failure
@@ -435,7 +433,7 @@ def _k_gap_planar(drawing: Drawing, xs: tuple[Crossing, ...],
     uncharged crossings (one set for every maximum charging), whose internal
     crossings exceed k|E_R|."""
     if not xs:
-        return Verdict(True, "k-gap-planar")
+        return Verdict(True, kind)
     charged: dict[int, list[int]] = defaultdict(list)
     uncharged: list[int] = []
     # The edges a failed search reached are full and charged only crossings
@@ -466,13 +464,13 @@ def _k_gap_planar(drawing: Drawing, xs: tuple[Crossing, ...],
         charged[e].append(i)
     if not uncharged:
         owner = {j: e for e, held in charged.items() for j in held}
-        return Verdict(True, "k-gap-planar", witness={"assignment": {
+        return Verdict(True, kind, witness={"assignment": {
             str(i): edge_key(x.a if owner[i] == x.ia else x.b)
             for i, x in enumerate(xs)}})
     reach = _alternating_bfs(xs, charged, uncharged, k, set())[1]
     internal = sum(x.ia in reach and x.ib in reach for x in xs)
     edges = _edges_by_index(xs)
-    return Verdict(False, "k-gap-planar",
+    return Verdict(False, kind,
                    f"{internal} crossings among {len(reach)} edges exceed "
                    f"capacity {k}*{len(reach)}",
                    {"edges": [edge_key(edges[e]) for e in sorted(reach)],
@@ -525,19 +523,21 @@ def _hitting_set(universe: list[frozenset], k: int) -> set | None:
     return set(chosen)
 
 
-def _k_apex(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:
+def _k_apex(kind: str, drawing: Drawing, xs: tuple[Crossing, ...],
+            k: int) -> Verdict:
     """Some set of at most k vertices meets every crossing (deleting them
     leaves a crossing-free drawing)."""
     sets = [frozenset((*x.a, *x.b)) for x in xs]
     hit = _hitting_set(sets, k)
     if hit is None:
-        return Verdict(False, "k-apex",
+        return Verdict(False, kind,
                        f"no {k} vertices cover all {len(xs)} crossings",
                        {"crossings": [_xjson(x) for x in xs]})
-    return Verdict(True, "k-apex", witness={"apices": sorted(hit)})
+    return Verdict(True, kind, witness={"apices": sorted(hit)})
 
 
-def _skewness(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:
+def _skewness(kind: str, drawing: Drawing, xs: tuple[Crossing, ...],
+              k: int) -> Verdict:
     """Some set of at most k edges meets every crossing (deleting them
     leaves a crossing-free drawing).  Its sets hold the edges themselves:
     the search branches in their ``str`` order, which indices would have
@@ -545,10 +545,10 @@ def _skewness(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:
     sets = [frozenset((x.a, x.b)) for x in xs]
     hit = _hitting_set(sets, k)
     if hit is None:
-        return Verdict(False, "skewness",
+        return Verdict(False, kind,
                        f"no {k} edges cover all {len(xs)} crossings",
                        {"crossings": [_xjson(x) for x in xs]})
-    return Verdict(True, "skewness",
+    return Verdict(True, kind,
                    witness={"removed": sorted(edge_key(e) for e in hit)})
 
 
@@ -559,14 +559,14 @@ def _skewness(drawing: Drawing, xs: tuple[Crossing, ...], k: int) -> Verdict:
 _CHECKERS = {
     "k-planar": _k_planar,
     "k-vertex-planar": _k_vertex_planar,
-    "ic": partial(_shared_endpoints, "ic", 0, False),
-    "nic": partial(_shared_endpoints, "nic", 1, False),
-    "nnic": partial(_shared_endpoints, "nnic", 2, True),
+    "ic": partial(_shared_endpoints, 0, False),
+    "nic": partial(_shared_endpoints, 1, False),
+    "nnic": partial(_shared_endpoints, 2, True),
     "k-fan-crossing-free": _k_fan_crossing_free,
-    "adjacency-crossing": partial(_fan, "adjacency-crossing", 0),
-    "fan-crossing": partial(_fan, "fan-crossing", 1),
-    "weak-fan-planar": partial(_fan, "weak-fan-planar", 2),
-    "strong-fan-planar": partial(_fan, "strong-fan-planar", 3),
+    "adjacency-crossing": partial(_fan, 0),
+    "fan-crossing": partial(_fan, 1),
+    "weak-fan-planar": partial(_fan, 2),
+    "strong-fan-planar": partial(_fan, 3),
     "k-edge-crossing": _k_edge_crossing,
     "k-gap-planar": _k_gap_planar,
     "k-apex": _k_apex,
@@ -583,4 +583,4 @@ def check_concept(drawing: Drawing, concept: "str | ConceptId",
     cid = as_concept(concept, k)
     if xs is None:
         xs = compute_crossings(drawing)
-    return _CHECKERS[cid.kind](drawing, xs, structural_k(cid))
+    return _CHECKERS[cid.kind](cid.kind, drawing, xs, structural_k(cid))

@@ -20,10 +20,11 @@ overlap, and otherwise the pair crosses or touches.  Only the crossings
 are kept and sorted, plus the first touch or overlap, so memory is
 O(segments + crossings).
 A ``Crossing`` keeps the engine's exact integers: each edge's index in
-the sorted edge list, the segment index and the parameter (num, den) on
-each curve, and the point as one triple (x, y, w) in drawing
-coordinates.  The checkers and the coverage ledger count and group on
-the edge indices; the ``Edge`` tuples name edges in witnesses.
+``graph.edges``, which ``Graph`` keeps sorted, the segment index and the
+parameter (num, den) on each curve, and the point as one triple
+(x, y, w) in drawing coordinates.  The checkers and the coverage ledger
+count and group on the edge indices; the ``Edge`` tuples name edges in
+witnesses.
 ``point``, ``pos_a`` and ``pos_b`` build ``Fraction``s from them on
 read.  Each crossing also keeps the sign of its two segments' cross
 product as ``turn``: the side a crosser passes from, which the fan
@@ -94,18 +95,19 @@ class Crossing:
     """One proper crossing point between two edge curves.
 
     ``a <= b``; for a self-crossing a == b.  ``ia`` and ``ib`` are the
-    indices of a and b in ``sorted(drawing.graph.edges)``, so they order
-    as the edges do.  The crossing keeps the engine's exact integers: it
-    lies on segment ``seg_a`` of a's curve at parameter ``num_a / den_a``
-    and on segment ``seg_b`` of b's curve at ``num_b / den_b``, at the
-    point (x/w, y/w) in drawing coordinates, where ``xyw`` is (x, y, w);
-    every den and w is positive.  ``pos_a`` and ``pos_b``, each (segment
-    index, parameter), and ``point`` build ``Fraction``s from them on
-    every read; ``pos_a`` orders crossings along an edge.  ``turn`` is +1
-    or -1, the sign of the cross product of a's segment direction and b's,
-    both curves running from their smaller endpoint: +1 when b passes from
-    a's right to its left.  Crossings have no order and compare by
-    identity; sort them by a key of these fields.
+    indices of a and b in ``drawing.graph.edges``, which is sorted, so
+    they order as the edges do.  The crossing keeps the engine's exact
+    integers: it lies on segment ``seg_a`` of a's curve at parameter
+    ``num_a / den_a`` and on segment ``seg_b`` of b's curve at
+    ``num_b / den_b``, at the point (x/w, y/w) in drawing coordinates,
+    where ``xyw`` is (x, y, w); every den and w is positive.  ``pos_a``
+    and ``pos_b``, each (segment index, parameter), and ``point`` build
+    ``Fraction``s from them on every read; ``pos_a`` orders crossings
+    along an edge.  ``turn`` is +1 or -1, the sign of the cross product
+    of a's segment direction and b's, both curves running from their
+    smaller endpoint: +1 when b passes from a's right to its left.
+    Crossings have no order and compare by identity; sort them by a key
+    of these fields.
     """
 
     __slots__ = ("a", "b", "ia", "ib", "seg_a", "num_a", "den_a", "seg_b",
@@ -228,9 +230,9 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
                 "duplicate-point", f"{_point_label(drawing, bent, i)} "
                                    f"coincides with "
                                    f"{_point_label(drawing, bent, j)}")
-    if set(drawing.curves) - set(g.edges):
-        bad = sorted(set(drawing.curves) - set(g.edges))[0]
-        raise ValueError(f"curve for non-edge {bad}")
+    bad = set(drawing.curves).difference(g.edges)
+    if bad:
+        raise ValueError(f"curve for non-edge {min(bad)}")
 
     # One pass over the edges builds every segment's record.  Segment ids
     # run in (edge, index along the edge) order; segment s runs from point
@@ -242,7 +244,6 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
     for e in bent:
         bend_id[e] = range(n, n + len(drawing.curves[e]))
         n += len(drawing.curves[e])
-    edge_list = sorted(g.edges)
     owner: list[int] = []
     index: list[int] = []
     segs: list[tuple[int, int, int, int]] = []
@@ -263,7 +264,7 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
     # of s's two such pairs the one with the smaller first segment.
     ray_first: dict[tuple[int, int, int], int] = {}
     s = 0
-    for ei, e in enumerate(edge_list):
+    for ei, e in enumerate(g.edges):
         poly = [vid[e[0]], *bend_id.get(e, ()), vid[e[1]]]
         for i, (p, q) in enumerate(zip(poly, poly[1:])):
             ax, ay = points[p]
@@ -367,7 +368,7 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
         oa, ob, s, t, d1, d2, d3, d4, seg_a, seg_b = proper.pop()
         if first_bad is not None and (oa, ob, s, t) > first_bad[0]:
             break
-        ea, eb = edge_list[oa], edge_list[ob]
+        ea, eb = g.edges[oa], g.edges[ob]
         ax, ay, bx, by = segs[s]
         # a + t1 (b - a) with t1 = d1 / (d1 - d2)
         den = d1 - d2
@@ -403,7 +404,7 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
         found.insert(i, crossing)
     if first_bad is not None:
         (oa, ob, _, _), kind, p = first_bad
-        ea, eb = edge_list[oa], edge_list[ob]
+        ea, eb = g.edges[oa], g.edges[ob]
         if kind == "overlap":
             raise GeneralPositionViolation(
                 "overlap", f"{ea} and {eb} share a subsegment")
@@ -424,7 +425,7 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
                 if (min(ay, by) <= py <= max(ay, by)
                         and (bx - ax) * (py - ay) == (by - ay) * (px - ax)):
                     raise GeneralPositionViolation(
-                        "touch", f"{edge_list[owner[s]]} passes through "
+                        "touch", f"{g.edges[owner[s]]} passes through "
                                  f"isolated vertex {v}")
     return tuple(found)
 
@@ -583,7 +584,7 @@ def to_svg(drawing: Drawing,
     for e in sorted(drawing.curves):
         pts.extend(drawing.curves[e])
     if not pts:
-        return '<svg xmlns="http://www.w3.org/2000/svg"/>'
+        return '<svg xmlns="http://www.w3.org/2000/svg"/>\n'
     try:
         xs = [float(p[0]) for p in pts]
         ys = [float(p[1]) for p in pts]
@@ -611,7 +612,7 @@ def to_svg(drawing: Drawing,
         f'height="{height}" viewBox="0 0 {width} {height}">',
         '<rect width="100%" height="100%" fill="white"/>',
     ]
-    for e in sorted(drawing.graph.edges):
+    for e in drawing.graph.edges:
         poly = drawing.polyline(e)
         points = " ".join(f"{sx(p[0])},{sy(p[1])}" for p in poly)
         color = "#000000"

@@ -41,8 +41,9 @@ def edge_from_key(key: str) -> Edge:
 
 
 class Graph:
-    """A simple undirected graph with string vertex ids; equal graphs have
-    equal vertex and edge tuples."""
+    """A simple undirected graph with string vertex ids, its vertices and
+    edges kept sorted: graphs built from equal sets have equal vertex and
+    edge tuples, and an edge's index in ``edges`` is the crossing engine's."""
 
     __slots__ = ("vertices", "edges")
 
@@ -60,8 +61,8 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) uses unknown vertex")
             if not u < v:
                 raise ValueError(f"edge ({u},{v}) not normalized")
-        self.vertices = vertices
-        self.edges = edges
+        self.vertices = tuple(sorted(vertices))
+        self.edges = tuple(sorted(edges))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Graph):
@@ -81,7 +82,7 @@ class Graph:
 
 
 def make_graph(vertices: Iterable[str], edges: Iterable[Edge]) -> Graph:
-    return Graph(tuple(sorted(set(vertices))), tuple(sorted(set(edges))))
+    return Graph(tuple(set(vertices)), tuple(set(edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -624,19 +625,17 @@ class FrameworkGraph:
         return self.ell < evaluate(self.concept.info.threshold, k=self.k)[0]
 
     @cached_property
-    def edge_paths(self) -> list[tuple[int, int | None]]:
-        """Per edge of ``graph.edges``, in that order: the index of its
-        connection in ALL_CONNECTIONS and the index of the pole path of
-        that connection running through it, None off the path family.  The
-        pole paths are edge-disjoint, so no edge lies on two.  ``make_graph``
-        sorts the edges, so a crossing's ``ia`` and ``ib`` index this
+    def edge_paths(self) -> list[tuple[str, int | None]]:
+        """Per edge of ``graph.edges``, in that order: its connection's id
+        and the index of the pole path of that connection running through
+        it, None off the path family.  The pole paths are edge-disjoint, so
+        no edge lies on two.  A crossing's ``ia`` and ``ib`` index this
         list."""
-        out: dict[Edge, tuple[int, int | None]] = {}
+        out: dict[Edge, tuple[str, int | None]] = {}
         for cid, cg in self.congraphs.items():
-            c = ALL_CONNECTIONS.index(cid)
-            out.update(dict.fromkeys(cg.edges, (c, None)))
+            out.update(dict.fromkeys(cg.edges, (cid, None)))
             for idx, p in enumerate(cg.paths):
-                out.update(dict.fromkeys(map(edge, p, p[1:]), (c, idx)))
+                out.update(dict.fromkeys(map(edge, p, p[1:]), (cid, idx)))
         return list(map(out.__getitem__, self.graph.edges))
 
     def widths(self) -> dict[str, int]:

@@ -13,10 +13,11 @@ into crossing counts gives the per-concept counting lower bounds.
 A subdivision is named by its path choices, a ``{connection: path index}``
 dict; ``verify_full_coverage`` returns the first uncovered one in that form.
 An edge lies on at most one pole path, so a covering crossing is the tuple
-``(c1, p1, c2, p2)`` of its two connections and their paths, c1 < c2, and
-covers 1/(w1*w2) of the family.  The ledger looks each crossing's edges up
-by their indices ``ia``/``ib`` in ``FrameworkGraph.edge_paths`` and tests
-adjacency in a 9x9 table of connection indices.
+``(c1, p1, c2, p2)`` of its two connections and their paths, and covers
+1/(w1*w2) of the family.  The ledger looks each crossing's edges up by
+their indices ``ia``/``ib`` in ``FrameworkGraph.edge_paths``, which names
+each edge's connection by its id, and tests adjacency in a table keyed by
+connection ids.
 """
 
 from __future__ import annotations
@@ -69,9 +70,10 @@ def kuratowski_count(fg: FrameworkGraph) -> int:
 # ---------------------------------------------------------------------------
 
 # A covering crossing (c1, p1, c2, p2): path p1 of connection c1 crosses
-# path p2 of connection c2, c1 < c2.  A plain tuple of str and int, not a
-# NamedTuple or a class: CPython's collector untracks only exact tuples of
-# atoms, and a threshold-scale ledger holds ~10^5 of them.
+# path p2 of connection c2, the two connections in either order.  A plain
+# tuple of str and int, not a NamedTuple or a class: CPython's collector
+# untracks only exact tuples of atoms, and a threshold-scale ledger holds
+# ~10^5 of them.
 Entry = tuple[str, int, str, int]
 
 
@@ -103,12 +105,11 @@ class CoverageLedger(NamedTuple):
                             | {e[2] for e in self.entries}))
 
 
-# _ADJACENT[c][d]: whether connections c and d, by index in ALL_CONNECTIONS,
-# share a pole, each connection with itself included: crossings between
-# their edges cover nothing.
-_ADJACENT = tuple(tuple(bool(set(connection_poles(c))
-                             & set(connection_poles(d)))
-                        for d in ALL_CONNECTIONS) for c in ALL_CONNECTIONS)
+# _ADJACENT[c][d]: whether connections c and d, by id, share a pole, each
+# connection with itself included: crossings between their edges cover
+# nothing.
+_ADJACENT = {c: {d: bool(set(connection_poles(c)) & set(connection_poles(d)))
+                 for d in ALL_CONNECTIONS} for c in ALL_CONNECTIONS}
 
 
 def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
@@ -122,6 +123,8 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
     graph than the framework graph's raises ValueError.  ``xs``, when
     given, are the drawing's crossings as ``compute_crossings`` returns
     them: their edge indices index ``fg.edge_paths``.
+    Entries come with c1 < c2 (edges sort by their connection's v-pole,
+    distinct for non-adjacent connections); the walk reads either order.
     """
     if drawing.graph != fg.graph:
         raise ValueError(f"the drawing is not of the {fg.concept} framework "
@@ -131,22 +134,14 @@ def coverage_ledger(drawing: Drawing, fg: FrameworkGraph,
     edge_paths = fg.edge_paths
     entries: list[Entry] = []
     skipped = 0
-    # an edge's smaller end id starts with its connection's v-pole, so
-    # edges sort by v-pole first; ia <= ib, and non-adjacent connections
-    # have different v-poles: c1 < c2 without a swap
     for x in xs:
         c1, p1 = edge_paths[x.ia]
         c2, p2 = edge_paths[x.ib]
         if _ADJACENT[c1][c2] or p1 is None or p2 is None:
             skipped += 1
         else:
-            entries.append((ALL_CONNECTIONS[c1], p1, ALL_CONNECTIONS[c2], p2))
+            entries.append((c1, p1, c2, p2))
     return CoverageLedger(fg.widths(), tuple(entries), skipped)
-
-
-def _check_same_widths(ledger: CoverageLedger, fg: FrameworkGraph) -> None:
-    if ledger.widths != fg.widths():
-        raise ValueError("ledger was built for a different framework graph")
 
 
 def _uncovered(ledger: CoverageLedger, budget: int
@@ -165,10 +160,13 @@ def _uncovered(ledger: CoverageLedger, budget: int
     required = prod(ledger.widths[c] for c in cids)
     if cids and required > budget:
         raise BudgetExceeded(required, budget)
-    # covered[c, d][p]: the paths of d that an entry covers with path p of c
-    covered: dict[tuple[str, str], dict[int, set[int]]] = {}
+    # covered[c, p, d]: the paths of d that an entry covers with path p of
+    # c; an entry may name c and d in either order, the walk's is c < d
+    covered: dict[tuple[str, int, str], set[int]] = {}
     for c1, p1, c2, p2 in ledger.entries:
-        covered.setdefault((c1, c2), {}).setdefault(p1, set()).add(p2)
+        if c2 < c1:
+            c1, p1, c2, p2 = c2, p2, c1, p1
+        covered.setdefault((c1, p1, c2), set()).add(p2)
 
     def walk(depth: int, sub: dict[str, int]) -> Iterator[dict[str, int]]:
         if depth == len(cids):
@@ -177,7 +175,7 @@ def _uncovered(ledger: CoverageLedger, budget: int
         d = cids[depth]
         blocked: set[int] = set()
         for c in cids[:depth]:
-            blocked.update(covered.get((c, d), {}).get(sub[c], ()))
+            blocked.update(covered.get((c, sub[c], d), ()))
         for q in range(ledger.widths[d]):
             if q not in blocked:
                 sub[d] = q
@@ -197,7 +195,8 @@ def verify_full_coverage(ledger: CoverageLedger,
     enumerated tuples is capped by the budget — exceeding it raises
     BudgetExceeded rather than ever sampling.
     """
-    _check_same_widths(ledger, fg)
+    if ledger.widths != fg.widths():
+        raise ValueError("ledger was built for a different framework graph")
     sub = next(_uncovered(ledger, budget)[1], None)
     if sub is None:
         return Verdict(True, str(fg.concept))

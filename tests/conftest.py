@@ -86,12 +86,11 @@ def pt(x, y):
 def made_up_crossing(graph, e, f, xyw, turn=1) -> Crossing:
     """A crossing of edges e and f of ``graph`` at (x/w, y/w), halfway along
     the first segment of each, with the engine's edge indices: each edge's
-    index in the graph's sorted edges, so no test can pass indices that
-    disagree with its edges."""
+    index in ``graph.edges``, so no test can pass indices that disagree
+    with its edges."""
     a, b = sorted((e, f))
-    edges = sorted(graph.edges)
-    return Crossing(a, b, edges.index(a), edges.index(b), 0, 1, 2, 0, 1, 2,
-                    xyw, turn)
+    return Crossing(a, b, graph.edges.index(a), graph.edges.index(b),
+                    0, 1, 2, 0, 1, 2, xyw, turn)
 
 
 def standard_drawing(kind, ell, k=None, variant="witness") -> Drawing:

@@ -281,7 +281,7 @@ def _verdict(d, xs, kind, k=None):
     """check_concept's verdict; below the concept's k_min, where
     check_concept refuses k, the concept's checker called directly."""
     if k is not None and k < CONCEPTS[kind].k_min:
-        return _CHECKERS[kind](d, xs, k)
+        return _CHECKERS[kind](kind, d, xs, k)
     return check_concept(d, kind, k, xs=xs)
 
 
@@ -441,11 +441,10 @@ def test_hitting_set_branches_in_str_order():
             "apices": ["a"]}
 
 
-def test_verdicts_read_indices_into_the_sorted_edges():
-    # Graph(...) keeps its edges in the order given; the indices on the
-    # crossings still index the sorted edges, so a drawing listing its
-    # edges out of order gets the verdicts and the ledger of the same
-    # drawing made through make_graph
+def test_verdicts_read_indices_into_graph_edges():
+    # Graph(...) sorts the vertices and edges it is given, so a drawing
+    # built from shuffled ones has the graph, the crossing indices, the
+    # verdicts and the ledger of the same drawing made through make_graph
     rng = random.Random(2323)
     cases = [(construction_for(kind, ell, k), variant)
              for kind, ell, k in GRID for variant in ("witness", "upper")]
@@ -453,14 +452,18 @@ def test_verdicts_read_indices_into_the_sorted_edges():
     for fg, d in cases:
         if fg is not None:
             d = draw_framework(fg, d)
-        edges = list(d.graph.edges)
+        vertices, edges = list(d.graph.vertices), list(d.graph.edges)
+        rng.shuffle(vertices)
         rng.shuffle(edges)
         if edges == sorted(edges):
             edges.reverse()
         assert edges != sorted(edges)
-        out_of_order = Drawing(Graph(d.graph.vertices, tuple(edges)),
-                               d.positions, d.curves)
+        graph = Graph(tuple(vertices), tuple(edges))
+        assert graph == d.graph
+        out_of_order = Drawing(graph, d.positions, d.curves)
         xs = compute_crossings(out_of_order)
+        assert all(graph.edges[x.ia] == x.a and graph.edges[x.ib] == x.b
+                   for x in xs)
         for concept, info in CONCEPTS.items():
             for k in ((info.k_min, info.k_min + 1) if info.requires_k
                       else (None,)):
@@ -468,7 +471,7 @@ def test_verdicts_read_indices_into_the_sorted_edges():
                                       xs=xs).to_json_obj()
                         == check_concept(d, concept, k).to_json_obj())
         if fg is not None:
-            ledger = coverage_ledger(d, fg, xs)
+            ledger = coverage_ledger(out_of_order, fg, xs)
             want = coverage_ledger(d, fg)
             assert ledger.skipped == want.skipped
             assert ledger.entries == want.entries
@@ -515,7 +518,8 @@ def test_only_strong_fan_planarity_reads_the_drawing():
             if concept == "strong-fan-planar":
                 continue
             cid = as_concept(concept, 2 if info.requires_k else None)
-            assert (_CHECKERS[concept](None, xs, structural_k(cid))
+            assert (_CHECKERS[concept](concept, None, xs,
+                                       structural_k(cid))
                     == check_concept(d, cid, xs=xs))
 
 

@@ -133,8 +133,14 @@ def test_gap_check_stdout_is_the_same_under_every_hash_seed():
 
 
 def test_import_pulls_in_no_graph_library():
-    _python("-c", "import beyondcr, sys; "
-                  "assert 'networkx' not in sys.modules")
+    # only the standard library and beyondcr itself; the modules loaded
+    # before the import (site hooks of the installed packages) are left out
+    out = _python("-c", "import sys; before = set(sys.modules); "
+                        "import beyondcr.cli; print(sorted("
+                        "m for m in set(sys.modules) - before "
+                        "if m.partition('.')[0] not in "
+                        "sys.stdlib_module_names | {'beyondcr'}))")
+    assert out == "[]\n"
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -380,13 +386,18 @@ def test_report_ratios_beyond_the_float_range(capsys):
 def test_svg_command(tmp_path, capsys):
     f = tmp_path / "d.json"
     run(["layout", "--concept", "ic", "--ell", "2", "--out", str(f)])
+    empty = tmp_path / "empty.json"
+    empty.write_text(drawing_to_json(Drawing(make_graph((), ()), {})))
     out = tmp_path / "d.svg"
-    assert run(["svg", "--in", str(f), "--out", str(out)]) == 0
-    svg = out.read_text()
-    assert svg.lstrip().startswith("<svg") and "</svg>" in svg
-    # deterministic
-    assert run(["svg", "--in", str(f)]) == 0
-    assert out_of(capsys).strip() == svg.strip()
+    for g in (f, empty):
+        assert run(["svg", "--in", str(g), "--out", str(out)]) == 0
+        svg = out.read_text()
+        # one final newline, as every text file the CLI writes
+        assert svg.startswith("<svg") and svg.endswith(">\n")
+        assert not svg.endswith("\n\n")
+        # deterministic, and stdout gets the same text
+        assert run(["svg", "--in", str(g)]) == 0
+        assert out_of(capsys) == svg
 
 
 @pytest.mark.parametrize("a,b", [

@@ -12,6 +12,7 @@ from beyondcr import (
     Crossing,
     Drawing,
     GeneralPositionViolation,
+    Graph,
     compute_crossings,
     construction_for,
     draw_framework,
@@ -327,7 +328,7 @@ def test_edge_indices_index_the_sorted_edge_list():
     drawings += random_corpus(4242, 200, bend_prob=0.35)
     seen = 0
     for d in drawings:
-        edges = sorted(d.graph.edges)
+        edges = d.graph.edges
         for x in compute_crossings(d):
             assert edges[x.ia] == x.a and edges[x.ib] == x.b
             seen += 1
@@ -589,7 +590,7 @@ def test_crossings_of_one_segment_come_in_order_along_it(swap, fx, fy):
 def _sweep(d):
     """d's segments in (edge, index) order, their endpoint ids, and the
     pairs ``_candidate_pairs`` yields for them, built from the points."""
-    segs = [ab for e in sorted(d.graph.edges) for ab in segments(d, e)]
+    segs = [ab for e in d.graph.edges for ab in segments(d, e)]
     ids: dict = {}
     ends = [(ids.setdefault(a, len(ids)), ids.setdefault(b, len(ids)))
             for a, b in segs]
@@ -714,6 +715,11 @@ def test_json_round_trip_with_curves_and_meta():
     assert back.positions == d.positions
     assert back.curves == d.curves
     assert back.meta["note"] == "round trip"
+    # a graph given unsorted vertices and edges round-trips too
+    unsorted = Drawing(Graph(("a", "b", "c"), (("b", "c"), ("a", "b"))),
+                       {"a": pt(0, 0), "b": pt(4, 0), "c": pt(4, 3)})
+    assert drawing_from_json(drawing_to_json(unsorted)).graph \
+        == unsorted.graph
     # obj-level round trip too
     assert drawing_from_json_obj(drawing_to_json_obj(d)).positions == d.positions
 

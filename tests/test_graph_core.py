@@ -407,9 +407,8 @@ def test_framework_graph_structure():
 
 
 def _edge_paths(fg):
-    """``fg.edge_paths`` by edge, with each connection's id."""
-    return {e: (ALL_CONNECTIONS[c], path)
-            for e, (c, path) in zip(fg.graph.edges, fg.edge_paths)}
+    """``fg.edge_paths`` by edge."""
+    return dict(zip(fg.graph.edges, fg.edge_paths))
 
 
 def test_paths_through():

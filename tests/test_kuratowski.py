@@ -153,13 +153,13 @@ def test_ledger_agrees_with_crossings_subdivision_by_subdivision(
 @st.composite
 def _clipped_ledgers(draw):
     """Ledgers over two to four connections, each entry one path pair on
-    two of them, c1 < c2, as ``coverage_ledger`` builds them."""
+    two of them, in either order."""
     cids = draw(st.lists(st.sampled_from(ALL_CONNECTIONS), min_size=2,
                          max_size=4, unique=True))
     widths = {c: draw(st.integers(1, 4)) for c in cids}
     entries = []
     for _ in range(draw(st.integers(0, 12))):
-        c1, c2 = sorted(draw(st.permutations(cids))[:2])
+        c1, c2 = draw(st.permutations(cids))[:2]
         entries.append((c1, draw(st.integers(0, widths[c1] - 1)),
                         c2, draw(st.integers(0, widths[c2] - 1))))
     return CoverageLedger(widths, tuple(entries))

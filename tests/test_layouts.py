@@ -24,9 +24,8 @@ from beyondcr import (
     is_straight_line,
 )
 from beyondcr.drawing import drawing_to_json
-from beyondcr.graph_core import (ALL_CONNECTIONS, CONCEPTS, DESIGNATED,
-                                 connection_specs, parse_concept,
-                                 structural_k)
+from beyondcr.graph_core import (CONCEPTS, DESIGNATED, connection_specs,
+                                 parse_concept, structural_k)
 from beyondcr.standard_layouts import _own_crossings, _strands
 from conftest import FAN_KINDS, GRID, THRESHOLD_POINTS, standard_drawing
 
@@ -94,8 +93,7 @@ def test_crossings_split_by_connection(kind, ell, k, variant):
     # shape's own crossings, and no other pair of connections crosses
     fg = construction_for(kind, ell, k)
     split = Counter(
-        tuple(sorted({ALL_CONNECTIONS[fg.edge_paths[x.ia][0]],
-                      ALL_CONNECTIONS[fg.edge_paths[x.ib][0]]}))
+        tuple(sorted({fg.edge_paths[x.ia][0], fg.edge_paths[x.ib][0]}))
         for x in compute_crossings(draw_framework(fg, variant)))
     specs = connection_specs(kind, ell, k)
     v, h = DESIGNATED[variant]
@@ -220,15 +218,13 @@ def test_designated_pair_actually_crosses():
     fg = construction_for("k-planar", 2, 1)
     d = draw_framework(fg, "witness")
     xs = compute_crossings(d)
-    cids = {tuple(sorted((ALL_CONNECTIONS[fg.edge_paths[x.ia][0]],
-                          ALL_CONNECTIONS[fg.edge_paths[x.ib][0]])))
+    cids = {tuple(sorted((fg.edge_paths[x.ia][0], fg.edge_paths[x.ib][0])))
             for x in xs}
     assert cids == {("v1-w1", "v2-w2")}
     # the upper drawing crosses the other designated pair
     du = draw_framework(fg, "upper")
     xs_u = compute_crossings(du)
-    cids_u = {tuple(sorted((ALL_CONNECTIONS[fg.edge_paths[x.ia][0]],
-                            ALL_CONNECTIONS[fg.edge_paths[x.ib][0]])))
+    cids_u = {tuple(sorted((fg.edge_paths[x.ia][0], fg.edge_paths[x.ib][0])))
               for x in xs_u}
     assert cids_u == {("v1-w2", "v2-w1")}
 
