@@ -2,9 +2,9 @@
 
 Crossing-ratio data for one construction family: the exact counting lower
 bound versus the crossing count of the cheap ("upper") standard drawing,
-a crossing-lemma floor for dense graphs, per-concept closed-form caps on
-the ratio, and a report that measures the growth exponent of the ratio in
-the vertex count across a doubling parameter grid.
+per-concept closed-form caps on the ratio, and a report that measures the
+growth exponent of the ratio in the vertex count across a doubling
+parameter grid.
 """
 
 from __future__ import annotations

@@ -6,11 +6,13 @@
 by concepts without one); every checker returns a Verdict labelled kind.
 All but one decide from the crossings alone, the fan sides included
 (``Crossing.turn``); only strong fan-planarity's enclosure test reads the
-drawing's curves.  They count, group and search on the crossings' edge
-indices ``ia`` and ``ib``, which order as the edges do, and read an
-``Edge`` off a crossing to name it in a witness.  The vertex-based
-concepts key on the edges' endpoint strings, and skewness on the edges
-themselves, since its search branches in their ``str`` order.
+drawing: the bend counts of each edge and its crossers for every (edge,
+anchor) it tries, and the curves' points, scaled to integers once per
+check, only when some fan ring can bend.  They count, group and search on
+the crossings' edge indices ``ia`` and ``ib``, which order as the edges
+do, and read an ``Edge`` off a crossing to name it in a witness.  The
+vertex-based concepts key on the edges' endpoint strings, and skewness on
+the edges themselves, since its search branches in their ``str`` order.
 Failure verdicts carry a machine-checkable witness: the edge / vertex /
 crossing pair that breaks the condition, or for the search-based concepts
 (gap, apex, skewness) a certificate that no valid assignment or deletion
@@ -223,13 +225,23 @@ def _fan(level: int, kind: str, drawing: Drawing,
     same side (level 2, weak fan-planar), and for that anchor no fan region
     traps an endpoint of e (level 3, strong fan-planar).
 
-    The level-3 test gives each crossing on e one even-odd bit per endpoint
-    of e and compares bits instead of building a region per pair of
-    crossers (``_enclosure_failure``): O(len(e) + sum of tail lengths +
-    c) per edge and anchor for c crossings on e."""
+    Level 3 reads the bend counts of e and its crossers for every anchor
+    v that passes the sides test.  When e is one segment and every
+    crosser runs straight from its crossing X_i to v (``_triangle_rings``),
+    each fan ring is the triangle X_i X_j v, and none can enclose an
+    endpoint of e: v is off e's line (a straight tail along it would make
+    the crossing an overlap, which ``compute_crossings`` refuses), so the
+    line meets the closed triangle only in its side [X_i, X_j], and e's
+    endpoints lie on the line outside that side.  The anchor then passes
+    with no point read.  Only when some ring can bend are the drawing's
+    curves scaled, once per check, and the test gives each crossing on e
+    one even-odd bit per endpoint of e and compares bits instead of
+    building a region per pair of crossers (``_enclosure_failure``):
+    O(len(e) + sum of tail lengths + c) per edge and anchor for c
+    crossings on e."""
     if not is_simple(xs):
         return Verdict(False, kind, "drawing is not simple")
-    curves = None   # the scaled curves, built for the first level-3 test
+    curves = None   # the scaled curves, built for the first ring walk
     for e, crossings in sorted(_crossers_by_edge(xs).items()):
         if len(crossings) <= 1:
             continue
@@ -271,7 +283,8 @@ def _fan(level: int, kind: str, drawing: Drawing,
                     f"crossings of {edge_key(edge)} approach anchor {v} from "
                     f"both sides", {"edge": edge_key(edge), "anchor": v})
                 continue
-            if level == 3:
+            if level == 3 and not _triangle_rings(drawing, edge, e,
+                                                  crossings, fs, v):
                 if curves is None:
                     curves = _scaled_curves(drawing)
                 trapped = _enclosure_failure(curves, e, crossings, v)
@@ -286,13 +299,33 @@ def _fan(level: int, kind: str, drawing: Drawing,
     return Verdict(True, kind)
 
 
+def _triangle_rings(drawing: Drawing, edge: Edge, ie: int,
+                    crossings: list[Crossing], fs: list[Edge],
+                    anchor: str) -> bool:
+    """Whether every fan ring of ``edge``, of index ``ie``, and the anchor
+    is a triangle X_i X_j v with its side [X_i, X_j] on the edge: the edge
+    has no bends, and each crosser f in ``fs`` runs straight from its
+    crossing to the anchor, its crossing lying on f's last segment when
+    the anchor is f's second vertex and on its first when it is f's
+    first.  Only bend counts are read, no point."""
+    if drawing.curves.get(edge):
+        return False
+    for x, f in zip(crossings, fs):
+        seg = x.seg_b if x.ia == ie else x.seg_a
+        if seg != (len(drawing.curves.get(f, ())) if anchor == f[1] else 0):
+            return False
+    return True
+
+
 def _enclosure_failure(curves: ScaledCurves, ie: int,
                        crossings: list[Crossing],
                        anchor: str) -> tuple[str, dict] | None:
     """sfp condition: for each pair of crossers, the closed curve formed by
     the piece of e, the edge of index ``ie``, between the two crossing
     points and the two crosser curves up to the anchor must not strictly
-    enclose an endpoint of e.
+    enclose an endpoint of e.  ``_fan`` calls it only for an (edge, anchor)
+    with some ring that can bend, having read the bend counts first
+    (``_triangle_rings``); the curves it reads are scaled once per check.
 
     Each segment of such a ring flips an endpoint's even-odd ray count on
     its own, in either direction (``geometry.ray_toggle``), so the ring's

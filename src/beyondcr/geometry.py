@@ -4,9 +4,12 @@
 Coordinates are ``int`` or ``fractions.Fraction`` and every predicate is
 exact, so no caller sees an epsilon.  The enclosure test passes plain
 integers: curves scaled to a common denominator, and crossing points
-homogenised by their own.  The layouts pass ``Fraction``s.  The crossing
-engine in ``drawing`` classifies segment pairs with its own inline integer
-orientations and keeps each crossing's side as ``Crossing.turn``.
+homogenised by their own.  It runs them only for an (edge, anchor) whose
+fan rings can bend; when the edge and every crosser's tail to the anchor
+are straight, ``checkers`` decides from bend counts alone.  The layouts
+pass ``Fraction``s.  The crossing engine in ``drawing`` classifies
+segment pairs with its own inline integer orientations and keeps each
+crossing's side as ``Crossing.turn``.
 """
 
 from __future__ import annotations

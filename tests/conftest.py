@@ -154,6 +154,26 @@ def fan_fixture_weak_not_strong() -> Drawing:
     )
 
 
+def fan_fixture_bent_edge_straight_crossers() -> Drawing:
+    """Both crossers run straight from their crossings to the anchor, but
+    e = u0|u1 bends: it crosses a|v just right of u0, loops around below
+    and up the left, and crosses b|v just before u1, so the piece of e
+    between the crossings and the two tails close a region around u0.
+    Passes weak-fan-planar, fails strong.
+    """
+    g = make_graph(
+        ["u0", "u1", "a", "b", "v"],
+        [edge("u0", "u1"), edge("a", "v"), edge("b", "v")],
+    )
+    return Drawing(
+        g,
+        {"u0": pt(-10, -3), "u1": pt(-20, 30),
+         "a": pt(0, -10), "b": pt(-36, 16), "v": pt(0, 100)},
+        curves={edge("u0", "u1"): (pt(50, -5), pt(50, -50), pt(-50, -50),
+                                   pt(-50, 30))},
+    )
+
+
 # ---------------------------------------------------------------------------
 # Acceptance reporting: one PASS/FAIL line per criterion at the end of the
 # pytest run (see test_acceptance.py).

@@ -19,8 +19,10 @@ from beyondcr.checkers import _CHECKERS, _first_split
 from beyondcr.graph_core import (CONCEPTS, as_concept, edge_from_key,
                                  edge_key, structural_k)
 from conftest import (
+    FAN_KINDS,
     GRID,
     fan_fixture_adjacent_not_fan,
+    fan_fixture_bent_edge_straight_crossers,
     fan_fixture_fan_not_weak,
     fan_fixture_weak_not_strong,
     made_up_crossing,
@@ -84,6 +86,17 @@ def test_weak_but_not_strong():
     assert _fan_verdicts(d) == (True, True, True, False)
     v = _fan_matches_brute(d, compute_crossings(d))
     assert v.witness["endpoint"] == "e1" and "enclosed" in v.reason
+
+
+def test_bent_edge_with_straight_crossers_is_not_strong():
+    # every tail is straight, so only e's bends can close the region
+    d = fan_fixture_bent_edge_straight_crossers()
+    xs = compute_crossings(d)
+    assert len(xs) == 2
+    assert _fan_verdicts(d) == (True, True, True, False)
+    v = _fan_matches_brute(d, xs)
+    assert v.reason == ("endpoint u0 of u0|u1 is enclosed by the fan region "
+                        "of a|v and b|v")
 
 
 def test_non_simple_fails_every_fan_variant():
@@ -219,6 +232,34 @@ def test_sfp_tail_through_an_endpoint_encloses_nothing():
     assert v.witness["endpoint"] == "e2"
 
 
+def test_sfp_reads_no_point_of_a_straight_line_drawing(monkeypatch):
+    # In a straight-line drawing every fan ring is a triangle with one side
+    # on e, so the enclosure test never scales a curve or walks a ring, and
+    # the verdicts still match the explicit rings.
+    def refuse(*args):
+        raise AssertionError("a straight-line drawing read its points")
+    monkeypatch.setattr(checkers, "_enclosure_failure", refuse)
+    monkeypatch.setattr(checkers, "_scaled_curves", refuse)
+    triangles = Counter()
+    triangle_rings = checkers._triangle_rings
+
+    def counted(*args):
+        got = triangle_rings(*args)
+        triangles[got] += 1
+        return got
+    monkeypatch.setattr(checkers, "_triangle_rings", counted)
+    drawings = [standard_drawing(kind, ell, k, variant=variant)
+                for kind, ell, k in GRID if kind not in FAN_KINDS
+                for variant in ("witness", "upper")]
+    drawings += random_corpus(2727, 200, bend_prob=0)
+    for d in drawings:
+        xs = compute_crossings(d)
+        v = check_concept(d, "strong-fan-planar", xs=xs)
+        assert (v.ok, v.reason, v.witness) == o.fan_planar_brute(d, xs, True)
+    # the inputs reach the enclosure test, many (edge, anchor) times
+    assert triangles[True] >= 50
+
+
 def test_first_split_is_the_first_differing_pair():
     # every table of up to 4 crossings, each bit unset, False or True
     values = (None, False, True)
@@ -250,7 +291,9 @@ def test_enclosure_witness_matches_the_pairwise_loop(monkeypatch):
 
     run()
     for d in [fan_fixture_adjacent_not_fan(), fan_fixture_fan_not_weak(),
-              fan_fixture_weak_not_strong(), appendix_fcf_fixture()[1]]:
+              fan_fixture_weak_not_strong(),
+              fan_fixture_bent_edge_straight_crossers(),
+              appendix_fcf_fixture()[1]]:
         _fan_matches_brute(d, compute_crossings(d))
     assert splits[True] >= 10 and splits[False] >= 10
 
@@ -511,7 +554,8 @@ def test_only_strong_fan_planarity_reads_the_drawing():
     drawings = [standard_drawing(kind, ell, k, variant=variant)
                 for kind, ell, k in GRID for variant in ("witness", "upper")]
     drawings += [fan_fixture_adjacent_not_fan(), fan_fixture_fan_not_weak(),
-                 fan_fixture_weak_not_strong()]
+                 fan_fixture_weak_not_strong(),
+                 fan_fixture_bent_edge_straight_crossers()]
     for d in drawings:
         xs = compute_crossings(d)
         for concept, info in CONCEPTS.items():
