@@ -20,11 +20,11 @@ from .graph_core import (
     as_concept,
     connection_specs,
     evaluate,
-    framework_size,
+    framework_size_of,
     structural_k,
 )
-from .kuratowski import counting_lower_bound
-from .standard_layouts import crossing_count_formula
+from .kuratowski import counting_lower_bound_of
+from .standard_layouts import crossing_count_of
 
 
 class UpperBound(NamedTuple):
@@ -128,22 +128,21 @@ def ratio_report(concept: "str | ConceptId", ell: int,
                  k: int | None = None) -> RatioReport:
     """Formula-based ratio data at a single (ell, k) point."""
     cid = as_concept(concept, k)
-    kk = structural_k(cid)
-    n, m = framework_size(cid, ell)
-    witness = crossing_count_formula(cid, ell, variant="witness")
-    upper = crossing_count_formula(cid, ell, variant="upper")
-    bound, _trace = counting_lower_bound(cid, ell)
+    specs = connection_specs(cid, ell)
+    n, m = framework_size_of(specs)
+    upper = crossing_count_of(specs, "upper")
+    bound, _trace = counting_lower_bound_of(
+        cid, ell, {c: spec.width for c, spec in specs.items()})
     return RatioReport(
-        concept=str(cid), ell=ell, k=kk, n=n, m=m,
-        witness_crossings=witness,
+        concept=str(cid), ell=ell, k=structural_k(cid), n=n, m=m,
+        witness_crossings=crossing_count_of(specs, "witness"),
         upper_drawing_crossings=upper,
         counting_bound=bound,
         empirical_ratio=Fraction(bound, upper),
         theta_class=cid.info.theta_class,
         sharpness=cid.info.sharp,
         # only K7 gadgets need bent edges in the standard drawings
-        rectilinear=not any(isinstance(spec, K7) for spec
-                            in connection_specs(cid, ell).values()),
+        rectilinear=not any(isinstance(spec, K7) for spec in specs.values()),
     )
 
 

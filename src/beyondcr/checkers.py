@@ -34,7 +34,8 @@ from functools import partial
 from itertools import chain, combinations
 from typing import Callable
 
-from .drawing import Crossing, Drawing, Verdict, compute_crossings, is_simple
+from .drawing import (Crossing, Drawing, Verdict, compute_crossings,
+                      integer_scale, is_simple)
 from .geometry import IntPoint, chain_parity, on_segment, ray_toggle
 from .graph_core import ConceptId, Edge, as_concept, edge_key, structural_k
 
@@ -199,20 +200,17 @@ ScaledCurves = tuple[int, Callable[[Edge], list[IntPoint]]]
 
 
 def _scaled_curves(drawing: Drawing) -> ScaledCurves:
-    """The drawing's scale, the LCM of its coordinates' denominators, and
-    a function from an edge to its polyline's points times the scale as
-    integer pairs, each edge's built once."""
-    # the distinct denominators only, so lcm's argument tuple stays short
-    scale = math.lcm(*{c.denominator for points in (
-        drawing.positions.values(), *drawing.curves.values())
-        for p in points for c in p})
+    """The drawing's scale, as ``integer_scale`` gives it for all its
+    points, and a function from an edge to its polyline's points times the
+    scale as integer pairs, each edge's built once."""
+    scale, scaled_points = integer_scale(
+        p for points in (drawing.positions.values(),
+                         *drawing.curves.values()) for p in points)
     scaled: dict[Edge, list[IntPoint]] = {}
 
     def polyline(e: Edge) -> list[IntPoint]:
         if e not in scaled:
-            scaled[e] = [(x.numerator * (scale // x.denominator),
-                          y.numerator * (scale // y.denominator))
-                         for x, y in drawing.polyline(e)]
+            scaled[e] = scaled_points(drawing.polyline(e))
         return scaled[e]
     return scale, polyline
 

@@ -1,24 +1,26 @@
 """Polyline drawings and exact crossing computation.
 
-Coordinates are rational (``fractions.Fraction`` or ``int``), so every
+Coordinates are rational (``int`` or ``fractions.Fraction``), so every
 intersection test is exact.  ``compute_crossings`` multiplies all vertex
-and bend coordinates by the LCM of their denominators, so the orientation
-tests run on plain integers, and gives every point an integer id; a
-segment is its pair of endpoint ids.  One pass over the edges builds every
-segment's record.  Two segments with a common endpoint (a star,
-consecutive segments of one edge included) meet only there unless they
-leave it along one ray, so each segment's two rays (endpoint id and
-reduced integer direction) are looked up as it is built, and a shared ray
-is an overlap.  A sweep over the segments sorted by the left end of their
-bounding boxes yields the other pairs whose boxes meet and whose ranges of
-x + y and x - y meet too, so whose bounding octagons meet: segments that
-share a point overlap on every projection, so nothing that meets is
-dropped, while near-parallel diagonal segments are.  Each pair is
-classified as it is yielded on four integer orientations: one lying on a
-side of the other's line is rejected after two, a collinear pair is an
-overlap, and otherwise the pair crosses or touches.  Only the crossings
-are kept and sorted, plus the first touch or overlap, so memory is
-O(segments + crossings).
+and bend coordinates by the LCM of the ``Fraction`` coordinates'
+denominators (``integer_scale``, which reads an int as it is, so a drawing
+of ints alone needs no LCM), so the orientation tests run on plain
+integers, and gives every point an integer id; a segment is its pair of
+endpoint ids.  One pass over the edges builds every segment's record, a
+straight edge's one segment read off its two vertex ids.  Two segments
+with a common endpoint (a star, consecutive segments of one edge included)
+meet only there unless they leave it along one ray, so each segment's two
+rays (endpoint id and reduced integer direction) are looked up as it is
+built, and a shared ray is an overlap.  A sweep over the segments sorted
+by the left end of their bounding boxes yields the other pairs whose boxes
+meet and whose ranges of x + y and x - y meet too, so whose bounding
+octagons meet: segments that share a point overlap on every projection, so
+nothing that meets is dropped, while near-parallel diagonal segments are.
+Each pair is classified as it is yielded on four integer orientations: one
+lying on a side of the other's line is rejected after two, a collinear
+pair is an overlap, and otherwise the pair crosses or touches.  Only the
+crossings are kept and sorted, plus the first touch or overlap, so memory
+is O(segments + crossings).
 A ``Crossing`` keeps the engine's exact integers: each edge's index in
 ``graph.edges``, which ``Graph`` keeps sorted, the segment index and the
 parameter (num, den) on each curve, and the point as one triple
@@ -43,9 +45,9 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
-from .geometry import Point
+from .geometry import IntPoint, Point
 from .graph_core import (Edge, FRAME_NODES, Graph, edge_from_key, edge_key,
                          graph_to_json_obj, graph_from_json_obj)
 
@@ -65,7 +67,10 @@ class Drawing:
     ``positions`` maps each vertex to a point; ``curves`` maps an edge to
     its tuple of interior bend points, ordered from the smaller endpoint to
     the larger one (the canonical edge orientation).  Missing curve entries
-    mean a straight-line edge.
+    mean a straight-line edge.  A coordinate is an ``int`` or a
+    ``Fraction``: the standard layouts give an integral one as an int and
+    any other as a Fraction, while a drawing read from JSON holds
+    Fractions only.  Both give the same crossings.
     """
 
     __slots__ = ("graph", "positions", "curves", "meta")
@@ -147,23 +152,45 @@ class Crossing:
                 f"pos_b={self.pos_b}, point={self.point}, turn={self.turn})")
 
 
-def _point_table(drawing: Drawing, bent: list[Edge]
-                 ) -> tuple[list, int]:
-    """Every vertex (in graph order) and bend (in ``bent`` order) with the
-    scale: points times the LCM of all coordinate denominators are integer
-    pairs.  A coordinate that is not an int or Fraction raises TypeError."""
-    g = drawing.graph
-    points = [drawing.positions[v] for v in g.vertices]
-    points += [p for e in bent for p in drawing.curves[e]]
-    bad = [c for p in points for c in p
-           if type(c) is not int and not isinstance(c, Fraction)]
-    if bad:
-        raise TypeError(f"coordinate {bad[0]!r} is not an int or Fraction")
+def integer_scale(points: Iterable[Point]
+                  ) -> tuple[int, Callable[[Iterable[Point]],
+                                           list[IntPoint]]]:
+    """The scale of some points, the LCM of their ``Fraction``
+    coordinates' denominators, and a function from points among them to
+    those points times the scale, as integer pairs.  An ``int`` coordinate
+    adds no denominator and is read as it is, so points with int
+    coordinates only have scale 1 and need no LCM.  A coordinate that is
+    not an int or Fraction raises TypeError."""
+    fractions = [c for p in points for c in p if type(c) is not int]
+    for c in fractions:
+        if not isinstance(c, Fraction):
+            raise TypeError(f"coordinate {c!r} is not an int or Fraction")
+    if not fractions:
+        return 1, _int_pairs
     # the distinct denominators only, so lcm's argument tuple stays short
-    scale = math.lcm(*{c.denominator for p in points for c in p})
-    return [(x.numerator * (scale // x.denominator),
-             y.numerator * (scale // y.denominator))
-            for x, y in points], scale
+    scale = math.lcm(*{c.denominator for c in fractions})
+
+    def scaled(ps: Iterable[Point]) -> list[IntPoint]:
+        return [(x * scale if type(x) is int
+                 else x.numerator * (scale // x.denominator),
+                 y * scale if type(y) is int
+                 else y.numerator * (scale // y.denominator))
+                for x, y in ps]
+    return scale, scaled
+
+
+def _int_pairs(ps: Iterable[Point]) -> list[IntPoint]:
+    return [(x, y) for x, y in ps]
+
+
+def _point_table(drawing: Drawing, bent: list[Edge]
+                 ) -> tuple[list[IntPoint], int]:
+    """Every vertex (in graph order) and bend (in ``bent`` order) as an
+    integer pair, times the scale of ``integer_scale``, with that scale."""
+    points = [drawing.positions[v] for v in drawing.graph.vertices]
+    points += [p for e in bent for p in drawing.curves[e]]
+    scale, scaled = integer_scale(points)
+    return scaled(points), scale
 
 
 def _point_label(drawing: Drawing, bent: list[Edge], i: int) -> str:
@@ -263,51 +290,57 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
     # second has the least key, so the pairs with the first suffice, and
     # of s's two such pairs the one with the smaller first segment.
     ray_first: dict[tuple[int, int, int], int] = {}
-    s = 0
+    # (edge id, index along the edge, p, q) per segment: a straight edge's
+    # one segment is read off directly, with no polyline to walk
+    ends: list[tuple[int, int, int, int]] = []
     for ei, e in enumerate(g.edges):
-        poly = [vid[e[0]], *bend_id.get(e, ()), vid[e[1]]]
-        for i, (p, q) in enumerate(zip(poly, poly[1:])):
-            ax, ay = points[p]
-            bx, by = points[q]
-            owner.append(ei)
-            index.append(i)
-            segs.append((ax, ay, bx, by))
-            # branches, not min/max: eight calls per segment made the pass
-            # 10-19 % slower on small random drawings
-            if ax <= bx:
-                x0, x1 = ax, bx
-            else:
-                x0, x1 = bx, ax
-            if ay <= by:
-                boxes.append((x0, x1, ay, by, s, p, q))
-            else:
-                boxes.append((x0, x1, by, ay, s, p, q))
-            u, w = ax + ay, bx + by
-            if u <= w:
-                lo_sum.append(u)
-                hi_sum.append(w)
-            else:
-                lo_sum.append(w)
-                hi_sum.append(u)
-            u, w = ax - ay, bx - by
-            if u <= w:
-                lo_dif.append(u)
-                hi_dif.append(w)
-            else:
-                lo_dif.append(w)
-                hi_dif.append(u)
-            dx, dy = bx - ax, by - ay
-            common = math.gcd(dx, dy)
-            dx, dy = dx // common, dy // common
-            t = ray_first.setdefault((p, dx, dy), s)
-            r = ray_first.setdefault((q, -dx, -dy), s)
-            if r < t:
-                t = r
-            if t != s:
-                key = (owner[t], ei, t, s)
-                if first_bad is None or key < first_bad[0]:
-                    first_bad = (key, "overlap", None)
-            s += 1
+        if e in bend_id:
+            poly = [vid[e[0]], *bend_id[e], vid[e[1]]]
+            ends += [(ei, i, poly[i], poly[i + 1])
+                     for i in range(len(poly) - 1)]
+        else:
+            ends.append((ei, 0, vid[e[0]], vid[e[1]]))
+    for s, (ei, i, p, q) in enumerate(ends):
+        ax, ay = points[p]
+        bx, by = points[q]
+        owner.append(ei)
+        index.append(i)
+        segs.append((ax, ay, bx, by))
+        # branches, not min/max: eight calls per segment made the pass
+        # 10-19 % slower on small random drawings
+        if ax <= bx:
+            x0, x1 = ax, bx
+        else:
+            x0, x1 = bx, ax
+        if ay <= by:
+            boxes.append((x0, x1, ay, by, s, p, q))
+        else:
+            boxes.append((x0, x1, by, ay, s, p, q))
+        u, w = ax + ay, bx + by
+        if u <= w:
+            lo_sum.append(u)
+            hi_sum.append(w)
+        else:
+            lo_sum.append(w)
+            hi_sum.append(u)
+        u, w = ax - ay, bx - by
+        if u <= w:
+            lo_dif.append(u)
+            hi_dif.append(w)
+        else:
+            lo_dif.append(w)
+            hi_dif.append(u)
+        dx, dy = bx - ax, by - ay
+        common = math.gcd(dx, dy)
+        dx, dy = dx // common, dy // common
+        t = ray_first.setdefault((p, dx, dy), s)
+        r = ray_first.setdefault((q, -dx, -dy), s)
+        if r < t:
+            t = r
+        if t != s:
+            key = (owner[t], ei, t, s)
+            if first_bad is None or key < first_bad[0]:
+                first_bad = (key, "overlap", None)
 
     # Classify each other candidate as the sweep yields it.  Proper
     # crossings are kept, each as a record of ten ints: on 64-bit CPython a

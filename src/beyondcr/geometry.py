@@ -7,7 +7,7 @@ integers: curves scaled to a common denominator, and crossing points
 homogenised by their own.  It runs them only for an (edge, anchor) whose
 fan rings can bend; when the edge and every crosser's tail to the anchor
 are straight, ``checkers`` decides from bend counts alone.  The layouts
-pass ``Fraction``s.  The crossing engine in ``drawing`` classifies
+pass ints and ``Fraction``s.  The crossing engine in ``drawing`` classifies
 segment pairs with its own inline integer orientations and keeps each
 crossing's side as ``Crossing.turn``.
 """
@@ -17,7 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-Point = tuple[Fraction, Fraction]
+Coord = int | Fraction
+Point = tuple[Coord, Coord]
 IntPoint = tuple[int, int]
 
 

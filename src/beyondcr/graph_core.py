@@ -13,7 +13,7 @@ import json
 import math
 import operator
 import re
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Mapping, NamedTuple
@@ -602,14 +602,23 @@ def structural_k(concept: ConceptId) -> int:
 
 class FrameworkGraph:
     """The frame of a concept's coloring with every connection replaced by
-    a con-graph, and the graph that results."""
+    a con-graph, and the graph that results.
+
+    ``edge_paths`` holds, per edge of ``graph.edges`` and in that order, its
+    connection's id and the index of the pole path of that connection
+    running through it, None off the path family.  The pole paths are
+    edge-disjoint, so no edge lies on two.  ``construction_for`` builds it
+    with the graph, in one pass over the con-graphs.  A crossing's ``ia``
+    and ``ib`` index this list."""
 
     def __init__(self, concept: ConceptId, ell: int,
-                 congraphs: Mapping[str, ConGraph], graph: Graph):
+                 congraphs: Mapping[str, ConGraph], graph: Graph,
+                 edge_paths: list[tuple[str, int | None]]):
         self.concept = concept
         self.ell = ell
         self.congraphs = congraphs
         self.graph = graph
+        self.edge_paths = edge_paths
 
     @property
     def k(self) -> int:
@@ -623,20 +632,6 @@ class FrameworkGraph:
     @property
     def below_threshold(self) -> bool:
         return self.ell < evaluate(self.concept.info.threshold, k=self.k)[0]
-
-    @cached_property
-    def edge_paths(self) -> list[tuple[str, int | None]]:
-        """Per edge of ``graph.edges``, in that order: its connection's id
-        and the index of the pole path of that connection running through
-        it, None off the path family.  The pole paths are edge-disjoint, so
-        no edge lies on two.  A crossing's ``ia`` and ``ib`` index this
-        list."""
-        out: dict[Edge, tuple[str, int | None]] = {}
-        for cid, cg in self.congraphs.items():
-            out.update(dict.fromkeys(cg.edges, (cid, None)))
-            for idx, p in enumerate(cg.paths):
-                out.update(dict.fromkeys(map(edge, p, p[1:]), (cid, idx)))
-        return list(map(out.__getitem__, self.graph.edges))
 
     def widths(self) -> dict[str, int]:
         return {cid: cg.width for cid, cg in self.congraphs.items()}
@@ -652,13 +647,21 @@ def construction_for(concept: "str | ConceptId", ell: int,
     """
     cid = as_concept(concept, k)
     congraphs: dict[str, ConGraph] = {}
-    vertices: set[str] = set(FRAME_NODES)
-    edges: set[Edge] = set()
+    vertices = list(FRAME_NODES)
+    # con-graph edge -> (connection id, pole path index or None); its keys
+    # are the graph's edges, as no two connections share one
+    paths_of: dict[Edge, tuple[str, int | None]] = {}
     for c, spec in connection_specs(cid, ell).items():
         cg = congraphs[c] = instantiate_congraph(spec, c)
-        vertices.update(cg.internals)
-        edges.update(cg.edges)
-    return FrameworkGraph(cid, ell, congraphs, make_graph(vertices, edges))
+        vertices += cg.internals
+        paths_of.update(dict.fromkeys(cg.edges, (c, None)))
+        for idx, p in enumerate(cg.paths):
+            entry = (c, idx)
+            for a, b in zip(p, p[1:]):
+                paths_of[(a, b) if a < b else (b, a)] = entry
+    graph = Graph(tuple(vertices), tuple(paths_of))
+    return FrameworkGraph(cid, ell, congraphs, graph,
+                          list(map(paths_of.__getitem__, graph.edges)))
 
 
 def connection_specs(concept: "str | ConceptId", ell: int,
@@ -691,9 +694,13 @@ def connection_widths(concept: "str | ConceptId", ell: int,
 def framework_size(concept: "str | ConceptId", ell: int,
                    k: int | None = None) -> tuple[int, int]:
     """(n, m) of the framework graph, without building it."""
-    specs = connection_specs(concept, ell, k).values()
-    n = len(FRAME_NODES) + sum(s.internal_count for s in specs)
-    m = sum(s.edge_count for s in specs)
+    return framework_size_of(connection_specs(concept, ell, k))
+
+
+def framework_size_of(specs: Mapping[str, ConGraphSpec]) -> tuple[int, int]:
+    """(n, m) of the framework graph whose connections have these specs."""
+    n = len(FRAME_NODES) + sum(s.internal_count for s in specs.values())
+    m = sum(s.edge_count for s in specs.values())
     return n, m
 
 

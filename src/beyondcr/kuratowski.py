@@ -230,7 +230,14 @@ def counting_lower_bound(concept: "str | ConceptId", ell: int,
     anyway (it may be non-positive) and the trace says so.
     """
     cid = as_concept(concept, k)
-    widths = connection_widths(cid, ell)    # refuses ell < 1 first
+    # connection_widths refuses ell < 1 first
+    return counting_lower_bound_of(cid, ell, connection_widths(cid, ell))
+
+
+def counting_lower_bound_of(cid: ConceptId, ell: int, widths: dict[str, int]
+                            ) -> tuple[Fraction, tuple[str, ...]]:
+    """``counting_lower_bound`` for a parsed concept whose connections at
+    ell have these pole-path family sizes."""
     kk = structural_k(cid)
     share, share_s = evaluate(cid.info.share, ell=ell, k=kk)
     rect, rect_s = evaluate(cid.info.rect, ell=ell, k=kk)

@@ -19,18 +19,20 @@ The con-graph shapes also decide each drawing's designated-pair emitter
 (a witness whose record has a ``grid_plan`` is an orthogonal grid) and
 both drawings' crossing counts.
 
-All coordinates are exact rationals.  Only the complete-graph gadget used
-by the fan-family concepts needs bends; every other standard drawing is
+All coordinates are exact rationals: an ``int`` when integral, such as
+every pole, and a ``Fraction`` otherwise, so the crossing engine reads the
+integral ones as they are.  Only the complete-graph gadget used by the
+fan-family concepts needs bends; every other standard drawing is
 straight-line.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Literal
+from typing import Callable, Literal, Mapping
 
 from .drawing import Drawing
-from .geometry import IntPoint, Point, orient
+from .geometry import Coord, IntPoint, Point, orient
 from .graph_core import (ALL_CONNECTIONS, DESIGNATED, ApexBlue, Bundle,
                          ConceptId, ConGraph, ConGraphSpec, FrameworkGraph,
                          K7, SkewBlue, connection_poles, connection_specs,
@@ -41,12 +43,24 @@ LayoutVariant = Literal["witness", "upper"]
 R = 300  # half-side of the central interaction box
 
 
+def _exact(num: int, den: int) -> Coord:
+    """num / den for den > 0: an int when den divides num, else a
+    Fraction."""
+    return num // den if num % den == 0 else Fraction(num, den)
+
+
+def _lean(q: Fraction) -> Coord:
+    """q, as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 def _affine(A: IntPoint, d: IntPoint, a: int, m: int, den: int) -> Point:
-    """A + (a·d + m·rot90(d)) / den, all integers: one Fraction per
-    coordinate instead of a chain of normalising Fraction operations."""
+    """A + (a·d + m·rot90(d)) / den, all integers: each coordinate one
+    division, an int when den divides it and one Fraction otherwise,
+    instead of a chain of normalising Fraction operations."""
     (ax, ay), (dx, dy) = A, d
-    return (Fraction(ax * den + dx * a - dy * m, den),
-            Fraction(ay * den + dy * a + dx * m, den))
+    return (_exact(ax * den + dx * a - dy * m, den),
+            _exact(ay * den + dy * a + dx * m, den))
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +73,12 @@ def crossing_count_formula(concept: "str | ConceptId", ell: int,
     """Exact number of crossings of the standard drawing: each strand of
     one designated con-graph crosses each of the other's once, each
     con-graph adds its own crossings, and no other connections cross."""
-    specs = connection_specs(concept, ell, k)
+    return crossing_count_of(connection_specs(concept, ell, k), variant)
+
+
+def crossing_count_of(specs: Mapping[str, ConGraphSpec],
+                      variant: LayoutVariant) -> int:
+    """``crossing_count_formula`` for the connections' specs."""
     if variant not in ("witness", "upper"):
         raise ValueError(f"unknown drawing variant {variant!r}")
     v, h = (specs[cid] for cid in DESIGNATED[variant])
@@ -223,16 +242,16 @@ def _grid_witness(vcg: ConGraph, hcg: ConGraph, plan: list[int],
     m_max = max(plan)
     sigma = Fraction(R, 2 * j * m_max)
 
-    rows: list[Fraction] = []       # descending, grouped by V edge index
-    cols: list[Fraction] = []       # ascending, grouped by H edge index
+    rows: list[Coord] = []          # descending, grouped by V edge index
+    cols: list[Coord] = []          # ascending, grouped by H edge index
     for q, m in enumerate(plan):
         row_c = Fraction(R) - Fraction(R * (2 * q + 1), j)
         col_c = -Fraction(R) + Fraction(R * (2 * q + 1), j)
         for u in range(m):
-            rows.append(row_c - _cluster(Fraction(0), m, u, sigma))
-            cols.append(col_c + _cluster(Fraction(0), m, u, sigma))
+            rows.append(_lean(row_c - _cluster(Fraction(0), m, u, sigma)))
+            cols.append(_lean(col_c + _cluster(Fraction(0), m, u, sigma)))
 
-    bands = [Fraction(R) - Fraction(2 * R * q, j) for q in range(j + 1)]
+    bands = [_exact(R * j - 2 * R * q, j) for q in range(j + 1)]
     for p, path in enumerate(vcg.paths):
         x = cols[p]
         for q in range(1, j):
@@ -249,11 +268,11 @@ def _pole_fan(vcg: ConGraph, hcg: ConGraph, positions: dict) -> None:
     pairwise.  The crossings of every long edge share the opposite pole."""
     iv, ih = len(vcg.paths), len(hcg.paths)
     for p, path in enumerate(vcg.paths):
-        positions[path[1]] = (-200 + Fraction(100 * (2 * p + 1), 2 * iv),
-                              Fraction(-150))
+        positions[path[1]] = (_exact(100 * (2 * p + 1) - 400 * iv, 2 * iv),
+                              -150)
     for r, path in enumerate(hcg.paths):
-        positions[path[1]] = (Fraction(-250),
-                              100 + Fraction(100 * (2 * r + 1), 2 * ih))
+        positions[path[1]] = (-250,
+                              _exact(200 * ih + 100 * (2 * r + 1), 2 * ih))
 
 
 def _gap_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
@@ -261,22 +280,22 @@ def _gap_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
     """Blue (5k,2) strands cross the horizontal (lk,5) strands so that each
     of the five edges of every horizontal path is crossed exactly k times."""
     lam0 = Fraction(D, D + 350)
-    bounds = [Fraction(c) * lam0 for c in (-180, -60, 60, 180)]
+    bounds = [_lean(c * lam0) for c in (-180, -60, 60, 180)]
     centers = [Fraction(c) for c in (-240, -120, 0, 120, 240)]
     sigma = Fraction(40, kk)
     for p, path in enumerate(vcg.paths):
         group, idx = divmod(p, kk)
-        x = _cluster(centers[group], kk, idx, sigma)
-        positions[path[1]] = (x, Fraction(-350))
+        x = _lean(_cluster(centers[group], kk, idx, sigma))
+        positions[path[1]] = (x, -350)
     ih = len(hcg.paths)
     for r, path in enumerate(hcg.paths):
-        y = -10 + Fraction(20 * (2 * r + 1), 2 * ih)
+        y = _exact(20 * (2 * r + 1) - 20 * ih, 2 * ih)
         for q in range(1, 5):
             positions[path[q]] = (bounds[q - 1], y)
 
 
-def _apex_stripe_x(i: int, kk: int) -> Fraction:
-    return Fraction(600 * (i + 1), kk + 1) - 300
+def _apex_stripe_x(i: int, kk: int) -> Coord:
+    return _exact(600 * (i + 1) - 300 * (kk + 1), kk + 1)
 
 
 def _apex_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
@@ -284,17 +303,17 @@ def _apex_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
     gamma = Fraction(600, (kk + 1) * 4 * (ell + 2))
     for i, (a, paths) in enumerate(_by_anchor(vcg)):
         lam = _apex_stripe_x(i, kk)
-        positions[a] = (lam, Fraction(0))
+        positions[a] = (lam, 0)
         for jj, path in enumerate(paths):
-            x = lam + (jj + 1) * gamma
-            positions[path[1]] = (x, Fraction(150))   # upper internal
-            positions[path[3]] = (x, Fraction(-150))  # lower internal
+            x = _lean(lam + (jj + 1) * gamma)
+            positions[path[1]] = (x, 150)   # upper internal
+            positions[path[3]] = (x, -150)  # lower internal
         for r, (bx, by) in enumerate(_K5_BLOB):
-            positions[f"{a}/q{r}"] = (lam - bx, Fraction(-by))
+            positions[f"{a}/q{r}"] = (lam - bx, -by)
     ih = len(hcg.paths)
     for r, path in enumerate(hcg.paths):
-        h = 30 + Fraction(90 * (2 * r + 1), 2 * ih)
-        positions[path[1]] = (Fraction(420), h)
+        h = _exact(60 * ih + 90 * (2 * r + 1), 2 * ih)
+        positions[path[1]] = (420, h)
 
 
 def _skew_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
@@ -302,7 +321,7 @@ def _skew_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
     w_local = {"w1": (16, 9), "w2": (16, -7), "w3": (-9, 1)}
     for i, (a, _) in enumerate(_by_anchor(vcg)):
         lam = _apex_stripe_x(i, kk)
-        positions[a] = (lam, Fraction(0))
+        positions[a] = (lam, 0)
         # w = a + (d·2ux + rot90(d)·2uy)/D with d = t - a = (-lam, -D);
         # measured from t = (0, -D) and with d scaled by kk+1 to integers
         d = (int(-lam * (kk + 1)), -D * (kk + 1))
@@ -311,8 +330,8 @@ def _skew_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
                 (0, -D), d, 2 * ux - D, 2 * uy, D * (kk + 1))
     ih = len(hcg.paths)
     for r, path in enumerate(hcg.paths):
-        h = 80 + Fraction(220 * (2 * r + 1), 2 * ih)
-        positions[path[1]] = (Fraction(420), -h)
+        h = _exact(160 * ih + 220 * (2 * r + 1), 2 * ih)
+        positions[path[1]] = (420, -h)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +342,12 @@ def _ry_upper(vcg: ConGraph, positions: dict) -> None:
     """Vertical bundle whose long edges all cross the horizontal single
     edge; a direct pole edge crosses it at the origin instead."""
     if vcg.spec.direct:
-        positions[vcg.paths[0][1]] = (Fraction(100), Fraction(150))
+        positions[vcg.paths[0][1]] = (100, 150)
         return
     i = len(vcg.paths)
     for p, path in enumerate(vcg.paths):
-        positions[path[1]] = (-150 + Fraction(300 * (2 * p + 1), 2 * i),
-                              Fraction(150))
+        positions[path[1]] = (_exact(300 * (2 * p + 1) - 300 * i, 2 * i),
+                              150)
 
 
 def _fan_upper(vcg: ConGraph, positions: dict, curves: dict, D: int) -> None:
@@ -336,7 +355,7 @@ def _fan_upper(vcg: ConGraph, positions: dict, curves: dict, D: int) -> None:
     single edge runs along y=0 and crosses exactly the six pole paths."""
 
     def mapfn(x: int, y: int) -> Point:
-        return (Fraction(8 * x), Fraction(y * D, 40))
+        return (8 * x, _exact(y * D, 40))
 
     # the gadget's bottom pole is the w-node (drawn at (0,-D))
     _place_k7(vcg, vcg.t, vcg.s, mapfn, positions, curves)
@@ -356,8 +375,7 @@ def draw_framework(fg: FrameworkGraph, variant: LayoutVariant) -> Drawing:
     hv, hw = connection_poles(hcid)
     poles = {vv: (0, D), vw: (0, -D), hv: (-D, 0), hw: (D, 0),
              "v3": (4 * D, -2 * D), "w3": (-2 * D, 4 * D)}
-    positions: dict[str, Point] = {
-        v: (Fraction(x), Fraction(y)) for v, (x, y) in poles.items()}
+    positions: dict[str, Point] = dict(poles)
     curves: dict = {}
 
     for cid in ALL_CONNECTIONS:
@@ -455,7 +473,8 @@ def _blob_points(U: Point, V: Point, side: int) -> dict[str, Point]:
     """U + (V-U)·px + rot90(V-U)·py·side/20 for each local blob point."""
     (ux, uy), (dx, dy) = U, (V[0] - U[0], V[1] - U[1])
     s = _BLOB_SCALE * side
-    return {name: (ux + dx * px - dy * py * s, uy + dy * px + dx * py * s)
+    return {name: (_lean(ux + dx * px - dy * py * s),
+                   _lean(uy + dy * px + dx * py * s))
             for name, (px, py) in _BLOB_LOCAL.items()}
 
 
@@ -464,9 +483,7 @@ def appendix_fcf_fixture():
     edges and one 5-clique blob per wall.  Exactly 23 crossings; every
     crossing pair of its fan-crossing-free check is disjoint, while two
     crossing pairs share three endpoints."""
-    positions: dict[str, Point] = {
-        name: (Fraction(x), Fraction(y)) for name, (x, y) in _FIX_LARGE.items()
-    }
+    positions: dict[str, Point] = dict(_FIX_LARGE)
     vertices = list(_FIX_LARGE)
     edges = []
     curves: dict = {}
@@ -477,7 +494,7 @@ def appendix_fcf_fixture():
         e = edge(u, v)
         edges.append(e)
         if bends:
-            path = [(Fraction(x), Fraction(y)) for x, y in bends]
+            path = list(bends)
             if (u, v) != e:
                 path.reverse()
             curves[e] = tuple(path)
@@ -487,7 +504,7 @@ def appendix_fcf_fixture():
         anchor = _FIX_BLOB_SIDE[(u, v)]
         # "out": the opposite side from the origin
         if anchor == "out":
-            o = -orient(U, V, (Fraction(0), Fraction(0)))
+            o = -orient(U, V, (0, 0))
         else:
             o = orient(U, V, positions[anchor])
         if o == 0:
@@ -516,10 +533,7 @@ def appendix_fcf_fixture():
 def k5_fcf_fixture() -> Drawing:
     """A 5-clique drawn with exactly one crossing; the smallest fixture on
     which the fan-crossing-free checker has something to do."""
-    positions = {
-        "u": (Fraction(0), Fraction(0)),
-        "v": (Fraction(1), Fraction(0)),
-    }
+    positions: dict[str, Point] = {"u": (0, 0), "v": (1, 0)}
     for name, p in _BLOB_LOCAL.items():
         positions[name] = p
     vs = ["u", "v", "x", "y", "z"]

@@ -443,6 +443,37 @@ def test_each_gadget_alone_raises_its_kind(name, kind):
     assert ei.value.kind == first_violation_kind(d) == kind
 
 
+def _lean(d):
+    """d with each integral coordinate an int, the others as they are."""
+    def point(p):
+        return tuple(c.numerator if c.denominator == 1 else c for c in p)
+    return D(d.graph.vertices, d.graph.edges,
+             {v: point(p) for v, p in d.positions.items()},
+             curves={e: tuple(map(point, bends))
+                     for e, bends in d.curves.items()})
+
+
+def _refusal(d):
+    with pytest.raises(GeneralPositionViolation) as ei:
+        compute_crossings(d)
+    return ei.value.kind, ei.value.detail
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda name=name: _gadget(name) for name in sorted(_GADGETS)),
+    lambda: _many_violations(()), lambda: _many_violations(("ef",)),
+    lambda: _many_violations(("ef", "gh")),
+    lambda: _star_and_touch("bch", "pqrs"),
+    lambda: _star_and_touch("vwx", "defg")],
+    ids=[*sorted(_GADGETS), "all-edges", "without-ef", "without-ef-gh",
+         "star-first", "star-last"])
+def test_int_coordinates_refuse_as_fractions_do(make):
+    d = make()
+    lean = _lean(d)
+    assert any(type(c) is int for p in lean.positions.values() for c in p)
+    assert _refusal(lean) == _refusal(d)
+
+
 def _with_gadgets(rng, d, count):
     """d plus ``count`` gadgets of random kinds, each mirrored, scaled and
     moved far from d and from the others.  A random name prefix puts the

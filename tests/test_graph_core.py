@@ -36,7 +36,7 @@ from beyondcr.graph_core import (
     instantiate_congraph,
     structural_k,
 )
-from conftest import GRID
+from conftest import GRID, THRESHOLD_POINTS
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +409,31 @@ def test_framework_graph_structure():
 def _edge_paths(fg):
     """``fg.edge_paths`` by edge."""
     return dict(zip(fg.graph.edges, fg.edge_paths))
+
+
+def _reference_construction(fg):
+    """The graph and edge table as built before ``construction_for`` made
+    both in one pass: the graph from the con-graphs' vertex and edge sets,
+    and the table by a dict from every con-graph edge, its pole-path edges
+    canonicalised again, read in ``graph.edges`` order."""
+    vertices, edges = set(FRAME_NODES), set()
+    for cg in fg.congraphs.values():
+        vertices.update(cg.internals)
+        edges.update(cg.edges)
+    graph = make_graph(vertices, edges)
+    out = {}
+    for cid, cg in fg.congraphs.items():
+        out.update(dict.fromkeys(cg.edges, (cid, None)))
+        for idx, p in enumerate(cg.paths):
+            out.update(dict.fromkeys(map(edge, p, p[1:]), (cid, idx)))
+    return graph, list(map(out.__getitem__, graph.edges))
+
+
+@pytest.mark.parametrize("kind,ell,k",
+                         sorted(set(GRID) | set(THRESHOLD_POINTS), key=str))
+def test_edge_table_matches_the_two_pass_derivation(kind, ell, k):
+    fg = construction_for(kind, ell, k)
+    assert (fg.graph, fg.edge_paths) == _reference_construction(fg)
 
 
 def test_paths_through():

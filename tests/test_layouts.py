@@ -10,6 +10,7 @@ by any tool: a change to any coordinate of a standard drawing fails here.
 import hashlib
 import json
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from beyondcr import (
     frame_edge_colors,
     is_straight_line,
 )
-from beyondcr.drawing import drawing_to_json
+from beyondcr.drawing import Crossing, drawing_from_json, drawing_to_json
 from beyondcr.graph_core import (CONCEPTS, DESIGNATED, connection_specs,
                                  parse_concept, structural_k)
 from beyondcr.standard_layouts import _own_crossings, _strands
@@ -47,6 +48,32 @@ def drawing_hashes(kind, ell, k) -> dict[str, str]:
 def test_crossing_count_matches_formula(kind, ell, k, variant):
     d = standard_drawing(kind, ell, k, variant=variant)
     assert len(compute_crossings(d)) == crossing_count_formula(kind, ell, k, variant)
+
+
+def _coordinates(d):
+    return [c for points in (d.positions.values(), *d.curves.values())
+            for p in points for c in p]
+
+
+def _crossing_fields(xs):
+    return [tuple(getattr(x, f) for f in Crossing.__slots__) for x in xs]
+
+
+@pytest.mark.parametrize("kind,ell,k", GOLDEN_POINTS)
+@pytest.mark.parametrize("variant", ["witness", "upper"])
+def test_int_and_fraction_coordinates_give_the_same_crossings(kind, ell, k,
+                                                              variant):
+    d = standard_drawing(kind, ell, k, variant=variant)
+    # an integral coordinate is an int, so the engine's int path runs here
+    coords = _coordinates(d)
+    assert any(type(c) is int for c in coords)
+    assert all(type(c) is int or type(c) is Fraction and c.denominator > 1
+               for c in coords)
+    # JSON reads every coordinate back as a Fraction
+    back = drawing_from_json(drawing_to_json(d))
+    assert all(type(c) is Fraction for c in _coordinates(back))
+    assert _crossing_fields(compute_crossings(back)) \
+        == _crossing_fields(compute_crossings(d))
 
 
 @pytest.mark.parametrize("kind,ell,k", GRID)
