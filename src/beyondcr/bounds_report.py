@@ -131,8 +131,7 @@ def ratio_report(concept: "str | ConceptId", ell: int,
     specs = connection_specs(cid, ell)
     n, m = framework_size_of(specs)
     upper = crossing_count_of(specs, "upper")
-    bound, _trace = counting_lower_bound_of(
-        cid, ell, {c: spec.width for c, spec in specs.items()})
+    bound, _trace = counting_lower_bound_of(cid, ell, specs)
     return RatioReport(
         concept=str(cid), ell=ell, k=structural_k(cid), n=n, m=m,
         witness_crossings=crossing_count_of(specs, "witness"),

@@ -1,9 +1,10 @@
 """Checkers for beyond-planarity concepts on polyline drawings.
 
-``check_concept`` is the one entry point.  It computes the crossings once
-(unless they are passed in) and calls the concept's ``_CHECKERS`` entry as
-``(kind, drawing, crossings, k)``, k the concept's structural k (ignored
-by concepts without one); every checker returns a Verdict labelled kind.
+``check_concept`` is the one entry point.  It resolves each (concept, k)
+once, computes the crossings once (unless they are passed in) and calls
+the concept's ``_CHECKERS`` entry as ``(kind, drawing, crossings, k)``,
+k the concept's structural k (ignored by concepts without one); every
+checker returns a Verdict labelled kind.
 All but one decide from the crossings alone, the fan sides included
 (``Crossing.turn``); only strong fan-planarity's enclosure test reads the
 drawing: the bend counts of each edge and its crossers for every (edge,
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, defaultdict, deque
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, combinations
 from typing import Callable
 
@@ -605,13 +606,28 @@ _CHECKERS = {
 }
 
 
+@lru_cache(maxsize=256, typed=True)
+def _resolve(name: str, k: int | None) -> tuple[str, int]:
+    """(kind, structural k) of a concept name at k; raises as
+    ``parse_concept`` does, and an error is not cached."""
+    cid = as_concept(name, k)
+    return cid.kind, structural_k(cid)
+
+
 def check_concept(drawing: Drawing, concept: "str | ConceptId",
                   k: int | None = None, *,
                   xs: tuple[Crossing, ...] | None = None) -> Verdict:
     """Check a drawing against a concept.  ``xs``, when given, are the
     drawing's crossings as ``compute_crossings`` returns them; otherwise
-    they are computed here."""
-    cid = as_concept(concept, k)
+    they are computed here.
+
+    Each (concept, k) is resolved to its kind and structural k once, in a
+    bounded cache keyed on the name and k (a ``ConceptId`` by its two
+    fields, so k's type is part of every key).  No verdict, crossing or
+    drawing is memoised: every call runs its checker."""
+    if isinstance(concept, ConceptId):
+        concept, k = concept
+    kind, kk = _resolve(concept, k)
     if xs is None:
         xs = compute_crossings(drawing)
-    return _CHECKERS[cid.kind](cid.kind, drawing, xs, structural_k(cid))
+    return _CHECKERS[kind](kind, drawing, xs, kk)

@@ -36,8 +36,9 @@ from .drawing import (
 )
 from .graph_core import (
     ConceptId,
+    connection_specs,
     construction_for,
-    framework_size,
+    framework_size_of,
     graph_to_json,
     parse_concept,
     structural_k,
@@ -46,13 +47,14 @@ from .kuratowski import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     counting_lower_bound,
+    counting_lower_bound_of,
     coverage_ledger,
     kuratowski_count,
     verify_full_coverage,
 )
 from .standard_layouts import (
     appendix_fcf_fixture,
-    crossing_count_formula,
+    crossing_count_of,
     draw_framework,
     frame_edge_colors,
     k5_fcf_fixture,
@@ -189,10 +191,11 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_bound(args) -> int:
     cid = _concept_of(args)
-    bound, trace = counting_lower_bound(cid, args.ell)
-    n, m = framework_size(cid, args.ell)
-    witness = crossing_count_formula(cid, args.ell, variant="witness")
-    upper = crossing_count_formula(cid, args.ell, variant="upper")
+    specs = connection_specs(cid, args.ell)
+    bound, trace = counting_lower_bound_of(cid, args.ell, specs)
+    n, m = framework_size_of(specs)
+    witness = crossing_count_of(specs, "witness")
+    upper = crossing_count_of(specs, "upper")
     cap = ratio_upper(cid, n, m)
     if args.format == "json":
         obj = {

@@ -68,9 +68,9 @@ class Drawing:
     its tuple of interior bend points, ordered from the smaller endpoint to
     the larger one (the canonical edge orientation).  Missing curve entries
     mean a straight-line edge.  A coordinate is an ``int`` or a
-    ``Fraction``: the standard layouts give an integral one as an int and
-    any other as a Fraction, while a drawing read from JSON holds
-    Fractions only.  Both give the same crossings.
+    ``Fraction``: the standard layouts and the random corpus give an
+    integral one as an int and any other as a Fraction, while a drawing
+    read from JSON holds Fractions only.  Both give the same crossings.
     """
 
     __slots__ = ("graph", "positions", "curves", "meta")

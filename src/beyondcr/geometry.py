@@ -9,7 +9,8 @@ fan rings can bend; when the edge and every crosser's tail to the anchor
 are straight, ``checkers`` decides from bend counts alone.  The layouts
 pass ints and ``Fraction``s.  The crossing engine in ``drawing`` classifies
 segment pairs with its own inline integer orientations and keeps each
-crossing's side as ``Crossing.turn``.
+crossing's side as ``Crossing.turn``.  ``lean`` gives an exact value as an
+int when it is integral, for the standard layouts and the random corpus.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from typing import Sequence
 Coord = int | Fraction
 Point = tuple[Coord, Coord]
 IntPoint = tuple[int, int]
+
+
+def lean(q: Fraction) -> Coord:
+    """q, as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
 
 
 def orient(a: Point, b: Point, c: Point) -> Fraction:

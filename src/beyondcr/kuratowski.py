@@ -25,16 +25,17 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import prod
-from typing import Iterator, NamedTuple
+from typing import Iterator, Mapping, NamedTuple
 
 from .drawing import Crossing, Drawing, Verdict, compute_crossings
 from .graph_core import (
     ALL_CONNECTIONS,
     ConceptId,
+    ConGraphSpec,
     FrameworkGraph,
     as_concept,
     connection_poles,
-    connection_widths,
+    connection_specs,
     evaluate,
     structural_k,
 )
@@ -230,14 +231,16 @@ def counting_lower_bound(concept: "str | ConceptId", ell: int,
     anyway (it may be non-positive) and the trace says so.
     """
     cid = as_concept(concept, k)
-    # connection_widths refuses ell < 1 first
-    return counting_lower_bound_of(cid, ell, connection_widths(cid, ell))
+    # connection_specs refuses ell < 1 first
+    return counting_lower_bound_of(cid, ell, connection_specs(cid, ell))
 
 
-def counting_lower_bound_of(cid: ConceptId, ell: int, widths: dict[str, int]
+def counting_lower_bound_of(cid: ConceptId, ell: int,
+                            specs: Mapping[str, ConGraphSpec]
                             ) -> tuple[Fraction, tuple[str, ...]]:
     """``counting_lower_bound`` for a parsed concept whose connections at
-    ell have these pole-path family sizes."""
+    ell have these specs."""
+    widths = {c: spec.width for c, spec in specs.items()}
     kk = structural_k(cid)
     share, share_s = evaluate(cid.info.share, ell=ell, k=kk)
     rect, rect_s = evaluate(cid.info.rect, ell=ell, k=kk)

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Callable, Literal, Mapping
 
 from .drawing import Drawing
-from .geometry import Coord, IntPoint, Point, orient
+from .geometry import Coord, IntPoint, Point, lean, orient
 from .graph_core import (ALL_CONNECTIONS, DESIGNATED, ApexBlue, Bundle,
                          ConceptId, ConGraph, ConGraphSpec, FrameworkGraph,
                          K7, SkewBlue, connection_poles, connection_specs,
@@ -47,11 +47,6 @@ def _exact(num: int, den: int) -> Coord:
     """num / den for den > 0: an int when den divides num, else a
     Fraction."""
     return num // den if num % den == 0 else Fraction(num, den)
-
-
-def _lean(q: Fraction) -> Coord:
-    """q, as an int when it is integral."""
-    return q.numerator if q.denominator == 1 else q
 
 
 def _affine(A: IntPoint, d: IntPoint, a: int, m: int, den: int) -> Point:
@@ -248,8 +243,8 @@ def _grid_witness(vcg: ConGraph, hcg: ConGraph, plan: list[int],
         row_c = Fraction(R) - Fraction(R * (2 * q + 1), j)
         col_c = -Fraction(R) + Fraction(R * (2 * q + 1), j)
         for u in range(m):
-            rows.append(_lean(row_c - _cluster(Fraction(0), m, u, sigma)))
-            cols.append(_lean(col_c + _cluster(Fraction(0), m, u, sigma)))
+            rows.append(lean(row_c - _cluster(Fraction(0), m, u, sigma)))
+            cols.append(lean(col_c + _cluster(Fraction(0), m, u, sigma)))
 
     bands = [_exact(R * j - 2 * R * q, j) for q in range(j + 1)]
     for p, path in enumerate(vcg.paths):
@@ -280,12 +275,12 @@ def _gap_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
     """Blue (5k,2) strands cross the horizontal (lk,5) strands so that each
     of the five edges of every horizontal path is crossed exactly k times."""
     lam0 = Fraction(D, D + 350)
-    bounds = [_lean(c * lam0) for c in (-180, -60, 60, 180)]
+    bounds = [lean(c * lam0) for c in (-180, -60, 60, 180)]
     centers = [Fraction(c) for c in (-240, -120, 0, 120, 240)]
     sigma = Fraction(40, kk)
     for p, path in enumerate(vcg.paths):
         group, idx = divmod(p, kk)
-        x = _lean(_cluster(centers[group], kk, idx, sigma))
+        x = lean(_cluster(centers[group], kk, idx, sigma))
         positions[path[1]] = (x, -350)
     ih = len(hcg.paths)
     for r, path in enumerate(hcg.paths):
@@ -305,7 +300,7 @@ def _apex_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
         lam = _apex_stripe_x(i, kk)
         positions[a] = (lam, 0)
         for jj, path in enumerate(paths):
-            x = _lean(lam + (jj + 1) * gamma)
+            x = lean(lam + (jj + 1) * gamma)
             positions[path[1]] = (x, 150)   # upper internal
             positions[path[3]] = (x, -150)  # lower internal
         for r, (bx, by) in enumerate(_K5_BLOB):
@@ -473,8 +468,8 @@ def _blob_points(U: Point, V: Point, side: int) -> dict[str, Point]:
     """U + (V-U)·px + rot90(V-U)·py·side/20 for each local blob point."""
     (ux, uy), (dx, dy) = U, (V[0] - U[0], V[1] - U[1])
     s = _BLOB_SCALE * side
-    return {name: (_lean(ux + dx * px - dy * py * s),
-                   _lean(uy + dy * px + dx * py * s))
+    return {name: (lean(ux + dx * px - dy * py * s),
+                   lean(uy + dy * px + dx * py * s))
             for name, (px, py) in _BLOB_LOCAL.items()}
 
 

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from beyondcr import (Drawing, GeneralPositionViolation, Graph,
                       appendix_fcf_fixture, check_concept, compute_crossings,
                       construction_for, coverage_ledger, draw_framework,
-                      edge, is_simple, make_graph, random_corpus,
-                      random_drawing)
+                      drawing_from_json, drawing_to_json, edge, is_simple,
+                      make_graph, random_corpus, random_drawing)
 from beyondcr import checkers
 from beyondcr.checkers import _CHECKERS, _first_split
-from beyondcr.graph_core import (CONCEPTS, as_concept, edge_from_key,
-                                 edge_key, structural_k)
+from beyondcr.graph_core import (CONCEPTS, ConceptId, as_concept,
+                                 edge_from_key, edge_key, parse_concept,
+                                 structural_k)
 from conftest import (
     FAN_KINDS,
     GRID,
@@ -535,6 +536,59 @@ def test_check_concept_dispatch():
         check_concept(d, "k-planar")         # k missing
     with pytest.raises(ValueError):
         check_concept(d, "no-such-concept")
+
+
+def test_cached_resolution_is_the_plain_path():
+    # check_concept resolves (concept, k) through a cache: a miss, then a
+    # hit, for every name of every kind and its ConceptId, must give the
+    # verdict of the checker called on the uncached resolution.  A k that
+    # equals k_min but is a bool is a different key, since it shows in a
+    # verdict's reason.
+    drawings = random_corpus(2930, 12, bend_prob=0.35)
+    crossings = [compute_crossings(d) for d in drawings]
+    assert checkers._resolve.cache_info().maxsize == 256
+    for kind, info in CONCEPTS.items():
+        names = (kind, info.shorthand, *info.aliases, info.shorthand.upper())
+        ks = list(range(info.k_min, info.k_min + 3))
+        if info.k_min == 1:
+            ks.append(True)
+        if not info.requires_k:
+            ks.append(None)
+        for name, k in product(names, ks):
+            cid = parse_concept(name, k)
+            for d, xs in zip(drawings, crossings):
+                want = _CHECKERS[kind](kind, d, xs, structural_k(cid))
+                for _ in range(2):
+                    assert check_concept(d, name, k, xs=xs) == want
+                    assert check_concept(d, cid, xs=xs) == want
+                    assert (check_concept(d, ConceptId(kind, cid.k), xs=xs)
+                            == want)
+    # errors are not cached: each call raises again
+    for _ in range(2):
+        with pytest.raises(ValueError, match="unknown concept"):
+            check_concept(drawings[0], "no-such-concept", 2, xs=crossings[0])
+        for kind, info in CONCEPTS.items():
+            if info.requires_k:
+                with pytest.raises(ValueError, match="requires k >="):
+                    check_concept(drawings[0], kind, info.k_min - 1,
+                                  xs=crossings[0])
+                with pytest.raises(ValueError, match="requires k >="):
+                    check_concept(drawings[0], ConceptId(kind, 0),
+                                  xs=crossings[0])
+
+
+def test_int_and_fraction_corpus_drawings_give_the_same_verdicts():
+    # corpus coordinates are ints and halves; JSON reads them back as
+    # Fractions, and no verdict may tell the two apart
+    for d in random_corpus(2903, 200, bend_prob=0.35):
+        back = drawing_from_json(drawing_to_json(d))
+        xs, back_xs = compute_crossings(d), compute_crossings(back)
+        for concept, info in CONCEPTS.items():
+            for k in ((info.k_min, info.k_min + 1) if info.requires_k
+                      else (None,)):
+                assert (check_concept(back, concept, k,
+                                      xs=back_xs).to_json_obj()
+                        == check_concept(d, concept, k, xs=xs).to_json_obj())
 
 
 def test_precomputed_crossings_short_circuit():

@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 import beyondcr
 from beyondcr import (Drawing, drawing_from_json, drawing_to_json, edge,
                       make_graph)
+from beyondcr import graph_core
 from beyondcr.cli import run
-from beyondcr.graph_core import CONCEPTS
+from beyondcr.graph_core import CONCEPTS, evaluate, parse_concept, structural_k
 from conftest import pt
 
 
@@ -320,6 +321,30 @@ def test_bound_refuses_ell_below_1(kind, ell, capsys):
                 "--k", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "error: ell must be >= 1\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_bound_reads_the_specs_once(fmt, monkeypatch):
+    # every module holding connection_specs gets the counting wrapper, so
+    # a call through framework_size, crossing_count_formula or
+    # counting_lower_bound counts as well
+    original, calls = graph_core.connection_specs, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("beyondcr")
+                and getattr(module, "connection_specs", None) is original):
+            monkeypatch.setattr(module, "connection_specs", counting)
+    for kind, info in sorted(CONCEPTS.items()):
+        k = info.k_min
+        threshold, _ = evaluate(
+            info.threshold, k=structural_k(parse_concept(kind, k)))
+        calls.clear()
+        assert run(["bound", "--concept", kind, "--ell", str(threshold),
+                    "--k", str(k), "--format", fmt]) == 0
+        assert len(calls) == 1, kind
 
 
 def test_bound_text_has_trace(capsys):

@@ -1,6 +1,8 @@
 """Polyline drawings, exact crossing enumeration, general-position policing."""
 
+import hashlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -730,6 +732,59 @@ def test_random_drawing_refuses_a_bend_prob_outside_0_1(prob):
     # nothing was drawn: the same rng still gives the same drawing
     assert drawing_to_json(random_drawing(rng)) == \
         drawing_to_json(random_drawing(random.Random(7)))
+
+
+# sha256 over drawing_to_json of random_corpus seeds 11 and 2802, 120
+# drawings each at bend_prob 0.3, each text followed by a newline.  It pins
+# the corpus's values and bytes, which no change of a coordinate's Python
+# type may move.
+_CORPUS_SHA256 = \
+    "698123fac040edf609e052c339b458a944c9c7fa674fdc8b722b4e2212409598"
+
+
+def test_random_corpus_is_pinned_and_integral():
+    drawings = [d for seed in (11, 2802)
+                for d in random_corpus(seed, 120, bend_prob=0.3)]
+    digest = hashlib.sha256()
+    for d in drawings:
+        digest.update(drawing_to_json(d).encode() + b"\n")
+    assert digest.hexdigest() == _CORPUS_SHA256
+    # positions are ints; a bend is an int, or a half where the midpoint
+    # of its edge's endpoints is one
+    assert all(type(c) is int
+               for d in drawings for p in d.positions.values() for c in p)
+    bends = [c for d in drawings for bend in d.curves.values()
+             for p in bend for c in p]
+    assert {type(c) for c in bends} == {int, Fraction}
+    assert all(type(c) is int or c.denominator == 2 for c in bends)
+
+
+def _outcome(d):
+    """d's crossings field by field, or the refusal's (kind, detail)."""
+    try:
+        xs = compute_crossings(d)
+    except GeneralPositionViolation as exc:
+        return "refused", exc.kind, exc.detail
+    return "crossings", [tuple(getattr(x, f) for f in Crossing.__slots__)
+                         for x in xs]
+
+
+def test_int_and_fraction_corpus_drawings_give_the_same_crossings():
+    # a corpus drawing mixes int positions with int and half-integer
+    # bends, and with gadgets it also holds integral Fractions; JSON reads
+    # every coordinate back as a Fraction
+    rng = random.Random(2929)
+    drawings = random_corpus(2903, 200, bend_prob=0.35)
+    drawings += [_with_gadgets(rng, d, 1) for d in drawings[:60]]
+    kinds = Counter()
+    for d in drawings:
+        back = drawing_from_json(drawing_to_json(d))
+        assert all(type(c) is Fraction for p in back.positions.values()
+                   for c in p)
+        outcome = _outcome(d)
+        assert _outcome(back) == outcome
+        kinds[outcome[0]] += 1
+    assert kinds == {"crossings": 200, "refused": 60}
 
 
 # ---------------------------------------------------------------------------
