@@ -35,7 +35,6 @@ from .graph_core import (
     ConceptId,
     FrameworkGraph,
     Graph,
-    connection_widths,
     construction_for,
     edge,
     framework_size,

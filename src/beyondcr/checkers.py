@@ -6,14 +6,16 @@ the concept's ``_CHECKERS`` entry as ``(kind, drawing, crossings, k)``,
 k the concept's structural k (ignored by concepts without one); every
 checker returns a Verdict labelled kind.
 All but one decide from the crossings alone, the fan sides included
-(``Crossing.turn``); only strong fan-planarity's enclosure test reads the
-drawing: the bend counts of each edge and its crossers for every (edge,
-anchor) it tries, and the curves' points, scaled to integers once per
-check, only when some fan ring can bend.  They count, group and search on
+(``Crossing.turn``), reading of the drawing only its graph's edges to name
+them; only strong fan-planarity's enclosure test reads its geometry: the
+bend counts of each edge and its crossers for every (edge, anchor) it
+tries, and the curves' points, scaled to integers once per check, only
+when some fan ring can bend.  They count, group and search on
 the crossings' edge indices ``ia`` and ``ib``, which order as the edges
-do, and read an ``Edge`` off a crossing to name it in a witness.  The
-vertex-based concepts key on the edges' endpoint strings, and skewness on
-the edges themselves, since its search branches in their ``str`` order.
+do, and name edge i in a witness as ``drawing.graph.edges[i]``, the
+numbering the indices come from.  The vertex-based concepts key on the
+crossings' endpoint strings, and skewness on the edges themselves, since
+its search branches in their ``str`` order.
 Failure verdicts carry a machine-checkable witness: the edge / vertex /
 crossing pair that breaks the condition, or for the search-based concepts
 (gap, apex, skewness) a certificate that no valid assignment or deletion
@@ -50,19 +52,6 @@ def _edge_counts(xs: tuple[Crossing, ...]) -> dict[int, int]:
     return counts
 
 
-def _edges_by_index(xs: tuple[Crossing, ...]) -> dict[int, Edge]:
-    """Every crossed edge by its index."""
-    edges = {x.ia: x.a for x in xs}
-    edges.update({x.ib: x.b for x in xs})
-    return edges
-
-
-def _edge_key_of(xs: tuple[Crossing, ...], e: int) -> str:
-    """The key of the crossed edge of index e, read off its first crossing."""
-    x = next(x for x in xs if x.ia == e or x.ib == e)
-    return edge_key(x.a if x.ia == e else x.b)
-
-
 def _xjson(x: Crossing) -> dict:
     """The crossing's edges and point, each coordinate written from the
     integers as ``str(Fraction)`` writes it."""
@@ -84,7 +73,7 @@ def _k_planar(kind: str, drawing: Drawing, xs: tuple[Crossing, ...],
     if max(counts.values(), default=0) <= k:
         return Verdict(True, kind)
     e = min(e for e, c in counts.items() if c > k)
-    name = _edge_key_of(xs, e)
+    name = edge_key(drawing.graph.edges[e])
     return Verdict(False, kind, f"edge {name} crossed {counts[e]} > {k} times",
                    {"edge": name, "count": counts[e],
                     "crossings": [_xjson(x) for x in xs
@@ -96,19 +85,16 @@ def _k_vertex_planar(kind: str, drawing: Drawing, xs: tuple[Crossing, ...],
     """Every vertex has at most k crossings on its incident edges; a crossing
     between two edges sharing that vertex still counts once.
 
-    A vertex's count is the sum of its edges' counts, less one for each
-    crossing whose two edges both hold it (a self-crossing included)."""
+    One pass counts each crossing at a's two ends, then at each end of b
+    not in a, so a self-crossing counts once at each end of its edge."""
     counts: dict[str, int] = {}
-    edges = _edges_by_index(xs)
-    for e, c in _edge_counts(xs).items():
-        for v in edges[e]:
-            counts[v] = counts.get(v, 0) + c
     for x in xs:
-        a, b = x.a, x.b
-        if a[0] in b:
-            counts[a[0]] -= 1
-        if a[1] in b:
-            counts[a[1]] -= 1
+        a = x.a
+        for v in a:
+            counts[v] = counts.get(v, 0) + 1
+        for v in x.b:
+            if v not in a:
+                counts[v] = counts.get(v, 0) + 1
     if max(counts.values(), default=0) <= k:
         return Verdict(True, kind)
     v = min(v for v, c in counts.items() if c > k)
@@ -175,7 +161,7 @@ def _k_fan_crossing_free(kind: str, drawing: Drawing,
         if max(apex_count.values()) < k:
             continue
         z = min(z for z, c in apex_count.items() if c >= k)
-        name = _edge_key_of(xs, e)
+        name = edge_key(drawing.graph.edges[e])
         return Verdict(
             False, kind, f"edge {name} is crossed by {apex_count[z]} >= {k} "
             f"edges incident to {z}",
@@ -246,7 +232,7 @@ def _fan(level: int, kind: str, drawing: Drawing,
             continue
         # the edges crossing edge e, and e itself
         fs = [x.b if x.ia == e else x.a for x in crossings]
-        edge = crossings[0].a if crossings[0].ia == e else crossings[0].b
+        edge = drawing.graph.edges[e]
         # in a simple drawing no crosser touches e, so every vertex that
         # all crossers share is an anchor candidate
         common = set(fs[0]).intersection(*fs[1:])
@@ -286,7 +272,7 @@ def _fan(level: int, kind: str, drawing: Drawing,
                                                   crossings, fs, v):
                 if curves is None:
                     curves = _scaled_curves(drawing)
-                trapped = _enclosure_failure(curves, e, crossings, v)
+                trapped = _enclosure_failure(curves, edge, e, crossings, v)
                 if trapped is not None:
                     last_reason = trapped
                     continue
@@ -316,11 +302,11 @@ def _triangle_rings(drawing: Drawing, edge: Edge, ie: int,
     return True
 
 
-def _enclosure_failure(curves: ScaledCurves, ie: int,
+def _enclosure_failure(curves: ScaledCurves, e: Edge, ie: int,
                        crossings: list[Crossing],
                        anchor: str) -> tuple[str, dict] | None:
     """sfp condition: for each pair of crossers, the closed curve formed by
-    the piece of e, the edge of index ``ie``, between the two crossing
+    the piece of e, of index ``ie``, between the two crossing
     points and the two crosser curves up to the anchor must not strictly
     enclose an endpoint of e.  ``_fan`` calls it only for an (edge, anchor)
     with some ring that can bend, having read the bend counts first
@@ -346,7 +332,6 @@ def _enclosure_failure(curves: ScaledCurves, ie: int,
     need not share the check's scale.
     """
     scale, polyline = curves
-    e = crossings[0].a if crossings[0].ia == ie else crossings[0].b
     poly = polyline(e)
     ends = (poly[0], poly[-1])
     # prefixes[k][s]: parity of e's curve up to its point s at endpoint k
@@ -424,11 +409,12 @@ def _first_split(bits: list[list[bool | None]]
 def _k_edge_crossing(kind: str, drawing: Drawing, xs: tuple[Crossing, ...],
                      k: int) -> Verdict:
     """At most k edges are involved in crossings."""
-    crossed = _edges_by_index(xs)
+    crossed = {x.ia for x in xs} | {x.ib for x in xs}
     if len(crossed) > k:
+        edges = drawing.graph.edges
         return Verdict(False, kind, f"{len(crossed)} > {k} edges are crossed",
-                       {"crossed_edges": sorted(map(edge_key,
-                                                    crossed.values()))})
+                       {"crossed_edges": sorted(edge_key(edges[e])
+                                                for e in crossed)})
     return Verdict(True, kind)
 
 
@@ -494,14 +480,13 @@ def _k_gap_planar(kind: str, drawing: Drawing, xs: tuple[Crossing, ...],
             charged[e].append(j)
             e = prev
         charged[e].append(i)
+    edges = drawing.graph.edges
     if not uncharged:
         owner = {j: e for e, held in charged.items() for j in held}
         return Verdict(True, kind, witness={"assignment": {
-            str(i): edge_key(x.a if owner[i] == x.ia else x.b)
-            for i, x in enumerate(xs)}})
+            str(i): edge_key(edges[owner[i]]) for i in range(len(xs))}})
     reach = _alternating_bfs(xs, charged, uncharged, k, set())[1]
     internal = sum(x.ia in reach and x.ib in reach for x in xs)
-    edges = _edges_by_index(xs)
     return Verdict(False, kind,
                    f"{internal} crossings among {len(reach)} edges exceed "
                    f"capacity {k}*{len(reach)}",

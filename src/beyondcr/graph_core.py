@@ -252,20 +252,16 @@ def instantiate_congraph(spec: ConGraphSpec, cid: str) -> ConGraph:
     internals: list[str] = []
     edges: list[Edge] = []
     paths: list[tuple[str, ...]] = []
-
-    def name(*parts) -> str:
-        return "/".join([cid, *map(str, parts)])
-
     if isinstance(spec, Bundle):
         for p in range(spec.i):
-            path = (s, *(name(f"p{p}", pos) for pos in range(1, spec.j)), t)
+            path = (s, *(f"{cid}/p{p}/{pos}" for pos in range(1, spec.j)), t)
             internals.extend(path[1:-1])
             edges.extend(edge(a, b) for a, b in zip(path, path[1:]))
             paths.append(path)
         if spec.direct:
             edges.append(edge(s, t))
     elif isinstance(spec, K7):
-        qs = [name(f"q{r}") for r in range(1, 6)]
+        qs = [f"{cid}/q{r}" for r in range(1, 6)]
         internals.extend(qs)
         edges.extend(edge(a, b) for a, b in combinations((s, t, *qs), 2))
         paths.append((s, t))
@@ -273,24 +269,23 @@ def instantiate_congraph(spec: ConGraphSpec, cid: str) -> ConGraph:
             paths.append((s, q, t))
     elif isinstance(spec, ApexBlue):
         for ai in range(spec.k):
-            a = name(f"a{ai}")
+            a = f"{cid}/a{ai}"
             internals.append(a)
             for jj in range(spec.ell):
-                left = name(f"a{ai}", f"L{jj}")
-                right = name(f"a{ai}", f"R{jj}")
+                left, right = f"{a}/L{jj}", f"{a}/R{jj}"
                 internals.extend([left, right])
                 edges.append(edge(s, left))
                 edges.append(edge(left, a))
                 edges.append(edge(a, right))
                 edges.append(edge(right, t))
                 paths.append((s, left, a, right, t))
-            blob = [name(f"a{ai}", f"q{r}") for r in range(4)]
+            blob = [f"{a}/q{r}" for r in range(4)]
             internals.extend(blob)
             edges.extend(edge(x, y) for x, y in combinations((a, *blob), 2))
     else:  # SkewBlue
         for ai in range(spec.k):
-            a = name(f"a{ai}")
-            ws = [name(f"a{ai}", f"w{r}") for r in (1, 2, 3)]
+            a = f"{cid}/a{ai}"
+            ws = [f"{a}/w{r}" for r in (1, 2, 3)]
             internals.extend([a, *ws])
             edges.append(edge(a, t))
             for w in ws:
@@ -448,6 +443,7 @@ def _compile(text: str):
         fail(f"{type(node).__name__} outside the grammar")
 
     run = walk(tree.body)
+    del walk    # empties its own cell: no walk <-> cell cycle is left
     template = re.sub(r"[A-Za-z_][A-Za-z_0-9]*",
                       lambda m: m[0] if m[0] == "floor" else f"{{{m[0]}}}",
                       text)
@@ -678,17 +674,6 @@ def connection_specs(concept: "str | ConceptId", ell: int,
     recipe = cid.info.recipe(ell, structural_k(cid))
     return {c: recipe[color]
             for c, color in COLORINGS[cid.info.coloring].items()}
-
-
-def connection_widths(concept: "str | ConceptId", ell: int,
-                      k: int | None = None) -> dict[str, int]:
-    """Per-connection pole-path family sizes, without building the graph.
-
-    Matches ``construction_for(...).widths()`` but stays cheap at large ell,
-    which the counting bounds and ratio tables need.
-    """
-    specs = connection_specs(concept, ell, k)
-    return {c: spec.width for c, spec in specs.items()}
 
 
 def framework_size(concept: "str | ConceptId", ell: int,

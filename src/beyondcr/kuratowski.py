@@ -155,7 +155,7 @@ def _uncovered(ledger: CoverageLedger, budget: int
     Every entry forbids one path pair on two connections, so the walk
     assigns the constrained connections depth first, in order, and skips
     each path that an earlier choice already pairs with a covering entry:
-    a covered prefix never reaches its extensions.
+    a covered prefix never reaches its extensions (``_walk``).
     """
     cids = ledger.constrained()
     required = prod(ledger.widths[c] for c in cids)
@@ -168,21 +168,28 @@ def _uncovered(ledger: CoverageLedger, budget: int
         if c2 < c1:
             c1, p1, c2, p2 = c2, p2, c1, p1
         covered.setdefault((c1, p1, c2), set()).add(p2)
+    return required, _walk(cids, covered, ledger.widths, 0, {})
 
-    def walk(depth: int, sub: dict[str, int]) -> Iterator[dict[str, int]]:
-        if depth == len(cids):
-            yield dict(sub)
-            return
-        d = cids[depth]
-        blocked: set[int] = set()
-        for c in cids[:depth]:
-            blocked.update(covered.get((c, sub[c], d), ()))
-        for q in range(ledger.widths[d]):
-            if q not in blocked:
-                sub[d] = q
-                yield from walk(depth + 1, sub)
 
-    return required, walk(0, {})
+def _walk(cids: tuple[str, ...],
+          covered: dict[tuple[str, int, str], set[int]],
+          widths: dict[str, int], depth: int, sub: dict[str, int]
+          ) -> Iterator[dict[str, int]]:
+    """The uncovered extensions of ``sub``, which assigns ``cids[:depth]``,
+    in product order.  A module function, not a closure over itself, so a
+    walk left suspended holds no reference cycle and is freed when
+    dropped."""
+    if depth == len(cids):
+        yield dict(sub)
+        return
+    d = cids[depth]
+    blocked: set[int] = set()
+    for c in cids[:depth]:
+        blocked.update(covered.get((c, sub[c], d), ()))
+    for q in range(widths[d]):
+        if q not in blocked:
+            sub[d] = q
+            yield from _walk(cids, covered, widths, depth + 1, sub)
 
 
 def verify_full_coverage(ledger: CoverageLedger,

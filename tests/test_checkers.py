@@ -4,6 +4,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, reject, settings
@@ -604,7 +605,8 @@ def test_precomputed_crossings_short_circuit():
 
 
 def test_only_strong_fan_planarity_reads_the_drawing():
-    # every other checker gives the same verdict with no drawing at all
+    # every other checker gives the same verdict from the drawing's graph
+    # alone, which names the edges: it reads no position and no curve
     drawings = [standard_drawing(kind, ell, k, variant=variant)
                 for kind, ell, k in GRID for variant in ("witness", "upper")]
     drawings += [fan_fixture_adjacent_not_fan(), fan_fixture_fan_not_weak(),
@@ -616,7 +618,8 @@ def test_only_strong_fan_planarity_reads_the_drawing():
             if concept == "strong-fan-planar":
                 continue
             cid = as_concept(concept, 2 if info.requires_k else None)
-            assert (_CHECKERS[concept](concept, None, xs,
+            assert (_CHECKERS[concept](concept,
+                                       SimpleNamespace(graph=d.graph), xs,
                                        structural_k(cid))
                     == check_concept(d, cid, xs=xs))
 

@@ -18,9 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from beyondcr import connection_widths, parse_concept, ratio_report
+from beyondcr import parse_concept, ratio_report
 from beyondcr.cli import run
-from beyondcr.graph_core import structural_k
+from beyondcr.graph_core import connection_specs, structural_k
 
 GOLDEN = Path(__file__).with_name("concepts_golden.json")
 
@@ -63,7 +63,8 @@ def observe_point(kind, ell, k) -> dict:
     return {
         "bound_stdout": _bound_stdout(kind, ell, k),
         "ratio_report": ratio_report(cid, ell).to_json_obj(),
-        "connection_widths": connection_widths(cid, ell),
+        "connection_widths": {c: s.width for c, s
+                              in connection_specs(cid, ell).items()},
         "str": str(cid),
         "structural_k": structural_k(cid),
     }

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from beyondcr import (
     ConceptId,
-    connection_widths,
     construction_for,
     edge,
     framework_size,
@@ -31,6 +30,7 @@ from beyondcr.graph_core import (
     as_concept,
     connection_id,
     connection_poles,
+    connection_specs,
     evaluate,
     graph_to_json_obj,
     instantiate_congraph,
@@ -354,7 +354,7 @@ def test_rect_is_the_witness_pair_product(kind):
     for k in range(info.k_min, info.k_min + 8) if info.requires_k else [None]:
         cid = as_concept(kind, k)
         for ell in range(2, 80):
-            w = connection_widths(cid, ell)
+            w = {c: s.width for c, s in connection_specs(cid, ell).items()}
             rect, _ = evaluate(info.rect, ell=ell, k=structural_k(cid))
             assert rect == w[v] * w[h], (kind, k, ell)
 
@@ -389,7 +389,8 @@ def test_vertex_count_formulas():
 def test_connection_widths_match_congraphs():
     for kind, ell, k in GRID[::3]:
         fg = construction_for(kind, ell, k)
-        assert connection_widths(kind, ell, k) == fg.widths()
+        specs = connection_specs(kind, ell, k)
+        assert {c: s.width for c, s in specs.items()} == fg.widths()
 
 
 def test_framework_graph_structure():

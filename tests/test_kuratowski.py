@@ -1,5 +1,6 @@
 """Kuratowski families: coverage accounting and counting bounds."""
 
+import gc
 import random
 from fractions import Fraction
 from math import prod
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from beyondcr import (
     BudgetExceeded,
+    check_concept,
     compute_crossings,
     construction_for,
     counting_lower_bound,
@@ -17,9 +19,10 @@ from beyondcr import (
     crossing_count_formula,
     draw_framework,
     kuratowski_count,
+    ratio_report,
     verify_full_coverage,
 )
-from beyondcr.graph_core import ALL_CONNECTIONS
+from beyondcr.graph_core import ALL_CONNECTIONS, CONCEPTS
 from beyondcr.kuratowski import (
     DEFAULT_BUDGET,
     CoverageLedger,
@@ -69,6 +72,32 @@ def test_standard_drawings_cover_everything(kind, ell, k, variant):
     assert v.ok, v.reason
     assert covered_fraction(ledger) == 1
     assert ledger.fraction_sum >= 1
+
+
+def test_pipeline_leaves_no_cyclic_garbage():
+    # A reference cycle outlives its last use until the collector's next
+    # pass, holding whatever it reaches (a suspended coverage walk holds
+    # its covered sets and the ledger).  With the collector off, the final
+    # collect() counts every object the pipeline left in a cycle.
+    gc.collect()
+    gc.disable()
+    try:
+        for kind, ell, k in GRID[::8]:
+            fg = construction_for(kind, ell, k)
+            for variant in ("witness", "upper"):
+                d = draw_framework(fg, variant)
+                xs = compute_crossings(d)
+                for c, info in CONCEPTS.items():
+                    check_concept(d, c, info.k_min if info.requires_k
+                                  else None, xs=xs)
+                ledger = coverage_ledger(d, fg, xs)
+                assert verify_full_coverage(ledger, fg).ok
+                assert covered_fraction(ledger) == 1
+            counting_lower_bound(kind, ell, k)
+            ratio_report(kind, ell, k)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _in_order(ledger):
