@@ -85,6 +85,7 @@ class RatioReport(NamedTuple):
     (ell, k); ``grid`` and ``slope`` are filled by table reports that
     measure the ratio's growth exponent across a doubling ell grid.
     empirical_ratio = counting_bound / upper_drawing_crossings.
+    ``trace`` is the bound's derivation; ``to_json_obj`` leaves it out.
     """
 
     concept: str
@@ -95,6 +96,7 @@ class RatioReport(NamedTuple):
     witness_crossings: int
     upper_drawing_crossings: int
     counting_bound: Fraction
+    trace: tuple[str, ...]
     empirical_ratio: Fraction
     theta_class: str
     sharpness: bool
@@ -131,12 +133,13 @@ def ratio_report(concept: "str | ConceptId", ell: int,
     specs = connection_specs(cid, ell)
     n, m = framework_size_of(specs)
     upper = crossing_count_of(specs, "upper")
-    bound, _trace = counting_lower_bound_of(cid, ell, specs)
+    bound, trace = counting_lower_bound_of(cid, ell, specs)
     return RatioReport(
         concept=str(cid), ell=ell, k=structural_k(cid), n=n, m=m,
         witness_crossings=crossing_count_of(specs, "witness"),
         upper_drawing_crossings=upper,
         counting_bound=bound,
+        trace=trace,
         empirical_ratio=Fraction(bound, upper),
         theta_class=cid.info.theta_class,
         sharpness=cid.info.sharp,

@@ -19,6 +19,7 @@ import sys
 
 from .bounds_report import (
     format_table1,
+    ratio_report,
     ratio_upper,
     reports_to_json_obj,
     table1_report,
@@ -36,9 +37,7 @@ from .drawing import (
 )
 from .graph_core import (
     ConceptId,
-    connection_specs,
     construction_for,
-    framework_size_of,
     graph_to_json,
     parse_concept,
     structural_k,
@@ -46,15 +45,12 @@ from .graph_core import (
 from .kuratowski import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    counting_lower_bound,
-    counting_lower_bound_of,
     coverage_ledger,
     kuratowski_count,
     verify_full_coverage,
 )
 from .standard_layouts import (
     appendix_fcf_fixture,
-    crossing_count_of,
     draw_framework,
     frame_edge_colors,
     k5_fcf_fixture,
@@ -191,33 +187,23 @@ def _cmd_coverage(args) -> int:
 
 def _cmd_bound(args) -> int:
     cid = _concept_of(args)
-    specs = connection_specs(cid, args.ell)
-    bound, trace = counting_lower_bound_of(cid, args.ell, specs)
-    n, m = framework_size_of(specs)
-    witness = crossing_count_of(specs, "witness")
-    upper = crossing_count_of(specs, "upper")
-    cap = ratio_upper(cid, n, m)
+    r = ratio_report(cid, args.ell)
+    cap = ratio_upper(cid, r.n, r.m)
     if args.format == "json":
-        obj = {
-            "concept": str(cid),
-            "ell": args.ell,
-            "k": structural_k(cid),
-            "n": n,
-            "m": m,
-            "counting_bound": str(bound),
-            "trace": list(trace),
-            "witness_crossings": witness,
-            "upper_crossings": upper,
+        _emit(_dumps({
+            "concept": r.concept, "ell": r.ell, "k": r.k, "n": r.n, "m": r.m,
+            "counting_bound": str(r.counting_bound), "trace": list(r.trace),
+            "witness_crossings": r.witness_crossings,
+            "upper_crossings": r.upper_drawing_crossings,
             "ratio_upper": cap.to_json_obj(),
-        }
-        _emit(_dumps(obj), args.out)
+        }), args.out)
     else:
-        lines = [f"concept: {cid}", f"ell: {args.ell}",
-                 f"counting bound: {bound}"]
-        lines += [f"  {step}" for step in trace]
-        lines += [f"witness crossings: {witness}",
-                  f"upper crossings: {upper}",
-                  f"ratio upper at n={n}: {cap.value}"]
+        lines = [f"concept: {r.concept}", f"ell: {r.ell}",
+                 f"counting bound: {r.counting_bound}"]
+        lines += [f"  {step}" for step in r.trace]
+        lines += [f"witness crossings: {r.witness_crossings}",
+                  f"upper crossings: {r.upper_drawing_crossings}",
+                  f"ratio upper at n={r.n}: {cap.value}"]
         _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -274,10 +260,10 @@ def _cmd_fixtures(args) -> int:
     save("k5_fcf.json", _dumps(drawing_to_json_obj(k5)))
     save("k5_fcf.svg", to_svg(k5))
 
-    bound, trace = counting_lower_bound("k-planar", 41, 1)
+    r = ratio_report("k-planar", 41, 1)
     save("bound_k-planar_l41_k1.json", _dumps({
-        "concept": "k-pl(k=1)", "ell": 41, "k": 1,
-        "counting_bound": str(bound), "trace": list(trace),
+        "concept": r.concept, "ell": r.ell, "k": r.k,
+        "counting_bound": str(r.counting_bound), "trace": list(r.trace),
     }))
     save("table1_k2.json", _dumps(reports_to_json_obj(table1_report(k=2))))
 

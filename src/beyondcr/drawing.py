@@ -545,6 +545,8 @@ def drawing_to_json_obj(drawing: Drawing) -> dict:
 
 
 def drawing_to_json(drawing: Drawing) -> str:
+    """The drawing as JSON text: the one text form, whose bytes the
+    sha256 pins of the drawing corpus and the standard layouts hash."""
     return json.dumps(drawing_to_json_obj(drawing), indent=2, sort_keys=True)
 
 

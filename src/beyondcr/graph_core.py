@@ -678,7 +678,8 @@ def connection_specs(concept: "str | ConceptId", ell: int,
 
 def framework_size(concept: "str | ConceptId", ell: int,
                    k: int | None = None) -> tuple[int, int]:
-    """(n, m) of the framework graph, without building it."""
+    """(n, m) of the framework graph, without building it: the public
+    one-call form of ``framework_size_of(connection_specs(...))``."""
     return framework_size_of(connection_specs(concept, ell, k))
 
 

@@ -216,7 +216,11 @@ def verify_full_coverage(ledger: CoverageLedger,
 
 def covered_fraction(ledger: CoverageLedger,
                      budget: int = DEFAULT_BUDGET) -> Fraction:
-    """Exact share of the subdivision family covered by >= 1 entry."""
+    """Exact share of the subdivision family covered by >= 1 entry.
+
+    Kept for checking a concept's ``share``: a full ledger always covers
+    the whole family, one restricted to the counted crossings need not.
+    """
     required, uncovered = _uncovered(ledger, budget)
     return Fraction(required - sum(1 for _ in uncovered), required)
 

@@ -67,7 +67,9 @@ def crossing_count_formula(concept: "str | ConceptId", ell: int,
                            variant: LayoutVariant = "witness") -> int:
     """Exact number of crossings of the standard drawing: each strand of
     one designated con-graph crosses each of the other's once, each
-    con-graph adds its own crossings, and no other connections cross."""
+    con-graph adds its own crossings, and no other connections cross.
+    The public one-call form of ``crossing_count_of(connection_specs(...))``.
+    """
     return crossing_count_of(connection_specs(concept, ell, k), variant)
 
 

@@ -9,6 +9,9 @@ concept's record that alters one of these bytes fails here.
 
 The data was recorded from commit f179bf6, before the per-concept data was
 folded into the one ``CONCEPTS`` table; it is not regenerated by any tool.
+``bound_text_golden.json`` holds the ``beyondcr bound --format text``
+stdout at the same points, recorded from commit 7ee1782, before ``bound``
+printed from one ``RatioReport``.
 """
 
 import contextlib
@@ -23,6 +26,7 @@ from beyondcr.cli import run
 from beyondcr.graph_core import connection_specs, structural_k
 
 GOLDEN = Path(__file__).with_name("concepts_golden.json")
+TEXT_GOLDEN = Path(__file__).with_name("bound_text_golden.json")
 
 # (kind, ell, k): the first point of each concept is below its threshold
 # when the concept has one above ell = 1 (k-planar also needs ell >= 2).
@@ -48,8 +52,8 @@ def _point_id(kind, ell, k):
     return f"{kind}_l{ell}_k{k}"
 
 
-def _bound_stdout(kind, ell, k) -> str:
-    argv = ["bound", "--concept", kind, "--ell", str(ell), "--format", "json"]
+def _bound_stdout(kind, ell, k, fmt="json") -> str:
+    argv = ["bound", "--concept", kind, "--ell", str(ell), "--format", fmt]
     if k is not None:
         argv += ["--k", str(k)]
     buf = io.StringIO()
@@ -75,6 +79,8 @@ def test_golden_covers_every_concept():
     kinds = {kind for kind, _ell, _k in POINTS}
     assert len(kinds) == 14
     assert set(golden["points"]) == {_point_id(*p) for p in POINTS}
+    text_golden = json.loads(TEXT_GOLDEN.read_text(encoding="utf-8"))
+    assert set(text_golden) == {_point_id(*p) for p in POINTS}
     assert set(golden["aliases"].values()) == kinds
 
 
@@ -83,6 +89,13 @@ def test_golden_covers_every_concept():
 def test_concept_point_matches_golden(kind, ell, k):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert observe_point(kind, ell, k) == golden["points"][_point_id(kind, ell, k)]
+
+
+@pytest.mark.parametrize("kind,ell,k", POINTS,
+                         ids=[_point_id(*p) for p in POINTS])
+def test_bound_text_matches_golden(kind, ell, k):
+    golden = json.loads(TEXT_GOLDEN.read_text(encoding="utf-8"))
+    assert _bound_stdout(kind, ell, k, "text") == golden[_point_id(kind, ell, k)]
 
 
 def test_aliases_match_golden():
