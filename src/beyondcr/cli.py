@@ -275,9 +275,12 @@ def _cmd_fixtures(args) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_concept_flags(p: argparse.ArgumentParser, need_ell: bool) -> None:
-    p.add_argument("--concept", help="concept name or shorthand")
-    p.add_argument("--ell", type=int, required=need_ell,
+def _add_concept_flags(p: argparse.ArgumentParser, required: bool) -> None:
+    """--concept, --ell and --k; the first two are required unless the
+    command has another source, as ``gen --random`` has."""
+    p.add_argument("--concept", required=required,
+                   help="concept name or shorthand")
+    p.add_argument("--ell", type=int, required=required,
                    help="construction parameter ell")
     p.add_argument("--k", type=int, help="concept parameter k")
 
@@ -298,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="emit a framework graph (or a random "
                                    "drawing corpus)")
-    _add_concept_flags(p, need_ell=False)
+    _add_concept_flags(p, required=False)
     p.add_argument("--random", type=int, metavar="N",
                    help="emit N random small drawings instead")
     p.add_argument("--seed", type=int, help="corpus seed")
@@ -308,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("layout", help="emit a standard drawing")
-    _add_concept_flags(p, need_ell=True)
+    _add_concept_flags(p, required=True)
     p.add_argument("--variant", choices=("witness", "upper"),
                    default="witness")
     p.add_argument("--rectilinear", action="store_true",
@@ -327,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coverage", help="verify Kuratowski coverage of a "
                                         "standard or given drawing")
-    _add_concept_flags(p, need_ell=True)
+    _add_concept_flags(p, required=True)
     p.add_argument("--variant", choices=("witness", "upper"),
                    default="witness")
     p.add_argument("--in", dest="infile", help="drawing JSON file "
@@ -338,7 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coverage)
 
     p = sub.add_parser("bound", help="counting lower bound with trace")
-    _add_concept_flags(p, need_ell=True)
+    _add_concept_flags(p, required=True)
     _add_io_flags(p)
     p.set_defaults(func=_cmd_bound)
 

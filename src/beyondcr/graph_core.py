@@ -247,23 +247,35 @@ class ConGraph(NamedTuple):
 
 def instantiate_congraph(spec: ConGraphSpec, cid: str) -> ConGraph:
     """Create the concrete con-graph for one frame connection; its poles
-    are the connection's v-node and w-node."""
+    are the connection's v-node and w-node.
+
+    Every internal id starts with the connection id, so it sorts after the
+    v-pole s, a prefix of that id, and before the w-pole t; the ids built
+    on an anchor sort after the anchor.  So each pair below is canonical as
+    written, except between a bundle's consecutive path vertices, and no
+    pair repeats: one sort of the edge list is left."""
     s, t = connection_poles(cid)
     internals: list[str] = []
     edges: list[Edge] = []
     paths: list[tuple[str, ...]] = []
     if isinstance(spec, Bundle):
         for p in range(spec.i):
-            path = (s, *(f"{cid}/p{p}/{pos}" for pos in range(1, spec.j)), t)
-            internals.extend(path[1:-1])
-            edges.extend(edge(a, b) for a, b in zip(path, path[1:]))
-            paths.append(path)
+            a, path = s, [s]
+            for pos in range(1, spec.j):
+                b = f"{cid}/p{p}/{pos}"
+                edges.append((a, b) if a < b else (b, a))  # p0/9, p0/10
+                path.append(b)
+                a = b
+            internals.extend(path[1:])
+            edges.append((a, t))
+            path.append(t)
+            paths.append(tuple(path))
         if spec.direct:
-            edges.append(edge(s, t))
+            edges.append((s, t))
     elif isinstance(spec, K7):
         qs = [f"{cid}/q{r}" for r in range(1, 6)]
         internals.extend(qs)
-        edges.extend(edge(a, b) for a, b in combinations((s, t, *qs), 2))
+        edges.extend(combinations((s, *qs, t), 2))
         paths.append((s, t))
         for q in qs:
             paths.append((s, q, t))
@@ -274,28 +286,24 @@ def instantiate_congraph(spec: ConGraphSpec, cid: str) -> ConGraph:
             for jj in range(spec.ell):
                 left, right = f"{a}/L{jj}", f"{a}/R{jj}"
                 internals.extend([left, right])
-                edges.append(edge(s, left))
-                edges.append(edge(left, a))
-                edges.append(edge(a, right))
-                edges.append(edge(right, t))
+                edges.extend([(s, left), (a, left), (a, right), (right, t)])
                 paths.append((s, left, a, right, t))
             blob = [f"{a}/q{r}" for r in range(4)]
             internals.extend(blob)
-            edges.extend(edge(x, y) for x, y in combinations((a, *blob), 2))
+            edges.extend(combinations((a, *blob), 2))
     else:  # SkewBlue
         for ai in range(spec.k):
             a = f"{cid}/a{ai}"
             ws = [f"{a}/w{r}" for r in (1, 2, 3)]
             internals.extend([a, *ws])
-            edges.append(edge(a, t))
+            edges.append((a, t))
             for w in ws:
-                edges.append(edge(s, w))
-                edges.append(edge(a, w))
-            edges.extend(edge(x, y) for x, y in combinations(ws, 2))
+                edges.extend([(s, w), (a, w)])
+            edges.extend(combinations(ws, 2))
             paths.append((s, ws[0], a, t))
 
-    return ConGraph(spec, s, t, tuple(internals),
-                    tuple(sorted(set(edges))), tuple(paths))
+    edges.sort()
+    return ConGraph(spec, s, t, tuple(internals), tuple(edges), tuple(paths))
 
 
 # ---------------------------------------------------------------------------
@@ -653,8 +661,11 @@ def construction_for(concept: "str | ConceptId", ell: int,
         paths_of.update(dict.fromkeys(cg.edges, (c, None)))
         for idx, p in enumerate(cg.paths):
             entry = (c, idx)
-            for a, b in zip(p, p[1:]):
+            walk = iter(p)
+            a = next(walk)
+            for b in walk:
                 paths_of[(a, b) if a < b else (b, a)] = entry
+                a = b
     graph = Graph(tuple(vertices), tuple(paths_of))
     return FrameworkGraph(cid, ell, congraphs, graph,
                           list(map(paths_of.__getitem__, graph.edges)))

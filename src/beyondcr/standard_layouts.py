@@ -21,7 +21,9 @@ both drawings' crossing counts.
 
 All coordinates are exact rationals: an ``int`` when integral, such as
 every pole, and a ``Fraction`` otherwise, so the crossing engine reads the
-integral ones as they are.  Only the complete-graph gadget used by the
+integral ones as they are.  Every emitter, corridors and designated pairs
+alike, computes a coordinate as one integer numerator over one integer
+denominator and divides once, in ``_exact``.  Only the complete-graph gadget used by the
 fan-family concepts needs bends; every other standard drawing is
 straight-line.
 """
@@ -223,10 +225,6 @@ def _corridor_stripes(cg: ConGraph, A: IntPoint, B: IntPoint,
 # Designated-pair emitters: witness drawings
 # ---------------------------------------------------------------------------
 
-def _cluster(center: Fraction, m: int, idx: int, sigma: Fraction) -> Fraction:
-    return center + Fraction(2 * idx - (m - 1)) * sigma / 2
-
-
 def _grid_witness(vcg: ConGraph, hcg: ConGraph, plan: list[int],
                   positions: dict) -> None:
     """Orthogonal grid: vertical strands at distinct columns, horizontal
@@ -236,26 +234,25 @@ def _grid_witness(vcg: ConGraph, hcg: ConGraph, plan: list[int],
     j = len(plan)
     width = len(vcg.paths)
     assert sum(plan) == width, "plan must distribute all opposing strands"
-    m_max = max(plan)
-    sigma = Fraction(R, 2 * j * m_max)
-
-    rows: list[Coord] = []          # descending, grouped by V edge index
-    cols: list[Coord] = []          # ascending, grouped by H edge index
+    # Strand u of the m crossing edge q lies at R - R(2q+1)/j less its
+    # offset (2u+1-m)·sigma/2 in that cluster, sigma = R/(2j·max(plan)),
+    # kept as a numerator over den; each column is minus its row.
+    m4 = 4 * max(plan)
+    den = j * m4
+    rows: list[int] = []            # descending, grouped by V edge index
     for q, m in enumerate(plan):
-        row_c = Fraction(R) - Fraction(R * (2 * q + 1), j)
-        col_c = -Fraction(R) + Fraction(R * (2 * q + 1), j)
+        centre = R * (den - (2 * q + 1) * m4)
         for u in range(m):
-            rows.append(lean(row_c - _cluster(Fraction(0), m, u, sigma)))
-            cols.append(lean(col_c + _cluster(Fraction(0), m, u, sigma)))
+            rows.append(centre - R * (2 * u + 1 - m))
 
     bands = [_exact(R * j - 2 * R * q, j) for q in range(j + 1)]
     for p, path in enumerate(vcg.paths):
-        x = cols[p]
+        x = _exact(-rows[p], den)
         for q in range(1, j):
             positions[path[q]] = (x, bands[q])
     neg_bands = [-b for b in bands]
     for r, path in enumerate(hcg.paths):
-        y = rows[r]
+        y = _exact(rows[r], den)
         for q in range(1, j):
             positions[path[q]] = (neg_bands[q], y)
 
@@ -276,14 +273,13 @@ def _gap_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
                  D: int, kk: int) -> None:
     """Blue (5k,2) strands cross the horizontal (lk,5) strands so that each
     of the five edges of every horizontal path is crossed exactly k times."""
-    lam0 = Fraction(D, D + 350)
-    bounds = [lean(c * lam0) for c in (-180, -60, 60, 180)]
-    centers = [Fraction(c) for c in (-240, -120, 0, 120, 240)]
-    sigma = Fraction(40, kk)
+    # the four inner columns at c·D/(D+350), and the strands in five groups
+    # of kk, centred at 120·group - 240 and 40/kk apart
+    bounds = [_exact(c * D, D + 350) for c in (-180, -60, 60, 180)]
     for p, path in enumerate(vcg.paths):
         group, idx = divmod(p, kk)
-        x = lean(_cluster(centers[group], kk, idx, sigma))
-        positions[path[1]] = (x, -350)
+        positions[path[1]] = (_exact((120 * group - 240) * kk
+                                     + 20 * (2 * idx + 1 - kk), kk), -350)
     ih = len(hcg.paths)
     for r, path in enumerate(hcg.paths):
         y = _exact(20 * (2 * r + 1) - 20 * ih, 2 * ih)
@@ -291,22 +287,25 @@ def _gap_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
             positions[path[q]] = (bounds[q - 1], y)
 
 
-def _apex_stripe_x(i: int, kk: int) -> Coord:
-    return _exact(600 * (i + 1) - 300 * (kk + 1), kk + 1)
+def _stripe_x(i: int, kk: int) -> int:
+    """x of anchor i's stripe in the apex and skew witnesses, over kk+1."""
+    return 600 * (i + 1) - 300 * (kk + 1)
 
 
 def _apex_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
                   ell: int, kk: int) -> None:
-    gamma = Fraction(600, (kk + 1) * 4 * (ell + 2))
+    # each stripe's pole paths run (jj+1)·150/((kk+1)(ell+2)) right of it
+    den = (kk + 1) * (ell + 2)
     for i, (a, paths) in enumerate(_by_anchor(vcg)):
-        lam = _apex_stripe_x(i, kk)
-        positions[a] = (lam, 0)
+        lam = _stripe_x(i, kk)
+        positions[a] = (_exact(lam, kk + 1), 0)
         for jj, path in enumerate(paths):
-            x = lean(lam + (jj + 1) * gamma)
+            x = _exact(lam * (ell + 2) + 150 * (jj + 1), den)
             positions[path[1]] = (x, 150)   # upper internal
             positions[path[3]] = (x, -150)  # lower internal
         for r, (bx, by) in enumerate(_K5_BLOB):
-            positions[f"{a}/q{r}"] = (lam - bx, -by)
+            positions[f"{a}/q{r}"] = (_exact(lam - bx * (kk + 1), kk + 1),
+                                      -by)
     ih = len(hcg.paths)
     for r, path in enumerate(hcg.paths):
         h = _exact(60 * ih + 90 * (2 * r + 1), 2 * ih)
@@ -317,11 +316,12 @@ def _skew_witness(vcg: ConGraph, hcg: ConGraph, positions: dict,
                   D: int, kk: int) -> None:
     w_local = {"w1": (16, 9), "w2": (16, -7), "w3": (-9, 1)}
     for i, (a, _) in enumerate(_by_anchor(vcg)):
-        lam = _apex_stripe_x(i, kk)
-        positions[a] = (lam, 0)
-        # w = a + (d·2ux + rot90(d)·2uy)/D with d = t - a = (-lam, -D);
-        # measured from t = (0, -D) and with d scaled by kk+1 to integers
-        d = (int(-lam * (kk + 1)), -D * (kk + 1))
+        lam = _stripe_x(i, kk)
+        positions[a] = (_exact(lam, kk + 1), 0)
+        # w = a + (d·2ux + rot90(d)·2uy)/D with d = t - a = (-x, -D), x the
+        # anchor's; measured from t = (0, -D) and with d scaled by kk+1,
+        # which makes it (-lam, -D(kk+1)), to integers
+        d = (-lam, -D * (kk + 1))
         for suffix, (ux, uy) in w_local.items():
             positions[f"{a}/{suffix}"] = _affine(
                 (0, -D), d, 2 * ux - D, 2 * uy, D * (kk + 1))

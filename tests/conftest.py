@@ -56,6 +56,9 @@ THRESHOLD_POINTS = [
     ("skewness", 2, 1),
 ]
 
+# Every point whose standard drawings ``drawings_golden.json`` pins.
+GOLDEN_POINTS = sorted(set(GRID) | set(THRESHOLD_POINTS), key=str)
+
 FAN_KINDS = ("adjacency-crossing", "fan-crossing",
              "weak-fan-planar", "strong-fan-planar")
 

@@ -506,6 +506,13 @@ def test_error_exit_codes(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: --random needs N >= 0\n")
 
 
+@pytest.mark.parametrize("command", ["bound", "layout", "coverage"])
+def test_missing_concept_is_a_usage_error(command, capsys):
+    assert run([command, "--ell", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "--concept" in err and "Traceback" not in err
+
+
 def test_out_of_memory_exits_2_with_one_error_line():
     # exit 1 would read "predicate fails"; the cap binds the child only
     import resource

@@ -1,5 +1,7 @@
 """Frame colorings, con-graph gadgets, concept registry, and framework construction."""
 
+import hashlib
+import json
 import warnings
 from fractions import Fraction
 
@@ -36,7 +38,7 @@ from beyondcr.graph_core import (
     instantiate_congraph,
     structural_k,
 )
-from conftest import GRID, THRESHOLD_POINTS
+from conftest import GOLDEN_POINTS, GRID
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +432,27 @@ def _reference_construction(fg):
     return graph, list(map(out.__getitem__, graph.edges))
 
 
-@pytest.mark.parametrize("kind,ell,k",
-                         sorted(set(GRID) | set(THRESHOLD_POINTS), key=str))
+@pytest.mark.parametrize("kind,ell,k", GOLDEN_POINTS)
 def test_edge_table_matches_the_two_pass_derivation(kind, ell, k):
     fg = construction_for(kind, ell, k)
     assert (fg.graph, fg.edge_paths) == _reference_construction(fg)
+
+
+# sha256 over every con-graph's internals, edges and paths, in connection
+# order and in each field's own order, at every GOLDEN_POINTS point,
+# recorded at commit 482dcb5: the K7 placement reads the order of
+# ``internals`` and the coverage ledger reads pole-path indices.
+CONGRAPH_FIELDS_SHA256 = (
+    "aa8350070ca49b23c2f57ed66878d787436db61ee390c3424d54aab797e19006")
+
+
+def test_congraph_fields_match_pin():
+    digest = hashlib.sha256()
+    for kind, ell, k in GOLDEN_POINTS:
+        for cid, cg in construction_for(kind, ell, k).congraphs.items():
+            digest.update(json.dumps([kind, ell, k, cid, cg.internals,
+                                      cg.edges, cg.paths]).encode())
+    assert digest.hexdigest() == CONGRAPH_FIELDS_SHA256
 
 
 def test_paths_through():

@@ -28,10 +28,9 @@ from beyondcr.drawing import Crossing, drawing_from_json, drawing_to_json
 from beyondcr.graph_core import (CONCEPTS, DESIGNATED, connection_specs,
                                  parse_concept, structural_k)
 from beyondcr.standard_layouts import _own_crossings, _strands
-from conftest import FAN_KINDS, GRID, THRESHOLD_POINTS, standard_drawing
+from conftest import FAN_KINDS, GOLDEN_POINTS, GRID, standard_drawing
 
 GOLDEN = Path(__file__).with_name("drawings_golden.json")
-GOLDEN_POINTS = sorted(set(GRID) | set(THRESHOLD_POINTS), key=str)
 
 
 def drawing_hashes(kind, ell, k) -> dict[str, str]:
@@ -287,3 +286,33 @@ PAST_TEN_ANCHORS = {
 def test_drawings_past_ten_anchors_match_pins():
     assert {**drawing_hashes("k-apex", 2, 12),
             **drawing_hashes("skewness", 2, 12)} == PAST_TEN_ANCHORS
+
+
+# sha256 of the drawing's JSON at k = 3, recorded at commit 482dcb5: the
+# grid clusters and the gap strand groups have odd size there, and k-apex
+# has three stripes, none of which ``drawings_golden.json`` covers.
+K_THREE = {
+    "k-planar/3/3/witness":
+        "48c438cb02029397fde8a722eefb88e87b4ec7e954c414239f5274fc72260ee0",
+    "k-planar/3/3/upper":
+        "34b89042a2d7eaaf3c46d22e7694e76faf95a4475c3aac7750b858b4134ce2ee",
+    "k-vertex-planar/2/3/witness":
+        "d161e3a4d60ce6052a17ce8fc76401fdd0e5ba387485e640528ab4216c7249fc",
+    "k-vertex-planar/2/3/upper":
+        "d4dd19f68ceed314aab7047c1dea847e4e220bf39f887205312e459b4c7aaeec",
+    "k-gap-planar/5/3/witness":
+        "391a7212fe942662c6aad83a293dbc35a7c86ed65704d0151562588498ee77a9",
+    "k-gap-planar/5/3/upper":
+        "70fc9fafed7d4e3e5b71262dd250a4be4aed1404fb6e9e7bda96d96bef93a65f",
+    "k-apex/2/3/witness":
+        "4734d05a94489e1f1a2914d9d65852a6f11b50cee293992f12325d007964e8f7",
+    "k-apex/2/3/upper":
+        "a3759ab7a04a5882304d525ab2f229575338c74d3ca93be174cbe1b1d604eca2",
+}
+
+
+def test_drawings_at_k_three_match_pins():
+    assert {**drawing_hashes("k-planar", 3, 3),
+            **drawing_hashes("k-vertex-planar", 2, 3),
+            **drawing_hashes("k-gap-planar", 5, 3),
+            **drawing_hashes("k-apex", 2, 3)} == K_THREE
