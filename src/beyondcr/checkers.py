@@ -25,8 +25,9 @@ Counting conventions, applied consistently:
   * a self-crossing counts twice toward its edge's crossing count;
   * a crossing event counts once per vertex for vertex-based counts, even
     when both its edges are incident to that vertex;
-  * the fan-family checkers (ac, fc, wfp, sfp) and the *-nic checkers that
-    need it require a simple drawing and reject non-simple ones outright.
+  * the fan-family checkers (ac, fc, wfp, sfp), k-fan-crossing-free and
+    nnic require a simple drawing and reject non-simple ones outright;
+    ``is_simple`` reads the engine's ``Crossings.simple``.
 """
 
 from __future__ import annotations

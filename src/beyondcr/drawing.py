@@ -20,7 +20,8 @@ Each pair is classified as it is yielded on four integer orientations: one
 lying on a side of the other's line is rejected after two, a collinear
 pair is an overlap, and otherwise the pair crosses or touches.  Only the
 crossings are kept and sorted, plus the first touch or overlap, so memory
-is O(segments + crossings).
+is O(segments + crossings).  They are returned as a ``Crossings``, which
+also says whether the drawing is simple (see ``compute_crossings``).
 A ``Crossing`` keeps the engine's exact integers: each edge's index in
 ``graph.edges``, which ``Graph`` keeps sorted, the segment index and the
 parameter (num, den) on each curve, and the point as one triple
@@ -152,6 +153,25 @@ class Crossing:
                 f"pos_b={self.pos_b}, point={self.point}, turn={self.turn})")
 
 
+class Crossings(tuple):
+    """The tuple of ``Crossing`` that ``compute_crossings`` returns, with
+    its answer to whether the drawing is simple as ``simple``.  A slice, a
+    concatenation or ``tuple(xs)`` is a plain tuple, so the flag never
+    outlives its list."""
+
+    simple: bool
+
+    def __new__(cls, crossings: Iterable[Crossing], simple: bool):
+        self = super().__new__(cls, crossings)
+        self.simple = simple
+        return self
+
+    def __reduce__(self):
+        # copy and pickle rebuild it with its flag; tuple's own reduce
+        # would call __new__ without one
+        return Crossings, (tuple(self), self.simple)
+
+
 def integer_scale(points: Iterable[Point]
                   ) -> tuple[int, Callable[[Iterable[Point]],
                                            list[IntPoint]]]:
@@ -231,8 +251,13 @@ def _candidate_pairs(boxes: list[tuple[int, int, int, int, int, int, int]],
                 yield (s, t) if s < t else (t, s)
 
 
-def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
-    """All proper crossings of the drawing, exactly.
+def compute_crossings(drawing: Drawing) -> Crossings:
+    """All proper crossings of the drawing, exactly, ordered by their pair
+    of edge indices, as a ``Crossings`` whose ``simple`` says whether the
+    drawing is simple.  That is decided as they are built: one edge pair's
+    crossings are consecutive, so the drawing is simple until a crossing's
+    edges share an end (a self-crossing included) or repeat the previous
+    crossing's pair.
 
     Raises GeneralPositionViolation for overlaps (an edge doubling back
     over itself at a bend included), touching curves (except shared
@@ -397,11 +422,19 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
     seen: set[tuple[int, int, int]] = set()
     found: list[Crossing] = []
     run, start = None, 0
+    simple, last_a, last_b = True, -1, -1
     while proper:
         oa, ob, s, t, d1, d2, d3, d4, seg_a, seg_b = proper.pop()
         if first_bad is not None and (oa, ob, s, t) > first_bad[0]:
             break
         ea, eb = g.edges[oa], g.edges[ob]
+        if simple:
+            a0, a1 = ea
+            b0, b1 = eb
+            if (a0 == b0 or a0 == b1 or a1 == b0 or a1 == b1
+                    or oa == last_a and ob == last_b):
+                simple = False
+            last_a, last_b = oa, ob
         ax, ay, bx, by = segs[s]
         # a + t1 (b - a) with t1 = d1 / (d1 - d2)
         den = d1 - d2
@@ -460,15 +493,19 @@ def compute_crossings(drawing: Drawing) -> tuple[Crossing, ...]:
                     raise GeneralPositionViolation(
                         "touch", f"{g.edges[owner[s]]} passes through "
                                  f"isolated vertex {v}")
-    return tuple(found)
+    return Crossings(found, simple)
 
 
 def is_simple(xs: tuple[Crossing, ...]) -> bool:
     """Whether a drawing with crossings ``xs`` is simple: no self-crossings,
     no crossing adjacent edges, and no edge pair crossing more than once.
-    An end of a in b covers a == b, and a repeated pair of edge indices
-    shrinks the set of pairs below the number of crossings.  Each pair is
-    one int, by Cantor's pairing function, so the set holds no tuples."""
+    A ``Crossings`` answers with its ``simple``; any other sequence is
+    walked.  There an end of a in b covers a == b, and a repeated pair of
+    edge indices shrinks the set of pairs below the number of crossings.
+    Each pair is one int, by Cantor's pairing function, so the set holds no
+    tuples."""
+    if isinstance(xs, Crossings):
+        return xs.simple
     pairs: set[int] = set()
     for x in xs:
         u, v = x.a

@@ -1,4 +1,5 @@
-"""Shared test data: the concept/parameter grid and hand-made fan drawings."""
+"""Shared test data: the concept/parameter grid, hand-made non-simple
+and fan drawings."""
 
 from fractions import Fraction
 
@@ -99,6 +100,30 @@ def made_up_crossing(graph, e, f, xyw, turn=1) -> Crossing:
 def standard_drawing(kind, ell, k=None, variant="witness") -> Drawing:
     """The standard drawing of the concept's framework graph at (ell, k)."""
     return draw_framework(construction_for(kind, ell, k), variant)
+
+
+def self_crossing_drawing() -> Drawing:
+    """One edge whose bent curve crosses itself once."""
+    return Drawing(make_graph(["a", "b"], [edge("a", "b")]),
+                   {"a": pt(0, 0), "b": pt(4, 0)},
+                   curves={edge("a", "b"): (pt(4, 2), pt(0, 2), pt(2, -1))})
+
+
+def adjacent_crossing_drawing() -> Drawing:
+    """Two edges at a whose curves properly cross once, a|c bent."""
+    return Drawing(make_graph(["a", "b", "c"],
+                              [edge("a", "b"), edge("a", "c")]),
+                   {"a": pt(0, 0), "b": pt(6, 0), "c": pt(6, 3)},
+                   curves={edge("a", "c"): (pt(2, -2), pt(4, 1))})
+
+
+def double_crossing_drawing() -> Drawing:
+    """Two independent edges that cross twice, c|d bent below a|b."""
+    return Drawing(make_graph(["a", "b", "c", "d"],
+                              [edge("a", "b"), edge("c", "d")]),
+                   {"a": pt(0, 0), "b": pt(6, 0), "c": pt(1, 1),
+                    "d": pt(5, 1)},
+                   curves={edge("c", "d"): (pt(2, -1), pt(4, -1))})
 
 
 def fan_fixture_adjacent_not_fan() -> Drawing:

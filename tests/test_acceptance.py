@@ -25,7 +25,7 @@ from beyondcr import (
 )
 from beyondcr.cli import run
 from beyondcr.corpus import random_corpus
-from beyondcr.drawing import is_straight_line
+from beyondcr.drawing import is_simple, is_straight_line
 from beyondcr.graph_core import CONCEPTS, as_concept, evaluate, structural_k
 from beyondcr.kuratowski import DEFAULT_BUDGET
 from beyondcr.standard_layouts import appendix_fcf_fixture
@@ -171,6 +171,8 @@ def test_threshold_points_verified_by_exact_geometry():
             xs = compute_crossings(d)
             counted.append((geometry, xs))
             assert all(x.turn == turn_brute(d, x) for x in xs)
+            # the engine's flag against the walk of a plain tuple
+            assert xs.simple == is_simple(tuple(xs)), (kind, ell, k, variant)
         assert len(xs) == crossing_count_formula(kind, ell, k, variant)
         ok = check_concept(d, kind, k, xs=xs).ok
         assert ok == (variant == "witness"), (kind, ell, k, variant)

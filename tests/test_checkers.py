@@ -23,12 +23,15 @@ from beyondcr.graph_core import (CONCEPTS, ConceptId, as_concept,
 from conftest import (
     FAN_KINDS,
     GRID,
+    adjacent_crossing_drawing,
+    double_crossing_drawing,
     fan_fixture_adjacent_not_fan,
     fan_fixture_bent_edge_straight_crossers,
     fan_fixture_fan_not_weak,
     fan_fixture_weak_not_strong,
     made_up_crossing,
     pt,
+    self_crossing_drawing,
     standard_drawing,
 )
 import oracles as o
@@ -306,16 +309,28 @@ def test_is_simple_matches_pairwise_oracle():
                  for kind, ell, k in GRID for variant in ("witness", "upper")]
     drawings += [fan_fixture_adjacent_not_fan(), fan_fixture_fan_not_weak(),
                  fan_fixture_weak_not_strong(), appendix_fcf_fixture()[1]]
-    seen = Counter()
-    for d in drawings:
+    # the engine's three non-simple kinds: a self-crossing, a crossing of
+    # adjacent edges, and an edge pair crossing twice
+    non_simple = [self_crossing_drawing(), adjacent_crossing_drawing(),
+                  double_crossing_drawing()]
+    seen, flags = Counter(), Counter()
+    for d in drawings + non_simple:
         xs = compute_crossings(d)
+        # the engine's flag against the walk and the pairwise oracle
+        assert xs.simple == is_simple(tuple(xs)) == o.is_simple_brute(xs)
+        flags[xs.simple] += 1
+        # a slice, a concatenation and a copy are plain tuples, walked
+        assert {type(ys) for ys in (xs[1:], xs + xs[:1], tuple(xs))} \
+            == {tuple}
         e = min(d.graph.edges)
         loop = made_up_crossing(d.graph, e, e, (0, 0, 1))
         # as computed, with its first crossing repeated, and with a loop
         for ys in (xs, xs + xs[:1], xs + (loop,)):
             assert is_simple(ys) == o.is_simple_brute(ys)
             seen[is_simple(ys)] += 1
+    assert not any(compute_crossings(d).simple for d in non_simple)
     assert seen[True] >= 10 and seen[False] >= 10
+    assert flags[True] >= 10 and flags[False] >= 10
 
 
 # ---------------------------------------------------------------------------

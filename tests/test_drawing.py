@@ -1,6 +1,8 @@
 """Polyline drawings, exact crossing enumeration, general-position policing."""
 
+import copy
 import hashlib
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -31,9 +33,11 @@ from beyondcr import (
     to_svg,
 )
 from beyondcr.checkers import _xjson
-from beyondcr.drawing import _candidate_pairs
-from conftest import (GRID, fan_fixture_weak_not_strong, made_up_crossing,
-                      pt, standard_drawing)
+from beyondcr.drawing import Crossings, _candidate_pairs
+from conftest import (GRID, adjacent_crossing_drawing,
+                      double_crossing_drawing, fan_fixture_weak_not_strong,
+                      made_up_crossing, pt, self_crossing_drawing,
+                      standard_drawing)
 from oracles import (bbox_disjoint, brute_crossing_points, count_on_edge,
                      first_violation_kind, octagon_disjoint, ordered_along,
                      segments, solve_segments, turn_brute)
@@ -78,18 +82,13 @@ def test_bent_curves_may_touch_at_shared_endpoint():
 
 
 def test_adjacent_edges_can_properly_cross_when_bent():
-    d = D(["a", "b", "c"], [edge("a", "b"), edge("a", "c")],
-          {"a": pt(0, 0), "b": pt(6, 0), "c": pt(6, 3)},
-          curves={edge("a", "c"): (pt(2, -2), pt(4, 1))})
-    xs = compute_crossings(d)
+    xs = compute_crossings(adjacent_crossing_drawing())
     assert len(xs) == 1
     assert not is_simple(xs)
 
 
 def test_self_crossing_polyline():
-    d = D(["a", "b"], [edge("a", "b")], {"a": pt(0, 0), "b": pt(4, 0)},
-          curves={edge("a", "b"): (pt(4, 2), pt(0, 2), pt(2, -1))})
-    xs = compute_crossings(d)
+    xs = compute_crossings(self_crossing_drawing())
     assert len(xs) == 1
     x = next(iter(xs))
     assert x.a == x.b == ("a", "b")
@@ -98,13 +97,20 @@ def test_self_crossing_polyline():
 
 
 def test_double_crossing_pair_not_simple():
-    d = D(["a", "b", "c", "d"], [edge("a", "b"), edge("c", "d")],
-          {"a": pt(0, 0), "b": pt(6, 0), "c": pt(1, 1), "d": pt(5, 1)},
-          curves={edge("c", "d"): (pt(2, -1), pt(4, -1))})
+    d = double_crossing_drawing()
     xs = compute_crossings(d)
     assert len(xs) == 2
     assert not is_simple(xs)
     assert is_straight_line(d) is False
+
+
+def test_copies_of_crossings_keep_the_flag():
+    for d in (x_drawing(), double_crossing_drawing()):
+        xs = compute_crossings(d)
+        for ys in (copy.copy(xs), pickle.loads(pickle.dumps(xs))):
+            assert type(ys) is Crossings and ys.simple == xs.simple
+            assert [(y.ia, y.ib, y.xyw) for y in ys] \
+                == [(x.ia, x.ib, x.xyw) for x in xs]
 
 
 def test_crossings_ordered_along_edge():
