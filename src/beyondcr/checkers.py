@@ -9,8 +9,8 @@ All but one decide from the crossings alone, the fan sides included
 (``Crossing.turn``), reading of the drawing only its graph's edges to name
 them; only strong fan-planarity's enclosure test reads its geometry: the
 bend counts of each edge and its crossers for every (edge, anchor) it
-tries, and the curves' points, scaled to integers once per check, only
-when some fan ring can bend.  They count, group and search on
+tries, and the drawing's one integer form, ``point_table``, built once per
+check and only when some fan ring can bend.  They count, group and search on
 the crossings' edge indices ``ia`` and ``ib``, which order as the edges
 do, and name edge i in a witness as ``drawing.graph.edges[i]``, the
 numbering the indices come from.  The vertex-based concepts key on the
@@ -36,11 +36,10 @@ import math
 from collections import Counter, defaultdict, deque
 from functools import lru_cache, partial
 from itertools import chain, combinations
-from typing import Callable
 
-from .drawing import (Crossing, Drawing, Verdict, compute_crossings,
-                      integer_scale, is_simple)
-from .geometry import IntPoint, chain_parity, on_segment, ray_toggle
+from .drawing import (Crossing, Drawing, PointTable, Verdict,
+                      compute_crossings, is_simple, point_table)
+from .geometry import chain_parity, on_segment, ray_toggle
 from .graph_core import ConceptId, Edge, as_concept, edge_key, structural_k
 
 
@@ -184,25 +183,6 @@ def _crossers_by_edge(xs: tuple[Crossing, ...]
     return out
 
 
-ScaledCurves = tuple[int, Callable[[Edge], list[IntPoint]]]
-
-
-def _scaled_curves(drawing: Drawing) -> ScaledCurves:
-    """The drawing's scale, as ``integer_scale`` gives it for all its
-    points, and a function from an edge to its polyline's points times the
-    scale as integer pairs, each edge's built once."""
-    scale, scaled_points = integer_scale(
-        p for points in (drawing.positions.values(),
-                         *drawing.curves.values()) for p in points)
-    scaled: dict[Edge, list[IntPoint]] = {}
-
-    def polyline(e: Edge) -> list[IntPoint]:
-        if e not in scaled:
-            scaled[e] = scaled_points(drawing.polyline(e))
-        return scaled[e]
-    return scale, polyline
-
-
 def _fan(level: int, kind: str, drawing: Drawing,
          xs: tuple[Crossing, ...], k: int) -> Verdict:
     """A simple drawing in which the edges crossing any one edge e are
@@ -219,15 +199,16 @@ def _fan(level: int, kind: str, drawing: Drawing,
     the crossing an overlap, which ``compute_crossings`` refuses), so the
     line meets the closed triangle only in its side [X_i, X_j], and e's
     endpoints lie on the line outside that side.  The anchor then passes
-    with no point read.  Only when some ring can bend are the drawing's
-    curves scaled, once per check, and the test gives each crossing on e
-    one even-odd bit per endpoint of e and compares bits instead of
-    building a region per pair of crossers (``_enclosure_failure``):
+    with no point read.  Only when some ring can bend is the drawing's
+    ``point_table`` built, once per check, and the test gives each
+    crossing on e one even-odd bit per endpoint of e and compares bits
+    instead of building a region per pair of crossers
+    (``_enclosure_failure``):
     O(len(e) + sum of tail lengths + c) per edge and anchor for c
     crossings on e."""
     if not is_simple(xs):
         return Verdict(False, kind, "drawing is not simple")
-    curves = None   # the scaled curves, built for the first ring walk
+    table = None    # built for the first ring walk
     for e, crossings in sorted(_crossers_by_edge(xs).items()):
         if len(crossings) <= 1:
             continue
@@ -271,9 +252,9 @@ def _fan(level: int, kind: str, drawing: Drawing,
                 continue
             if level == 3 and not _triangle_rings(drawing, edge, e,
                                                   crossings, fs, v):
-                if curves is None:
-                    curves = _scaled_curves(drawing)
-                trapped = _enclosure_failure(curves, edge, e, crossings, v)
+                if table is None:
+                    table = point_table(drawing)
+                trapped = _enclosure_failure(table, edge, e, crossings, v)
                 if trapped is not None:
                     last_reason = trapped
                     continue
@@ -303,7 +284,7 @@ def _triangle_rings(drawing: Drawing, edge: Edge, ie: int,
     return True
 
 
-def _enclosure_failure(curves: ScaledCurves, e: Edge, ie: int,
+def _enclosure_failure(table: PointTable, e: Edge, ie: int,
                        crossings: list[Crossing],
                        anchor: str) -> tuple[str, dict] | None:
     """sfp condition: for each pair of crossers, the closed curve formed by
@@ -311,7 +292,8 @@ def _enclosure_failure(curves: ScaledCurves, e: Edge, ie: int,
     points and the two crosser curves up to the anchor must not strictly
     enclose an endpoint of e.  ``_fan`` calls it only for an (edge, anchor)
     with some ring that can bend, having read the bend counts first
-    (``_triangle_rings``); the curves it reads are scaled once per check.
+    (``_triangle_rings``); it reads the points of the drawing's
+    ``point_table``, built once per check.
 
     Each segment of such a ring flips an endpoint's even-odd ray count on
     its own, in either direction (``geometry.ray_toggle``), so the ring's
@@ -327,13 +309,13 @@ def _enclosure_failure(curves: ScaledCurves, e: Edge, ie: int,
     ``combinations`` order, then endpoint order, found in one pass over the
     bits (``_first_split``).
 
-    Every predicate runs on integers: the curves are the check's scaled
+    Every predicate runs on integers: the curves are the table's
     polylines, and the two segments that end at a crossing point (x/w,
     y/w) are tested with their other points and u times w, so crossings
-    need not share the check's scale.
+    need not share the table's scale.
     """
-    scale, polyline = curves
-    poly = polyline(e)
+    points, scale = table.points, table.scale
+    poly = [points[i] for i in table.polyline(e)]
     ends = (poly[0], poly[-1])
     # prefixes[k][s]: parity of e's curve up to its point s at endpoint k
     prefixes = []
@@ -351,7 +333,7 @@ def _enclosure_failure(curves: ScaledCurves, e: Edge, ie: int,
             f, seg, seg_f = x.a, x.seg_b, x.seg_a
         fs.append(f)
         # the tail: the crossing point, then f's points up to the anchor
-        poly_f = polyline(f)
+        poly_f = [points[i] for i in table.polyline(f)]
         rest = poly_f[seg_f + 1:] if anchor == f[1] else poly_f[seg_f::-1]
         px, py, w = x.xyw
         xpt = (px * scale, py * scale)

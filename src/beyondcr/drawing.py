@@ -1,12 +1,13 @@
 """Polyline drawings and exact crossing computation.
 
 Coordinates are rational (``int`` or ``fractions.Fraction``), so every
-intersection test is exact.  ``compute_crossings`` multiplies all vertex
-and bend coordinates by the LCM of the ``Fraction`` coordinates'
-denominators (``integer_scale``, which reads an int as it is, so a drawing
-of ints alone needs no LCM), so the orientation tests run on plain
-integers, and gives every point an integer id; a segment is its pair of
-endpoint ids.  One pass over the edges builds every segment's record, a
+intersection test is exact.  ``point_table`` is a drawing's one integer
+form, which the crossing engine and the strong fan-planar checker both
+read: every vertex and bend times the LCM of the ``Fraction`` coordinates'
+denominators (an int is read as it is, so a drawing of ints alone has
+scale 1), each point with an integer id.  ``compute_crossings`` runs its
+orientation tests on those integers; a segment is its pair of endpoint
+ids.  One pass over the edges builds every segment's record, a
 straight edge's one segment read off its two vertex ids.  Two segments
 with a common endpoint (a star, consecutive segments of one edge included)
 meet only there unless they leave it along one ray, so each segment's two
@@ -46,7 +47,7 @@ import math
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .geometry import IntPoint, Point
 from .graph_core import (Edge, FRAME_NODES, Graph, edge_from_key, edge_key,
@@ -172,53 +173,58 @@ class Crossings(tuple):
         return Crossings, (tuple(self), self.simple)
 
 
-def integer_scale(points: Iterable[Point]
-                  ) -> tuple[int, Callable[[Iterable[Point]],
-                                           list[IntPoint]]]:
-    """The scale of some points, the LCM of their ``Fraction``
-    coordinates' denominators, and a function from points among them to
-    those points times the scale, as integer pairs.  An ``int`` coordinate
-    adds no denominator and is read as it is, so points with int
-    coordinates only have scale 1 and need no LCM.  A coordinate that is
-    not an int or Fraction raises TypeError."""
+class PointTable(NamedTuple):
+    """A drawing's one integer form.  ``scale`` is the LCM of its
+    ``Fraction`` coordinates' denominators, 1 when there are none;
+    ``points`` holds every vertex in graph order, then every bend in
+    sorted-edge order, times the scale as integer pairs; ``vid`` maps each
+    vertex to its point id, and ``bends`` each bent edge to the range of
+    its bends' ids."""
+
+    scale: int
+    points: list[IntPoint]
+    vid: dict[str, int]
+    bends: dict[Edge, range]
+
+    def polyline(self, e: Edge) -> list[int]:
+        """The point ids of edge e's curve, from its smaller endpoint."""
+        return [self.vid[e[0]], *self.bends.get(e, ()), self.vid[e[1]]]
+
+
+def point_table(drawing: Drawing) -> PointTable:
+    """The drawing's ``PointTable``.  A vertex with no position raises
+    ValueError, then a coordinate that is not an int or Fraction raises
+    TypeError; an int coordinate adds no denominator."""
+    g = drawing.graph
+    for v in g.vertices:
+        if v not in drawing.positions:
+            raise ValueError(f"vertex {v} has no position")
+    points = [drawing.positions[v] for v in g.vertices]
+    bends: dict[Edge, range] = {}
+    for e in sorted(drawing.curves):
+        bends[e] = range(len(points), len(points) + len(drawing.curves[e]))
+        points += drawing.curves[e]
     fractions = [c for p in points for c in p if type(c) is not int]
     for c in fractions:
         if not isinstance(c, Fraction):
             raise TypeError(f"coordinate {c!r} is not an int or Fraction")
-    if not fractions:
-        return 1, _int_pairs
     # the distinct denominators only, so lcm's argument tuple stays short
     scale = math.lcm(*{c.denominator for c in fractions})
-
-    def scaled(ps: Iterable[Point]) -> list[IntPoint]:
-        return [(x * scale if type(x) is int
-                 else x.numerator * (scale // x.denominator),
-                 y * scale if type(y) is int
-                 else y.numerator * (scale // y.denominator))
-                for x, y in ps]
-    return scale, scaled
-
-
-def _int_pairs(ps: Iterable[Point]) -> list[IntPoint]:
-    return [(x, y) for x, y in ps]
+    return PointTable(
+        scale,
+        [(x * scale if type(x) is int
+          else x.numerator * (scale // x.denominator),
+          y * scale if type(y) is int
+          else y.numerator * (scale // y.denominator)) for x, y in points],
+        {v: i for i, v in enumerate(g.vertices)}, bends)
 
 
-def _point_table(drawing: Drawing, bent: list[Edge]
-                 ) -> tuple[list[IntPoint], int]:
-    """Every vertex (in graph order) and bend (in ``bent`` order) as an
-    integer pair, times the scale of ``integer_scale``, with that scale."""
-    points = [drawing.positions[v] for v in drawing.graph.vertices]
-    points += [p for e in bent for p in drawing.curves[e]]
-    scale, scaled = integer_scale(points)
-    return scaled(points), scale
-
-
-def _point_label(drawing: Drawing, bent: list[Edge], i: int) -> str:
-    """The description of point ``i`` of ``_point_table``."""
-    labels = [f"vertex {v}" for v in drawing.graph.vertices]
-    labels += [f"bend {j} of {e}"
-               for e in bent for j in range(len(drawing.curves[e]))]
-    return labels[i]
+def _point_label(table: PointTable, i: int) -> str:
+    """The description of point ``i`` of a ``PointTable``."""
+    if i < len(table.vid):
+        return f"vertex {list(table.vid)[i]}"
+    e, ids = next((e, ids) for e, ids in table.bends.items() if i in ids)
+    return f"bend {i - ids.start} of {e}"
 
 
 def _candidate_pairs(boxes: list[tuple[int, int, int, int, int, int, int]],
@@ -269,19 +275,15 @@ def compute_crossings(drawing: Drawing) -> Crossings:
     raises TypeError before any degeneracy is looked for.
     """
     g = drawing.graph
-    for v in g.vertices:
-        if v not in drawing.positions:
-            raise ValueError(f"vertex {v} has no position")
-    bent = sorted(drawing.curves)
-    points, scale = _point_table(drawing, bent)
+    table = point_table(drawing)
+    points, scale, vid = table.points, table.scale, table.vid
     pid: dict = {}
     for i, p in enumerate(points):
         j = pid.setdefault(p, i)
         if j != i:
             raise GeneralPositionViolation(
-                "duplicate-point", f"{_point_label(drawing, bent, i)} "
-                                   f"coincides with "
-                                   f"{_point_label(drawing, bent, j)}")
+                "duplicate-point", f"{_point_label(table, i)} coincides "
+                                   f"with {_point_label(table, j)}")
     bad = set(drawing.curves).difference(g.edges)
     if bad:
         raise ValueError(f"curve for non-edge {min(bad)}")
@@ -291,11 +293,6 @@ def compute_crossings(drawing: Drawing) -> Crossings:
     # id p to point id q, at segs[s] = (ax, ay, bx, by), with its box and
     # diagonal ranges for the sweep.  Points are distinct and no edge is a
     # loop, so no segment has zero length.
-    vid = {v: i for i, v in enumerate(g.vertices)}
-    bend_id, n = {}, len(vid)
-    for e in bent:
-        bend_id[e] = range(n, n + len(drawing.curves[e]))
-        n += len(drawing.curves[e])
     owner: list[int] = []
     index: list[int] = []
     segs: list[tuple[int, int, int, int]] = []
@@ -319,8 +316,8 @@ def compute_crossings(drawing: Drawing) -> Crossings:
     # one segment is read off directly, with no polyline to walk
     ends: list[tuple[int, int, int, int]] = []
     for ei, e in enumerate(g.edges):
-        if e in bend_id:
-            poly = [vid[e[0]], *bend_id[e], vid[e[1]]]
+        if e in table.bends:
+            poly = table.polyline(e)
             ends += [(ei, i, poly[i], poly[i + 1])
                      for i in range(len(poly) - 1)]
         else:
@@ -447,7 +444,7 @@ def compute_crossings(drawing: Drawing) -> Crossings:
             raise GeneralPositionViolation(
                 "crossing-at-vertex",
                 f"{ea} x {eb} crosses at "
-                f"{_point_label(drawing, bent, pid[xyw[:2]])}")
+                f"{_point_label(table, pid[xyw[:2]])}")
         if xyw in seen:
             first = next(c for c in found if c.xyw == xyw)
             p = first.point

@@ -3,8 +3,8 @@
 
 Coordinates are ``int`` or ``fractions.Fraction`` and every predicate is
 exact, so no caller sees an epsilon.  The enclosure test passes plain
-integers: curves scaled to a common denominator, and crossing points
-homogenised by their own.  It runs them only for an (edge, anchor) whose
+integers: the points of the drawing's ``point_table`` in ``drawing``, and
+crossing points homogenised by their own denominator.  It runs them only for an (edge, anchor) whose
 fan rings can bend; when the edge and every crosser's tail to the anchor
 are straight, ``checkers`` decides from bend counts alone.  The layouts
 pass ints and ``Fraction``s.  The crossing engine in ``drawing`` classifies

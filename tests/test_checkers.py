@@ -1,7 +1,9 @@
 """Concept checkers against brute-force oracles and hand-made drawings."""
 
+import hashlib
+import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
@@ -35,6 +37,7 @@ from conftest import (
     standard_drawing,
 )
 import oracles as o
+from test_drawing import pin_drawings
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +247,7 @@ def test_sfp_reads_no_point_of_a_straight_line_drawing(monkeypatch):
     def refuse(*args):
         raise AssertionError("a straight-line drawing read its points")
     monkeypatch.setattr(checkers, "_enclosure_failure", refuse)
-    monkeypatch.setattr(checkers, "_scaled_curves", refuse)
+    monkeypatch.setattr(checkers, "point_table", refuse)
     triangles = Counter()
     triangle_rings = checkers._triangle_rings
 
@@ -641,3 +644,41 @@ def test_only_strong_fan_planarity_reads_the_drawing():
 
 def test_every_concept_has_one_checker():
     assert set(_CHECKERS) == set(CONCEPTS)
+
+
+# sha256 over json.dumps(verdict.to_json_obj(), sort_keys=True) of every
+# concept, at k_min and k_min + 1 for one with a k, on every pin drawing the
+# engine does not refuse, each followed by a newline.  It pins every
+# verdict's reason and witness byte for byte.
+_VERDICTS_SHA256 = \
+    "dc7bde077ac855f9eba0de28eff1d0db75878e641d2da566251de9e30fd67e63"
+
+
+def test_verdicts_are_pinned(monkeypatch):
+    rings = Counter()
+    triangle_rings = checkers._triangle_rings
+
+    def counted(*args):
+        got = triangle_rings(*args)
+        rings[got] += 1
+        return got
+    monkeypatch.setattr(checkers, "_triangle_rings", counted)
+    digest = hashlib.sha256()
+    outcomes = defaultdict(set)
+    for d in pin_drawings():
+        try:
+            xs = compute_crossings(d)
+        except GeneralPositionViolation:
+            continue
+        for kind, info in sorted(CONCEPTS.items()):
+            for k in ((info.k_min, info.k_min + 1) if info.requires_k
+                      else (None,)):
+                v = check_concept(d, kind, k, xs=xs)
+                digest.update(json.dumps(v.to_json_obj(), sort_keys=True)
+                              .encode() + b"\n")
+                outcomes[kind].add(v.ok)
+    assert digest.hexdigest() == _VERDICTS_SHA256
+    # every concept both passes and fails, and some ring of the strong
+    # fan-planar test could bend, so it read the drawing's points
+    assert all(outcomes[kind] == {True, False} for kind in CONCEPTS)
+    assert rings[False] > 0

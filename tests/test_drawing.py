@@ -793,6 +793,50 @@ def test_int_and_fraction_corpus_drawings_give_the_same_crossings():
     assert kinds == {"crossings": 200, "refused": 60}
 
 
+def pin_drawings():
+    """The drawings whose crossings, and whose verdicts in test_checkers,
+    are pinned: both standard drawings at every GRID point, then a seeded
+    random corpus with bends, gadgets planted in every fourth drawing."""
+    drawings = [standard_drawing(kind, ell, k, variant=variant)
+                for kind, ell, k in GRID for variant in ("witness", "upper")]
+    rng = random.Random(3434)
+    for i, d in enumerate(random_corpus(3433, 200, bend_prob=0.3)):
+        drawings.append(_with_gadgets(rng, d, 1 + i % 3) if i % 4 == 0
+                        else d)
+    return drawings
+
+
+_PINNED_FIELDS = ("a", "b", "ia", "ib", "seg_a", "num_a", "den_a", "seg_b",
+                  "num_b", "den_b", "xyw", "turn")
+
+# sha256 over the repr of each pin drawing's crossings, each field in
+# _PINNED_FIELDS order, and its ``simple``, or of its refusal's kind and
+# detail, each followed by a newline.  It pins the engine's output bit for
+# bit, so a change to how a drawing is scaled or numbered cannot move it.
+_ENGINE_SHA256 = \
+    "7518b4fba5bd24ba7986b090bcfccec072887ab53bea96f7d27b0a4fe30f2b1b"
+
+
+def test_engine_output_is_pinned():
+    digest = hashlib.sha256()
+    outcomes = Counter()
+    for d in pin_drawings():
+        try:
+            xs = compute_crossings(d)
+        except GeneralPositionViolation as exc:
+            record = ("refused", exc.kind, exc.detail)
+            outcomes[exc.kind] += 1
+        else:
+            record = ([tuple(getattr(x, f) for f in _PINNED_FIELDS)
+                       for x in xs], xs.simple)
+            outcomes[xs.simple] += 1
+        digest.update(repr(record).encode() + b"\n")
+    assert digest.hexdigest() == _ENGINE_SHA256
+    # simple and non-simple drawings, and refusals of every gadget kind
+    assert set(outcomes) == {True, False, "touch", "overlap",
+                             "crossing-at-vertex", "concurrent-crossings"}
+
+
 # ---------------------------------------------------------------------------
 # Serialization and rendering
 # ---------------------------------------------------------------------------
